@@ -27,12 +27,20 @@ LIFTED = "lifted"
 
 
 class ElementGeometry:
-    """Per-quadrature-point geometry shared by assembly and norms.
+    """Geometry tables at the reference quadrature points, shared by assembly
+    and norms.  With E elements, Q points, nloc local nodes and ambient
+    dimension d:
 
+    shape_values: (Q, nloc) reference basis values;
     points: (E, Q, d) mapped quadrature points (on Gamma_h or on Gamma);
     weights: (E, Q) quadrature weight times metric factor;
-    tangent_grads: (E, Q, nloc, d) tangential basis gradients;
+    tangent_grads: (E, Q', nloc, d) tangential basis gradients;
+    metric_factor: (E, Q') square root of the Gram determinant;
     base_points: for the lifted tag, the underlying Gamma_h points.
+
+    Q' is 1 on affine elements (degree 1 on the discrete surface), whose
+    Jacobian is the same at every point, and Q otherwise; the length-1 axis
+    broadcasts against the quadrature axis.
     """
 
     def __init__(self, rule, shape_values, points, weights, tangent_grads,
@@ -47,7 +55,7 @@ class ElementGeometry:
 
 
 def _metric(jac, m):
-    g = np.einsum("eqdi,eqdj->eqij", jac, jac)
+    g = np.swapaxes(jac, -1, -2) @ jac
     if m == 1:
         det = g[..., 0, 0]
         inv = (1.0 / det)[..., None, None]
@@ -74,6 +82,8 @@ def element_geometry(mesh, tag=DISCRETE, order=None, ref_points=None):
     key = (tag, order) if ref_points is None else None
     if key is not None and key in cache:
         return cache[key]
+    if tag not in (DISCRETE, LIFTED):
+        raise ValueError(f"unknown surface tag {tag!r}")
 
     rule = reference_rule(m, order)
     if ref_points is None:
@@ -84,26 +94,25 @@ def element_geometry(mesh, tag=DISCRETE, order=None, ref_points=None):
         wts_ref = np.zeros(len(pts_ref))
     ref = mesh.reference
     sv = ref.shape_values(pts_ref)
-    sg = ref.shape_gradients(pts_ref)
+    # degree-1 reference gradients are constant: evaluate them at one point
+    # and let the length-1 quadrature axis broadcast
+    sg = ref.shape_gradients(pts_ref[:1] if mesh.degree == 1 else pts_ref)
     coords = mesh.element_coords()
-    points = np.einsum("ql,eld->eqd", sv, coords)
-    jac = np.einsum("qlm,eld->eqdm", sg, coords)
+    points = sv @ coords
+    jac = np.swapaxes(coords, 1, 2)[:, None] @ sg  # (E, Q', d, m)
     base_points = None
     if tag == LIFTED:
         surface, t = mesh.surface, mesh.time
         base_points = points
         flat = points.reshape(-1, points.shape[-1])
-        lifted = surface.project(t, flat).reshape(points.shape)
+        points = surface.project(t, flat).reshape(points.shape)
         dq = surface.projection_jacobian(t, flat).reshape(points.shape + (points.shape[-1],))
-        jac = np.einsum("eqij,eqjm->eqim", dq, jac)
-        points = lifted
-    elif tag != DISCRETE:
-        raise ValueError(f"unknown surface tag {tag!r}")
+        jac = dq @ jac
     det, inv = _metric(jac, m)
     if det.min() <= 0.0 or not np.all(np.isfinite(det)):
         raise SingularElement("degenerate element Jacobian")
     mu = np.sqrt(det)
-    tgrad = np.einsum("eqdm,eqmn,qln->eqld", jac, inv, sg)
+    tgrad = sg @ np.swapaxes(jac @ inv, -1, -2)
     geom = ElementGeometry(
         rule=rule,
         shape_values=sv,
@@ -215,14 +224,16 @@ def inverse_lift_function(u, discrete_space=None):
 def assemble_mass(space, order=None):
     geom = space.geometry(order)
     sv = geom.shape_values
-    local = np.einsum("eq,qi,qj->eij", geom.weights, sv, sv)
+    nq, nloc = sv.shape
+    table = (sv[:, :, None] * sv[:, None, :]).reshape(nq, nloc * nloc)
+    local = (geom.weights @ table).reshape(-1, nloc, nloc)
     return space.pattern().assemble(local)
 
 
 def assemble_stiffness(space, order=None):
     geom = space.geometry(order)
-    local = np.einsum("eq,eqid,eqjd->eij", geom.weights, geom.tangent_grads,
-                      geom.tangent_grads)
+    tg = geom.tangent_grads
+    local = np.einsum("eq,eqid,eqjd->eij", geom.weights, tg, tg, optimize=True)
     return space.pattern().assemble(local)
 
 
@@ -243,10 +254,8 @@ def load_vector(space, fn, t=None, order=None):
 
 def load_from_geometry(geom, elements, n_dofs, fn, t=None):
     fvals = _call_spatial(fn, t, geom.points)
-    local = np.einsum("eq,eq,qi->ei", geom.weights, fvals, geom.shape_values)
-    out = np.zeros(n_dofs)
-    np.add.at(out, elements.ravel(), local.ravel())
-    return out
+    local = (geom.weights * fvals) @ geom.shape_values
+    return np.bincount(elements.ravel(), weights=local.ravel(), minlength=n_dofs)
 
 
 def integrate(space, fn=None, t=None, order=None):
@@ -321,10 +330,11 @@ def ritz_project(space, fn, grad_fn, t=None, order=None, tol=1e-12,
     except TypeError:
         gvals = grad_fn(flat)
     gvals = np.asarray(gvals, dtype=float).reshape(geom.points.shape)
-    local = np.einsum("eq,eq,qi->ei", geom.weights, fvals, geom.shape_values)
-    local += np.einsum("eq,eqd,eqid->ei", geom.weights, gvals, geom.tangent_grads)
-    b = np.zeros(space.num_dofs)
-    np.add.at(b, space.mesh.elements.ravel(), local.ravel())
+    local = (geom.weights * fvals) @ geom.shape_values
+    local += np.einsum("eqd,eqid->ei", geom.weights[..., None] * gvals,
+                       geom.tangent_grads, optimize=True)
+    b = np.bincount(space.mesh.elements.ravel(), weights=local.ravel(),
+                    minlength=space.num_dofs)
     system = stiffness.scaled_add(1.0, mass)
     coeffs, _ = cg_solve(system, b, tol=tol)
     return FeFunction(space, coeffs)
@@ -368,21 +378,14 @@ def compute_prefactors(mesh, order=None):
 
     # B = ratio * T Ghat^{-1} T^T with T the lifted tangent map and Ghat the
     # discrete first fundamental form; supported on the tangent space of Gamma
-    sv = mesh.reference.shape_values(ref_pts)
     sg = mesh.reference.shape_gradients(ref_pts)
-    coords = mesh.element_coords()
-    jac_h = np.einsum("qlm,eld->eqdm", sg, coords)
-    det_h, inv_h = _metric(jac_h, m)
-    flat = np.einsum("ql,eld->eqd", sv, coords).reshape(-1, d)
-    dq = mesh.surface.projection_jacobian(mesh.time, flat).reshape(
-        jac_h.shape[:2] + (d, d)
-    )
-    tmap = np.einsum("eqij,eqjm->eqim", dq, jac_h)
-    bfield = ratio[..., None, None] * np.einsum(
-        "eqim,eqmn,eqjn->eqij", tmap, inv_h, tmap
-    )
+    jac_h = np.swapaxes(mesh.element_coords(), 1, 2)[:, None] @ sg
+    _, inv_h = _metric(jac_h, m)
+    dq = mesh.surface.projection_jacobian(mesh.time, disc.points.reshape(-1, d))
+    tmap = dq.reshape(disc.points.shape + (d,)) @ jac_h
+    bfield = ratio[..., None, None] * (tmap @ inv_h @ np.swapaxes(tmap, -1, -2))
 
-    y = mesh.surface.project(mesh.time, flat).reshape(jac_h.shape[:2] + (d,))
+    y = lift.points
     nu = mesh.surface.normal(mesh.time, y.reshape(-1, d)).reshape(y.shape)
     tangential_id = np.eye(d) - nu[..., :, None] * nu[..., None, :]
     dev = np.linalg.eigvalsh(bfield - tangential_id)
@@ -580,14 +583,6 @@ def radial_inverse_lift(mesh, points, tol=1e-12):
             ref = ref + step
         refs[i] = ref
     return elems, refs
-
-
-def evaluate_at(u, elements, refs):
-    """Evaluate a finite element function at (element, reference) pairs."""
-    mesh = u.space.mesh
-    sv = mesh.reference.shape_values(refs)
-    local = u.coeffs[mesh.elements[elements]]
-    return np.sum(sv * local, axis=-1)
 
 
 # ---------------------------------------------------------------------------

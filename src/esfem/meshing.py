@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateMesh, FlowEvaluationFailure, UnsupportedSurface
+from .errors import DegenerateMesh, FlowEvaluationFailure, IOFailure, UnsupportedSurface
 from .reference import reference_element
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -295,29 +295,46 @@ def write_mesh_text(mesh, path):
             fh.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
+def _read_section(lines, idx, keyword, dtype, path):
+    """Rows of the section whose header line ``<keyword> <count>`` is at idx,
+    as an array, and the index of the line after the section."""
+    head = lines[idx] if idx < len(lines) else []
+    if len(head) != 2 or head[0] != keyword or not head[1].isdigit():
+        raise IOFailure(f"{path}: expected a '{keyword} <count>' line")
+    count = int(head[1])
+    rows = lines[idx + 1:idx + 1 + count]
+    if len(rows) != count:
+        raise IOFailure(f"{path}: {keyword} section has {len(rows)} of {count} rows")
+    try:
+        table = np.array(rows, dtype=dtype)
+    except ValueError as exc:
+        raise IOFailure(f"{path}: malformed {keyword} section: {exc}") from exc
+    return table, idx + 1 + count
+
+
 def read_mesh_text(path, surface):
     """Read a snapshot written by write_mesh_text; the surface is supplied by
-    the caller (the file stores geometry, not the analytic surface)."""
+    the caller (the file stores geometry, not the analytic surface).
+
+    Raises IOFailure when the file is not an esfem mesh or is incomplete.
+    """
     with open(path, encoding="ascii") as fh:
         lines = [ln.split() for ln in fh if ln.strip()]
-    if lines[0][0] != "esfem-mesh":
-        raise ValueError("not an esfem mesh file")
+    if not lines or lines[0][0] != "esfem-mesh":
+        raise IOFailure(f"{path}: not an esfem mesh file")
     idx = 1
     header = {}
-    while lines[idx][0] in ("degree", "dimension", "time"):
+    while idx < len(lines) and lines[idx][0] in ("degree", "dimension", "time"):
         header[lines[idx][0]] = lines[idx][1]
         idx += 1
-    n_nodes = int(lines[idx][1]); idx += 1
-    nodes = np.array([[float(v) for v in lines[idx + i]] for i in range(n_nodes)])
-    idx += n_nodes
-    assert lines[idx][0] == "refnodes"
-    idx += 1
-    ref = np.array([[float(v) for v in lines[idx + i]] for i in range(n_nodes)])
-    idx += n_nodes
-    n_elems = int(lines[idx][1]); idx += 1
-    elements = np.array(
-        [[int(v) for v in lines[idx + i]] for i in range(n_elems)], dtype=np.int64
-    )
+    missing = {"degree", "time"} - header.keys()
+    if missing:
+        raise IOFailure(f"{path}: header lacks {', '.join(sorted(missing))}")
+    nodes, idx = _read_section(lines, idx, "nodes", float, path)
+    ref, idx = _read_section(lines, idx, "refnodes", float, path)
+    elements, idx = _read_section(lines, idx, "elements", np.int64, path)
+    if ref.shape != nodes.shape:
+        raise IOFailure(f"{path}: refnodes do not match nodes")
     return SurfaceMesh(
         surface, int(header["degree"]), nodes, elements,
         ref_nodes=ref, time=float(header["time"]),

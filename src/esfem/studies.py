@@ -81,8 +81,11 @@ class StudyConfig:
 
 
 def config_hash(config):
-    """Stable hash over the semantically relevant keys."""
-    payload = json.dumps(asdict(config), sort_keys=True, default=list)
+    """Stable hash over the semantically relevant keys (all but ``workers``,
+    which changes scheduling, not results)."""
+    keys = asdict(config)
+    del keys["workers"]
+    payload = json.dumps(keys, sort_keys=True, default=list)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

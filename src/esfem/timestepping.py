@@ -18,7 +18,6 @@ import numpy as np
 from .errors import InvalidExponent, StepTooLarge
 from .fem import (
     DISCRETE,
-    ElementGeometry,
     FeSpace,
     assemble_mass,
     assemble_stiffness,
@@ -29,7 +28,6 @@ from .fem import (
     values_norm_lq,
 )
 from .sparse import cg_solve
-from .surfaces import ScaledSphereFlow
 
 SCHEME_A = "A"
 SCHEME_B = "B"
@@ -167,30 +165,6 @@ def solve_heat(
     geom = space.geometry()
     mass = assemble_mass(space)
     stiff = assemble_stiffness(space)
-    # uniform dilation moves every node radially, so mass and stiffness scale
-    # exactly by r^m and r^(m-2); skip per-step reassembly in that case
-    dilation = moving and isinstance(mesh0.surface, ScaledSphereFlow)
-    if dilation:
-        m_dim = mesh0.dimension
-        base = (mesh0.evolved(0.0), mass, stiff, geom)
-
-    def snapshot(t1):
-        if dilation:
-            r = mesh0.surface.radius(t1)
-            mesh0_, mass0, stiff0, geom0 = base
-            geom_t = ElementGeometry(
-                rule=geom0.rule,
-                shape_values=geom0.shape_values,
-                points=r * geom0.points,
-                weights=r**m_dim * geom0.weights,
-                tangent_grads=geom0.tangent_grads / r,
-                metric_factor=r**m_dim * geom0.metric_factor,
-            )
-            return mesh0_, None, geom_t, mass0.scaled(r**m_dim), stiff0.scaled(r ** (m_dim - 2))
-        mesh_t = mesh0.evolved(t1)
-        space_t = FeSpace(mesh_t, DISCRETE)
-        geom_t = space_t.geometry()
-        return mesh_t, space_t, geom_t, assemble_mass(space_t), assemble_stiffness(space_t)
 
     u = np.zeros(n_dofs) if u0 is None else np.asarray(u0, dtype=float).copy()
     b0 = load_vector(space, forcing, t=times[0])
@@ -216,7 +190,11 @@ def solve_heat(
     for i in range(1, len(times)):
         t1 = times[i]
         if moving:
-            mesh, space, geom, mass, stiff = snapshot(t1)
+            mesh = mesh0.evolved(t1)
+            space = FeSpace(mesh, DISCRETE)
+            geom = space.geometry()
+            mass = assemble_mass(space)
+            stiff = assemble_stiffness(space)
         b = load_from_geometry(geom, mesh.elements, n_dofs, forcing, t=t1)
         force_scale = max(force_scale, float(np.linalg.norm(b)))
         # relative CG tolerances are meaningless where the forcing crosses

@@ -32,7 +32,8 @@ from esfem.fem import (
 )
 from esfem.greens import smallest_nonzero_eigenvalue
 from esfem.meshing import build_circle_mesh, build_sphere_mesh
-from esfem.surfaces import Circle, Sphere
+from esfem.quadrature import reference_rule
+from esfem.surfaces import Circle, EllipsoidFlow, ScaledSphereFlow, Sphere
 
 ICO_EDGE = 4.0 / math.sqrt(10.0 + 2.0 * math.sqrt(5.0))
 
@@ -107,6 +108,79 @@ def test_stiffness_smallest_eigenvalue_sphere(sphere2):
         assemble_mass(space), assemble_stiffness(space)
     )
     assert abs(lam - 2.0) / 2.0 <= 4.0 * sphere2.h**2
+
+
+# --- geometry and assembly against per-point quadrature -------------------
+
+def quadrature_oracle(mesh, tag, order):
+    """Tables and local matrices with every quantity evaluated at every
+    quadrature point of every element, affine or not."""
+    rule = reference_rule(mesh.dimension, order)
+    sv = mesh.reference.shape_values(rule.points)
+    sg = mesh.reference.shape_gradients(rule.points)
+    coords = mesh.element_coords()
+    points = np.einsum("ql,eld->eqd", sv, coords)
+    jac = np.einsum("qlm,eld->eqdm", sg, coords)
+    if tag == LIFTED:
+        flat = points.reshape(-1, points.shape[-1])
+        dq = mesh.surface.projection_jacobian(mesh.time, flat)
+        jac = np.einsum("eqij,eqjm->eqim", dq.reshape(points.shape + dq.shape[-1:]), jac)
+        points = mesh.surface.project(mesh.time, flat).reshape(points.shape)
+    g = np.einsum("eqdi,eqdj->eqij", jac, jac)
+    weights = rule.weights * np.sqrt(np.linalg.det(g))
+    tgrad = np.einsum("eqdm,eqmn,qln->eqld", jac, np.linalg.inv(g), sg)
+    mass = np.einsum("eq,qi,qj->eij", weights, sv, sv)
+    stiff = np.einsum("eq,eqid,eqjd->eij", weights, tgrad, tgrad)
+    return points, weights, tgrad, mass, stiff
+
+
+def dense_from_local(mesh, local):
+    n = mesh.num_nodes
+    out = np.zeros((n, n))
+    el = mesh.elements
+    np.add.at(out, (el[:, :, None], el[:, None, :]), local)
+    return out
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+ORACLE_MESHES = {
+    "circle": lambda k: build_circle_mesh(Circle(), 12, k),
+    "sphere": lambda k: build_sphere_mesh(Sphere(), 1, k),
+    "ellipsoid_flow": lambda k: build_sphere_mesh(EllipsoidFlow(), 1, k).evolved(0.4),
+    "scaled_sphere_flow": lambda k: build_sphere_mesh(ScaledSphereFlow(), 1, k).evolved(0.3),
+}
+
+
+@pytest.mark.parametrize("tag", [DISCRETE, LIFTED])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("kind", sorted(ORACLE_MESHES))
+def test_geometry_and_assembly_match_quadrature_oracle(kind, degree, tag):
+    mesh = ORACLE_MESHES[kind](degree)
+    space = FeSpace(mesh, tag)
+    geom = space.geometry()
+    points, weights, tgrad, mass, stiff = quadrature_oracle(mesh, tag, space.quad_order)
+    assert rel_err(geom.points, points) <= 1e-13
+    assert rel_err(geom.weights, weights) <= 1e-13
+    assert rel_err(np.broadcast_to(geom.tangent_grads, tgrad.shape), tgrad) <= 1e-13
+    assert rel_err(assemble_mass(space).to_dense(), dense_from_local(mesh, mass)) <= 1e-13
+    assert rel_err(assemble_stiffness(space).to_dense(), dense_from_local(mesh, stiff)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dilated_matrices_scale_with_radius(dim):
+    # X(t, y) = r(t) y scales lengths by r, so M by r^m and A by r^(m-2)
+    surface = ScaledSphereFlow(dimension=dim)
+    mesh0 = build_circle_mesh(surface, 16, 1) if dim == 1 else build_sphere_mesh(surface, 2, 1)
+    mass0 = assemble_mass(FeSpace(mesh0))
+    stiff0 = assemble_stiffness(FeSpace(mesh0))
+    for t in (0.1, 0.3, 0.7):
+        r = surface.radius(t) / surface.radius(0.0)
+        space = FeSpace(mesh0.evolved(t))
+        assert rel_err(assemble_mass(space).data, r**dim * mass0.data) <= 1e-13
+        assert rel_err(assemble_stiffness(space).data, r ** (dim - 2) * stiff0.data) <= 1e-13
 
 
 # --- projections -----------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from esfem.errors import DegenerateMesh, FlowEvaluationFailure, UnsupportedSurface
+from esfem.errors import DegenerateMesh, FlowEvaluationFailure, IOFailure, UnsupportedSurface
 from esfem.fem import FeSpace, assemble_mass, surface_measure
 from esfem.meshing import (
     SurfaceMesh,
@@ -172,6 +172,25 @@ def test_mesh_text_roundtrip(tmp_path):
     assert np.array_equal(back.nodes, mesh.nodes)
     assert np.array_equal(back.ref_nodes, mesh.ref_nodes)
     assert np.array_equal(back.elements, mesh.elements)
+
+
+def test_mesh_text_rejects_truncated_and_foreign_files(tmp_path):
+    surface = Sphere()
+    path = tmp_path / "mesh.txt"
+    write_mesh_text(build_sphere_mesh(surface, 1, 1), path)
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    bad = tmp_path / "bad.txt"
+    # cut inside the node block, right after it, inside the element block,
+    # and inside the last element row
+    cuts = ["".join(lines[:keep]) for keep in (10, 47, len(lines) - 3)]
+    for truncated in cuts + [text[:-4]]:
+        bad.write_text(truncated)
+        with pytest.raises(IOFailure):
+            read_mesh_text(bad, surface)
+    bad.write_text("solid ascii\n")
+    with pytest.raises(IOFailure):
+        read_mesh_text(bad, surface)
 
 
 def test_vtk_export_structure(tmp_path):

@@ -39,6 +39,7 @@ def test_config_hash_changes_iff_semantics_change():
     assert config_hash(a) == config_hash(b)
     c = StudyConfig(seed=43)
     assert config_hash(a) != config_hash(c)
+    assert config_hash(StudyConfig(workers=4)) == config_hash(a)
 
 
 def test_maxreg_study_smoke_and_determinism(tmp_path):
