@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     InvalidExponent,
+    NonConvergence,
     PointNotOnMesh,
     SingularElement,
     UnsupportedSurface,
@@ -238,12 +239,11 @@ def assemble_stiffness(space, order=None):
 
 
 def _call_spatial(fn, t, pts):
+    """fn(t, x) when a time is given, fn(x) otherwise, on the flattened
+    points; values keep any trailing axes (gradients)."""
     flat = pts.reshape(-1, pts.shape[-1])
-    try:
-        vals = fn(t, flat) if t is not None else fn(flat)
-    except TypeError:
-        vals = fn(flat)
-    return np.asarray(vals, dtype=float).reshape(pts.shape[:-1])
+    vals = np.asarray(fn(t, flat) if t is not None else fn(flat), dtype=float)
+    return vals.reshape(pts.shape[:-1] + vals.shape[1:])
 
 
 def load_vector(space, fn, t=None, order=None):
@@ -324,12 +324,7 @@ def ritz_project(space, fn, grad_fn, t=None, order=None, tol=1e-12,
     mass = assemble_mass(space, order=order) if mass is None else mass
     stiffness = assemble_stiffness(space, order=order) if stiffness is None else stiffness
     fvals = _call_spatial(fn, t, geom.points)
-    flat = geom.points.reshape(-1, geom.points.shape[-1])
-    try:
-        gvals = grad_fn(t, flat) if t is not None else grad_fn(flat)
-    except TypeError:
-        gvals = grad_fn(flat)
-    gvals = np.asarray(gvals, dtype=float).reshape(geom.points.shape)
+    gvals = _call_spatial(grad_fn, t, geom.points)
     local = (geom.weights * fvals) @ geom.shape_values
     local += np.einsum("eqd,eqid->ei", geom.weights[..., None] * gvals,
                        geom.tangent_grads, optimize=True)
@@ -537,51 +532,90 @@ def element_point(mesh, element, ref):
     return sv @ mesh.nodes[mesh.elements[element]]
 
 
+# rays scored against every element per block: the (block, E, d) barycentric
+# temporaries stay a few MB however many points are lifted
+_LIFT_BLOCK = 1024
+_LIFT_MAXITER = 40
+
+
 def radial_inverse_lift(mesh, points, tol=1e-12):
     """Inverse of the closest-point projection restricted to Gamma_h, for
     surfaces with radial projection (circle/sphere families).
 
     Returns (elements, ref_coords) such that mapping the reference points
     through the element maps gives the Gamma_h points projecting onto
-    ``points``.
+    ``points``.  Each ray through the origin goes to the element whose flat
+    vertex simplex it crosses deepest (largest smallest barycentric; the first
+    such element on ties).  Projected Gauss-Newton then moves the crossing of
+    the flat simplex onto the curved element until the residual normal to the
+    ray is below ``tol``.  Raises PointNotOnMesh for non-finite or zero
+    points and NonConvergence if Newton stalls.
     """
     surface = mesh.surface
     if not hasattr(surface, "radius"):
         raise UnsupportedSurface("inverse lift by ray casting needs a radial kind")
     pts = np.asarray(points, dtype=float)
-    rays = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
-    verts = mesh.vertex_coords()
-    d = pts.shape[-1]
-    mats = np.swapaxes(verts, 1, 2)  # (E, d, nverts) with nverts == d
-    inv = np.linalg.inv(mats)
-    lam = np.einsum("eij,pj->pei", inv, rays)
-    lam_sum = lam.sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bary = lam / lam_sum[..., None]
-    bary = np.where((lam_sum > 0)[..., None], bary, -1.0)
-    score = bary.min(axis=-1)
-    elems = np.argmax(score, axis=-1)
-    n = pts.shape[0]
+    norms = np.linalg.norm(pts, axis=-1, keepdims=True)
+    bad = ~(np.isfinite(norms[:, 0]) & (norms[:, 0] > 0.0))
+    if bad.any():
+        raise PointNotOnMesh(
+            f"{int(bad.sum())} points are zero or not finite, "
+            f"first {pts[bad][0]}; no ray to cast"
+        )
+    rays = pts / norms
+    n = rays.shape[0]
+    inv = np.linalg.inv(np.swapaxes(mesh.vertex_coords(), 1, 2))
+    elems = np.empty(n, dtype=np.intp)
     refs = np.empty((n, mesh.dimension))
+    for lo in range(0, n, _LIFT_BLOCK):
+        hi = min(lo + _LIFT_BLOCK, n)
+        lam = np.einsum("eij,pj->ipe", inv, rays[lo:hi])  # (d, block, E)
+        # componentwise reductions: a reduce over an axis of length d is slow
+        lam_sum, lam_min = lam[0] + lam[1], np.minimum(lam[0], lam[1])
+        for comp in lam[2:]:
+            lam_sum += comp
+            np.minimum(lam_min, comp, out=lam_min)
+        # min(lam)/sum == min(lam/sum) exactly: division by sum > 0 is monotone
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = lam_min / lam_sum
+        score[~(lam_sum > 0)] = -1.0
+        best = np.argmax(score, axis=-1)
+        rows = np.arange(hi - lo)
+        elems[lo:hi] = best
+        # Newton starts from the crossing of the flat simplex
+        refs[lo:hi] = (lam[1:, rows, best] / lam_sum[rows, best]).T
+
     ref_el = mesh.reference
-    for i in range(n):
-        e = elems[i]
-        b = bary[i, e]
-        ref = b[1:] if d == 3 else np.array([b[1]])
-        ray = rays[i]
-        coords = mesh.nodes[mesh.elements[e]]
-        proj = np.eye(d) - np.outer(ray, ray)
-        for _ in range(40):
-            sv = ref_el.shape_values(ref[None, :])[0]
-            sg = ref_el.shape_gradients(ref[None, :])[0]
-            pos = sv @ coords
-            resid = proj @ pos
-            if np.linalg.norm(resid) < tol:
-                break
-            jac = proj @ (coords.T @ sg)
-            step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-            ref = ref + step
-        refs[i] = ref
+    local_nodes = mesh.elements[elems]
+
+    def residual(idx):
+        # component of the Gamma_h point normal to the ray
+        coords = mesh.nodes[local_nodes[idx]]
+        pos = np.einsum("pl,pld->pd", ref_el.shape_values(refs[idx]), coords)
+        ray = rays[idx]
+        return pos - ray * np.sum(ray * pos, axis=-1, keepdims=True), coords
+
+    active = np.arange(n)
+    for _ in range(_LIFT_MAXITER):
+        resid, coords = residual(active)
+        keep = ~(np.linalg.norm(resid, axis=-1) < tol)
+        active, resid, coords = active[keep], resid[keep], coords[keep]
+        if active.size == 0:
+            return elems, refs
+        ray = rays[active]
+        jac = np.swapaxes(coords, 1, 2) @ ref_el.shape_gradients(refs[active])
+        jac -= ray[:, :, None] * (ray[:, None, :] @ jac)
+        jac_t = np.swapaxes(jac, 1, 2)
+        refs[active] -= np.linalg.solve(jac_t @ jac, jac_t @ resid[..., None])[..., 0]
+    resid, _ = residual(active)
+    dist = np.linalg.norm(resid, axis=-1)
+    stalled = ~(dist < tol)
+    if stalled.any():
+        raise NonConvergence(
+            f"radial inverse lift: {int(stalled.sum())} points above residual "
+            f"{tol:.1e} after {_LIFT_MAXITER} Newton steps, worst "
+            f"{float(np.nanmax(dist)):.3e}"
+        )
     return elems, refs
 
 

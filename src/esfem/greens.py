@@ -234,10 +234,12 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
         elems, refs = radial_inverse_lift(mesh, x0[None, :])
         return element_point(mesh, int(elems[0]), refs[0])
 
+    x_coarse, x_fine = source_on(coarse_mesh), source_on(fine_mesh)
+
     def run(time_grid):
-        coarse = discrete_green(coarse_mesh, source_on(coarse_mesh), time_grid,
+        coarse = discrete_green(coarse_mesh, x_coarse, time_grid,
                                 cg_tol=cg_tol, store_fields=("udot",))
-        fine = discrete_green(fine_mesh, source_on(fine_mesh), time_grid,
+        fine = discrete_green(fine_mesh, x_fine, time_grid,
                               cg_tol=cg_tol, store_fields=("udot",))
         times = time_grid.times()
         series = np.empty(len(times))

@@ -30,6 +30,9 @@ class SparseMatrix:
         self.indices = indices
         self.data = data
         self._diag = None
+        # reduceat misreads empty rows, so matvec pads only when there are any
+        self._row_starts = indptr[:-1]
+        self._has_empty_rows = bool(np.any(indptr[1:] == indptr[:-1]))
 
     @classmethod
     def from_coo(cls, n, rows, cols, values):
@@ -54,13 +57,12 @@ class SparseMatrix:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"expected vector of length {self.n}")
+        prod = self.data * x[self.indices]
+        if not self._has_empty_rows:
+            return np.add.reduceat(prod, self._row_starts)
         # trailing zero pad keeps reduceat well defined for trailing empty rows
-        prod = np.concatenate([self.data * x[self.indices], [0.0]])
-        out = np.add.reduceat(prod, self.indptr[:-1])
-        counts = np.diff(self.indptr)
-        if counts.min(initial=1) == 0:
-            out = np.where(counts > 0, out, 0.0)
-        return out
+        out = np.add.reduceat(np.concatenate([prod, [0.0]]), self._row_starts)
+        return np.where(self.indptr[1:] > self._row_starts, out, 0.0)
 
     def __matmul__(self, x):
         return self.matvec(x)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from esfem.errors import InvalidExponent, PointNotOnMesh
+from esfem.errors import InvalidExponent, NonConvergence, PointNotOnMesh
 from esfem.fem import (
     DISCRETE,
     LIFTED,
@@ -21,6 +22,7 @@ from esfem.fem import (
     inverse_lift_function,
     l2_project,
     lift_function,
+    load_vector,
     locate_point,
     norm_lq,
     norm_w1q,
@@ -444,6 +446,114 @@ def _callable_w14(space, fn, gradfn, q=4.0):
     gmag = np.linalg.norm(tang, axis=-1)
     w = geom.weights.reshape(-1)
     return float(np.sum(w * (np.abs(vals) ** q + gmag**q)) ** (1 / q))
+
+
+def test_type_error_inside_a_callable_reaches_the_caller(circle64):
+    def forcing(t, x):
+        raise TypeError("bug inside the forcing")
+
+    with pytest.raises(TypeError, match="bug inside the forcing"):
+        load_vector(FeSpace(circle64), forcing, t=0.0)
+    with pytest.raises(TypeError, match="bug inside the forcing"):
+        ritz_project(FeSpace(circle64, LIFTED), sin_theta, lambda x: forcing(0.0, x))
+
+
+# --- radial inverse lift -----------------------------------------------------
+
+def inverse_lift_oracle(mesh, points, tol=1e-12):
+    """The inverse lift point by point: every ray scored against every
+    element in one (P, E, d) array, then lstsq Gauss-Newton per point."""
+    pts = np.asarray(points, dtype=float)
+    rays = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+    verts = mesh.vertex_coords()
+    d = pts.shape[-1]
+    inv = np.linalg.inv(np.swapaxes(verts, 1, 2))
+    lam = np.einsum("eij,pj->pei", inv, rays)
+    lam_sum = lam.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bary = lam / lam_sum[..., None]
+    bary = np.where((lam_sum > 0)[..., None], bary, -1.0)
+    elems = np.argmax(bary.min(axis=-1), axis=-1)
+    refs = np.empty((pts.shape[0], mesh.dimension))
+    ref_el = mesh.reference
+    for i in range(pts.shape[0]):
+        e = elems[i]
+        ref = bary[i, e, 1:]
+        ray = rays[i]
+        coords = mesh.nodes[mesh.elements[e]]
+        proj = np.eye(d) - np.outer(ray, ray)
+        for _ in range(40):
+            sv = ref_el.shape_values(ref[None, :])[0]
+            sg = ref_el.shape_gradients(ref[None, :])[0]
+            resid = proj @ (sv @ coords)
+            if np.linalg.norm(resid) < tol:
+                break
+            step, *_ = np.linalg.lstsq(proj @ (coords.T @ sg), -resid, rcond=None)
+            ref = ref + step
+        refs[i] = ref
+    return elems, refs
+
+
+def lifted_quadrature_points(mesh):
+    geom = FeSpace(mesh, LIFTED).geometry()
+    return geom.points.reshape(-1, geom.points.shape[-1])
+
+
+LIFT_CASES = {
+    # coarse mesh, fine mesh whose lifted quadrature points and nodes are lifted
+    "sphere-P1": lambda: (build_sphere_mesh(Sphere(), 1, 1), build_sphere_mesh(Sphere(), 3, 1)),
+    "sphere-P2": lambda: (build_sphere_mesh(Sphere(), 1, 2), build_sphere_mesh(Sphere(), 3, 2)),
+    "circle64": lambda: (build_circle_mesh(Circle(), 64, 1), build_circle_mesh(Circle(), 256, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_CASES))
+def test_radial_inverse_lift_matches_pointwise_oracle(case):
+    coarse, fine = LIFT_CASES[case]()
+    pts = np.vstack([lifted_quadrature_points(fine), fine.nodes])
+    elems, refs = radial_inverse_lift(coarse, pts)
+    # every mapped Gamma_h point projects back onto its input
+    sv = coarse.reference.shape_values(refs)
+    mapped = np.einsum("pl,pld->pd", sv, coarse.nodes[coarse.elements[elems]])
+    assert np.abs(coarse.surface.project(0.0, mapped) - pts).max() <= 1e-12
+    # the oracle is slow point by point: compare on every 97th quadrature
+    # point and every other fine node; nodes sit on coarse edges and vertices
+    n_quad = len(pts) - fine.num_nodes
+    sample = np.concatenate([np.arange(0, n_quad, 97), np.arange(n_quad, len(pts), 2)])
+    o_elems, o_refs = inverse_lift_oracle(coarse, pts[sample])
+    assert np.array_equal(elems[sample], o_elems)
+    assert np.abs(refs[sample] - o_refs).max() <= 1e-14
+
+
+def test_radial_inverse_lift_memory_is_bounded():
+    # 103 680 lifted L3 quadrature points against L1: the (P, E, d) score
+    # array alone would take 200 MB
+    coarse = build_sphere_mesh(Sphere(), 1, 1)
+    pts = lifted_quadrature_points(build_sphere_mesh(Sphere(), 3, 1)).copy()
+    assert len(pts) == 103_680
+    tracemalloc.start()
+    try:
+        radial_inverse_lift(coarse, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0]],
+                         ids=["zero", "nan", "inf"])
+def test_radial_inverse_lift_rejects_points_without_a_ray(sphere2, bad):
+    pts = np.array([[0.0, 0.0, 1.0], bad])
+    with pytest.raises(PointNotOnMesh, match="1 points"):
+        radial_inverse_lift(sphere2, pts)
+
+
+def test_radial_inverse_lift_reports_stalled_newton():
+    # a zero tolerance is never met, so Newton runs into its iteration cap
+    mesh = build_sphere_mesh(Sphere(), 1, 2)
+    pts = mesh.surface.project(0.0, np.array([[0.3, 0.2, 0.9], [-0.5, 0.4, 0.1]]))
+    with pytest.raises(NonConvergence, match=r"2 points above residual .* worst \d"):
+        radial_inverse_lift(mesh, pts, tol=0.0)
 
 
 # --- prefactors --------------------------------------------------------------

@@ -50,6 +50,22 @@ def test_matvec_against_dense_oracle():
     assert np.abs(mat.matvec(x) - dense @ x).max() <= 1e-13 * np.abs(dense @ x).max()
 
 
+@pytest.mark.parametrize("empty_rows", [(1,), (5,), (0, 2, 5)],
+                         ids=["interior", "trailing", "leading-interior-trailing"])
+def test_matvec_with_empty_rows(empty_rows):
+    rng = np.random.default_rng(11)
+    n = 6
+    dense = rng.standard_normal((n, n))
+    dense[list(empty_rows)] = 0.0
+    rows, cols = np.nonzero(dense)
+    mat = SparseMatrix.from_coo(n, rows, cols, dense[rows, cols])
+    x = rng.standard_normal(n)
+    out = mat.matvec(x)
+    expected = mat.to_dense() @ x
+    assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert np.all(out[list(empty_rows)] == 0.0)
+
+
 def test_matvec_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         SparseMatrix.identity(3).matvec(np.ones(4))
