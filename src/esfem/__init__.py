@@ -42,9 +42,7 @@ from .sparse import SparseMatrix, SolveReport, cg_solve  # noqa: F401
 from .timestepping import (  # noqa: F401
     TimeGrid,
     Trajectory,
-    solve_scheme_a,
-    solve_scheme_b,
-    solve_stationary,
+    solve_heat,
     spacetime_norm,
 )
 from .greens import (  # noqa: F401

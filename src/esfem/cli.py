@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 
 from . import __version__
-from .errors import ConfigError, EsfemError
+from .errors import ConfigError, EsfemError, HTooLarge, IOFailure
 from .fem import DISCRETE, LIFTED, FeSpace
 from .greens import (
     delta_consistency,
@@ -37,6 +36,7 @@ from .studies import (
     emit_reports,
     inequality_suite,
     maxreg_study,
+    write_table,
 )
 from .surfaces import forcing_profile, make_surface
 from .timestepping import TimeGrid, solve_heat
@@ -55,7 +55,7 @@ _SCHEMA = {
 _REQUIRED = [("surface", "kind")]
 
 
-def parse_config(path, overrides=None):
+def parse_config(path):
     """Read and validate the INI config; unknown sections or keys reject."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -108,7 +108,6 @@ def parse_config(path, overrides=None):
         richardson_rtol=get("study", "richardson_rtol", 0.01, float),
         cg_tol=get("solver", "cg_tol", 1e-12, float),
         seed=get("study", "seed", 42, int),
-        workers=1,
     )
     extras = {
         "directory": get("output", "directory", "out"),
@@ -117,45 +116,38 @@ def parse_config(path, overrides=None):
         "c_star": get("study", "c_star", 16.0, float),
         "t_end": get("study", "t_end", 3.0, float),
     }
-    if overrides:
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if key in extras:
-                extras[key] = value
-            else:
-                config = replace(config, **{key: value})
-    try:
-        config.validate()
-    except ConfigError:
-        raise
+    config.validate()
     return config, extras
 
 
-def _outdir(extras, args):
-    out = args.out or os.environ.get("ESFEM_OUTDIR") or extras["directory"]
-    os.makedirs(out, exist_ok=True)
-    return out
+def _make_outdir(outdir):
+    # created before any work, so a bad --out fails before the study runs
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise IOFailure(str(exc)) from exc
+    return outdir
 
 
-def _write_manifest(outdir, name, params, outputs):
-    payload = json.dumps(params, sort_keys=True, default=str)
+def _study_setup(args):
+    """The parsed config, its extras, and the created output directory."""
+    config, extras = parse_config(args.config)
+    outdir = args.out or os.environ.get("ESFEM_OUTDIR") or extras["directory"]
+    return config, extras, _make_outdir(outdir)
+
+
+def _write_manifest(outdir, name, parameters, outputs):
+    """Write ``<name>_manifest.json``: the parameters, their config_hash and
+    the names of the output files."""
     manifest = {
         "artifact": "esfem",
         "version": __version__,
-        "config_hash": hashlib.sha256(payload.encode()).hexdigest()[:16],
-        "parameters": params,
+        "config_hash": config_hash(parameters),
+        "parameters": parameters,
         "outputs": sorted(outputs),
     }
-    path = os.path.join(outdir, f"{name}_manifest.json")
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=list)
+    return write_table(os.path.join(outdir, f"{name}_manifest.json"), (), [[text]])
 
 
 def cmd_mesh(args):
@@ -164,29 +156,24 @@ def cmd_mesh(args):
     mesh = build_level_mesh(surface, args.levels, args.degree)
     if args.time:
         mesh = mesh.evolved(args.time)
-    outdir = args.out or "out"
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _make_outdir(args.out or "out")
     base = f"{args.surface}_l{args.levels}_k{args.degree}"
     outputs = []
     if args.format in ("vtk", "both"):
-        path = os.path.join(outdir, base + ".vtk")
-        write_mesh_vtk(mesh, path)
-        outputs.append(path)
+        write_mesh_vtk(mesh, os.path.join(outdir, base + ".vtk"))
+        outputs.append(base + ".vtk")
     if args.format in ("text", "both"):
-        path = os.path.join(outdir, base + ".txt")
-        write_mesh_text(mesh, path)
-        outputs.append(path)
-    params = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_manifest(outdir, base, params | {"command": "mesh"},
-                    [os.path.basename(p) for p in outputs])
+        write_mesh_text(mesh, os.path.join(outdir, base + ".txt"))
+        outputs.append(base + ".txt")
+    parameters = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    _write_manifest(outdir, base, parameters, outputs)
     print(f"wrote {len(outputs)} file(s) to {outdir} "
           f"({mesh.num_elements} cells, {mesh.num_nodes} nodes)")
     return 0
 
 
 def cmd_solve(args):
-    config, extras = parse_config(args.config, {"workers": args.workers})
-    outdir = _outdir(extras, args)
+    config, extras, outdir = _study_setup(args)
     surface = config.surface()
     forcing = forcing_profile(config.profile, surface)
     outputs = []
@@ -196,29 +183,23 @@ def cmd_solve(args):
         traj = solve_heat(mesh, forcing, grid, scheme=config.scheme,
                           qnorms=(2.0,), cg_tol=config.cg_tol,
                           store_coefficients=False)
-        path = os.path.join(outdir, f"solve_level{level}.csv")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("t,norm_u,norm_dtu,norm_lapu,norm_f\n")
-            for i, t in enumerate(traj.times):
-                fh.write(",".join(_fmt(v) for v in (
-                    t,
-                    traj.norms("u", 2.0)[i],
-                    traj.norms("udot", 2.0)[i],
-                    traj.norms("lap", 2.0)[i],
-                    traj.norms("fh", 2.0)[i],
-                )) + "\n")
-        outputs.append(path)
-    _write_manifest(outdir, "solve", {"config_hash": config_hash(config)},
-                    [os.path.basename(p) for p in outputs])
+        name = f"solve_level{level}.csv"
+        columns = [traj.norms(field, 2.0) for field in ("u", "udot", "lap", "fh")]
+        write_table(os.path.join(outdir, name),
+                    ("t", "norm_u", "norm_dtu", "norm_lapu", "norm_f"),
+                    zip(traj.times, *columns))
+        outputs.append(name)
+    _write_manifest(outdir, "solve", asdict(config), outputs)
     print(f"wrote {len(outputs)} trajectory file(s) to {outdir}")
     return 0
 
 
 def cmd_maxreg(args):
-    config, extras = parse_config(args.config, {"workers": args.workers})
-    outdir = _outdir(extras, args)
+    config, extras, outdir = _study_setup(args)
     report = maxreg_study(config)
-    emit_reports(report, outdir, name="maxreg")
+    outputs = emit_reports(report, outdir)
+    _write_manifest(outdir, "maxreg", asdict(config),
+                    [os.path.basename(p) for p in outputs])
     failures = [key for key, v in report.uniformity.items() if not v["uniform"]]
     print(f"maxreg study: {len(report.rows)} rows, "
           f"{len(report.uniformity) - len(failures)}/{len(report.uniformity)} "
@@ -230,27 +211,21 @@ def cmd_maxreg(args):
 
 
 def cmd_convergence(args):
-    config, extras = parse_config(args.config, {"workers": args.workers})
-    outdir = _outdir(extras, args)
+    config, extras, outdir = _study_setup(args)
     report = convergence_study(config)
-    path = os.path.join(outdir, "convergence.csv")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("level,h,dt,error\n")
-        for r in report.rows:
-            fh.write(",".join([str(r.level), _fmt(r.h), _fmt(r.dt), _fmt(r.ratio)]) + "\n")
-    summary = os.path.join(outdir, "convergence_summary.txt")
+    write_table(os.path.join(outdir, "convergence.csv"), ("level", "h", "dt", "error"),
+                ([r.level, r.h, r.dt, r.ratio] for r in report.rows))
     order = report.extras["observed_order"]
-    with open(summary, "w", encoding="ascii") as fh:
-        fh.write(f"observed_order {_fmt(order)}\n")
-    _write_manifest(outdir, "convergence", {"config_hash": config_hash(config)},
+    write_table(os.path.join(outdir, "convergence_summary.txt"), (),
+                [["observed_order", order]], sep=" ")
+    _write_manifest(outdir, "convergence", asdict(config),
                     ["convergence.csv", "convergence_summary.txt"])
     print(f"convergence study: observed order {order:.3f}")
     return 0
 
 
 def cmd_greens(args):
-    config, extras = parse_config(args.config, {"workers": args.workers})
-    outdir = _outdir(extras, args)
+    config, extras, outdir = _study_setup(args)
     surface = config.surface()
     outputs = []
     rates = []
@@ -260,16 +235,12 @@ def cmd_greens(args):
                                   factor=config.dt_factor)
         fit = green_decay_study(mesh, grid, cg_tol=config.cg_tol)
         rates.append(fit.rate)
-        path = os.path.join(outdir, f"greens_decay_level{level}.csv")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("t,envelope\n")
-            for t, v in zip(fit.times, fit.values):
-                fh.write(f"{_fmt(t)},{_fmt(v)}\n")
-        outputs.append(path)
+        name = f"greens_decay_level{level}.csv"
+        write_table(os.path.join(outdir, name), ("t", "envelope"),
+                    zip(fit.times, fit.values))
+        outputs.append(name)
         # dyadic table around the first mesh node, on (0,1); only available
         # once the mesh satisfies h < 1/(4*C)
-        from .errors import HTooLarge
-
         try:
             # diagnostic table: cap the step count, the annulus profile does
             # not need the full parabolic dt resolution
@@ -279,75 +250,65 @@ def cmd_greens(args):
             traj = discrete_green(mesh, x0, unit_grid, cg_tol=config.cg_tol)
             table = dyadic_report(traj, x0, c_star=extras["c_star"])
         except HTooLarge as exc:
-            table = None
             print(f"level {level}: dyadic table skipped ({exc})")
-        if table is not None:
-            path = os.path.join(outdir, f"greens_dyadic_level{level}.csv")
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write("set,radius,measure,field_l2,dtfield_l2\n")
-                for row in table["rows"]:
-                    fh.write(",".join([row["set"], _fmt(row["radius"]),
-                                       _fmt(row["measure"]), _fmt(row["field_l2"]),
-                                       _fmt(row["dtfield_l2"])]) + "\n")
-            outputs.append(path)
-    summary = os.path.join(outdir, "greens_summary.txt")
-    with open(summary, "w", encoding="ascii") as fh:
-        for level, rate in zip(config.levels, rates):
-            fh.write(f"level {level} decay_rate {_fmt(rate)}\n")
-    outputs.append(summary)
+            continue
+        columns = ("set", "radius", "measure", "field_l2", "dtfield_l2")
+        name = f"greens_dyadic_level{level}.csv"
+        write_table(os.path.join(outdir, name), columns,
+                    ([row[c] for c in columns] for row in table["rows"]))
+        outputs.append(name)
+    write_table(os.path.join(outdir, "greens_summary.txt"), (),
+                (["level", level, "decay_rate", rate]
+                 for level, rate in zip(config.levels, rates)), sep=" ")
+    outputs.append("greens_summary.txt")
     if extras["kernel_difference"] and len(config.levels) >= 2:
         coarse = build_level_mesh(surface, config.levels[0], config.degree)
         fine = build_level_mesh(surface, config.levels[-1], config.degree)
         grid = TimeGrid.from_mesh(fine, t_end=1.0, factor=config.dt_factor)
         result = kernel_difference_l1(coarse, fine, coarse.nodes[0], grid,
                                       cg_tol=max(config.cg_tol, 1e-11))
-        path = os.path.join(outdir, "greens_kernel_difference.txt")
-        with open(path, "w", encoding="ascii") as fh:
-            for key, value in sorted(result.items()):
-                fh.write(f"{key} {_fmt(value)}\n")
-        outputs.append(path)
-    _write_manifest(outdir, "greens", {"config_hash": config_hash(config)},
-                    [os.path.basename(p) for p in outputs])
+        write_table(os.path.join(outdir, "greens_kernel_difference.txt"), (),
+                    sorted(result.items()), sep=" ")
+        outputs.append("greens_kernel_difference.txt")
+    parameters = asdict(config) | {
+        key: extras[key] for key in ("kernel_difference", "c_star", "t_end")}
+    _write_manifest(outdir, "greens", parameters, outputs)
     print(f"greens diagnostics: decay rates {[f'{r:.4f}' for r in rates]}")
     return 0
 
 
 def cmd_delta(args):
-    config, extras = parse_config(args.config, {"workers": args.workers})
-    outdir = _outdir(extras, args)
+    config, extras, outdir = _study_setup(args)
     surface = config.surface()
-    path = os.path.join(outdir, "delta_report.csv")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("level,h,slope,r_squared,decay_length,consistency_l1,consistency_l2\n")
-        for level in config.levels:
-            mesh = build_level_mesh(surface, level, config.degree)
-            space = FeSpace(mesh, DISCRETE)
-            lifted = FeSpace(mesh, LIFTED)
-            x0 = mesh.nodes[0]
-            fit = delta_decay_fit(space, x0)
-            cons1 = delta_consistency(space, lifted, x0, 1)
-            cons2 = delta_consistency(space, lifted, x0, 2)
-            fh.write(",".join([
-                str(level), _fmt(mesh.h), _fmt(fit["slope"]),
-                _fmt(fit["r_squared"]), _fmt(fit["decay_length"]),
-                _fmt(cons1["ratio"]), _fmt(cons2["ratio"]),
-            ]) + "\n")
-    _write_manifest(outdir, "delta", {"config_hash": config_hash(config)},
-                    ["delta_report.csv"])
+    rows = []
+    for level in config.levels:
+        mesh = build_level_mesh(surface, level, config.degree)
+        space = FeSpace(mesh, DISCRETE)
+        lifted = FeSpace(mesh, LIFTED)
+        x0 = mesh.nodes[0]
+        fit = delta_decay_fit(space, x0)
+        cons1 = delta_consistency(space, lifted, x0, 1)
+        cons2 = delta_consistency(space, lifted, x0, 2)
+        rows.append([level, mesh.h, fit["slope"], fit["r_squared"],
+                     fit["decay_length"], cons1["ratio"], cons2["ratio"]])
+    path = write_table(
+        os.path.join(outdir, "delta_report.csv"),
+        ("level", "h", "slope", "r_squared", "decay_length", "consistency_l1",
+         "consistency_l2"),
+        rows,
+    )
+    _write_manifest(outdir, "delta", asdict(config), ["delta_report.csv"])
     print(f"delta diagnostics written to {path}")
     return 0
 
 
 def cmd_inequalities(args):
-    config, extras = parse_config(args.config, {"workers": args.workers})
-    outdir = _outdir(extras, args)
+    config, extras, outdir = _study_setup(args)
     result = inequality_suite(config)
-    path = os.path.join(outdir, "inequalities.txt")
-    with open(path, "w", encoding="ascii") as fh:
-        for name, ok in sorted(result["stable"].items()):
-            fh.write(f"{'PASS' if ok else 'FAIL'} {name}\n")
-    _write_manifest(outdir, "inequalities", {"config_hash": config_hash(config)},
-                    ["inequalities.txt"])
+    write_table(os.path.join(outdir, "inequalities.txt"), (),
+                (["PASS" if ok else "FAIL", name]
+                 for name, ok in sorted(result["stable"].items())), sep=" ")
+    _write_manifest(outdir, "inequalities", asdict(config), ["inequalities.txt"])
     print(f"inequality suite: all_stable={result['all_stable']}")
     return 0 if result["all_stable"] or not args.check else 3
 
@@ -379,15 +340,18 @@ def main(argv=None):
 
     for name, func, help_text in (
         ("solve", cmd_solve, "time-step one scheme and dump norm trajectories"),
-        ("maxreg", cmd_maxreg, "bounded-ratio refinement study"),
+        ("maxreg", cmd_maxreg,
+         "bounded-ratio refinement study; the default levels (32,64,128,256) "
+         "are circle element counts, and sphere and ellipsoid configs need "
+         "levels >= 3 to pass the dt-halving check at the default "
+         "richardson_rtol = 0.01"),
         ("convergence", cmd_convergence, "error convergence study"),
         ("greens", cmd_greens, "kernel decay and dyadic reports"),
         ("delta", cmd_delta, "point-source decay and consistency reports"),
         ("inequalities", cmd_inequalities, "fitted-constant inequality suite"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", required=True)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--check", action="store_true",
                        help="exit 3 when an acceptance criterion fails")

@@ -617,20 +617,3 @@ def radial_inverse_lift(mesh, points, tol=1e-12):
             f"{float(np.nanmax(dist)):.3e}"
         )
     return elems, refs
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-
-def write_function_csv(u, path):
-    """CSV of (dof id, coordinates, value) with full-precision floats."""
-    pts = u.space.dof_points()
-    d = pts.shape[1]
-    cols = ["dof"] + [f"x{i}" for i in range(d)] + ["value"]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, (p, v) in enumerate(zip(pts, u.coeffs)):
-            row = [str(i)] + [format(c, ".17g") for c in p] + [format(v, ".17g")]
-            fh.write(",".join(row) + "\n")

@@ -30,7 +30,7 @@ from .fem import (
     radial_inverse_lift,
 )
 from .sparse import cg_solve
-from .timestepping import TimeGrid, solve_stationary
+from .timestepping import STATIONARY, TimeGrid, solve_heat
 from .surfaces import forcing_profile
 
 
@@ -88,8 +88,8 @@ def discrete_green(mesh, x0, grid, cg_tol=1e-12, store_coefficients=True,
     space = FeSpace(mesh, DISCRETE)
     delta = discrete_delta(space, x0, tol=cg_tol)
     zero = forcing_profile("zero", mesh.surface)
-    traj = solve_stationary(
-        mesh, zero, grid,
+    traj = solve_heat(
+        mesh, zero, grid, scheme=STATIONARY,
         u0=delta.coeffs, qnorms=(1.0, 2.0), cg_tol=cg_tol,
         store_coefficients=store_coefficients, store_fields=store_fields,
     )

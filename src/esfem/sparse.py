@@ -227,42 +227,3 @@ def cg_solve(mat, b, tol=1e-12, maxiter=None, precondition=True, x0=None,
             f"CG at relative residual {rel:.3e} after {niter} iterations (tol {tol:.1e})"
         )
     return x, SolveReport(niter, rel, True)
-
-
-def cg_history(mat, b, tol=1e-12, maxiter=None):
-    """cg_solve variant that records the recurrence scalar r^T M^-1 r per step."""
-    b = np.asarray(b, dtype=float)
-    if maxiter is None:
-        maxiter = 10 * mat.n
-    inv_diag = 1.0 / mat.diagonal()
-    x = np.zeros(mat.n)
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rho = float(r @ z)
-    history = [rho]
-    bnorm = np.linalg.norm(b)
-    niter = 0
-    while niter < maxiter and np.linalg.norm(r) > tol * bnorm:
-        ap = mat.matvec(p)
-        alpha = rho / float(p @ ap)
-        x = x + alpha * p
-        r = r - alpha * ap
-        z = inv_diag * r
-        rho_new = float(r @ z)
-        p = z + (rho_new / rho) * p
-        rho = rho_new
-        history.append(rho)
-        niter += 1
-    return x, np.array(history)
-
-
-def write_matrix_market(mat, path):
-    """Dump in MatrixMarket coordinate format (1-based indices)."""
-    counts = np.diff(mat.indptr)
-    rows = np.repeat(np.arange(mat.n), counts)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{mat.n} {mat.n} {mat.nnz}\n")
-        for i, j, v in zip(rows, mat.indices, mat.data):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")

@@ -9,12 +9,10 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__
 from .errors import ConfigError, IOFailure, RichardsonFailure, UnsupportedSurface
 from .fem import (
     DISCRETE,
@@ -61,7 +59,6 @@ class StudyConfig:
     richardson_rtol: float = 0.01
     cg_tol: float = 1e-12
     seed: int = 42
-    workers: int = 1
 
     def validate(self):
         if self.scheme not in (SCHEME_A, SCHEME_B, STATIONARY):
@@ -80,12 +77,12 @@ class StudyConfig:
                             self.surface_params, self.horizon)
 
 
-def config_hash(config):
-    """Stable hash over the semantically relevant keys (all but ``workers``,
-    which changes scheduling, not results)."""
-    keys = asdict(config)
-    del keys["workers"]
-    payload = json.dumps(keys, sort_keys=True, default=list)
+def config_hash(parameters):
+    """Stable hash of a study's parameters: a StudyConfig, or the dict of
+    parameters that a manifest records."""
+    if isinstance(parameters, StudyConfig):
+        parameters = asdict(parameters)
+    payload = json.dumps(parameters, sort_keys=True, default=list)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -151,17 +148,9 @@ def maxreg_study(config):
     config.validate()
     surface = config.surface()
 
-    def cell(level):
-        return _solve_level(config, surface, level)
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            solved = list(pool.map(cell, config.levels))
-    else:
-        solved = [cell(level) for level in config.levels]
-
     report = StudyReport(config=config)
-    for level, (mesh, grid, coarse, fine) in zip(config.levels, solved):
+    for level in config.levels:
+        mesh, grid, coarse, fine = _solve_level(config, surface, level)
         for p, q in config.pq_pairs:
             norms_fine = {
                 name: spacetime_norm(fine, name, p, q)
@@ -422,41 +411,40 @@ def _fmt(value):
     return str(value)
 
 
-def emit_reports(report, outdir, name="maxreg", summary_lines=None):
-    """Write the CSV table, a pass/fail summary, and a manifest.
+def write_table(path, header, rows, sep=","):
+    """Write one header line (none when header is empty) and one line per row,
+    each value formatted by ``_fmt`` and joined by sep.
 
-    Byte-identical outputs for identical config + seed; floats carry 17
-    significant digits.
+    Floats carry 17 significant digits, so identical values give identical
+    bytes.  Creates the parent directory; raises IOFailure when the file
+    cannot be written.
     """
     try:
-        os.makedirs(outdir, exist_ok=True)
-        csv_path = os.path.join(outdir, f"{name}.csv")
-        with open(csv_path, "w", encoding="ascii") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for r in report.rows:
-                fh.write(",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS) + "\n")
-        summary_path = os.path.join(outdir, f"{name}_summary.txt")
-        with open(summary_path, "w", encoding="ascii") as fh:
-            for (p, q), verdict in sorted(report.uniformity.items()):
-                status = "PASS" if verdict["uniform"] else "FAIL"
-                fh.write(
-                    f"{status} h-uniform ratio p={p:g} q={q:g} "
-                    f"spread={verdict['spread']:.6g} "
-                    f"last_growth={verdict['last_growth']:.6g}\n"
-                )
-            for line in summary_lines or ():
-                fh.write(line + "\n")
-        manifest_path = os.path.join(outdir, f"{name}_manifest.json")
-        manifest = {
-            "artifact": "esfem",
-            "version": __version__,
-            "config_hash": config_hash(report.config),
-            "config": asdict(report.config),
-            "outputs": [os.path.basename(csv_path), os.path.basename(summary_path)],
-        }
-        with open(manifest_path, "w", encoding="ascii") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True, default=list)
-            fh.write("\n")
-        return [csv_path, summary_path, manifest_path]
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="ascii") as fh:
+            if header:
+                fh.write(sep.join(header) + "\n")
+            for row in rows:
+                fh.write(sep.join(_fmt(v) for v in row) + "\n")
     except OSError as exc:
         raise IOFailure(str(exc)) from exc
+    return path
+
+
+def emit_reports(report, outdir):
+    """Write the maxreg CSV table and its pass/fail summary; returns their
+    paths."""
+    csv_path = write_table(
+        os.path.join(outdir, "maxreg.csv"), CSV_COLUMNS,
+        ([getattr(r, c) for c in CSV_COLUMNS] for r in report.rows),
+    )
+    summary = []
+    for (p, q), verdict in sorted(report.uniformity.items()):
+        summary.append([
+            "PASS" if verdict["uniform"] else "FAIL", "h-uniform", "ratio",
+            f"p={p:g}", f"q={q:g}", f"spread={verdict['spread']:.6g}",
+            f"last_growth={verdict['last_growth']:.6g}",
+        ])
+    summary_path = write_table(os.path.join(outdir, "maxreg_summary.txt"),
+                               (), summary, sep=" ")
+    return [csv_path, summary_path]

@@ -140,7 +140,10 @@ def solve_heat(
 
     Per accepted step the non-conservative scheme satisfies
     M(t) udot + A(t) u = b(t) exactly up to solver tolerance, with
-    udot the backward difference quotient of the nodal vector.
+    udot the backward difference quotient of the nodal vector.  With f = 0
+    the conservative scheme B preserves the weighted total mass 1^T M(t) u
+    exactly up to solver tolerance.  The stationary scheme integrates on the
+    frozen snapshot the mesh was built or evolved to.
     """
     if scheme not in (SCHEME_A, SCHEME_B, STATIONARY):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -234,22 +237,6 @@ def solve_heat(
             name: np.array(buffers[name]) for name in FIELDS if name in store_fields
         }
     return traj
-
-
-def solve_scheme_a(mesh0, forcing, grid, **kwargs):
-    """Non-conservative evolving scheme (nodal material derivative)."""
-    return solve_heat(mesh0, forcing, grid, scheme=SCHEME_A, **kwargs)
-
-
-def solve_scheme_b(mesh0, forcing, grid, **kwargs):
-    """Conservative evolving scheme; with f = 0 the weighted total mass
-    1^T M(t) u is preserved exactly up to solver tolerance."""
-    return solve_heat(mesh0, forcing, grid, scheme=SCHEME_B, **kwargs)
-
-
-def solve_stationary(mesh, forcing, grid, **kwargs):
-    """Heat flow on the frozen snapshot the mesh was built or evolved to."""
-    return solve_heat(mesh, forcing, grid, scheme=STATIONARY, **kwargs)
 
 
 def weighted_total_mass(mesh, coeffs):

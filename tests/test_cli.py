@@ -82,15 +82,12 @@ def test_cli_mesh_command(tmp_path):
     assert manifest["artifact"] == "esfem"
 
 
-def test_cli_maxreg_deterministic_across_runs_and_workers(tmp_path):
+def test_cli_maxreg_deterministic_across_runs(tmp_path):
     cfg = write_config(tmp_path, out=str(tmp_path / "o1"))
     assert main(["maxreg", "--config", cfg, "--out", str(tmp_path / "o1")]) == 0
     assert main(["maxreg", "--config", cfg, "--out", str(tmp_path / "o2")]) == 0
-    assert main(["maxreg", "--config", cfg, "--out", str(tmp_path / "o3"),
-                 "--workers", "4"]) == 0
     b1 = (tmp_path / "o1" / "maxreg.csv").read_bytes()
     assert b1 == (tmp_path / "o2" / "maxreg.csv").read_bytes()
-    assert b1 == (tmp_path / "o3" / "maxreg.csv").read_bytes()
     summary = (tmp_path / "o1" / "maxreg_summary.txt").read_text()
     assert summary.startswith(("PASS", "FAIL"))
 
@@ -137,3 +134,50 @@ def test_cli_convergence_and_delta(tmp_path):
     report = (tmp_path / "delta" / "delta_report.csv").read_text().splitlines()
     assert report[0].startswith("level,h,slope")
     assert len(report) == 3
+
+
+def _manifest(outdir, name):
+    return json.loads((outdir / f"{name}_manifest.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["maxreg", "delta", "mesh"])
+def test_cli_out_under_a_file_is_an_io_failure(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    if command == "mesh":
+        argv = ["mesh", "--surface", "circle", "--levels", "8", "--out", out]
+    else:
+        argv = [command, "--config", write_config(tmp_path, out=out), "--out", out]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IOFailure: ")
+    assert "Traceback" not in err
+
+
+def test_cli_config_hash_is_shared_by_study_manifests(tmp_path):
+    cfg = write_config(tmp_path, out=str(tmp_path / "out"))
+    for command in ("maxreg", "delta", "inequalities"):
+        assert main([command, "--config", cfg]) == 0
+    hashes = {name: _manifest(tmp_path / "out", name)["config_hash"]
+              for name in ("maxreg", "delta", "inequalities")}
+    assert len(set(hashes.values())) == 1, hashes
+    manifest = _manifest(tmp_path / "out", "maxreg")
+    assert manifest["parameters"]["levels"] == [16, 24]
+    assert manifest["outputs"] == ["maxreg.csv", "maxreg_summary.txt"]
+
+
+def test_cli_greens_hash_tracks_its_extras(tmp_path):
+    # c_star is read from the config outside StudyConfig; it shapes the
+    # dyadic table, so it must change the manifest hash
+    text = GOOD_CONFIG.replace("levels = 16,24", "levels = 32,48")
+    text = text.replace("richardson_rtol = 0.05", "c_star = {c_star}")
+    hashes = []
+    for c_star in (0.5, 0.25):
+        out = tmp_path / f"c{c_star}"
+        cfg = write_config(tmp_path, text=text, out=str(out), c_star=c_star)
+        assert main(["greens", "--config", cfg]) == 0
+        manifest = _manifest(out, "greens")
+        assert manifest["parameters"]["c_star"] == c_star
+        hashes.append(manifest["config_hash"])
+    assert hashes[0] != hashes[1]

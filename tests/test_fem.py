@@ -30,7 +30,6 @@ from esfem.fem import (
     ritz_project,
     seminorm_h1,
     surface_measure,
-    write_function_csv,
 )
 from esfem.greens import smallest_nonzero_eigenvalue
 from esfem.meshing import build_circle_mesh, build_sphere_mesh
@@ -678,13 +677,3 @@ def test_inverse_lift_of_coordinate_on_square():
     assert np.allclose(q, [math.sqrt(2) / 2, math.sqrt(2) / 2], atol=1e-14)
     pulled_back = q[0]  # (x1 o q) evaluated at the chord midpoint
     assert abs(pulled_back - math.sqrt(2) / 2) <= 1e-14
-
-
-def test_function_csv_export(tmp_path, circle64):
-    space = FeSpace(circle64)
-    u = interpolate(space, lambda x: x[..., 0])
-    path = tmp_path / "u.csv"
-    write_function_csv(u, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "dof,x0,x1,value"
-    assert len(lines) == space.num_dofs + 1

@@ -4,10 +4,8 @@ import pytest
 from esfem.errors import DimensionMismatch, NonConvergence
 from esfem.sparse import (
     SparseMatrix,
-    cg_history,
     cg_solve,
     symmetry_defect,
-    write_matrix_market,
 )
 
 
@@ -116,13 +114,6 @@ def test_cg_constructed_rhs_returns_ones():
     assert np.abs(x - ones).max() <= 1e-11
 
 
-def test_cg_recurrence_scalar_monotone():
-    mat = tridiagonal_laplacian_plus_identity(100)
-    rng = np.random.default_rng(5)
-    _, history = cg_history(mat, rng.standard_normal(100))
-    assert np.all(np.diff(history) <= 1e-14 * history[0])
-
-
 def test_cg_polish_changes_little():
     mat = tridiagonal_laplacian_plus_identity(60)
     rng = np.random.default_rng(1)
@@ -138,19 +129,3 @@ def test_cg_nonconvergence_raises():
     rng = np.random.default_rng(2)
     with pytest.raises(NonConvergence):
         cg_solve(mat, rng.standard_normal(80), tol=1e-14, maxiter=2)
-
-
-def test_matrix_market_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    mat, dense = random_spd(12, rng)
-    path = tmp_path / "mat.mtx"
-    write_matrix_market(mat, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("%%MatrixMarket")
-    n, m, nnz = (int(v) for v in lines[1].split())
-    assert (n, m, nnz) == (12, 12, mat.nnz)
-    rebuilt = np.zeros((12, 12))
-    for line in lines[2:]:
-        i, j, v = line.split()
-        rebuilt[int(i) - 1, int(j) - 1] = float(v)
-    assert np.array_equal(rebuilt, dense)

@@ -39,7 +39,6 @@ def test_config_hash_changes_iff_semantics_change():
     assert config_hash(a) == config_hash(b)
     c = StudyConfig(seed=43)
     assert config_hash(a) != config_hash(c)
-    assert config_hash(StudyConfig(workers=4)) == config_hash(a)
 
 
 def test_maxreg_study_smoke_and_determinism(tmp_path):
@@ -54,18 +53,6 @@ def test_maxreg_study_smoke_and_determinism(tmp_path):
         tmp_path / "b" / "maxreg.csv"
     ).read_bytes()
     assert all((tmp_path / "a" / n.split("/")[-1]).exists() for n in map(str, out1))
-
-
-def test_maxreg_workers_do_not_change_bytes(tmp_path):
-    import dataclasses
-
-    rep1 = maxreg_study(TINY)
-    rep4 = maxreg_study(dataclasses.replace(TINY, workers=4))
-    emit_reports(rep1, tmp_path / "w1")
-    emit_reports(rep4, tmp_path / "w4")
-    assert (tmp_path / "w1" / "maxreg.csv").read_bytes() == (
-        tmp_path / "w4" / "maxreg.csv"
-    ).read_bytes()
 
 
 def test_maxreg_zero_forcing_reports_na(tmp_path):

@@ -8,11 +8,11 @@ from esfem.fem import FeSpace, assemble_mass, assemble_stiffness, interpolate, l
 from esfem.meshing import build_circle_mesh, build_sphere_mesh, evolve_mesh
 from esfem.surfaces import Circle, ScaledSphereFlow, Sphere, exact_heat_solution, forcing_profile
 from esfem.timestepping import (
+    SCHEME_A,
+    SCHEME_B,
+    STATIONARY,
     TimeGrid,
     solve_heat,
-    solve_scheme_a,
-    solve_scheme_b,
-    solve_stationary,
     spacetime_norm,
     weighted_total_mass,
 )
@@ -20,7 +20,8 @@ from esfem.timestepping import (
 
 def test_zero_data_stays_zero():
     mesh = build_circle_mesh(Circle(), 16, 1)
-    traj = solve_scheme_a(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 20))
+    traj = solve_heat(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 20),
+                      scheme=SCHEME_A)
     assert np.abs(traj.fields["u"]).max() == 0.0
 
 
@@ -28,8 +29,8 @@ def test_constants_are_invariant_under_scheme_a_on_flows():
     surface = ScaledSphereFlow(dimension=2)
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(1.0, 40)
-    traj = solve_scheme_a(
-        mesh, forcing_profile("zero", surface), grid,
+    traj = solve_heat(
+        mesh, forcing_profile("zero", surface), grid, scheme=SCHEME_A,
         u0=np.ones(mesh.num_nodes),
     )
     assert np.abs(traj.fields["u"] - 1.0).max() <= 1e-12
@@ -40,7 +41,7 @@ def test_scheme_identity_per_step():
     surface = mesh.surface
     forcing = forcing_profile("bump", surface)
     grid = TimeGrid(0.5, 64)
-    traj = solve_scheme_a(mesh, forcing, grid)
+    traj = solve_heat(mesh, forcing, grid, scheme=SCHEME_A)
     space = FeSpace(mesh)
     mass = assemble_mass(space)
     stiff = assemble_stiffness(space)
@@ -56,7 +57,7 @@ def test_scheme_b_conserves_weighted_mass():
     grid = TimeGrid(1.0, 200)
     rng = np.random.default_rng(0)
     u0 = 1.0 + 0.2 * rng.standard_normal(mesh.num_nodes)
-    traj = solve_scheme_b(mesh, forcing_profile("zero", surface), grid, u0=u0)
+    traj = solve_heat(mesh, forcing_profile("zero", surface), grid, scheme=SCHEME_B, u0=u0)
     initial = weighted_total_mass(mesh, u0)
     for i in (1, 50, 100, 200):
         snapshot = evolve_mesh(mesh, traj.times[i])
@@ -68,8 +69,8 @@ def test_schemes_coincide_on_stationary_surface():
     mesh = build_circle_mesh(Circle(), 20, 1)
     forcing = forcing_profile("osc-seed42", mesh.surface)
     grid = TimeGrid(0.5, 50)
-    ta = solve_scheme_a(mesh, forcing, grid)
-    tb = solve_scheme_b(mesh, forcing, grid)
+    ta = solve_heat(mesh, forcing, grid, scheme=SCHEME_A)
+    tb = solve_heat(mesh, forcing, grid, scheme=SCHEME_B)
     assert np.abs(ta.fields["u"] - tb.fields["u"]).max() <= 1e-12
 
 
@@ -79,8 +80,9 @@ def test_scheme_b_dilution_solution():
     surface = ScaledSphereFlow(dimension=2)
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(1.0, 100)
-    traj = solve_scheme_b(
-        mesh, forcing_profile("zero", surface), grid, u0=np.ones(mesh.num_nodes)
+    traj = solve_heat(
+        mesh, forcing_profile("zero", surface), grid, scheme=SCHEME_B,
+        u0=np.ones(mesh.num_nodes),
     )
     for i in (10, 50, 100):
         expected = 1.0 / surface.radius(traj.times[i]) ** 2
@@ -91,7 +93,7 @@ def test_scheme_b_mass_nondecreasing_for_positive_forcing():
     surface = ScaledSphereFlow(dimension=2)
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(1.0, 50)
-    traj = solve_scheme_b(mesh, forcing_profile("bump", surface), grid)
+    traj = solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=SCHEME_B)
     values = [
         weighted_total_mass(evolve_mesh(mesh, traj.times[i]), traj.fields["u"][i])
         for i in range(0, 51, 10)
@@ -104,7 +106,8 @@ def test_energy_dissipation_homogeneous():
     space = FeSpace(mesh)
     mass = assemble_mass(space)
     u0 = interpolate(space, lambda x: np.sign(x[..., 0])).coeffs
-    traj = solve_stationary(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 80), u0=u0)
+    traj = solve_heat(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 80),
+                      scheme=STATIONARY, u0=u0)
     energies = [float(u @ mass.matvec(u)) for u in traj.fields["u"]]
     assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))
 
@@ -135,7 +138,7 @@ def test_stationary_energy_identity_bounds():
     mesh = build_circle_mesh(Circle(), 48, 1)
     forcing = forcing_profile("osc-seed42", mesh.surface)
     grid = TimeGrid.from_mesh(mesh, 1.0, 0.5)
-    traj = solve_stationary(mesh, forcing, grid, qnorms=(2.0,))
+    traj = solve_heat(mesh, forcing, grid, scheme=STATIONARY, qnorms=(2.0,))
     lap = spacetime_norm(traj, "lap", 2.0, 2.0)
     dtu = spacetime_norm(traj, "udot", 2.0, 2.0)
     f = spacetime_norm(traj, "fh", 2.0, 2.0)
@@ -146,15 +149,16 @@ def test_stationary_energy_identity_bounds():
 def test_spacetime_norm_contracts():
     mesh = build_circle_mesh(Circle(), 16, 1)
     grid = TimeGrid(2.0, 40)
-    traj = solve_stationary(
-        mesh, lambda t, x: np.ones(x.shape[:-1]), grid, qnorms=(2.0, 3.0)
+    traj = solve_heat(
+        mesh, lambda t, x: np.ones(x.shape[:-1]), grid, scheme=STATIONARY,
+        qnorms=(2.0, 3.0),
     )
     # f_h == 1 for all t: norm is a * T^(1/p) with a = |1|_Lq
     space_norm = traj.norms("fh", 2.0)[0]
     for p in (2.0, 4.0):
         expected = space_norm * 2.0 ** (1.0 / p)
         assert abs(spacetime_norm(traj, "fh", p, 2.0) - expected) <= 1e-12
-    zero = solve_stationary(mesh, forcing_profile("zero", mesh.surface), grid)
+    zero = solve_heat(mesh, forcing_profile("zero", mesh.surface), grid, scheme=STATIONARY)
     assert spacetime_norm(zero, "fh", 2.0, 2.0) == 0.0
     with pytest.raises(InvalidExponent):
         spacetime_norm(traj, "fh", 1.0, 2.0)
@@ -168,7 +172,7 @@ def test_spacetime_norm_against_dense_quadrature_oracle():
     mesh = build_circle_mesh(Circle(), 24, 1)
     forcing = forcing_profile("bump", mesh.surface)
     grid = TimeGrid(1.0, 100)
-    traj = solve_stationary(mesh, forcing, grid, qnorms=(2.0,))
+    traj = solve_heat(mesh, forcing, grid, scheme=STATIONARY, qnorms=(2.0,))
     value = spacetime_norm(traj, "fh", 2.0, 2.0)
 
     gx, gw = np.polynomial.legendre.leggauss(40)
@@ -193,8 +197,8 @@ def test_linearity_of_ratio():
     base = forcing_profile("bump", mesh.surface)
     doubled = lambda t, x: 2.0 * base(t, x)
     grid = TimeGrid.from_mesh(mesh, 1.0, 0.5)
-    t1 = solve_stationary(mesh, base, grid, qnorms=(2.0,))
-    t2 = solve_stationary(mesh, doubled, grid, qnorms=(2.0,))
+    t1 = solve_heat(mesh, base, grid, scheme=STATIONARY, qnorms=(2.0,))
+    t2 = solve_heat(mesh, doubled, grid, scheme=STATIONARY, qnorms=(2.0,))
 
     def ratio(traj):
         return (
@@ -208,9 +212,9 @@ def test_linearity_of_ratio():
 def test_dt_policy_enforcement():
     mesh = build_circle_mesh(Circle(), 16, 1)
     with pytest.raises(StepTooLarge):
-        solve_scheme_a(
+        solve_heat(
             mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 2),
-            max_dt_factor=0.5,
+            scheme=SCHEME_A, max_dt_factor=0.5,
         )
 
 
