@@ -114,7 +114,8 @@ def parse_config(path):
         "kernel_difference": get("study", "kernel_difference", "false").lower()
         in ("1", "true", "yes"),
         "c_star": get("study", "c_star", 16.0, float),
-        "t_end": get("study", "t_end", 3.0, float),
+        # None when unset: greens then runs to 3, solve to 1
+        "t_end": get("study", "t_end", None, float),
     }
     config.validate()
     return config, extras
@@ -176,20 +177,23 @@ def cmd_solve(args):
     config, extras, outdir = _study_setup(args)
     surface = config.surface()
     forcing = forcing_profile(config.profile, surface)
+    t_end = 1.0 if extras["t_end"] is None else extras["t_end"]
     outputs = []
     for level in config.levels:
         mesh = build_level_mesh(surface, level, config.degree)
-        grid = TimeGrid.from_mesh(mesh, t_end=1.0, factor=config.dt_factor)
+        grid = TimeGrid.from_mesh(mesh, t_end=t_end, factor=config.dt_factor)
         traj = solve_heat(mesh, forcing, grid, scheme=config.scheme,
-                          qnorms=(2.0,), cg_tol=config.cg_tol,
-                          store_coefficients=False)
+                          cg_tol=config.cg_tol, store_coefficients=False)
         name = f"solve_level{level}.csv"
         columns = [traj.norms(field, 2.0) for field in ("u", "udot", "lap", "fh")]
         write_table(os.path.join(outdir, name),
                     ("t", "norm_u", "norm_dtu", "norm_lapu", "norm_f"),
                     zip(traj.times, *columns))
         outputs.append(name)
-    _write_manifest(outdir, "solve", asdict(config), outputs)
+    parameters = asdict(config)
+    if extras["t_end"] is not None:
+        parameters["t_end"] = t_end
+    _write_manifest(outdir, "solve", parameters, outputs)
     print(f"wrote {len(outputs)} trajectory file(s) to {outdir}")
     return 0
 
@@ -227,12 +231,13 @@ def cmd_convergence(args):
 def cmd_greens(args):
     config, extras, outdir = _study_setup(args)
     surface = config.surface()
+    t_end = 3.0 if extras["t_end"] is None else extras["t_end"]
+    meshes = {}
     outputs = []
     rates = []
     for level in config.levels:
-        mesh = build_level_mesh(surface, level, config.degree)
-        grid = TimeGrid.from_mesh(mesh, t_end=extras["t_end"],
-                                  factor=config.dt_factor)
+        mesh = meshes[level] = build_level_mesh(surface, level, config.degree)
+        grid = TimeGrid.from_mesh(mesh, t_end=t_end, factor=config.dt_factor)
         fit = green_decay_study(mesh, grid, cg_tol=config.cg_tol)
         rates.append(fit.rate)
         name = f"greens_decay_level{level}.csv"
@@ -262,8 +267,7 @@ def cmd_greens(args):
                  for level, rate in zip(config.levels, rates)), sep=" ")
     outputs.append("greens_summary.txt")
     if extras["kernel_difference"] and len(config.levels) >= 2:
-        coarse = build_level_mesh(surface, config.levels[0], config.degree)
-        fine = build_level_mesh(surface, config.levels[-1], config.degree)
+        coarse, fine = meshes[config.levels[0]], meshes[config.levels[-1]]
         grid = TimeGrid.from_mesh(fine, t_end=1.0, factor=config.dt_factor)
         result = kernel_difference_l1(coarse, fine, coarse.nodes[0], grid,
                                       cg_tol=max(config.cg_tol, 1e-11))
@@ -271,7 +275,8 @@ def cmd_greens(args):
                     sorted(result.items()), sep=" ")
         outputs.append("greens_kernel_difference.txt")
     parameters = asdict(config) | {
-        key: extras[key] for key in ("kernel_difference", "c_star", "t_end")}
+        "kernel_difference": extras["kernel_difference"],
+        "c_star": extras["c_star"], "t_end": t_end}
     _write_manifest(outdir, "greens", parameters, outputs)
     print(f"greens diagnostics: decay rates {[f'{r:.4f}' for r in rates]}")
     return 0

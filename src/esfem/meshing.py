@@ -218,19 +218,16 @@ def build_sphere_mesh(surface, levels, degree=1):
     for _ in range(int(levels)):
         verts, faces = _subdivide(verts, faces)
     verts = np.array(verts)
+    faces = np.array(faces, dtype=np.int64)
     # enforce outward orientation regardless of the base table
-    fixed = []
-    for a, b, c in faces:
-        n = np.cross(verts[b] - verts[a], verts[c] - verts[a])
-        if np.dot(n, verts[a] + verts[b] + verts[c]) < 0.0:
-            a, b, c = a, c, b
-        fixed.append((a, b, c))
-    faces = fixed
+    corners = verts[faces]
+    normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    inward = np.einsum("ij,ij->i", normals, corners.sum(axis=1)) < 0.0
+    faces[inward] = faces[inward][:, [0, 2, 1]]
 
     if degree == 1:
-        elements = np.array(faces, dtype=np.int64)
         ref_nodes = surface.project(0.0, verts)
-        return SurfaceMesh(surface, 1, ref_nodes, elements, time=0.0)
+        return SurfaceMesh(surface, 1, ref_nodes, faces, time=0.0)
 
     verts = list(verts)
     edge_node = {}
@@ -244,7 +241,7 @@ def build_sphere_mesh(surface, levels, degree=1):
         return edge_node[key]
 
     elements = []
-    for a, b, c in faces:
+    for a, b, c in faces.tolist():
         elements.append((a, b, c, edge(a, b), edge(b, c), edge(c, a)))
     ref_nodes = surface.project(0.0, np.array(verts))
     return SurfaceMesh(surface, 2, ref_nodes, np.array(elements, dtype=np.int64), time=0.0)
@@ -279,20 +276,28 @@ def _fmt(x):
 
 def write_mesh_text(mesh, path):
     """Line-oriented whitespace-separated snapshot (header, nodes, elements)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("esfem-mesh 1\n")
-        fh.write(f"degree {mesh.degree}\n")
-        fh.write(f"dimension {mesh.dimension}\n")
-        fh.write(f"time {_fmt(mesh.time)}\n")
-        fh.write(f"nodes {mesh.num_nodes}\n")
-        for row in mesh.nodes:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
-        fh.write(f"refnodes {mesh.num_nodes}\n")
-        for row in mesh.ref_nodes:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
-        fh.write(f"elements {mesh.num_elements}\n")
-        for row in mesh.elements:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+    lines = [
+        "esfem-mesh 1",
+        f"degree {mesh.degree}",
+        f"dimension {mesh.dimension}",
+        f"time {_fmt(mesh.time)}",
+        f"nodes {mesh.num_nodes}",
+    ]
+    lines += [" ".join(_fmt(v) for v in row) for row in mesh.nodes]
+    lines.append(f"refnodes {mesh.num_nodes}")
+    lines += [" ".join(_fmt(v) for v in row) for row in mesh.ref_nodes]
+    lines.append(f"elements {mesh.num_elements}")
+    lines += [" ".join(str(int(v)) for v in row) for row in mesh.elements]
+    _write_lines(path, lines)
+
+
+def _write_lines(path, lines):
+    """Write the lines to path; raises IOFailure when that fails."""
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise IOFailure(str(exc)) from exc
 
 
 def _read_section(lines, idx, keyword, dtype, path):
@@ -349,25 +354,22 @@ def write_mesh_vtk(mesh, path, point_data=None):
     """
     nodes = mesh.nodes
     d = nodes.shape[1]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("esfem surface mesh\n")
-        fh.write("ASCII\nDATASET POLYDATA\n")
-        fh.write(f"POINTS {mesh.num_nodes} double\n")
-        for row in nodes:
-            xyz = list(row) + [0.0] * (3 - d)
-            fh.write(" ".join(_fmt(v) for v in xyz) + "\n")
-        verts = mesh.elements[:, list(mesh.reference.vertex_ids)]
-        nv = verts.shape[1]
-        if mesh.dimension == 1:
-            fh.write(f"LINES {mesh.num_elements} {mesh.num_elements * (nv + 1)}\n")
-        else:
-            fh.write(f"POLYGONS {mesh.num_elements} {mesh.num_elements * (nv + 1)}\n")
-        for row in verts:
-            fh.write(f"{nv} " + " ".join(str(int(v)) for v in row) + "\n")
-        if point_data:
-            fh.write(f"POINT_DATA {mesh.num_nodes}\n")
-            for name, values in point_data.items():
-                fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                for v in values:
-                    fh.write(_fmt(v) + "\n")
+    lines = [
+        "# vtk DataFile Version 3.0",
+        "esfem surface mesh",
+        "ASCII",
+        "DATASET POLYDATA",
+        f"POINTS {mesh.num_nodes} double",
+    ]
+    lines += [" ".join(_fmt(v) for v in list(row) + [0.0] * (3 - d)) for row in nodes]
+    verts = mesh.elements[:, list(mesh.reference.vertex_ids)]
+    nv = verts.shape[1]
+    kind = "LINES" if mesh.dimension == 1 else "POLYGONS"
+    lines.append(f"{kind} {mesh.num_elements} {mesh.num_elements * (nv + 1)}")
+    lines += [f"{nv} " + " ".join(str(int(v)) for v in row) for row in verts]
+    if point_data:
+        lines.append(f"POINT_DATA {mesh.num_nodes}")
+        for name, values in point_data.items():
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            lines += [_fmt(v) for v in values]
+    _write_lines(path, lines)

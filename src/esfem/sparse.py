@@ -3,6 +3,7 @@ preconditioned conjugate gradients, and small dense fallbacks for tests."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,7 @@ class SparseMatrix:
         self.indices = indices
         self.data = data
         self._diag = None
-        # reduceat misreads empty rows, so matvec pads only when there are any
-        self._row_starts = indptr[:-1]
-        self._has_empty_rows = bool(np.any(indptr[1:] == indptr[:-1]))
+        self._table = None
 
     @classmethod
     def from_coo(cls, n, rows, cols, values):
@@ -53,16 +52,30 @@ class SparseMatrix:
     def identity(cls, n):
         return cls(n, np.arange(n + 1), np.arange(n), np.ones(n))
 
+    def _padded_rows(self):
+        """(cols, vals), each (n, longest row): row i holds its entries first,
+        then column 0 with weight 0, so every row has the same length (and a
+        non-finite x[0] reaches the rows shorter than the longest)."""
+        if self._table is None:
+            n = self.n
+            counts = np.diff(self.indptr)
+            width = int(counts.max(initial=0))
+            # flat position of each entry in the row-major (n, width) table
+            at = np.arange(self.nnz) + np.repeat(
+                np.arange(n) * width - self.indptr[:-1], counts)
+            cols = np.zeros(n * width, dtype=self.indices.dtype)
+            vals = np.zeros(n * width)
+            cols[at] = self.indices
+            vals[at] = self.data
+            self._table = cols.reshape(n, width), vals.reshape(n, width)
+        return self._table
+
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"expected vector of length {self.n}")
-        prod = self.data * x[self.indices]
-        if not self._has_empty_rows:
-            return np.add.reduceat(prod, self._row_starts)
-        # trailing zero pad keeps reduceat well defined for trailing empty rows
-        out = np.add.reduceat(np.concatenate([prod, [0.0]]), self._row_starts)
-        return np.where(self.indptr[1:] > self._row_starts, out, 0.0)
+        cols, vals = self._padded_rows()
+        return np.einsum("ij,ij->i", vals, x[cols])
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -177,7 +190,7 @@ def cg_solve(mat, b, tol=1e-12, maxiter=None, precondition=True, x0=None,
         raise DimensionMismatch(f"rhs must have length {mat.n}")
     if maxiter is None:
         maxiter = 10 * mat.n
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros(mat.n), SolveReport(0, 0.0, True)
     inv_diag = None
@@ -193,10 +206,11 @@ def cg_solve(mat, b, tol=1e-12, maxiter=None, precondition=True, x0=None,
     else:
         x = np.array(x0, dtype=float)
         r = b - mat.matvec(x)
-        if np.linalg.norm(r) > bnorm + atol:
+        if _norm(r) > bnorm + atol:
             # warm start is worse than starting cold; drop it
             x = np.zeros(mat.n)
             r = b.copy()
+    # x, r, z and p are updated in place; without preconditioning z is r
     z = inv_diag * r if precondition else r
     p = z.copy()
     rho = float(r @ z)
@@ -204,26 +218,33 @@ def cg_solve(mat, b, tol=1e-12, maxiter=None, precondition=True, x0=None,
     target = max(0.5 * tol * bnorm, atol)
     niter = 0
     while niter < maxiter:
-        if np.linalg.norm(r) <= target:
+        if _norm(r) <= target:
             break
         ap = mat.matvec(p)
         denom = float(p @ ap)
-        if not np.isfinite(denom) or denom <= 0.0:
+        if not math.isfinite(denom) or denom <= 0.0:
             raise NonFiniteValue("CG breakdown: p^T A p not positive")
         alpha = rho / denom
-        x = x + alpha * p
-        r = r - alpha * ap
-        z = inv_diag * r if precondition else r
+        x += alpha * p
+        r -= alpha * ap
+        if precondition:
+            np.multiply(inv_diag, r, out=z)
         rho_new = float(r @ z)
-        if not np.isfinite(rho_new):
+        if not math.isfinite(rho_new):
             raise NonFiniteValue("CG breakdown: nonfinite recurrence scalar")
-        p = z + (rho_new / rho) * p
+        p *= rho_new / rho
+        p += z
         rho = rho_new
         niter += 1
-    residual = float(np.linalg.norm(b - mat.matvec(x)))
+    residual = _norm(b - mat.matvec(x))
     rel = residual / bnorm
     if rel > tol and residual > atol:
         raise NonConvergence(
             f"CG at relative residual {rel:.3e} after {niter} iterations (tol {tol:.1e})"
         )
     return x, SolveReport(niter, rel, True)
+
+
+def _norm(v):
+    # what np.linalg.norm computes for a real vector, without its overhead
+    return math.sqrt(float(v @ v))

@@ -128,7 +128,7 @@ def _solve_level(config, surface, level):
     common = dict(
         scheme=config.scheme,
         u0=None,
-        qnorms=qset,
+        norms=[(name, q) for name in ("udot", "lap", "fh") for q in qset],
         cg_tol=config.cg_tol,
         store_coefficients=False,
         max_dt_factor=4.0 * config.dt_factor,
@@ -206,7 +206,7 @@ def convergence_study(config):
         u0 = interpolate(space, solution.initial)
         traj = solve_heat(
             mesh, solution.forcing, grid, scheme=STATIONARY, integrator="bdf2",
-            u0=u0.coeffs, qnorms=(), cg_tol=config.cg_tol,
+            u0=u0.coeffs, norms=(), cg_tol=config.cg_tol,
             store_coefficients=True, store_fields=("u",),
         )
         geom = space.geometry()

@@ -34,6 +34,7 @@ SCHEME_B = "B"
 STATIONARY = "stationary"
 
 FIELDS = ("u", "udot", "lap", "fh")
+L2_NORMS = tuple((name, 2.0) for name in FIELDS)
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ def solve_heat(
     scheme=SCHEME_A,
     integrator="be",
     u0=None,
-    qnorms=(2.0,),
+    norms=L2_NORMS,
     cg_tol=1e-12,
     store_coefficients=True,
     store_fields=FIELDS,
@@ -137,6 +138,10 @@ def solve_heat(
     the inverse-lifted exact forcing; nodes lie on Gamma so no transport is
     needed for the analytic families used here).  u0 is a coefficient vector
     (defaults to zero).  Returns a Trajectory.
+
+    norms lists the (field, q) pairs whose per-node L^q space norms are
+    recorded (default: every field at q = 2); other pairs can be computed
+    afterwards only from stored coefficients.
 
     Per accepted step the non-conservative scheme satisfies
     M(t) udot + A(t) u = b(t) exactly up to solver tolerance, with
@@ -159,9 +164,17 @@ def solve_heat(
     n_dofs = mesh0.num_nodes
 
     traj = Trajectory(mesh0, grid, scheme, integrator)
-    qnorms = tuple(float(q) for q in qnorms)
-    series = {(name, q): np.empty(len(times)) for name in FIELDS for q in qnorms}
-    buffers = {name: [] for name in FIELDS}
+    norm_qs = {}  # field -> the q of its recorded norms
+    for name, q in norms:
+        if name not in FIELDS:
+            raise ValueError(f"unknown field {name!r}")
+        qs = norm_qs.setdefault(name, [])
+        if float(q) not in qs:
+            qs.append(float(q))
+    series = {(name, q): np.empty(len(times))
+              for name, qs in norm_qs.items() for q in qs}
+    stored = [name for name in FIELDS if store_coefficients and name in store_fields]
+    buffers = {name: [] for name in stored}
 
     mesh = mesh0
     space = FeSpace(mesh, DISCRETE)
@@ -177,41 +190,44 @@ def solve_heat(
     udot = fh + lap
 
     def push(i, vals, mesh_i, geom_i):
-        for name in FIELDS:
+        for name, qs in norm_qs.items():
             coeffs = vals[name]
-            if qnorms:
-                at_quad = element_values(coeffs, mesh_i.elements, geom_i)
-                for q in qnorms:
-                    series[(name, q)][i] = values_norm_lq(at_quad, coeffs, geom_i, q)
-            if store_coefficients and name in store_fields:
-                buffers[name].append(coeffs)
+            at_quad = element_values(coeffs, mesh_i.elements, geom_i)
+            for q in qs:
+                series[(name, q)][i] = values_norm_lq(at_quad, coeffs, geom_i, q)
+        for name in stored:
+            buffers[name].append(vals[name])
 
     push(0, {"u": u, "udot": udot, "lap": lap, "fh": fh}, mesh, geom)
 
     mass_prev = mass
     u_prev = None  # for bdf2
+    system, system_scale = None, None  # M + system_scale * A
     for i in range(1, len(times)):
         t1 = times[i]
+        bdf2_step = integrator == "bdf2" and u_prev is not None
+        scale = 2.0 * dt / 3.0 if bdf2_step else dt
         if moving:
             mesh = mesh0.evolved(t1)
             space = FeSpace(mesh, DISCRETE)
             geom = space.geometry()
             mass = assemble_mass(space)
             stiff = assemble_stiffness(space)
+        # rebuilt only when the mesh moves, or when BDF2 follows its Euler step
+        if moving or scale != system_scale:
+            system, system_scale = mass.scaled_add(scale, stiff), scale
         b = load_from_geometry(geom, mesh.elements, n_dofs, forcing, t=t1)
         force_scale = max(force_scale, float(np.linalg.norm(b)))
         # relative CG tolerances are meaningless where the forcing crosses
         # zero; anchor an absolute floor to the forcing scale seen so far
         force_atol = cg_tol * force_scale
 
-        if integrator == "bdf2" and u_prev is not None:
+        if bdf2_step:
             # (3 u1 - 4 u0 + um1) / (2 dt) against M(t1)
-            system = mass.scaled_add(2.0 * dt / 3.0, stiff)
             rhs = mass.matvec((4.0 * u - u_prev) / 3.0) + (2.0 * dt / 3.0) * b
             u_new, _ = cg_solve(system, rhs, tol=cg_tol, x0=u)
             udot = (3.0 * u_new - 4.0 * u + u_prev) / (2.0 * dt)
         else:
-            system = mass.scaled_add(dt, stiff)
             if scheme == SCHEME_B:
                 rhs = mass_prev.matvec(u) + dt * b
             else:
@@ -232,10 +248,7 @@ def solve_heat(
         mass_prev = mass
 
     traj.norm_series = series
-    if store_coefficients:
-        traj.fields = {
-            name: np.array(buffers[name]) for name in FIELDS if name in store_fields
-        }
+    traj.fields = {name: np.array(rows) for name, rows in buffers.items()}
     return traj
 
 

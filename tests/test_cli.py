@@ -181,3 +181,38 @@ def test_cli_greens_hash_tracks_its_extras(tmp_path):
         assert manifest["parameters"]["c_star"] == c_star
         hashes.append(manifest["config_hash"])
     assert hashes[0] != hashes[1]
+
+
+@pytest.mark.parametrize("fmt,suffix", [("vtk", ".vtk"), ("text", ".txt")])
+def test_cli_mesh_unwritable_file_is_an_io_failure(tmp_path, capsys, fmt, suffix):
+    out = tmp_path / "meshes"
+    (out / f"sphere_l1_k1{suffix}").mkdir(parents=True)
+    argv = ["mesh", "--surface", "sphere", "--dimension", "2", "--levels", "1",
+            "--format", fmt, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IOFailure: ")
+    assert "Traceback" not in err
+
+
+def test_cli_solve_honours_t_end(tmp_path):
+    text = GOOD_CONFIG.replace("levels = 16,24", "levels = 16")
+    default_cfg = write_config(tmp_path, text=text, out=str(tmp_path / "t1"))
+    assert main(["solve", "--config", default_cfg]) == 0
+    rows = (tmp_path / "t1" / "solve_level16.csv").read_text().splitlines()
+    assert rows[-1].split(",")[0] == "1"
+    default = _manifest(tmp_path / "t1", "solve")
+    assert "t_end" not in default["parameters"]
+
+    text3 = text.replace("profile = osc-seed42", "profile = osc-seed42\nt_end = 3.0")
+    path3 = tmp_path / "t3.cfg"
+    path3.write_text(text3.format(out=str(tmp_path / "t3")))
+    assert main(["solve", "--config", str(path3)]) == 0
+    rows3 = (tmp_path / "t3" / "solve_level16.csv").read_text().splitlines()
+    assert rows3[-1].split(",")[0] == "3"
+    assert len(rows3) > len(rows)
+    # the header and the t = 0 row do not depend on t_end
+    assert rows3[:2] == rows[:2]
+    manifest = _manifest(tmp_path / "t3", "solve")
+    assert manifest["parameters"]["t_end"] == 3.0
+    assert manifest["config_hash"] != default["config_hash"]

@@ -12,6 +12,7 @@ from esfem.fem import (
     assemble_stiffness,
     delta_load,
     discrete_delta,
+    radial_inverse_lift,
 )
 from esfem.greens import (
     build_dyadic,
@@ -22,6 +23,7 @@ from esfem.greens import (
     dyadic_report,
     green_decay_study,
     kernel_difference_l1,
+    point_interpolation,
     smallest_nonzero_eigenvalue,
 )
 from esfem.meshing import SurfaceMesh, build_circle_mesh, build_sphere_mesh
@@ -220,3 +222,24 @@ def test_dyadic_rejects_coarse_mesh():
     mesh = build_circle_mesh(Circle(), 8, 1)
     with pytest.raises(HTooLarge):
         build_dyadic(mesh, mesh.nodes[0], c_star=16.0)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_point_interpolation_matches_gathered_sum(degree):
+    # the coarse-kernel map of kernel_difference_l1 against the plain formula
+    # sum_k phi_k(ref_p) u[element_p, k], on lifted fine quadrature points
+    surface = Sphere()
+    coarse = build_sphere_mesh(surface, 1, degree)
+    fine = build_sphere_mesh(surface, 2, degree)
+    geom = FeSpace(fine, LIFTED).geometry()
+    elems, refs = radial_inverse_lift(coarse, geom.points.reshape(-1, 3))
+    interpolate = point_interpolation(coarse, elems, refs)
+    sv = coarse.reference.shape_values(refs)
+    gather = coarse.elements[elems]
+    rng = np.random.default_rng(degree)
+    for _ in range(3):
+        u = rng.standard_normal(coarse.num_nodes)
+        expected = np.sum(sv * u[gather], axis=1)
+        got = interpolate(u)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()

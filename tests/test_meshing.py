@@ -213,3 +213,32 @@ def test_vtk_export_structure(tmp_path):
 def test_torus_has_no_level_builder():
     with pytest.raises(UnsupportedSurface):
         build_sphere_mesh(Torus(), 1, 1)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("reverse_every", [0, 2], ids=["base-table", "half-reversed"])
+def test_icosphere_orientation_matches_per_face_loop(monkeypatch, degree, reverse_every):
+    # the per-face cross/dot orientation loop is the reference for the
+    # vectorised orientation in build_sphere_mesh; reversing faces of the
+    # base table makes it flip some of them
+    from esfem import meshing
+
+    base = [(a, c, b) if reverse_every and i % reverse_every == 0 else (a, b, c)
+            for i, (a, b, c) in enumerate(meshing._ICO_FACES)]
+    monkeypatch.setattr(meshing, "_ICO_FACES", base)
+    for levels in range(4):
+        verts = [v / np.linalg.norm(v) for v in meshing._ICO_VERTS]
+        faces = list(base)
+        for _ in range(levels):
+            verts, faces = meshing._subdivide(verts, faces)
+        verts = np.array(verts)
+        expected = []
+        for a, b, c in faces:
+            n = np.cross(verts[b] - verts[a], verts[c] - verts[a])
+            if np.dot(n, verts[a] + verts[b] + verts[c]) < 0.0:
+                a, b, c = a, c, b
+            expected.append((a, b, c))
+        mesh = build_sphere_mesh(Sphere(), levels, degree)
+        assert np.array_equal(mesh.elements[:, :3], np.array(expected))
+        assert mesh.elements.dtype == np.int64
+        assert mesh.orientation_defects() == 0

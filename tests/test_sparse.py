@@ -129,3 +129,88 @@ def test_cg_nonconvergence_raises():
     rng = np.random.default_rng(2)
     with pytest.raises(NonConvergence):
         cg_solve(mat, rng.standard_normal(80), tol=1e-14, maxiter=2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_padded_matvec_on_random_patterns(seed):
+    # rows of very different lengths, some of them empty, duplicates summed
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    nnz = int(rng.integers(0, 4 * n))
+    rows = rng.integers(0, n, size=nnz)
+    rows[: nnz // 4] = 0  # one long row
+    cols = rng.integers(0, n, size=nnz)
+    mat = SparseMatrix.from_coo(n, rows, cols, rng.standard_normal(nnz))
+    x = rng.standard_normal(n)
+    expected = mat.to_dense() @ x
+    scale = max(np.abs(expected).max(initial=0.0), 1.0)
+    assert np.abs(mat.matvec(x) - expected).max(initial=0.0) <= 1e-14 * scale
+    empty = np.diff(mat.indptr) == 0
+    assert np.all(mat.matvec(x)[empty] == 0.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_matvec_of_all_zero_matrix(n):
+    mat = SparseMatrix.from_coo(n, np.arange(n), np.arange(n), np.zeros(n))
+    assert mat.nnz == 0
+    out = mat.matvec(np.ones(n))
+    assert out.shape == (n,) and np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("precondition", [True, False])
+def test_cg_in_place_updates_against_dense_solve(precondition):
+    rng = np.random.default_rng(5)
+    mat, dense = random_spd(60, rng)
+    b = rng.standard_normal(60)
+    x0 = rng.standard_normal(60)
+    b_copy, x0_copy = b.copy(), x0.copy()
+    expected = np.linalg.solve(dense, b)
+    for start in (None, x0, np.zeros(60)):
+        x, report = cg_solve(mat, b, tol=1e-12, x0=start, precondition=precondition)
+        assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
+        assert report.relative_residual <= 1e-12
+    # the solver works on its own copies of the right-hand side and start
+    assert np.array_equal(b, b_copy) and np.array_equal(x0, x0_copy)
+
+
+def test_cg_result_does_not_alias_its_start():
+    mat = tridiagonal_laplacian_plus_identity(30)
+    b = np.ones(30)
+    x0 = np.zeros(30)
+    x, _ = cg_solve(mat, b, x0=x0)
+    assert not np.shares_memory(x, x0) and np.all(x0 == 0.0)
+
+
+def _allocating_cg(mat, b, tol, x0):
+    # the textbook loop that builds new vectors every iteration: the reference
+    # for the in-place updates of cg_solve (Jacobi preconditioned)
+    bnorm = np.linalg.norm(b)
+    inv_diag = 1.0 / mat.diagonal()
+    x = np.array(x0, dtype=float)
+    r = b - mat.matvec(x)
+    if np.linalg.norm(r) > bnorm:
+        x = np.zeros(mat.n)
+        r = b.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rho = float(r @ z)
+    while np.linalg.norm(r) > 0.5 * tol * bnorm:
+        ap = mat.matvec(p)
+        alpha = rho / float(p @ ap)
+        x = x + alpha * p
+        r = r - alpha * ap
+        z = inv_diag * r
+        rho_new = float(r @ z)
+        p = z + (rho_new / rho) * p
+        rho = rho_new
+    return x
+
+
+def test_cg_in_place_matches_allocating_loop_bitwise():
+    rng = np.random.default_rng(9)
+    mat, _ = random_spd(80, rng)
+    b = rng.standard_normal(80)
+    for x0 in (np.zeros(80), 0.9 * np.linalg.solve(mat.to_dense(), b),
+               100.0 * rng.standard_normal(80)):
+        x, _ = cg_solve(mat, b, tol=1e-12, x0=x0)
+        assert np.array_equal(x, _allocating_cg(mat, b, 1e-12, x0))

@@ -138,7 +138,7 @@ def test_stationary_energy_identity_bounds():
     mesh = build_circle_mesh(Circle(), 48, 1)
     forcing = forcing_profile("osc-seed42", mesh.surface)
     grid = TimeGrid.from_mesh(mesh, 1.0, 0.5)
-    traj = solve_heat(mesh, forcing, grid, scheme=STATIONARY, qnorms=(2.0,))
+    traj = solve_heat(mesh, forcing, grid, scheme=STATIONARY)
     lap = spacetime_norm(traj, "lap", 2.0, 2.0)
     dtu = spacetime_norm(traj, "udot", 2.0, 2.0)
     f = spacetime_norm(traj, "fh", 2.0, 2.0)
@@ -151,7 +151,7 @@ def test_spacetime_norm_contracts():
     grid = TimeGrid(2.0, 40)
     traj = solve_heat(
         mesh, lambda t, x: np.ones(x.shape[:-1]), grid, scheme=STATIONARY,
-        qnorms=(2.0, 3.0),
+        norms=[("fh", 2.0), ("fh", 3.0)],
     )
     # f_h == 1 for all t: norm is a * T^(1/p) with a = |1|_Lq
     space_norm = traj.norms("fh", 2.0)[0]
@@ -172,7 +172,7 @@ def test_spacetime_norm_against_dense_quadrature_oracle():
     mesh = build_circle_mesh(Circle(), 24, 1)
     forcing = forcing_profile("bump", mesh.surface)
     grid = TimeGrid(1.0, 100)
-    traj = solve_heat(mesh, forcing, grid, scheme=STATIONARY, qnorms=(2.0,))
+    traj = solve_heat(mesh, forcing, grid, scheme=STATIONARY)
     value = spacetime_norm(traj, "fh", 2.0, 2.0)
 
     gx, gw = np.polynomial.legendre.leggauss(40)
@@ -197,8 +197,8 @@ def test_linearity_of_ratio():
     base = forcing_profile("bump", mesh.surface)
     doubled = lambda t, x: 2.0 * base(t, x)
     grid = TimeGrid.from_mesh(mesh, 1.0, 0.5)
-    t1 = solve_heat(mesh, base, grid, scheme=STATIONARY, qnorms=(2.0,))
-    t2 = solve_heat(mesh, doubled, grid, scheme=STATIONARY, qnorms=(2.0,))
+    t1 = solve_heat(mesh, base, grid, scheme=STATIONARY)
+    t2 = solve_heat(mesh, doubled, grid, scheme=STATIONARY)
 
     def ratio(traj):
         return (
@@ -230,3 +230,67 @@ def test_bdf2_rejected_for_conservative_scheme():
     with pytest.raises(ValueError):
         solve_heat(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 4),
                    scheme="B", integrator="bdf2")
+
+
+def test_solve_heat_records_exactly_the_requested_norms():
+    mesh = build_circle_mesh(Circle(), 16, 1)
+    forcing = forcing_profile("bump", mesh.surface)
+    grid = TimeGrid(0.5, 10)
+    pairs = [("udot", 1.0), ("fh", 2.0), ("fh", 3.0), ("fh", 2)]
+    traj = solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=pairs,
+                      store_coefficients=False)
+    assert set(traj.norm_series) == {("udot", 1.0), ("fh", 2.0), ("fh", 3.0)}
+    assert traj.fields == {}
+    for field, q in (("u", 2.0), ("udot", 2.0), ("lap", 2.0), ("fh", 1.0)):
+        with pytest.raises(KeyError):
+            traj.norms(field, q)
+
+    # the recorded series equal the ones computed afterwards from coefficients
+    full = solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=())
+    assert full.norm_series == {}
+    for field, q in set(traj.norm_series):
+        assert np.array_equal(traj.norms(field, q), full.norms(field, q))
+
+    none = solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=(),
+                      store_coefficients=False)
+    with pytest.raises(KeyError):
+        none.norms("fh", 2.0)
+    with pytest.raises(ValueError, match="unknown field"):
+        solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=[("v", 2.0)])
+
+
+def _count_scaled_add(monkeypatch):
+    from esfem.sparse import SparseMatrix
+
+    calls = []
+    original = SparseMatrix.scaled_add
+
+    def counting(self, alpha, other):
+        calls.append(alpha)
+        return original(self, alpha, other)
+
+    monkeypatch.setattr(SparseMatrix, "scaled_add", counting)
+    return calls
+
+
+def test_stationary_operator_is_built_once(monkeypatch):
+    mesh = build_circle_mesh(Circle(), 16, 1)
+    forcing = forcing_profile("osc-seed42", mesh.surface)
+    grid = TimeGrid(0.5, 12)
+    calls = _count_scaled_add(monkeypatch)
+    solve_heat(mesh, forcing, grid, scheme=STATIONARY)
+    assert calls == [grid.dt]
+
+    # BDF2: one backward Euler start-up system, then one BDF2 system
+    calls.clear()
+    solve_heat(mesh, forcing, grid, scheme=STATIONARY, integrator="bdf2")
+    assert calls == [grid.dt, 2.0 * grid.dt / 3.0]
+
+
+def test_moving_operator_is_built_every_step(monkeypatch):
+    surface = ScaledSphereFlow(dimension=2)
+    mesh = build_sphere_mesh(surface, 1, 1)
+    grid = TimeGrid(1.0, 6)
+    calls = _count_scaled_add(monkeypatch)
+    solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=SCHEME_A)
+    assert calls == [grid.dt] * grid.n_steps
