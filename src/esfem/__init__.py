@@ -8,7 +8,6 @@ from .surfaces import (  # noqa: F401
     EllipsoidFlow,
     ScaledSphereFlow,
     Sphere,
-    Torus,
     exact_heat_solution,
     forcing_profile,
     make_surface,

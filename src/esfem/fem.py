@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedSurface,
 )
 from .quadrature import reference_rule
-from .sparse import CsrPattern, SparseMatrix, cg_solve
+from .sparse import SparsityPattern, cg_solve
 
 DISCRETE = "discrete"
 LIFTED = "lifted"
@@ -151,7 +151,6 @@ class FeSpace:
             if quad_order is None
             else int(quad_order)
         )
-        self._pattern = None
 
     def geometry(self, order=None):
         return element_geometry(self.mesh, self.tag, order or self.quad_order)
@@ -166,14 +165,11 @@ class FeSpace:
             el = self.mesh.elements
             rows = np.repeat(el, el.shape[1], axis=1)
             cols = np.tile(el, (1, el.shape[1]))
-            cache["pattern"] = CsrPattern(self.num_dofs, rows, cols)
+            cache["pattern"] = SparsityPattern(self.num_dofs, rows, cols)
         return cache["pattern"]
 
     def function(self, coeffs):
         return FeFunction(self, np.asarray(coeffs, dtype=float))
-
-    def zero_function(self):
-        return FeFunction(self, np.zeros(self.num_dofs))
 
 
 class FeFunction:
@@ -194,12 +190,6 @@ class FeFunction:
         geom = self.space.geometry(order)
         local = self.coeffs[self.space.mesh.elements]
         return np.einsum("el,eqld->eqd", local, geom.tangent_grads), geom
-
-    def __call__(self, element, ref_point):
-        sv = self.space.mesh.reference.shape_values(
-            np.atleast_2d(ref_point)
-        )[0]
-        return float(self.coeffs[self.space.mesh.elements[element]] @ sv)
 
 
 def lift_function(u, lifted_space=None):

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, IOFailure, RichardsonFailure, UnsupportedSurface
+from .errors import ConfigError, IOFailure, RichardsonFailure
 from .fem import (
     DISCRETE,
     LIFTED,
@@ -89,9 +89,7 @@ def config_hash(parameters):
 def build_level_mesh(surface, level, degree):
     if surface.dimension == 1:
         return build_circle_mesh(surface, level, degree)
-    if hasattr(surface, "radius") or surface.kind == "ellipsoid_flow":
-        return build_sphere_mesh(surface, level, degree)
-    raise UnsupportedSurface(f"no level builder for kind {surface.kind!r}")
+    return build_sphere_mesh(surface, level, degree)
 
 
 @dataclass

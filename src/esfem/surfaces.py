@@ -1,7 +1,7 @@
 """Analytic closed surfaces, prescribed flows, and verification solution families.
 
 Every surface kind here has a closed-form outward normal and a closest-point
-projection that is either closed-form (circle, sphere, torus) or obtained by a
+projection that is either closed-form (circle, sphere) or obtained by a
 damped Newton iteration on the Lagrange condition (ellipsoid).  All point-wise
 operations accept arrays of points with shape ``(..., d)`` where
 ``d = dimension + 1`` is the ambient dimension.
@@ -267,94 +267,6 @@ class ScaledSphereFlow(_RadialSurface):
         return (self.radius_rate(t) / self.radius(t)) * np.asarray(x, dtype=float)
 
 
-class Torus(Surface):
-    """Torus of revolution around the z-axis: major radius R, minor radius r."""
-
-    kind = "torus"
-
-    def __init__(self, major=2.0, minor=0.7, horizon=1.0):
-        super().__init__(dimension=2, horizon=horizon)
-        if minor >= major:
-            raise ValueError("minor radius must be smaller than major radius")
-        self.major = float(major)
-        self.minor = float(minor)
-
-    def implicit(self, t, x):
-        x = np.asarray(x, dtype=float)
-        s = np.hypot(x[..., 0], x[..., 1])
-        return np.hypot(s - self.major, x[..., 2]) - self.minor
-
-    def _tube_center(self, x):
-        s = np.hypot(x[..., 0], x[..., 1])
-        e = np.zeros_like(x)
-        e[..., 0] = x[..., 0] / s
-        e[..., 1] = x[..., 1] / s
-        return self.major * e, e, s
-
-    def project(self, t, x):
-        x = np.asarray(x, dtype=float)
-        c, _, _ = self._tube_center(x)
-        w = x - c
-        return c + self.minor * w / np.linalg.norm(w, axis=-1, keepdims=True)
-
-    def normal(self, t, x):
-        x = np.asarray(x, dtype=float)
-        c, _, _ = self._tube_center(x)
-        w = x - c
-        return w / np.linalg.norm(w, axis=-1, keepdims=True)
-
-    def projection_jacobian(self, t, x):
-        x = np.asarray(x, dtype=float)
-        c, e, s = self._tube_center(x)
-        d = x.shape[-1]
-        eye = np.eye(d)
-        planar = np.diag([1.0, 1.0, 0.0])
-        ee = e[..., :, None] * e[..., None, :]
-        dc = (self.major / s)[..., None, None] * (planar - ee)
-        w = x - c
-        wn = np.linalg.norm(w, axis=-1)
-        u = w / wn[..., None]
-        uu = u[..., :, None] * u[..., None, :]
-        du = np.einsum("...ij,...jk->...ik", eye - uu, eye - dc) / wn[..., None, None]
-        return dc + self.minor * du
-
-    def tube_radius(self, t=0.0):
-        return 0.5 * self.minor
-
-    def measure(self, t=0.0):
-        return 4.0 * math.pi * math.pi * self.major * self.minor
-
-    def geodesic_distance(self, t, x, y):
-        # chart-based approximation: flat metric in the (tube angle, axis angle)
-        # chart; adequate for dyadic-set bookkeeping, not an exact geodesic
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-
-        def angles(p):
-            s = np.hypot(p[..., 0], p[..., 1])
-            phi = np.arctan2(p[..., 1], p[..., 0])
-            theta = np.arctan2(p[..., 2], s - self.major)
-            return theta, phi
-
-        tx, px = angles(x)
-        ty, py = angles(y)
-        dtheta = np.abs(np.mod(tx - ty + math.pi, TWO_PI) - math.pi)
-        dphi = np.abs(np.mod(px - py + math.pi, TWO_PI) - math.pi)
-        return np.hypot(self.minor * dtheta, self.major * dphi)
-
-    def sample_points(self, t, n, rng):
-        theta = rng.uniform(0.0, TWO_PI, size=n)
-        phi = rng.uniform(0.0, TWO_PI, size=n)
-        s = self.major + self.minor * np.cos(theta)
-        return np.stack(
-            [s * np.cos(phi), s * np.sin(phi), self.minor * np.sin(theta)], axis=-1
-        )
-
-    def _check_in_tube(self, t, x):
-        if abs(float(self.implicit(t, np.asarray(x, dtype=float)))) > self.tube_radius(t):
-            raise PointOutsideTube("point outside the torus projection tube")
-
-
 class EllipsoidFlow(Surface):
     """Ellipsoid with axes oscillating in time via a diagonal scaling.
 
@@ -482,7 +394,7 @@ class EllipsoidFlow(Surface):
 def make_surface(kind, dimension=None, params=(), horizon=1.0):
     """Build a surface from a config-style description.
 
-    kind in {circle, sphere, torus, scaled_sphere_flow, ellipsoid_flow};
+    kind in {circle, sphere, scaled_sphere_flow, ellipsoid_flow};
     params carries radii/axis data where applicable.
     """
     params = tuple(float(p) for p in params)
@@ -490,10 +402,6 @@ def make_surface(kind, dimension=None, params=(), horizon=1.0):
         return Circle(radius=params[0] if params else 1.0, horizon=horizon)
     if kind == "sphere":
         return Sphere(radius=params[0] if params else 1.0, horizon=horizon)
-    if kind == "torus":
-        major = params[0] if params else 2.0
-        minor = params[1] if len(params) > 1 else 0.7
-        return Torus(major=major, minor=minor, horizon=horizon)
     if kind == "scaled_sphere_flow":
         dim = 2 if dimension is None else int(dimension)
         amp = params[0] if params else 0.25
@@ -574,10 +482,6 @@ _BUMP_PERIOD = 2.0
 
 def _bump_center(surface, t):
     phi = TWO_PI * t / _BUMP_PERIOD
-    if isinstance(surface, Torus):
-        theta = 2.0 * TWO_PI * t
-        s = surface.major + surface.minor * math.cos(theta)
-        return np.array([s * math.cos(phi), s * math.sin(phi), surface.minor * math.sin(theta)])
     if isinstance(surface, EllipsoidFlow):
         a = surface.axes(t)
         if surface.ambient_dim == 2:

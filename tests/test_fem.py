@@ -170,6 +170,34 @@ def test_geometry_and_assembly_match_quadrature_oracle(kind, degree, tag):
     assert rel_err(assemble_stiffness(space).to_dense(), dense_from_local(mesh, stiff)) <= 1e-13
 
 
+COO_MESHES = {
+    "circle-p1": lambda: build_circle_mesh(Circle(), 24, 1),
+    "sphere-p1": lambda: build_sphere_mesh(Sphere(), 2, 1),
+    "sphere-p2": lambda: build_sphere_mesh(Sphere(), 2, 2),
+    "ellipsoid_flow-p1": lambda: build_sphere_mesh(EllipsoidFlow(), 2, 1).evolved(0.4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COO_MESHES))
+def test_assembly_matches_dense_coo_oracle(kind):
+    # the same local matrices, summed entry by entry with np.add.at
+    mesh = COO_MESHES[kind]()
+    space = FeSpace(mesh)
+    geom = space.geometry()
+    sv, tg = geom.shape_values, np.broadcast_to(
+        geom.tangent_grads, geom.weights.shape + geom.tangent_grads.shape[2:])
+    local_mass = np.einsum("eq,qi,qj->eij", geom.weights, sv, sv)
+    local_stiff = np.einsum("eq,eqid,eqjd->eij", geom.weights, tg, tg)
+    for mat, local in ((assemble_mass(space), local_mass),
+                       (assemble_stiffness(space), local_stiff)):
+        dense = dense_from_local(mesh, local)
+        assert rel_err(mat.to_dense(), dense) <= 1e-14
+        coupled = np.zeros_like(dense, dtype=bool)
+        el = mesh.elements
+        coupled[el[:, :, None], el[:, None, :]] = True
+        assert mat.nnz == np.count_nonzero(coupled)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_dilated_matrices_scale_with_radius(dim):
     # X(t, y) = r(t) y scales lengths by r, so M by r^m and A by r^(m-2)

@@ -15,7 +15,7 @@ from esfem.meshing import (
     write_mesh_text,
     write_mesh_vtk,
 )
-from esfem.surfaces import Circle, ScaledSphereFlow, Sphere, Torus
+from esfem.surfaces import Circle, ScaledSphereFlow, Sphere, Surface
 
 
 def polygon_perimeter(n):
@@ -210,9 +210,17 @@ def test_vtk_export_structure(tmp_path):
     assert any(ln.startswith("LINES 8") for ln in path2.read_text().splitlines())
 
 
+class _Torus(Surface):
+    # a two-dimensional surface that is not star-shaped around the origin
+    kind = "torus"
+
+    def __init__(self):
+        super().__init__(dimension=2)
+
+
 def test_torus_has_no_level_builder():
-    with pytest.raises(UnsupportedSurface):
-        build_sphere_mesh(Torus(), 1, 1)
+    with pytest.raises(UnsupportedSurface, match="star-shaped"):
+        build_sphere_mesh(_Torus(), 1, 1)
 
 
 @pytest.mark.parametrize("degree", [1, 2])

@@ -10,7 +10,6 @@ from esfem.surfaces import (
     EllipsoidFlow,
     ScaledSphereFlow,
     Sphere,
-    Torus,
     exact_heat_solution,
     forcing_profile,
     make_surface,
@@ -19,7 +18,6 @@ from esfem.surfaces import (
 ALL_SURFACES = [
     Circle(),
     Sphere(),
-    Torus(),
     ScaledSphereFlow(dimension=1),
     ScaledSphereFlow(dimension=2),
     EllipsoidFlow(dimension=2),
@@ -41,13 +39,6 @@ def test_closest_point_sphere_example():
     assert res.signed_distance < 0
 
 
-def test_closest_point_torus_cross_section():
-    # closed form in the x-z cross-section plane: tube center (2,0,0)
-    res = Torus(2.0, 0.7).closest_point(0.0, np.array([2.9, 0.0, 0.0]))
-    assert np.allclose(res.point, [2.7, 0.0, 0.0], atol=1e-14)
-    assert abs(res.signed_distance - 0.2) < 1e-14
-
-
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=lambda s: s.kind + str(s.dimension))
 def test_projection_idempotent_and_aligned(surface):
     rng = np.random.default_rng(0)
@@ -65,9 +56,9 @@ def test_projection_idempotent_and_aligned(surface):
 
 def test_point_outside_tube_errors():
     with pytest.raises(PointOutsideTube):
-        Torus(2.0, 0.7).closest_point(0.0, np.array([0.1, 0.0, 0.0]))
-    with pytest.raises(PointOutsideTube):
         Circle().closest_point(0.0, np.array([0.01, 0.0]))
+    with pytest.raises(PointOutsideTube):
+        Sphere().closest_point(0.0, np.array([0.0, 0.1, 0.0]))
 
 
 @pytest.mark.parametrize("surface", ALL_SURFACES, ids=lambda s: s.kind + str(s.dimension))
@@ -149,7 +140,7 @@ def test_heat_solution_rejects_flows():
     with pytest.raises(UnsupportedSurface):
         exact_heat_solution(ScaledSphereFlow(), 1)
     with pytest.raises(UnsupportedSurface):
-        exact_heat_solution(Torus(), 1)
+        exact_heat_solution(EllipsoidFlow(), 1)
 
 
 def test_heat_solution_residual_symbolic_circle():
@@ -233,8 +224,9 @@ def test_unknown_profile_rejected():
 
 def test_make_surface_factory():
     assert make_surface("circle", 1, (2.0,)).radius(0.0) == 2.0
-    assert make_surface("torus", 2, (3.0, 0.5)).major == 3.0
     assert make_surface("scaled_sphere_flow", 2, ()).dimension == 2
     assert make_surface("ellipsoid_flow", 2, (0.1, 0.1, -0.1)).amplitudes == (0.1, 0.1, -0.1)
     with pytest.raises(UnsupportedSurface):
         make_surface("moebius", 2, ())
+    with pytest.raises(UnsupportedSurface):
+        make_surface("torus", 2, (3.0, 0.5))
