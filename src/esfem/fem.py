@@ -3,13 +3,18 @@
 The "discrete" tag integrates with the metric of the piecewise-polynomial
 surface itself; the "lifted" tag composes every element map with the exact
 closest-point projection, so quadrature runs over the smooth surface with the
-exact metric.  Both paths share one reference-element pipeline.
+exact metric.  Both paths share one reference-element pipeline: per mesh
+family and quadrature rule, ``_ReferenceMaps`` tabulates the basis on the
+reference element once; every snapshot then maps its points and Jacobians
+with one matrix product each over all elements, and the stiffness matrix is
+one product of the weighted inverse metric with a reference table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,58 +26,145 @@ from .errors import (
     UnsupportedSurface,
 )
 from .quadrature import reference_rule
+from .reference import reference_element
 from .sparse import SparsityPattern, cg_solve
 
 DISCRETE = "discrete"
 LIFTED = "lifted"
 
 
+class _ReferenceMaps:
+    """Reference tables of one element type and point set, in the layouts
+    that turn per-element work into single matrix products.
+
+    With nloc local nodes, Q points, reference dimension m and ambient
+    dimension d = m + 1 (Q' = 1 for degree 1, whose reference gradients are
+    constant, and Q otherwise):
+
+    shape_values: (Q, nloc); shape_grads: (Q', nloc, m);
+    point_map: (nloc*d, Q*d), so that element coordinates flattened to
+    (E, nloc*d) times point_map are the (E, Q, d) mapped points;
+    jac_map: (nloc*d, Q'*d*m), the same for the (E, Q', d, m) Jacobians;
+    stiffness_table: (Q'*m*m, nloc*nloc) products g_ia g_jb of reference
+    gradients, since grad phi_i . grad phi_j = g_i^T G^{-1} g_j.
+    """
+
+    def __init__(self, ref, points):
+        m, nloc = ref.dim, ref.n_nodes
+        d = m + 1
+        eye = np.eye(d)
+        self.shape_values = ref.shape_values(points)
+        sg = ref.shape_gradients(points[:1] if ref.degree == 1 else points)
+        self.shape_grads = sg
+        self.point_map = np.kron(self.shape_values.T, eye)
+        self.jac_map = np.einsum("qla,kj->lkqja", sg, eye).reshape(nloc * d, -1)
+        self.stiffness_table = np.einsum("qia,qjb->qabij", sg, sg).reshape(
+            -1, nloc * nloc)
+        # shared by every geometry built on this rule
+        for table in vars(self).values():
+            table.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def _rule_maps(dim, degree, order):
+    return _ReferenceMaps(reference_element(dim, degree),
+                          reference_rule(dim, order).points)
+
+
 class ElementGeometry:
     """Geometry tables at the reference quadrature points, shared by assembly
-    and norms.  With E elements, Q points, nloc local nodes and ambient
-    dimension d:
+    and norms.  With E elements, Q points, nloc local nodes, reference
+    dimension m and ambient dimension d:
 
     shape_values: (Q, nloc) reference basis values;
-    points: (E, Q, d) mapped quadrature points (on Gamma_h or on Gamma);
+    ref_grads: (Q', nloc, m) reference basis gradients;
+    stiffness_table: (Q'*m*m, nloc*nloc) reference gradient products
+    (``_ReferenceMaps``);
+    points: (E, Q, d) mapped quadrature points (on Gamma_h or on Gamma),
+    C-contiguous;
     weights: (E, Q) quadrature weight times metric factor;
-    tangent_grads: (E, Q', nloc, d) tangential basis gradients;
-    metric_factor: (E, Q') square root of the Gram determinant;
+    jac: (E, Q', d, m) Jacobians of the element maps;
+    inv_metric: (E, Q', m, m) inverse of the metric G = jac^T jac;
+    metric_factor: (E, Q') square root of the Gram determinant det G;
+    tangent_grads: (E, Q', nloc, d) tangential basis gradients
+    ref_grads G^{-1} jac^T, computed on first access (only gradient
+    evaluation and the Ritz projection read them);
     base_points: for the lifted tag, the underlying Gamma_h points.
 
-    Q' is 1 on affine elements (degree 1 on the discrete surface), whose
-    Jacobian is the same at every point, and Q otherwise; the length-1 axis
+    Q' is 1 where the quantity is the same at every point and Q otherwise:
+    the reference gradients of degree 1, and the Jacobian and metric of
+    affine elements (degree 1 on the discrete surface).  The length-1 axis
     broadcasts against the quadrature axis.
     """
 
-    def __init__(self, rule, shape_values, points, weights, tangent_grads,
+    def __init__(self, rule, maps, points, weights, jac, inv_metric,
                  metric_factor, base_points=None):
         self.rule = rule
-        self.shape_values = shape_values
+        self.shape_values = maps.shape_values
+        self.ref_grads = maps.shape_grads
+        self.stiffness_table = maps.stiffness_table
         self.points = points
         self.weights = weights
-        self.tangent_grads = tangent_grads
+        self.jac = jac
+        self.inv_metric = inv_metric
         self.metric_factor = metric_factor
         self.base_points = base_points
 
+    @cached_property
+    def tangent_grads(self):
+        return self.ref_grads @ (self.inv_metric @ np.swapaxes(self.jac, -1, -2))
+
 
 def _metric(jac, m):
-    g = np.swapaxes(jac, -1, -2) @ jac
+    """det G and G^{-1} of G = jac^T jac, formed entry by entry from a
+    component-major copy of the Jacobians (a matmul over the trailing d x m
+    blocks is several times slower).  Raises SingularElement before
+    inverting if det G is not positive and finite everywhere."""
+    lead, d = jac.shape[:-2], jac.shape[-2]
+    comp = jac.reshape(-1, d * m).T.copy()  # row k*m + a holds J_ka
+
+    def entry(a, b):
+        g = comp[a] * comp[b]
+        for k in range(1, d):
+            g += comp[k * m + a] * comp[k * m + b]
+        return g
+
     if m == 1:
-        det = g[..., 0, 0]
-        inv = (1.0 / det)[..., None, None]
-    else:
-        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-        inv = np.empty_like(g)
-        inv[..., 0, 0] = g[..., 1, 1]
-        inv[..., 1, 1] = g[..., 0, 0]
-        inv[..., 0, 1] = -g[..., 0, 1]
-        inv[..., 1, 0] = -g[..., 1, 0]
-        inv = inv / det[..., None, None]
-    return det, inv
+        det = entry(0, 0).reshape(lead)
+        _check_gram(det)
+        return det, (1.0 / det)[..., None, None]
+    g00, g01, g11 = entry(0, 0), entry(0, 1), entry(1, 1)
+    det = g00 * g11 - g01 * g01
+    _check_gram(det.reshape(lead))
+    inv = np.empty((len(det), 2, 2))
+    inv[:, 0, 0] = g11 / det
+    inv[:, 1, 1] = g00 / det
+    inv[:, 0, 1] = inv[:, 1, 0] = -g01 / det
+    return det.reshape(lead), inv.reshape(lead + (2, 2))
+
+
+def _check_gram(det):
+    """Raise SingularElement naming the degenerate elements of an (E, Q')
+    table of Gram determinants, if any."""
+    ok = np.isfinite(det) & (det > 0.0)
+    if ok.all():
+        return
+    bad = ~ok.all(axis=1)
+    first = int(np.flatnonzero(bad)[0])
+    value = float(det[first][~ok[first]][0])
+    kind = "non-finite" if not math.isfinite(value) else "not positive"
+    raise SingularElement(
+        f"{int(bad.sum())} of {len(det)} elements have a degenerate Jacobian; "
+        f"first is element {first} with Gram determinant {value:.3e} ({kind})"
+    )
 
 
 def element_geometry(mesh, tag=DISCRETE, order=None, ref_points=None):
-    """Geometry tables at reference quadrature points (cached on the mesh)."""
+    """Geometry tables at reference quadrature points (cached on the mesh).
+
+    Raises SingularElement if the Gram determinant of any element map is
+    zero, negative or not finite at a point.
+    """
     m = mesh.dimension
     if order is None:
         order = default_quad_order(mesh.degree, m, tag)
@@ -88,38 +180,33 @@ def element_geometry(mesh, tag=DISCRETE, order=None, ref_points=None):
 
     rule = reference_rule(m, order)
     if ref_points is None:
-        pts_ref = rule.points
+        maps = _rule_maps(m, mesh.degree, order)
         wts_ref = rule.weights
     else:
         pts_ref = np.asarray(ref_points, dtype=float).reshape(-1, m)
+        maps = _ReferenceMaps(mesh.reference, pts_ref)
         wts_ref = np.zeros(len(pts_ref))
-    ref = mesh.reference
-    sv = ref.shape_values(pts_ref)
-    # degree-1 reference gradients are constant: evaluate them at one point
-    # and let the length-1 quadrature axis broadcast
-    sg = ref.shape_gradients(pts_ref[:1] if mesh.degree == 1 else pts_ref)
-    coords = mesh.element_coords()
-    points = sv @ coords
-    jac = np.swapaxes(coords, 1, 2)[:, None] @ sg  # (E, Q', d, m)
+    n_el, d = mesh.num_elements, m + 1
+    coords = mesh.element_coords().reshape(n_el, -1)
+    points = (coords @ maps.point_map).reshape(n_el, -1, d)
+    jac = (coords @ maps.jac_map).reshape(n_el, -1, d, m)
     base_points = None
     if tag == LIFTED:
         surface, t = mesh.surface, mesh.time
         base_points = points
-        flat = points.reshape(-1, points.shape[-1])
+        flat = points.reshape(-1, d)
         points = surface.project(t, flat).reshape(points.shape)
-        dq = surface.projection_jacobian(t, flat).reshape(points.shape + (points.shape[-1],))
+        dq = surface.projection_jacobian(t, flat).reshape(points.shape + (d,))
         jac = dq @ jac
     det, inv = _metric(jac, m)
-    if det.min() <= 0.0 or not np.all(np.isfinite(det)):
-        raise SingularElement("degenerate element Jacobian")
     mu = np.sqrt(det)
-    tgrad = sg @ np.swapaxes(jac @ inv, -1, -2)
     geom = ElementGeometry(
         rule=rule,
-        shape_values=sv,
+        maps=maps,
         points=points,
         weights=wts_ref[None, :] * mu,
-        tangent_grads=tgrad,
+        jac=jac,
+        inv_metric=inv,
         metric_factor=mu,
         base_points=base_points,
     )
@@ -222,9 +309,20 @@ def assemble_mass(space, order=None):
 
 
 def assemble_stiffness(space, order=None):
+    """A_ij = sum_q w_q g_i^T G^{-1} g_j: the weighted inverse metric times
+    the reference table of gradient products, one matrix product."""
     geom = space.geometry(order)
-    tg = geom.tangent_grads
-    local = np.einsum("eq,eqid,eqjd->eij", geom.weights, tg, tg, optimize=True)
+    weights, inv = geom.weights, geom.inv_metric
+    n_el, m = len(weights), inv.shape[-1]
+    if inv.shape[1] == 1:
+        # affine elements: one metric per element, so sum the weights first
+        wg = weights.sum(axis=1)[:, None] * inv.reshape(n_el, m * m)
+    else:
+        wg = (weights[..., None, None] * inv).reshape(n_el, -1, m * m)
+        if len(geom.ref_grads) == 1:
+            # constant reference gradients: contract over the points first
+            wg = wg.sum(axis=1)
+    local = wg.reshape(n_el, -1) @ geom.stiffness_table
     return space.pattern().assemble(local)
 
 
@@ -363,12 +461,9 @@ def compute_prefactors(mesh, order=None):
 
     # B = ratio * T Ghat^{-1} T^T with T the lifted tangent map and Ghat the
     # discrete first fundamental form; supported on the tangent space of Gamma
-    sg = mesh.reference.shape_gradients(ref_pts)
-    jac_h = np.swapaxes(mesh.element_coords(), 1, 2)[:, None] @ sg
-    _, inv_h = _metric(jac_h, m)
     dq = mesh.surface.projection_jacobian(mesh.time, disc.points.reshape(-1, d))
-    tmap = dq.reshape(disc.points.shape + (d,)) @ jac_h
-    bfield = ratio[..., None, None] * (tmap @ inv_h @ np.swapaxes(tmap, -1, -2))
+    tmap = dq.reshape(disc.points.shape + (d,)) @ disc.jac
+    bfield = ratio[..., None, None] * (tmap @ disc.inv_metric @ np.swapaxes(tmap, -1, -2))
 
     y = lift.points
     nu = mesh.surface.normal(mesh.time, y.reshape(-1, d)).reshape(y.shape)

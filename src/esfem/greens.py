@@ -20,12 +20,10 @@ from .fem import (
     LIFTED,
     FeSpace,
     assemble_mass,
-    assemble_stiffness,
     delta_load,
     discrete_delta,
     element_point,
     element_values,
-    locate_point,
     norm_lq,
     radial_inverse_lift,
 )

@@ -500,18 +500,6 @@ def _bump_center(surface, t):
     )
 
 
-def _monomials(x):
-    """Low-order ambient monomials 1, x_i, x_i*x_j (i<=j), stacked on the last axis."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    cols = [np.ones(x.shape[:-1])]
-    cols.extend(x[..., i] for i in range(d))
-    for i in range(d):
-        for j in range(i, d):
-            cols.append(x[..., i] * x[..., j])
-    return np.stack(cols, axis=-1)
-
-
 def forcing_profile(profile_id, surface):
     """Return a deterministic forcing f(t, x) from the documented catalog.
 
@@ -551,6 +539,12 @@ def forcing_profile(profile_id, surface):
         ntime = 5
         rng = np.random.default_rng(seed)
         coeff = rng.uniform(-1.0, 1.0, size=(nmono, ntime)) / math.sqrt(nmono * ntime)
+        # the rows weigh the monomials 1, x_i, x_i x_j (i <= j), which is the
+        # row-major upper triangle of (1, x) (1, x)^T: so the sum is one
+        # quadratic form (1, x)^T H (1, x) = c0 + c.x + x^T C x
+        form = np.zeros((d + 1, d + 1, ntime))
+        form[np.triu_indices(d + 1)] = coeff
+        ones = np.ones(d)
 
         def oscillator(t, x):
             tau = np.array(
@@ -562,7 +556,15 @@ def forcing_profile(profile_id, surface):
                     math.sin(2.0 * TWO_PI * t),
                 ]
             )
-            return _monomials(x) @ (coeff @ tau)
+            h = form @ tau
+            x = np.asarray(x, dtype=float)
+            lin = x @ h[1:, 1:]
+            lin += h[0, 1:]
+            lin *= x
+            # a product with ones sums the d terms faster than a reduction
+            out = lin @ ones
+            out += h[0, 0]
+            return out
 
         return oscillator
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from esfem.errors import InvalidExponent, NonConvergence, PointNotOnMesh
+from esfem.errors import InvalidExponent, NonConvergence, PointNotOnMesh, SingularElement
 from esfem.fem import (
     DISCRETE,
     LIFTED,
@@ -28,11 +28,9 @@ from esfem.fem import (
     norm_w1q,
     radial_inverse_lift,
     ritz_project,
-    seminorm_h1,
-    surface_measure,
 )
 from esfem.greens import smallest_nonzero_eigenvalue
-from esfem.meshing import build_circle_mesh, build_sphere_mesh
+from esfem.meshing import SurfaceMesh, build_circle_mesh, build_sphere_mesh
 from esfem.quadrature import reference_rule
 from esfem.surfaces import Circle, EllipsoidFlow, ScaledSphereFlow, Sphere
 
@@ -196,6 +194,109 @@ def test_assembly_matches_dense_coo_oracle(kind):
         el = mesh.elements
         coupled[el[:, :, None], el[:, None, :]] = True
         assert mat.nnz == np.count_nonzero(coupled)
+
+
+# --- matrix-product kernels against the eager per-element formulas --------
+
+def eager_metric(jac, m):
+    g = np.swapaxes(jac, -1, -2) @ jac
+    if m == 1:
+        det = g[..., 0, 0]
+        return det, (1.0 / det)[..., None, None]
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    inv = np.empty_like(g)
+    inv[..., 0, 0] = g[..., 1, 1]
+    inv[..., 1, 1] = g[..., 0, 0]
+    inv[..., 0, 1] = -g[..., 0, 1]
+    inv[..., 1, 0] = -g[..., 1, 0]
+    return det, inv / det[..., None, None]
+
+
+def eager_geometry(mesh, tag, order):
+    """Points, weights, metric factor, tangential gradients and local
+    stiffness matrices by per-element stacked matmuls and a three-operand
+    einsum, with a length-1 quadrature axis on affine quantities."""
+    rule = reference_rule(mesh.dimension, order)
+    sv = mesh.reference.shape_values(rule.points)
+    sg = mesh.reference.shape_gradients(
+        rule.points[:1] if mesh.degree == 1 else rule.points)
+    coords = mesh.element_coords()
+    points = sv @ coords
+    jac = np.swapaxes(coords, 1, 2)[:, None] @ sg
+    if tag == LIFTED:
+        flat = points.reshape(-1, points.shape[-1])
+        dq = mesh.surface.projection_jacobian(mesh.time, flat)
+        jac = dq.reshape(points.shape + dq.shape[-1:]) @ jac
+        points = mesh.surface.project(mesh.time, flat).reshape(points.shape)
+    det, inv = eager_metric(jac, mesh.dimension)
+    mu = np.sqrt(det)
+    weights = rule.weights[None, :] * mu
+    tgrad = sg @ np.swapaxes(jac @ inv, -1, -2)
+    tg = np.broadcast_to(tgrad, weights.shape + tgrad.shape[2:])
+    stiff = np.einsum("eq,eqid,eqjd->eij", weights, tg, tg)
+    return points, weights, mu, tgrad, stiff
+
+
+EAGER_MESHES = {
+    "circle-p1": lambda: build_circle_mesh(Circle(), 12, 1),
+    "circle-p2": lambda: build_circle_mesh(Circle(), 12, 2),
+    "sphere-l2-p1": lambda: build_sphere_mesh(Sphere(), 2, 1),
+    "sphere-l2-p2": lambda: build_sphere_mesh(Sphere(), 2, 2),
+    "ellipsoid_flow-l2-p1": lambda: build_sphere_mesh(EllipsoidFlow(), 2, 1).evolved(0.37),
+    "ellipsoid_flow-l2-p2": lambda: build_sphere_mesh(EllipsoidFlow(), 2, 2).evolved(0.37),
+}
+
+
+@pytest.mark.parametrize("tag", [DISCRETE, LIFTED])
+@pytest.mark.parametrize("kind", sorted(EAGER_MESHES))
+def test_product_kernels_match_eager_formulas(kind, tag):
+    mesh = EAGER_MESHES[kind]()
+    space = FeSpace(mesh, tag)
+    geom = space.geometry()
+    points, weights, mu, tgrad, stiff = eager_geometry(mesh, tag, space.quad_order)
+    assert geom.points.flags.c_contiguous
+    for got, want in ((geom.points, points), (geom.weights, weights),
+                      (geom.metric_factor, mu), (geom.tangent_grads, tgrad)):
+        assert got.shape == want.shape
+        assert rel_err(got, want) <= 1e-14
+    # computed once, on first access
+    assert geom.tangent_grads is geom.tangent_grads
+    assert rel_err(assemble_stiffness(space).data, space.pattern().assemble(stiff).data) <= 1e-14
+
+
+def _perturbed_sphere(edit):
+    mesh = build_sphere_mesh(Sphere(), 1, 1)
+    nodes = mesh.nodes.copy()
+    edit(nodes, mesh.elements)
+    return SurfaceMesh(mesh.surface, 1, nodes, mesh.elements)
+
+
+def test_collapsed_triangle_raises_singular_element():
+    def collapse(nodes, elements):
+        # element 0 loses its last vertex to its first: so does the
+        # neighbour across that edge
+        nodes[elements[0, 2]] = nodes[elements[0, 0]]
+
+    mesh = _perturbed_sphere(collapse)
+    with pytest.raises(SingularElement, match=(
+            r"^2 of 80 elements have a degenerate Jacobian; first is element 0 "
+            r"with Gram determinant 0\.000e\+00 \(not positive\)$")):
+        FeSpace(mesh).geometry()
+
+
+@pytest.mark.parametrize("tag", [DISCRETE, LIFTED])
+def test_nan_node_raises_singular_element(tag):
+    node = 7
+
+    def poison(nodes, elements):
+        nodes[node] = np.nan
+
+    mesh = _perturbed_sphere(poison)
+    touching = np.flatnonzero((mesh.elements == node).any(axis=1))
+    with pytest.raises(SingularElement, match=(
+            rf"^{len(touching)} of 80 elements have a degenerate Jacobian; first is "
+            rf"element {touching[0]} with Gram determinant nan \(non-finite\)$")):
+        element_geometry(mesh, tag)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

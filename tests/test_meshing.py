@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from esfem.errors import DegenerateMesh, FlowEvaluationFailure, IOFailure, UnsupportedSurface
-from esfem.fem import FeSpace, assemble_mass, surface_measure
+from esfem.fem import FeSpace, surface_measure
 from esfem.meshing import (
     SurfaceMesh,
     build_circle_mesh,

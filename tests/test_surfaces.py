@@ -215,6 +215,39 @@ def test_oscillator_profile_deterministic():
     assert not np.array_equal(a, other)
 
 
+def _monomials(x):
+    """Low-order ambient monomials 1, x_i, x_i*x_j (i<=j), stacked on the last axis."""
+    d = x.shape[-1]
+    cols = [np.ones(x.shape[:-1])]
+    cols.extend(x[..., i] for i in range(d))
+    for i in range(d):
+        for j in range(i, d):
+            cols.append(x[..., i] * x[..., j])
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+@pytest.mark.parametrize("surface", [Circle(), Sphere()], ids=["d2", "d3"])
+def test_oscillator_profile_matches_monomial_sum(surface, seed):
+    # the documented recipe: seeded coefficients of the monomials times
+    # the five time modes, summed column by column
+    d = surface.ambient_dim
+    nmono = 1 + d + d * (d + 1) // 2
+    rng = np.random.default_rng(seed)
+    coeff = rng.uniform(-1.0, 1.0, size=(nmono, 5)) / math.sqrt(nmono * 5)
+    f = forcing_profile(f"osc-seed{seed}", surface)
+    pts = np.random.default_rng(3).uniform(-1.5, 1.5, size=(40, 6, d))
+    for t in (0.0, 0.13, 0.37, 0.5, 0.91):
+        w = 2.0 * math.pi * t
+        tau = np.array([1.0, math.cos(w), math.sin(w), math.cos(2 * w), math.sin(2 * w)])
+        want = _monomials(pts) @ (coeff @ tau)
+        got = f(t, pts)
+        assert got.shape == (40, 6)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        flat = f(t, pts.reshape(-1, d))
+        assert np.abs(flat - want.reshape(-1)).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_unknown_profile_rejected():
     with pytest.raises(UnknownProfile):
         forcing_profile("mystery", Circle())

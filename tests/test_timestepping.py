@@ -6,7 +6,7 @@ import pytest
 from esfem.errors import InvalidExponent, StepTooLarge
 from esfem.fem import FeSpace, assemble_mass, assemble_stiffness, interpolate, load_vector
 from esfem.meshing import build_circle_mesh, build_sphere_mesh, evolve_mesh
-from esfem.surfaces import Circle, ScaledSphereFlow, Sphere, exact_heat_solution, forcing_profile
+from esfem.surfaces import Circle, ScaledSphereFlow, exact_heat_solution, forcing_profile
 from esfem.timestepping import (
     SCHEME_A,
     SCHEME_B,
