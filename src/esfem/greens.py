@@ -29,7 +29,6 @@ from .fem import (
 )
 from .sparse import cg_solve
 from .timestepping import STATIONARY, TimeGrid, solve_heat
-from .surfaces import forcing_profile
 
 
 def smallest_nonzero_eigenvalue(mass, stiffness, tol=1e-10, maxiter=400, seed=0):
@@ -88,9 +87,8 @@ def discrete_green(mesh, x0, grid, cg_tol=1e-12, store_coefficients=True,
     (see solve_heat); none by default."""
     space = FeSpace(mesh, DISCRETE)
     delta = discrete_delta(space, x0, tol=cg_tol)
-    zero = forcing_profile("zero", mesh.surface)
     traj = solve_heat(
-        mesh, zero, grid, scheme=STATIONARY,
+        mesh, None, grid, scheme=STATIONARY,
         u0=delta.coeffs, norms=norms, cg_tol=cg_tol,
         store_coefficients=store_coefficients, store_fields=store_fields,
     )

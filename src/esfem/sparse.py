@@ -23,11 +23,13 @@ class SparsityPattern:
     """Where the entries of an assembly with fixed connectivity go.
 
     Built once from the coordinate rows and columns of the local entries.
-    Row i of the (n, width) column table ``cols`` lists the distinct columns
-    of row i in increasing order, then column 0 up to the longest row's
-    width; every matrix holds weight 0 in that padding, so a non-finite x[0]
-    still reaches the shorter rows of a matvec.  ``indptr`` and ``indices``
-    give the same entries in compressed-row order.
+    The column table ``cols`` is (width, n), one column per matrix row:
+    ``cols[:, i]`` lists the distinct columns of row i in increasing order,
+    then column 0 up to the longest row's width; every matrix holds weight 0
+    in that padding, so a non-finite x[0] still reaches the shorter rows of a
+    matvec.  The k-th entries of all rows are contiguous, so a matvec reduces
+    over whole rows of the table.  ``indptr`` and ``indices`` give the same
+    entries in compressed-row order.
     """
 
     def __init__(self, n, rows, cols):
@@ -41,13 +43,14 @@ class SparsityPattern:
         counts = np.bincount(entry_rows, minlength=n)
         self.indptr = np.concatenate([[0], np.cumsum(counts)])
         self.width = width = int(counts.max(initial=0))
-        # flat position of each distinct entry in the row-major (n, width) table
-        self.entry_slots = (entry_rows * width + np.arange(keys.size)
-                            - self.indptr[entry_rows])
+        # flat position of each distinct entry in the row-major (width, n)
+        # table: the k-th entry of row i sits at k*n + i
+        self.entry_slots = ((np.arange(keys.size) - self.indptr[entry_rows]) * n
+                            + entry_rows)
         self.slots = self.entry_slots[inverse]  # of each coordinate entry
         table = np.zeros(n * width, dtype=np.int64)
         table[self.entry_slots] = self.indices
-        self.cols = table.reshape(n, width)
+        self.cols = table.reshape(width, n)
         ondiag = entry_rows == self.indices
         self.diag_rows = entry_rows[ondiag]
         self.diag_slots = self.entry_slots[ondiag]
@@ -59,13 +62,13 @@ class SparsityPattern:
             raise DimensionMismatch(
                 f"expected {self.slots.size} values, got {values.size}")
         vals = np.bincount(self.slots, weights=values, minlength=self.n * self.width)
-        return SparseMatrix(self, vals.reshape(self.n, self.width))
+        return SparseMatrix(self, vals.reshape(self.width, self.n))
 
 
 class SparseMatrix:
     """Square sparse matrix: values on the padded rows of a SparsityPattern.
 
-    ``vals`` is (n, width) like the pattern's column table.  Every entry of
+    ``vals`` is (width, n) like the pattern's column table.  Every entry of
     the pattern is kept, zero or not.  ``indptr``, ``indices`` and ``data``
     are the compressed-row view of the same entries.  Instances are treated
     as immutable.
@@ -99,7 +102,9 @@ class SparseMatrix:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"expected vector of length {self.n}")
-        return np.einsum("ij,ij->i", self.vals, x[self.pattern.cols])
+        gathered = x[self.pattern.cols]
+        gathered *= self.vals
+        return np.add.reduce(gathered, axis=0)
 
     def diagonal(self):
         """The main diagonal; 0 on rows whose pattern has no diagonal entry."""
@@ -126,8 +131,9 @@ def cg_solve(mat, b, tol=1e-12, maxiter=None, x0=None, atol=0.0):
     Success means the true
     residual satisfies |b - Ax| <= max(tol*|b|, atol); the report's residual
     is recomputed from the returned iterate, not taken from the recurrence.
-    Raises NonConvergence past ``maxiter`` (default 10n) and NonFiniteValue if
-    the recurrence degenerates.
+    Raises NonConvergence past ``maxiter`` (default 10n), and NonFiniteValue
+    naming the input when b or x0 is not finite or the diagonal is not
+    finite and positive, or when the recurrence degenerates.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (mat.n,):
@@ -135,18 +141,26 @@ def cg_solve(mat, b, tol=1e-12, maxiter=None, x0=None, atol=0.0):
     if maxiter is None:
         maxiter = 10 * mat.n
     bnorm = _norm(b)
+    if not math.isfinite(bnorm):
+        raise NonFiniteValue(f"right-hand side b: {_nonfinite(b)}")
+    if x0 is not None:
+        x = np.array(x0, dtype=float)
+        if not np.isfinite(x).all():
+            raise NonFiniteValue(f"start vector x0: {_nonfinite(x)}")
+    diag = mat.diagonal()
+    positive = np.isfinite(diag) & (diag > 0)
+    if not positive.all():
+        bad = int(np.argmin(positive))
+        raise NonFiniteValue(
+            f"diagonal entry {bad} is {diag[bad]!r}; the matrix is not SPD")
     if bnorm == 0.0:
         return np.zeros(mat.n), SolveReport(0, 0.0, True)
-    diag = mat.diagonal()
-    if np.any(diag <= 0):
-        raise NonFiniteValue("nonpositive diagonal; matrix is not SPD")
     inv_diag = 1.0 / diag
 
     if x0 is None:
         x = np.zeros(mat.n)
         r = b.copy()
     else:
-        x = np.array(x0, dtype=float)
         r = b - mat.matvec(x)
         if _norm(r) > bnorm + atol:
             # warm start is worse than starting cold; drop it
@@ -184,6 +198,14 @@ def cg_solve(mat, b, tol=1e-12, maxiter=None, x0=None, atol=0.0):
             f"CG at relative residual {rel:.3e} after {niter} iterations (tol {tol:.1e})"
         )
     return x, SolveReport(niter, rel, True)
+
+
+def _nonfinite(v):
+    # which entries of a vector are not finite, or that only its norm overflows
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size == 0:
+        return "its entries are finite but its norm overflows"
+    return f"{bad.size} non-finite entries, the first {v[bad[0]]!r} at index {bad[0]}"
 
 
 def _norm(v):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from esfem.errors import DimensionMismatch, NonConvergence
+from esfem.errors import DimensionMismatch, NonConvergence, NonFiniteValue
 from esfem.sparse import SparsityPattern, cg_solve
 
 
@@ -89,8 +89,9 @@ def test_pattern_tables_and_compressed_rows():
     cols = [0, 2, 0, 0, 1, 2, 2]
     mat = coo_matrix(3, rows, cols, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
     pattern = mat.pattern
-    assert pattern.cols.tolist() == [[0, 2], [1, 0], [0, 2]]
-    assert mat.vals.tolist() == [[4.0, 9.0], [5.0, 0.0], [4.0, 6.0]]
+    # (width, n): column i of the table is row i of the matrix
+    assert pattern.cols.tolist() == [[0, 1, 0], [2, 0, 2]]
+    assert mat.vals.tolist() == [[4.0, 5.0, 4.0], [9.0, 0.0, 6.0]]
     assert mat.indptr.tolist() == [0, 2, 3, 5]
     assert mat.indices.tolist() == [0, 2, 1, 0, 2]
     assert mat.data.tolist() == [4.0, 9.0, 5.0, 4.0, 6.0]
@@ -266,3 +267,33 @@ def test_cg_in_place_matches_allocating_loop_bitwise():
                100.0 * rng.standard_normal(80)):
         x, _ = cg_solve(mat, b, tol=1e-12, x0=x0)
         assert np.array_equal(x, _allocating_cg(mat, b, 1e-12, x0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_cg_rejects_nonfinite_rhs(bad):
+    # an infinite entry once came back as zeros with converged=True
+    with pytest.raises(NonFiniteValue, match=r"right-hand side b: 1 non-finite .* index 0"):
+        cg_solve(identity(3), np.array([bad, 0.0, 0.0]))
+
+
+def test_cg_rejects_rhs_whose_norm_overflows():
+    with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteValue, match="entries are finite but its norm overflows"):
+        cg_solve(identity(2), np.array([1e200, 1e200]))
+
+
+def test_cg_rejects_nonfinite_start_vector():
+    mat = tridiagonal_laplacian_plus_identity(4)
+    with pytest.raises(NonFiniteValue, match=r"start vector x0: 2 non-finite .* index 1"):
+        cg_solve(mat, np.ones(4), x0=np.array([0.0, np.nan, np.inf, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_cg_rejects_a_diagonal_that_is_not_finite_and_positive(bad):
+    mat = coo_matrix(3, [0, 1, 2], [0, 1, 2], [1.0, bad, 2.0])
+    with pytest.raises(NonFiniteValue, match=r"diagonal entry 1 is .*not SPD"):
+        cg_solve(mat, np.ones(3))
+    # checked before the shortcut for a zero right-hand side too
+    with pytest.raises(NonFiniteValue, match="diagonal entry 1"):
+        cg_solve(mat, np.zeros(3))

@@ -6,12 +6,21 @@ import pytest
 from esfem.errors import InvalidExponent, StepTooLarge
 from esfem.fem import FeSpace, assemble_mass, assemble_stiffness, interpolate, load_vector
 from esfem.meshing import build_circle_mesh, build_sphere_mesh, evolve_mesh
-from esfem.surfaces import Circle, ScaledSphereFlow, exact_heat_solution, forcing_profile
+from esfem.surfaces import (
+    Circle,
+    ScaledSphereFlow,
+    Sphere,
+    exact_heat_solution,
+    forcing_profile,
+)
+from esfem import timestepping
 from esfem.timestepping import (
+    EXTRAPOLATION_ORDER,
     SCHEME_A,
     SCHEME_B,
     STATIONARY,
     TimeGrid,
+    extrapolation_weights,
     solve_heat,
     spacetime_norm,
     weighted_total_mass,
@@ -294,3 +303,84 @@ def test_moving_operator_is_built_every_step(monkeypatch):
     calls = _count_scaled_add(monkeypatch)
     solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=SCHEME_A)
     assert calls == [grid.dt] * grid.n_steps
+
+
+@pytest.mark.parametrize("order", range(EXTRAPOLATION_ORDER + 1))
+def test_extrapolation_weights_reproduce_polynomials(order):
+    # sum_j w[j] p(n - j) = p(n + 1) for every degree <= order, at any n
+    weights = extrapolation_weights(order)
+    assert weights.tolist() == [(-1) ** j * math.comb(order + 1, j + 1)
+                                for j in range(order + 1)]
+    rng = np.random.default_rng(order)
+    for degree in range(order + 1):
+        coeffs = rng.standard_normal(degree + 1)
+        n = 0.37 + degree
+        past = np.polyval(coeffs, n - np.arange(order + 1.0))
+        expected = np.polyval(coeffs, n + 1.0)
+        assert abs(weights @ past - expected) <= 1e-11 * max(1.0, abs(expected))
+    # one degree more is not reproduced
+    assert weights @ (-np.arange(order + 1.0)) ** (order + 1) != 1.0
+
+
+def test_extrapolated_start_vectors_follow_a_short_history():
+    # before EXTRAPOLATION_ORDER + 1 values are known the degree drops: a
+    # field that is linear in t is extrapolated exactly from two values on
+    past = timestepping._Extrapolation(np.array([1.0, 0.0]))
+    assert past.extrapolate().tolist() == [1.0, 0.0]
+    for k in range(1, 2 * EXTRAPOLATION_ORDER):
+        past.push(np.array([1.0 + k, -2.0 * k]))
+        assert past.extrapolate().tolist() == [2.0 + k, -2.0 * (k + 1)]
+
+
+def _count_cg(monkeypatch):
+    iterations = []
+    original = timestepping.cg_solve
+
+    def counting(*args, **kwargs):
+        x, report = original(*args, **kwargs)
+        iterations.append(report.iterations)
+        return x, report
+
+    monkeypatch.setattr(timestepping, "cg_solve", counting)
+    return iterations
+
+
+def test_extrapolated_start_vectors_save_cg_iterations(monkeypatch):
+    # sphere L3, 74 stationary steps: 2 990 iterations when every solve
+    # started from the previous solution, 1 898 from the degree-5 polynomial
+    mesh = build_sphere_mesh(Sphere(), 3, 1)
+    grid = TimeGrid.from_mesh(mesh, 1.0, 0.5)
+    assert grid.n_steps == 74
+    iterations = _count_cg(monkeypatch)
+    solve_heat(mesh, forcing_profile("osc-seed42", mesh.surface), grid,
+               scheme=STATIONARY, store_coefficients=False)
+    assert len(iterations) == 2 + 2 * grid.n_steps
+    assert sum(iterations) <= 2100
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B, STATIONARY])
+def test_homogeneous_solve_without_load_vectors(monkeypatch, scheme):
+    surface = ScaledSphereFlow(dimension=2)
+    mesh = build_sphere_mesh(surface, 1, 1)
+    grid = TimeGrid(0.5, 12)
+    u0 = 1.0 + 0.2 * np.random.default_rng(3).standard_normal(mesh.num_nodes)
+    zero = solve_heat(mesh, forcing_profile("zero", surface), grid, scheme=scheme, u0=u0)
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a homogeneous solve evaluated a load vector")
+
+    monkeypatch.setattr(timestepping, "load_vector", no_load)
+    monkeypatch.setattr(timestepping, "load_from_geometry", no_load)
+    iterations = _count_cg(monkeypatch)
+    none = solve_heat(mesh, None, grid, scheme=scheme, u0=u0)
+    # no mass solve for fh: the initial lap solve, then one system solve per
+    # step, and one lap solve per step in scheme B
+    per_step = 2 if scheme == SCHEME_B else 1
+    assert len(iterations) == 1 + per_step * grid.n_steps
+    assert np.all(none.fields["fh"] == 0.0)
+    assert np.all(none.norm_series[("fh", 2.0)] == 0.0)
+    for name in ("u", "udot", "lap"):
+        assert np.array_equal(none.fields[name], zero.fields[name]), name
+    assert none.norm_series.keys() == zero.norm_series.keys()
+    for key, series in zero.norm_series.items():
+        assert np.array_equal(none.norm_series[key], series), key
