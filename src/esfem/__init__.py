@@ -16,7 +16,6 @@ from .meshing import (  # noqa: F401
     SurfaceMesh,
     build_circle_mesh,
     build_sphere_mesh,
-    evolve_mesh,
     quasi_uniformity_report,
 )
 from .fem import (  # noqa: F401

@@ -183,7 +183,7 @@ def cmd_solve(args):
         mesh = build_level_mesh(surface, level, config.degree)
         grid = TimeGrid.from_mesh(mesh, t_end=t_end, factor=config.dt_factor)
         traj = solve_heat(mesh, forcing, grid, scheme=config.scheme,
-                          cg_tol=config.cg_tol, store_coefficients=False)
+                          cg_tol=config.cg_tol, store_fields=())
         name = f"solve_level{level}.csv"
         columns = [traj.norms(field, 2.0) for field in ("u", "udot", "lap", "fh")]
         write_table(os.path.join(outdir, name),
@@ -216,10 +216,8 @@ def cmd_maxreg(args):
 
 def cmd_convergence(args):
     config, extras, outdir = _study_setup(args)
-    report = convergence_study(config)
-    write_table(os.path.join(outdir, "convergence.csv"), ("level", "h", "dt", "error"),
-                ([r.level, r.h, r.dt, r.ratio] for r in report.rows))
-    order = report.extras["observed_order"]
+    rows, order = convergence_study(config)
+    write_table(os.path.join(outdir, "convergence.csv"), ("level", "h", "dt", "error"), rows)
     write_table(os.path.join(outdir, "convergence_summary.txt"), (),
                 [["observed_order", order]], sep=" ")
     _write_manifest(outdir, "convergence", asdict(config),

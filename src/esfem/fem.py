@@ -354,10 +354,6 @@ def integrate(space, fn=None, t=None, order=None):
     return float(np.sum(geom.weights * _call_spatial(fn, t, geom.points)))
 
 
-def surface_measure(space, order=None):
-    return integrate(space, None, order=order)
-
-
 # ---------------------------------------------------------------------------
 # projections and discrete operators
 # ---------------------------------------------------------------------------

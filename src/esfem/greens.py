@@ -78,22 +78,20 @@ def default_source_points(mesh, count=8):
     return points
 
 
-def discrete_green(mesh, x0, grid, cg_tol=1e-12, store_coefficients=True,
-                   store_fields=("u", "udot"), norms=()):
+def discrete_green(mesh, x0, grid, cg_tol=1e-12, store_fields=("u", "udot"),
+                   norms=()):
     """Homogeneous evolution of the discrete point source at x0 on the frozen
     snapshot; the total discrete mass (kernel, 1) stays at 1 exactly.
 
-    norms are the (field, q) space-norm series to record during the solve
-    (see solve_heat); none by default."""
+    Returns the Trajectory of solve_heat: store_fields names the coefficient
+    series it keeps (u and udot by default, () for none) and norms the
+    (field, q) space-norm series it records (none by default)."""
     space = FeSpace(mesh, DISCRETE)
     delta = discrete_delta(space, x0, tol=cg_tol)
-    traj = solve_heat(
+    return solve_heat(
         mesh, None, grid, scheme=STATIONARY,
-        u0=delta.coeffs, norms=norms, cg_tol=cg_tol,
-        store_coefficients=store_coefficients, store_fields=store_fields,
+        u0=delta.coeffs, norms=norms, cg_tol=cg_tol, store_fields=store_fields,
     )
-    traj.x0 = np.asarray(x0, dtype=float)
-    return traj
 
 
 @dataclass
@@ -130,7 +128,7 @@ def green_decay_study(mesh, grid=None, sources=None, window=(1.0, None),
     envelope = np.zeros(len(times))
     for x0 in sources:
         traj = discrete_green(mesh, x0, grid, cg_tol=cg_tol,
-                              store_coefficients=False, norms=(("udot", 1.0),))
+                              store_fields=(), norms=(("udot", 1.0),))
         envelope = np.maximum(envelope, traj.norms("udot", 1.0))
     t_lo, t_hi = window
     t_hi = times[-1] if t_hi is None else t_hi

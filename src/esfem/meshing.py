@@ -14,6 +14,11 @@ import numpy as np
 from .errors import DegenerateMesh, FlowEvaluationFailure, IOFailure, UnsupportedSurface
 from .reference import reference_element
 
+# surface dimension -> the element degrees its mesh builder supports, and
+# the smallest level it accepts (curves: elements, spheres: subdivisions)
+ELEMENT_DEGREES = {1: (1, 2, 3), 2: (1, 2)}
+MIN_LEVEL = {1: 4, 2: 0}
+
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 _ICO_VERTS = np.array(
@@ -140,10 +145,6 @@ class SurfaceMesh:
         return int(np.sum(np.sum(flat_n * nu, axis=-1) <= 0.0))
 
 
-def evolve_mesh(mesh, t):
-    return mesh.evolved(t)
-
-
 def build_circle_mesh(surface, n_elements, degree=1, interior_jitter=0.0):
     """Uniform degree-k mesh of a closed curve, nodes on the exact curve.
 
@@ -161,10 +162,10 @@ def build_circle_mesh(surface, n_elements, degree=1, interior_jitter=0.0):
     n_elements = int(n_elements)
     if surface.dimension != 1:
         raise UnsupportedSurface("circle meshes need a one-dimensional surface")
-    if n_elements < 4:
-        raise DegenerateMesh("need at least 4 elements on a closed curve")
-    if degree not in (1, 2, 3):
-        raise ValueError("curve elements support degree 1, 2, 3")
+    if n_elements < MIN_LEVEL[1]:
+        raise DegenerateMesh(f"need at least {MIN_LEVEL[1]} elements on a closed curve")
+    if degree not in ELEMENT_DEGREES[1]:
+        raise ValueError(f"curve elements support degrees {ELEMENT_DEGREES[1]}")
     n_nodes = n_elements * degree
     fractions = np.arange(n_nodes) / degree
     theta = 2.0 * math.pi * fractions / n_elements
@@ -182,18 +183,25 @@ def build_circle_mesh(surface, n_elements, degree=1, interior_jitter=0.0):
     return SurfaceMesh(surface, degree, ref_nodes, elements, time=0.0)
 
 
-def _subdivide(verts, faces):
-    verts = list(verts)
-    midpoint = {}
+def _midpoints(verts):
+    """mid(i, j): the index in the list verts of the normalized midpoint of
+    verts[i] and verts[j], appended on its first request."""
+    index = {}
 
     def mid(i, j):
         key = (min(i, j), max(i, j))
-        if key not in midpoint:
+        if key not in index:
             p = 0.5 * (verts[i] + verts[j])
             verts.append(p / np.linalg.norm(p))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
+            index[key] = len(verts) - 1
+        return index[key]
 
+    return mid
+
+
+def _subdivide(verts, faces):
+    verts = list(verts)
+    mid = _midpoints(verts)
     out = []
     for a, b, c in faces:
         ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
@@ -210,10 +218,10 @@ def build_sphere_mesh(surface, levels, degree=1):
         raise UnsupportedSurface(
             "icosahedral meshes need a surface star-shaped around the origin"
         )
-    if levels < 0:
-        raise ValueError("levels must be >= 0")
-    if degree not in (1, 2):
-        raise ValueError("surface triangles support degree 1 and 2")
+    if levels < MIN_LEVEL[2]:
+        raise ValueError(f"levels must be >= {MIN_LEVEL[2]}")
+    if degree not in ELEMENT_DEGREES[2]:
+        raise ValueError(f"surface triangles support degrees {ELEMENT_DEGREES[2]}")
     verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
     faces = list(_ICO_FACES)
     for _ in range(int(levels)):
@@ -231,16 +239,7 @@ def build_sphere_mesh(surface, levels, degree=1):
         return SurfaceMesh(surface, 1, ref_nodes, faces, time=0.0)
 
     verts = list(verts)
-    edge_node = {}
-
-    def edge(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in edge_node:
-            p = 0.5 * (verts[i] + verts[j])
-            verts.append(p / np.linalg.norm(p))
-            edge_node[key] = len(verts) - 1
-        return edge_node[key]
-
+    edge = _midpoints(verts)
     elements = []
     for a, b, c in faces.tolist():
         elements.append((a, b, c, edge(a, b), edge(b, c), edge(c, a)))

@@ -24,11 +24,12 @@ from .fem import (
     element_values,
     interpolate,
     l2_project,
+    lift_function,
     norm_lq,
     norm_w1q,
     ritz_project,
 )
-from .meshing import build_circle_mesh, build_sphere_mesh
+from .meshing import ELEMENT_DEGREES, MIN_LEVEL, build_circle_mesh, build_sphere_mesh
 from .surfaces import exact_heat_solution, forcing_profile, make_surface
 from .timestepping import (
     SCHEME_A,
@@ -61,15 +62,31 @@ class StudyConfig:
     seed: int = 42
 
     def validate(self):
+        """Self, or ConfigError naming the config key of the first value
+        the studies or the mesh builders would reject."""
         if self.scheme not in (SCHEME_A, SCHEME_B, STATIONARY):
-            raise ConfigError(f"scheme must be A, B or stationary, got {self.scheme!r}")
+            raise ConfigError(f"study.scheme (must be A, B or stationary, got {self.scheme!r})")
         if any(not (1.0 < p < math.inf and 1.0 < q < math.inf)
                for p, q in self.pq_pairs):
-            raise ConfigError("all p, q must lie in (1, inf)")
+            raise ConfigError("study.pq (all p, q must lie in (1, inf))")
         if list(self.levels) != sorted(set(self.levels)):
-            raise ConfigError("levels must be strictly increasing")
+            raise ConfigError("study.levels (must be strictly increasing)")
         if self.dt_factor <= 0:
-            raise ConfigError("dt_factor must be positive")
+            raise ConfigError("study.dt_factor (must be positive)")
+        if self.mode < 1:
+            raise ConfigError(f"study.mode (must be >= 1, got {self.mode})")
+        try:
+            dim = self.surface().dimension
+        except ValueError as exc:
+            raise ConfigError(f"surface.params ({exc})") from exc
+        if dim not in ELEMENT_DEGREES:
+            raise ConfigError(f"surface.dimension (no mesh builder for dimension {dim})")
+        if self.degree not in ELEMENT_DEGREES[dim]:
+            raise ConfigError(f"study.degree (must be one of {ELEMENT_DEGREES[dim]} "
+                              f"on a {dim}-dimensional surface, got {self.degree})")
+        if self.levels and self.levels[0] < MIN_LEVEL[dim]:
+            raise ConfigError(f"study.levels (must be >= {MIN_LEVEL[dim]} on a "
+                              f"{dim}-dimensional surface, got {self.levels[0]})")
         return self
 
     def surface(self):
@@ -111,7 +128,6 @@ class StudyReport:
     config: StudyConfig
     rows: list = field(default_factory=list)
     uniformity: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
 
     def rows_for(self, p, q):
         return [r for r in self.rows if r.p == p and r.q == q]
@@ -128,7 +144,7 @@ def _solve_level(config, surface, level):
         u0=None,
         norms=[(name, q) for name in ("udot", "lap", "fh") for q in qset],
         cg_tol=config.cg_tol,
-        store_coefficients=False,
+        store_fields=(),
         max_dt_factor=4.0 * config.dt_factor,
     )
     coarse = solve_heat(mesh, forcing, grid, **common)
@@ -190,12 +206,14 @@ def maxreg_study(config):
 def convergence_study(config):
     """L^inf(0,T; L^2) errors against the exact eigenfunction-decay solution,
     integrated with BDF2 at dt = factor * h^((k+1)/2) so the time error stays
-    below the spatial rate being measured."""
+    below the spatial rate being measured.
+
+    Returns the rows (level, h, dt, error), one per level, and the observed
+    order: the slope of log(error) against log(h)."""
     config.validate()
     surface = config.surface()
     solution = exact_heat_solution(surface, config.mode)
-    report = StudyReport(config=config)
-    errors = []
+    rows = []
     for level in config.levels:
         mesh = build_level_mesh(surface, level, config.degree)
         space = FeSpace(mesh, DISCRETE)
@@ -204,8 +222,7 @@ def convergence_study(config):
         u0 = interpolate(space, solution.initial)
         traj = solve_heat(
             mesh, solution.forcing, grid, scheme=STATIONARY, integrator="bdf2",
-            u0=u0.coeffs, norms=(), cg_tol=config.cg_tol,
-            store_coefficients=True, store_fields=("u",),
+            u0=u0.coeffs, norms=(), cg_tol=config.cg_tol, store_fields=("u",),
         )
         geom = space.geometry()
         exact_pts = surface.project(mesh.time, geom.points.reshape(-1, geom.points.shape[-1]))
@@ -214,17 +231,10 @@ def convergence_study(config):
             uh = element_values(traj.fields["u"][i], mesh.elements, geom)
             ue = solution.value(t, exact_pts).reshape(uh.shape)
             err = max(err, math.sqrt(float(np.sum(geom.weights * (uh - ue) ** 2))))
-        errors.append(err)
-        report.rows.append(StudyRow(
-            level=level, h=mesh.h, dt=grid.dt, p=math.inf, q=2.0,
-            norm_dtu=math.nan, norm_lapu=math.nan, norm_f=math.nan,
-            ratio=err, richardson_ok=True,
-        ))
-    hs = [r.h for r in report.rows]
+        rows.append((level, mesh.h, grid.dt, err))
+    _, hs, _, errors = zip(*rows)
     order = np.polyfit(np.log(hs), np.log(errors), 1)[0]
-    report.extras["errors"] = errors
-    report.extras["observed_order"] = float(order)
-    return report
+    return rows, float(order)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +293,7 @@ def inequality_suite(config, count=20, eps_values=(0.1, 0.3, 1.0),
         c_equiv = 0.0
         for u in funcs:
             for p in (1.0, 2.0, 4.0, math.inf):
-                r = norm_lq(lift_view(u, lifted_same_rule), p) / norm_lq(u, p)
+                r = norm_lq(lift_function(u, lifted_same_rule), p) / norm_lq(u, p)
                 c_equiv = max(c_equiv, abs(r - 1.0) / h ** (config.degree + 1))
         out["norm_equivalence_c"].append(c_equiv)
 
@@ -342,10 +352,6 @@ def _growth_ok(series, budget=0.10):
     """Constants fitted at the coarsest level may not grow by more than the
     budget under refinement; shrinking is fine (the bound only gets easier)."""
     return max(series) <= (1.0 + budget) * series[0]
-
-
-def lift_view(u, lifted_space):
-    return lifted_space.function(u.coeffs)
 
 
 def _gradient_norm_lq(u, q):

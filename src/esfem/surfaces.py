@@ -481,22 +481,14 @@ _BUMP_PERIOD = 2.0
 
 
 def _bump_center(surface, t):
+    # scale(t) x direction(phi): the axes or the radius at t, times a point
+    # circling the unit circle, or the unit sphere at polar angle 1
     phi = TWO_PI * t / _BUMP_PERIOD
-    if isinstance(surface, EllipsoidFlow):
-        a = surface.axes(t)
-        if surface.ambient_dim == 2:
-            return a * np.array([math.cos(phi), math.sin(phi)])
-        alpha = 1.0
-        return a * np.array(
-            [math.sin(alpha) * math.cos(phi), math.sin(alpha) * math.sin(phi), math.cos(alpha)]
-        )
-    # radial kinds
-    rho = surface.radius(t)
-    if surface.dimension == 1:
-        return rho * np.array([math.cos(phi), math.sin(phi)])
-    alpha = 1.0
-    return rho * np.array(
-        [math.sin(alpha) * math.cos(phi), math.sin(alpha) * math.sin(phi), math.cos(alpha)]
+    scale = surface.axes(t) if isinstance(surface, EllipsoidFlow) else surface.radius(t)
+    if surface.ambient_dim == 2:
+        return scale * np.array([math.cos(phi), math.sin(phi)])
+    return scale * np.array(
+        [math.sin(1.0) * math.cos(phi), math.sin(1.0) * math.sin(phi), math.cos(1.0)]
     )
 
 

@@ -21,7 +21,6 @@ from .fem import (
     FeSpace,
     assemble_mass,
     assemble_stiffness,
-    element_norms_lq,
     element_values,
     load_from_geometry,
     load_vector,
@@ -98,46 +97,31 @@ class TimeGrid:
         return TimeGrid(self.t_end, 2 * self.n_steps)
 
 
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Per-time-node record of a semi-discrete solve.
+    """What one solve_heat call recorded, built once at its end.
 
-    fields maps "u", "udot", "lap", "fh" to (n_steps+1, N) arrays when
-    coefficient storage is on; norm_series maps (field, q) to per-node
-    L^q space norms computed against the mesh snapshot at each node.
+    mesh0 is the snapshot the solve started from; times are the n_steps + 1 time nodes; fields maps each name solve_heat
+    was asked to keep ("u", "udot", "lap", "fh") to its (n_steps + 1, N)
+    coefficient series; norm_series maps each recorded (field, q) pair to
+    its per-node L^q space norms on the mesh snapshot at that node.
     """
 
-    def __init__(self, mesh0, grid, scheme, integrator):
-        self.mesh0 = mesh0
-        self.grid = grid
-        self.scheme = scheme
-        self.integrator = integrator
-        self.times = grid.times()
-        self.fields = {}
-        self.norm_series = {}
+    mesh0: object
+    times: np.ndarray
+    fields: dict
+    norm_series: dict
 
     def norms(self, fieldname, q):
-        key = (fieldname, float(q))
-        if key in self.norm_series:
-            return self.norm_series[key]
-        if fieldname not in self.fields:
+        """The recorded per-node L^q norms of the field; KeyError listing the
+        recorded pairs when this one was not recorded."""
+        try:
+            return self.norm_series[(fieldname, float(q))]
+        except KeyError:
             raise KeyError(
-                f"norms for {fieldname!r} at q={q} were not recorded and the "
-                "coefficients are unavailable"
-            )
-        moving = self.scheme != STATIONARY and not self.mesh0.surface.is_stationary
-        series = np.empty(len(self.times))
-        mesh = self.mesh0
-        geom = None
-        for i, t in enumerate(self.times):
-            if moving or geom is None:
-                mesh = self.mesh0.evolved(t) if moving else self.mesh0
-                space = FeSpace(mesh, DISCRETE)
-                geom = space.geometry()
-            series[i] = element_norms_lq(
-                self.fields[fieldname][i], mesh.elements, geom, q
-            )
-        self.norm_series[key] = series
-        return series
+                f"norms for {fieldname!r} at q={q} were not recorded; "
+                f"recorded: {sorted(self.norm_series)}"
+            ) from None
 
 
 def spacetime_norm(traj, fieldname, p, q):
@@ -156,6 +140,11 @@ def _check_policy(grid, mesh, max_dt_factor):
         )
 
 
+def _check_field(name):
+    if name not in FIELDS:
+        raise ValueError(f"unknown field {name!r}")
+
+
 def solve_heat(
     mesh0,
     forcing,
@@ -165,7 +154,6 @@ def solve_heat(
     u0=None,
     norms=L2_NORMS,
     cg_tol=1e-12,
-    store_coefficients=True,
     store_fields=FIELDS,
     max_dt_factor=None,
 ):
@@ -175,7 +163,8 @@ def solve_heat(
     the inverse-lifted exact forcing; nodes lie on Gamma so no transport is
     needed for the analytic families used here), or None for f = 0: then no
     load vector is evaluated, no mass solve for fh runs and fh is zero.  u0
-    is a coefficient vector (defaults to zero).  Returns a Trajectory.
+    is a coefficient vector (defaults to zero).  Returns a Trajectory that
+    holds what was asked for and nothing else.
 
     Every CG solve after the first of its field (u, fh, and lap in scheme B)
     starts from the polynomial in t through that field's last
@@ -184,8 +173,10 @@ def solve_heat(
     transported with the mesh, so this holds on moving meshes too.
 
     norms lists the (field, q) pairs whose per-node L^q space norms are
-    recorded (default: every field at q = 2); other pairs can be computed
-    afterwards only from stored coefficients.
+    recorded (default: every field at q = 2), and store_fields names the
+    fields whose coefficient series are kept (default: all four; () keeps
+    none).  Nothing else can be asked of the Trajectory afterwards.
+    Unknown field names raise ValueError.
 
     Per accepted step the non-conservative scheme satisfies
     M(t) udot + A(t) u = b(t) exactly up to solver tolerance, with
@@ -207,17 +198,17 @@ def solve_heat(
     dt = grid.dt
     n_dofs = mesh0.num_nodes
 
-    traj = Trajectory(mesh0, grid, scheme, integrator)
     norm_qs = {}  # field -> the q of its recorded norms
     for name, q in norms:
-        if name not in FIELDS:
-            raise ValueError(f"unknown field {name!r}")
+        _check_field(name)
         qs = norm_qs.setdefault(name, [])
         if float(q) not in qs:
             qs.append(float(q))
     series = {(name, q): np.empty(len(times))
               for name, qs in norm_qs.items() for q in qs}
-    stored = [name for name in FIELDS if store_coefficients and name in store_fields]
+    for name in store_fields:
+        _check_field(name)
+    stored = [name for name in FIELDS if name in store_fields]
     buffers = {name: [] for name in stored}
 
     mesh = mesh0
@@ -304,9 +295,8 @@ def solve_heat(
         push(i, {"u": u, "udot": udot, "lap": lap, "fh": fh}, mesh, geom)
         mass_prev = mass
 
-    traj.norm_series = series
-    traj.fields = {name: np.array(rows) for name, rows in buffers.items()}
-    return traj
+    fields = {name: np.array(rows) for name, rows in buffers.items()}
+    return Trajectory(mesh0, times, fields, series)
 
 
 def weighted_total_mass(mesh, coeffs):

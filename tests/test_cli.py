@@ -215,3 +215,26 @@ def test_cli_solve_honours_t_end(tmp_path):
     manifest = _manifest(tmp_path / "t3", "solve")
     assert manifest["parameters"]["t_end"] == 3.0
     assert manifest["config_hash"] != default["config_hash"]
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("maxreg", "[surface]\nkind = sphere\n[study]\nlevels = 1\ndegree = 3\n",
+     "study.degree"),
+    ("maxreg", "[surface]\nkind = sphere\n[study]\nlevels = -1,0\n", "study.levels"),
+    ("maxreg", "[surface]\nkind = circle\n[study]\nlevels = 2,8\n", "study.levels"),
+    ("maxreg", "[surface]\nkind = scaled_sphere_flow\ndimension = 2\nparams = 1.5\n"
+               "[study]\nlevels = 1\n", "surface.params"),
+    ("maxreg", "[surface]\nkind = scaled_sphere_flow\ndimension = 3\n[study]\nlevels = 1\n",
+     "surface.dimension"),
+    ("convergence", "[surface]\nkind = circle\n[study]\nlevels = 16,32\nmode = 0\n",
+     "study.mode"),
+])
+def test_cli_rejected_config_values_are_config_errors(tmp_path, capsys, command,
+                                                      config, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(config)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ConfigError: {key} (")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -35,7 +35,7 @@ from esfem.timestepping import TimeGrid
 def circle_kernel():
     mesh = build_circle_mesh(Circle(), 32, 1)
     grid = TimeGrid.from_mesh(mesh, 1.0, 0.5)
-    traj = discrete_green(mesh, mesh.nodes[0], grid)
+    traj = discrete_green(mesh, mesh.nodes[0], grid, norms=(("udot", 1.0),))
     return mesh, traj
 
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from esfem.errors import DegenerateMesh, FlowEvaluationFailure, IOFailure, UnsupportedSurface
-from esfem.fem import FeSpace, surface_measure
+from esfem.fem import FeSpace, integrate
 from esfem.meshing import (
     SurfaceMesh,
     build_circle_mesh,
     build_sphere_mesh,
-    evolve_mesh,
     quasi_uniformity_report,
     read_mesh_text,
     write_mesh_text,
@@ -51,7 +50,7 @@ def test_circle_mesh_degree2_measure_order():
     for n in (16, 32, 64):
         mesh = build_circle_mesh(Circle(), n, 2)
         space = FeSpace(mesh)
-        measure = surface_measure(space)
+        measure = integrate(space)
         oracle = dense_arclength(mesh, samples=6000)
         assert abs(measure - oracle) < 1e-6
         errors.append(abs(measure - 2 * math.pi))
@@ -80,7 +79,7 @@ def test_icosphere_area_convergence():
     errors, hs = [], []
     for level in (1, 2, 3):
         mesh = build_sphere_mesh(Sphere(), level, 1)
-        area = surface_measure(FeSpace(mesh))
+        area = integrate(FeSpace(mesh))
         assert area < 4 * math.pi
         errors.append(4 * math.pi - area)
         hs.append(mesh.h)
@@ -115,18 +114,18 @@ def test_evolve_scaling_flow():
     surface = ScaledSphereFlow(dimension=2)
     mesh = build_sphere_mesh(surface, 1, 1)
     node = mesh.nodes[0].copy()
-    moved = evolve_mesh(mesh, 0.25)
+    moved = mesh.evolved(0.25)
     assert np.allclose(moved.nodes[0], 1.25 * node, atol=1e-14)
-    assert np.array_equal(evolve_mesh(mesh, 0.0).nodes, mesh.nodes)
+    assert np.array_equal(mesh.evolved(0.0).nodes, mesh.nodes)
     # r(0.5) = 1 again
-    assert np.abs(evolve_mesh(mesh, 0.5).nodes - mesh.nodes).max() <= 1e-13
+    assert np.abs(mesh.evolved(0.5).nodes - mesh.nodes).max() <= 1e-13
     assert moved.node_surface_residual() <= 1e-12
 
 
 def test_evolve_roundtrip_via_inverse_flow():
     surface = ScaledSphereFlow(dimension=2)
     mesh = build_sphere_mesh(surface, 1, 1)
-    moved = evolve_mesh(mesh, 0.37)
+    moved = mesh.evolved(0.37)
     back = surface.inverse_position(0.37, moved.nodes)
     assert np.abs(back - mesh.nodes).max() <= 1e-12
 
@@ -135,7 +134,7 @@ def test_evolve_outside_horizon_fails():
     surface = ScaledSphereFlow(dimension=2, horizon=1.0)
     mesh = build_sphere_mesh(surface, 0, 1)
     with pytest.raises(FlowEvaluationFailure):
-        evolve_mesh(mesh, 2.0)
+        mesh.evolved(2.0)
 
 
 def test_quasi_uniformity_uniform_circle():
@@ -164,7 +163,7 @@ def test_quasi_uniformity_split_element_fixture():
 
 def test_mesh_text_roundtrip(tmp_path):
     surface = ScaledSphereFlow(dimension=2)
-    mesh = evolve_mesh(build_sphere_mesh(surface, 1, 2), 0.3)
+    mesh = build_sphere_mesh(surface, 1, 2).evolved(0.3)
     path = tmp_path / "mesh.txt"
     write_mesh_text(mesh, path)
     back = read_mesh_text(path, surface)

@@ -115,8 +115,9 @@ def test_maxreg_ratio_matches_direct_energy_path():
 
 def test_convergence_study_circle_k1():
     cfg = StudyConfig(levels=(16, 32, 64), mode=1)
-    rep = convergence_study(cfg)
-    assert abs(rep.extras["observed_order"] - 2.0) <= 0.3
+    rows, order = convergence_study(cfg)
+    assert [row[0] for row in rows] == [16, 32, 64]
+    assert abs(order - 2.0) <= 0.3
 
 
 def test_inequality_suite_smoke():

@@ -1,11 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from esfem.errors import InvalidExponent, StepTooLarge
-from esfem.fem import FeSpace, assemble_mass, assemble_stiffness, interpolate, load_vector
-from esfem.meshing import build_circle_mesh, build_sphere_mesh, evolve_mesh
+from esfem.fem import (
+    FeSpace,
+    assemble_mass,
+    assemble_stiffness,
+    element_values,
+    interpolate,
+    load_vector,
+    values_norm_lq,
+)
+from esfem.meshing import build_circle_mesh, build_sphere_mesh
 from esfem.surfaces import (
     Circle,
     ScaledSphereFlow,
@@ -69,7 +78,7 @@ def test_scheme_b_conserves_weighted_mass():
     traj = solve_heat(mesh, forcing_profile("zero", surface), grid, scheme=SCHEME_B, u0=u0)
     initial = weighted_total_mass(mesh, u0)
     for i in (1, 50, 100, 200):
-        snapshot = evolve_mesh(mesh, traj.times[i])
+        snapshot = mesh.evolved(traj.times[i])
         value = weighted_total_mass(snapshot, traj.fields["u"][i])
         assert abs(value - initial) <= 1e-10 * abs(initial)
 
@@ -104,7 +113,7 @@ def test_scheme_b_mass_nondecreasing_for_positive_forcing():
     grid = TimeGrid(1.0, 50)
     traj = solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=SCHEME_B)
     values = [
-        weighted_total_mass(evolve_mesh(mesh, traj.times[i]), traj.fields["u"][i])
+        weighted_total_mass(mesh.evolved(traj.times[i]), traj.fields["u"][i])
         for i in range(0, 51, 10)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -241,31 +250,83 @@ def test_bdf2_rejected_for_conservative_scheme():
                    scheme="B", integrator="bdf2")
 
 
+def _norm_oracle(traj, field, q, moving):
+    # per-node L^q norms of the stored coefficients, each on its own snapshot
+    series = np.empty(len(traj.times))
+    for i, t in enumerate(traj.times):
+        mesh = traj.mesh0.evolved(t) if moving else traj.mesh0
+        geom = FeSpace(mesh).geometry()
+        coeffs = traj.fields[field][i]
+        values = element_values(coeffs, mesh.elements, geom)
+        series[i] = values_norm_lq(values, coeffs, geom, q)
+    return series
+
+
 def test_solve_heat_records_exactly_the_requested_norms():
     mesh = build_circle_mesh(Circle(), 16, 1)
     forcing = forcing_profile("bump", mesh.surface)
     grid = TimeGrid(0.5, 10)
     pairs = [("udot", 1.0), ("fh", 2.0), ("fh", 3.0), ("fh", 2)]
     traj = solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=pairs,
-                      store_coefficients=False)
+                      store_fields=())
     assert set(traj.norm_series) == {("udot", 1.0), ("fh", 2.0), ("fh", 3.0)}
     assert traj.fields == {}
     for field, q in (("u", 2.0), ("udot", 2.0), ("lap", 2.0), ("fh", 1.0)):
         with pytest.raises(KeyError):
             traj.norms(field, q)
 
-    # the recorded series equal the ones computed afterwards from coefficients
-    full = solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=())
-    assert full.norm_series == {}
+    # the recorded series equal the ones computed from stored coefficients
+    full = solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=pairs)
+    assert set(full.fields) == {"u", "udot", "lap", "fh"}
     for field, q in set(traj.norm_series):
         assert np.array_equal(traj.norms(field, q), full.norms(field, q))
+        oracle = _norm_oracle(full, field, q, moving=False)
+        assert np.allclose(traj.norms(field, q), oracle, rtol=1e-13, atol=0.0)
 
-    none = solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=(),
-                      store_coefficients=False)
-    with pytest.raises(KeyError):
-        none.norms("fh", 2.0)
     with pytest.raises(ValueError, match="unknown field"):
         solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=[("v", 2.0)])
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
+def test_moving_mesh_norms_are_taken_on_the_evolved_snapshot(scheme):
+    surface = ScaledSphereFlow(dimension=2)
+    mesh = build_sphere_mesh(surface, 1, 1)
+    grid = TimeGrid(1.0, 8)
+    pairs = [("u", 2.0), ("udot", 1.5), ("lap", 2.0), ("fh", 3.0)]
+    traj = solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=scheme,
+                      norms=pairs)
+    for field, q in pairs:
+        oracle = _norm_oracle(traj, field, q, moving=True)
+        assert np.allclose(traj.norms(field, q), oracle, rtol=1e-13, atol=0.0)
+        # the radius runs between 0.75 and 1.25, so the initial mesh gives
+        # other norms
+        frozen = _norm_oracle(traj, field, q, moving=False)
+        assert not np.allclose(traj.norms(field, q), frozen, rtol=1e-3)
+
+
+def test_store_fields_names_the_kept_coefficients():
+    mesh = build_circle_mesh(Circle(), 16, 1)
+    forcing = forcing_profile("bump", mesh.surface)
+    grid = TimeGrid(0.5, 10)
+    some = solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=(),
+                      store_fields=("fh", "u"))
+    assert list(some.fields) == ["u", "fh"]
+    assert some.fields["u"].shape == (grid.n_steps + 1, mesh.num_nodes)
+    assert some.norm_series == {}
+    with pytest.raises(ValueError, match="unknown field 'v'"):
+        solve_heat(mesh, forcing, grid, scheme=STATIONARY, store_fields=("v",))
+
+
+def test_unrecorded_norms_raise_a_key_error_listing_the_recorded_pairs():
+    mesh = build_circle_mesh(Circle(), 16, 1)
+    traj = solve_heat(mesh, forcing_profile("bump", mesh.surface), TimeGrid(0.5, 4),
+                      scheme=STATIONARY, norms=[("udot", 1.0), ("fh", 2.0)])
+    recorded = "recorded: [('fh', 2.0), ('udot', 1.0)]"
+    with pytest.raises(KeyError, match=re.escape(recorded)):
+        traj.norms("u", 2.0)
+    with pytest.raises(KeyError, match=re.escape("'fh' at q=3")):
+        traj.norms("fh", 3)
+    assert traj.norms("fh", 2) is traj.norm_series[("fh", 2.0)]
 
 
 def _count_scaled_add(monkeypatch):
@@ -353,7 +414,7 @@ def test_extrapolated_start_vectors_save_cg_iterations(monkeypatch):
     assert grid.n_steps == 74
     iterations = _count_cg(monkeypatch)
     solve_heat(mesh, forcing_profile("osc-seed42", mesh.surface), grid,
-               scheme=STATIONARY, store_coefficients=False)
+               scheme=STATIONARY, store_fields=())
     assert len(iterations) == 2 + 2 * grid.n_steps
     assert sum(iterations) <= 2100
 
