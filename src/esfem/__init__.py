@@ -39,7 +39,8 @@ from .fem import (  # noqa: F401
 from .sparse import SparseMatrix, SolveReport, cg_solve  # noqa: F401
 from .timestepping import (  # noqa: F401
     TimeGrid,
-    Trajectory,
+    TimeNode,
+    norm_series,
     solve_heat,
     spacetime_norm,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -39,18 +40,48 @@ from .studies import (
     write_table,
 )
 from .surfaces import forcing_profile, make_surface
-from .timestepping import TimeGrid, solve_heat
+from .timestepping import FIELDS, TimeGrid, norm_series, solve_heat
 
-_SCHEMA = {
-    "surface": {"kind", "dimension", "params", "horizon"},
-    "study": {
-        "scheme", "degree", "levels", "pq", "profile", "mode",
-        "dt_factor", "richardson_rtol", "seed", "kernel_difference",
-        "c_star", "t_end",
-    },
-    "solver": {"cg_tol"},
-    "output": {"directory"},
+
+def _tuple_of(cast):
+    return lambda raw: tuple(cast(v) for v in raw.split(",") if v.strip())
+
+
+def _pq(raw):
+    pairs = []
+    for part in raw.split(","):
+        p, q = part.split(":")
+        pairs.append((float(p), float(q)))
+    return tuple(pairs)
+
+
+# (section, key) -> (StudyConfig field or extras key, cast of the raw value)
+_KEYS = {
+    ("surface", "kind"): ("surface_kind", str),
+    ("surface", "dimension"): ("dimension", int),
+    ("surface", "params"): ("surface_params", _tuple_of(float)),
+    ("surface", "horizon"): ("horizon", float),
+    ("study", "scheme"): ("scheme", str),
+    ("study", "degree"): ("degree", int),
+    ("study", "levels"): ("levels", _tuple_of(int)),
+    ("study", "pq"): ("pq_pairs", _pq),
+    ("study", "profile"): ("profile", str),
+    ("study", "mode"): ("mode", int),
+    ("study", "dt_factor"): ("dt_factor", float),
+    ("study", "richardson_rtol"): ("richardson_rtol", float),
+    ("study", "seed"): ("seed", int),
+    ("solver", "cg_tol"): ("cg_tol", float),
+    ("study", "kernel_difference"): ("kernel_difference",
+                                     lambda raw: raw.lower() in ("1", "true", "yes")),
+    ("study", "c_star"): ("c_star", float),
+    ("study", "t_end"): ("t_end", float),
+    ("output", "directory"): ("directory", str),
 }
+
+_SCHEMA = {section: {key for s, key in _KEYS if s == section} for section, _ in _KEYS}
+
+# values read outside StudyConfig when unset (t_end None: greens runs to 3, solve to 1)
+_EXTRAS = {"directory": "out", "kernel_difference": False, "c_star": 16.0, "t_end": None}
 
 _REQUIRED = [("surface", "kind")]
 
@@ -71,52 +102,19 @@ def parse_config(path):
         if not parser.has_option(section, key):
             raise ConfigError(f"{section}.{key}")
 
-    def get(section, key, default=None, cast=str):
+    values = {}
+    for (section, key), (name, cast) in _KEYS.items():
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:
-                return cast(raw)
+                values[name] = cast(raw)
             except ValueError as exc:
                 raise ConfigError(f"{section}.{key} (bad value {raw!r})") from exc
-        return default
-
-    def floats(raw):
-        return tuple(float(v) for v in raw.split(",") if v.strip())
-
-    def ints(raw):
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-
-    def pq(raw):
-        pairs = []
-        for part in raw.split(","):
-            p, q = part.split(":")
-            pairs.append((float(p), float(q)))
-        return tuple(pairs)
-
-    config = StudyConfig(
-        surface_kind=get("surface", "kind"),
-        dimension=get("surface", "dimension", 1, int),
-        surface_params=get("surface", "params", (), floats),
-        horizon=get("surface", "horizon", 1.0, float),
-        scheme=get("study", "scheme", "stationary"),
-        degree=get("study", "degree", 1, int),
-        levels=get("study", "levels", (32, 64, 128, 256), ints),
-        pq_pairs=get("study", "pq", ((2.0, 2.0),), pq),
-        profile=get("study", "profile", "osc-seed42"),
-        mode=get("study", "mode", 1, int),
-        dt_factor=get("study", "dt_factor", 0.5, float),
-        richardson_rtol=get("study", "richardson_rtol", 0.01, float),
-        cg_tol=get("solver", "cg_tol", 1e-12, float),
-        seed=get("study", "seed", 42, int),
-    )
-    extras = {
-        "directory": get("output", "directory", "out"),
-        "kernel_difference": get("study", "kernel_difference", "false").lower()
-        in ("1", "true", "yes"),
-        "c_star": get("study", "c_star", 16.0, float),
-        # None when unset: greens then runs to 3, solve to 1
-        "t_end": get("study", "t_end", None, float),
-    }
+    extras = {name: values.pop(name, default) for name, default in _EXTRAS.items()}
+    for key in ("c_star", "t_end"):
+        if extras[key] is not None and not 0.0 < extras[key] < math.inf:
+            raise ConfigError(f"study.{key} (must be positive and finite, got {extras[key]})")
+    config = StudyConfig(**values)
     config.validate()
     return config, extras
 
@@ -182,13 +180,13 @@ def cmd_solve(args):
     for level in config.levels:
         mesh = build_level_mesh(surface, level, config.degree)
         grid = TimeGrid.from_mesh(mesh, t_end=t_end, factor=config.dt_factor)
-        traj = solve_heat(mesh, forcing, grid, scheme=config.scheme,
-                          cg_tol=config.cg_tol, store_fields=())
+        times, norms = norm_series(
+            solve_heat(mesh, forcing, grid, scheme=config.scheme, cg_tol=config.cg_tol),
+            [(field, 2.0) for field in FIELDS])
         name = f"solve_level{level}.csv"
-        columns = [traj.norms(field, 2.0) for field in ("u", "udot", "lap", "fh")]
         write_table(os.path.join(outdir, name),
                     ("t", "norm_u", "norm_dtu", "norm_lapu", "norm_f"),
-                    zip(traj.times, *columns))
+                    zip(times, *(norms[(field, 2.0)] for field in FIELDS)))
         outputs.append(name)
     parameters = asdict(config)
     if extras["t_end"] is not None:
@@ -250,8 +248,8 @@ def cmd_greens(args):
             policy = TimeGrid.from_mesh(mesh, t_end=1.0, factor=config.dt_factor)
             unit_grid = TimeGrid(1.0, min(policy.n_steps, 1000))
             x0 = mesh.nodes[0]
-            traj = discrete_green(mesh, x0, unit_grid, cg_tol=config.cg_tol)
-            table = dyadic_report(traj, x0, c_star=extras["c_star"])
+            nodes = discrete_green(mesh, x0, unit_grid, cg_tol=config.cg_tol)
+            table = dyadic_report(mesh, nodes, x0, c_star=extras["c_star"])
         except HTooLarge as exc:
             print(f"level {level}: dyadic table skipped ({exc})")
             continue

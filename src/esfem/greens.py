@@ -28,7 +28,7 @@ from .fem import (
     radial_inverse_lift,
 )
 from .sparse import cg_solve
-from .timestepping import STATIONARY, TimeGrid, solve_heat
+from .timestepping import STATIONARY, TimeGrid, norm_series, solve_heat
 
 
 def smallest_nonzero_eigenvalue(mass, stiffness, tol=1e-10, maxiter=400, seed=0):
@@ -78,20 +78,17 @@ def default_source_points(mesh, count=8):
     return points
 
 
-def discrete_green(mesh, x0, grid, cg_tol=1e-12, store_fields=("u", "udot"),
-                   norms=()):
+def discrete_green(mesh, x0, grid, cg_tol=1e-12):
     """Homogeneous evolution of the discrete point source at x0 on the frozen
     snapshot; the total discrete mass (kernel, 1) stays at 1 exactly.
 
-    Returns the Trajectory of solve_heat: store_fields names the coefficient
-    series it keeps (u and udot by default, () for none) and norms the
-    (field, q) space-norm series it records (none by default)."""
+    The point source is solved for at the call; returns the solve_heat
+    stream of the evolution, which yields one TimeNode per node of the grid
+    and runs each step only when its node is drawn."""
     space = FeSpace(mesh, DISCRETE)
     delta = discrete_delta(space, x0, tol=cg_tol)
-    return solve_heat(
-        mesh, None, grid, scheme=STATIONARY,
-        u0=delta.coeffs, norms=norms, cg_tol=cg_tol, store_fields=store_fields,
-    )
+    return solve_heat(mesh, None, grid, scheme=STATIONARY, u0=delta.coeffs,
+                      cg_tol=cg_tol)
 
 
 @dataclass
@@ -127,9 +124,9 @@ def green_decay_study(mesh, grid=None, sources=None, window=(1.0, None),
     times = grid.times()
     envelope = np.zeros(len(times))
     for x0 in sources:
-        traj = discrete_green(mesh, x0, grid, cg_tol=cg_tol,
-                              store_fields=(), norms=(("udot", 1.0),))
-        envelope = np.maximum(envelope, traj.norms("udot", 1.0))
+        _, norms = norm_series(discrete_green(mesh, x0, grid, cg_tol=cg_tol),
+                               [("udot", 1.0)])
+        envelope = np.maximum(envelope, norms[("udot", 1.0)])
     t_lo, t_hi = window
     t_hi = times[-1] if t_hi is None else t_hi
     sel = (times >= t_lo) & (times <= t_hi) & (envelope > 0)
@@ -217,6 +214,10 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
     value is recomputed with a halved time step to attach a Richardson error
     estimate.  x0 must lie on the exact surface (it is projected to each mesh
     through the inverse lift).
+
+    The mesh and budget checks raise at the call.  The coarse and fine
+    Green's streams are drawn in lockstep, one time node of each at a time,
+    so only the current node of either kernel is held.
     """
     if coarse_mesh.surface is not fine_mesh.surface:
         raise MeshMismatch("meshes must discretize one surface")
@@ -243,18 +244,14 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
     x_coarse, x_fine = source_on(coarse_mesh), source_on(fine_mesh)
 
     def run(time_grid):
-        coarse = discrete_green(coarse_mesh, x_coarse, time_grid,
-                                cg_tol=cg_tol, store_fields=("udot",))
-        fine = discrete_green(fine_mesh, x_fine, time_grid,
-                              cg_tol=cg_tol, store_fields=("udot",))
-        times = time_grid.times()
-        series = np.empty(len(times))
-        for i in range(len(times)):
-            fine_vals = element_values(
-                fine.fields["udot"][i], fine_mesh.elements, geom
-            ).reshape(-1)
-            coarse_vals = coarse_at_points(coarse.fields["udot"][i])
-            series[i] = float(weights @ np.abs(fine_vals - coarse_vals))
+        coarse = discrete_green(coarse_mesh, x_coarse, time_grid, cg_tol=cg_tol)
+        fine = discrete_green(fine_mesh, x_fine, time_grid, cg_tol=cg_tol)
+        series = []
+        for coarse_node, fine_node in zip(coarse, fine, strict=True):
+            fine_vals = element_values(fine_node.udot, fine_mesh.elements, geom).reshape(-1)
+            coarse_vals = coarse_at_points(coarse_node.udot)
+            series.append(float(weights @ np.abs(fine_vals - coarse_vals)))
+        times, series = time_grid.times(), np.array(series)
         total = float(np.trapezoid(series, times))
         tail_sel = times >= 0.5 * times[-1]
         tail = float(np.trapezoid(series[tail_sel], times[tail_sel]))
@@ -296,15 +293,36 @@ def build_dyadic(mesh, x0, c_star=16.0):
     )
 
 
-def dyadic_report(traj, x0, c_star=16.0):
-    """Per-annulus L^2 norms of the trajectory's field and its time
-    derivative over the parabolic dyadic decomposition of (0,1) x Gamma.
+def _trapezoid_weights(nodes, t_max):
+    """Each node up to t_max with its composite trapezoid weight in time,
+    half the step before it plus half the step after it.  A node is passed
+    on once the next one has been drawn."""
+    last, weight = None, 0.0
+    for node in nodes:
+        if node.t > t_max:
+            break
+        if last is not None:
+            half = 0.5 * (node.t - last.t)
+            yield last, weight + half
+            weight = half
+        last = node
+    if last is not None:
+        yield last, weight
+
+
+def dyadic_report(mesh, nodes, x0, c_star=16.0):
+    """Per-annulus L^2 norms of a stationary solve_heat stream on mesh (a
+    discrete_green stream, say) and of its time derivative over the
+    parabolic dyadic decomposition of (0,1) x Gamma.
+
+    The decomposition is built before the first node is drawn, so HTooLarge
+    raises before any step runs.  Nodes are then drawn one at a time up to
+    t = 1 and reduced as they come; no solution series is kept.
 
     Classification uses rho = max(geodesic distance to x0, sqrt(t)); each
     space-time quadrature sample lands in exactly one set, so the reported
     measures add up to |(0,1) x Gamma_h| by construction.
     """
-    mesh = traj.mesh0
     decomp = build_dyadic(mesh, x0, c_star)
     space = FeSpace(mesh, DISCRETE)
     geom = space.geometry()
@@ -312,31 +330,23 @@ def dyadic_report(traj, x0, c_star=16.0):
     dist = mesh.surface.geodesic_distance(mesh.time, pts, decomp.center)
     w_space = geom.weights.reshape(-1)
 
-    times = traj.times
-    sel_time = times <= 1.0 + 1e-12
-    times = times[sel_time]
-    # composite trapezoid weights in time
-    wt = np.zeros(len(times))
-    wt[1:] += 0.5 * np.diff(times)
-    wt[:-1] += 0.5 * np.diff(times)
-
     d_star = decomp.radii[-1]
     n_bins = decomp.j_star + 2  # Q_0 .. Q_{j_star}, innermost at index j_star+1
     meas = np.zeros(n_bins)
     u_sq = np.zeros(n_bins)
     du_sq = np.zeros(n_bins)
-    u_all = traj.fields["u"]
-    du_all = traj.fields["udot"]
-    for i, t in enumerate(times):
-        rho = np.maximum(dist, math.sqrt(t))
+    for node, weight in _trapezoid_weights(nodes, 1.0 + 1e-12):
+        if node.mesh is not mesh:
+            raise MeshMismatch("the nodes must live on the report's mesh")
+        rho = np.maximum(dist, math.sqrt(node.t))
         bins = np.where(
             rho <= d_star,
             decomp.j_star + 1,
             np.clip(np.ceil(-np.log2(np.maximum(rho, 1e-300))), 0, decomp.j_star).astype(int),
         ).astype(int)
-        uv = element_values(u_all[i], mesh.elements, geom).reshape(-1)
-        duv = element_values(du_all[i], mesh.elements, geom).reshape(-1)
-        wtotal = wt[i] * w_space
+        uv = element_values(node.u, mesh.elements, geom).reshape(-1)
+        duv = element_values(node.udot, mesh.elements, geom).reshape(-1)
+        wtotal = weight * w_space
         meas += np.bincount(bins, weights=wtotal, minlength=n_bins)
         u_sq += np.bincount(bins, weights=wtotal * uv * uv, minlength=n_bins)
         du_sq += np.bincount(bins, weights=wtotal * duv * duv, minlength=n_bins)

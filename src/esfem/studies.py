@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, IOFailure, RichardsonFailure
+from .errors import ConfigError, IOFailure, RichardsonFailure, UnknownProfile
 from .fem import (
     DISCRETE,
     LIFTED,
@@ -30,12 +30,13 @@ from .fem import (
     ritz_project,
 )
 from .meshing import ELEMENT_DEGREES, MIN_LEVEL, build_circle_mesh, build_sphere_mesh
-from .surfaces import exact_heat_solution, forcing_profile, make_surface
+from .surfaces import exact_heat_solution, forcing_profile, make_surface, profile_seed
 from .timestepping import (
     SCHEME_A,
     SCHEME_B,
     STATIONARY,
     TimeGrid,
+    norm_series,
     solve_heat,
     spacetime_norm,
 )
@@ -76,9 +77,10 @@ class StudyConfig:
         if self.mode < 1:
             raise ConfigError(f"study.mode (must be >= 1, got {self.mode})")
         try:
-            dim = self.surface().dimension
+            surface = self.surface()
         except ValueError as exc:
             raise ConfigError(f"surface.params ({exc})") from exc
+        dim = surface.dimension
         if dim not in ELEMENT_DEGREES:
             raise ConfigError(f"surface.dimension (no mesh builder for dimension {dim})")
         if self.degree not in ELEMENT_DEGREES[dim]:
@@ -87,6 +89,10 @@ class StudyConfig:
         if self.levels and self.levels[0] < MIN_LEVEL[dim]:
             raise ConfigError(f"study.levels (must be >= {MIN_LEVEL[dim]} on a "
                               f"{dim}-dimensional surface, got {self.levels[0]})")
+        try:
+            profile_seed(self.profile)
+        except UnknownProfile as exc:
+            raise ConfigError(f"study.profile ({exc})") from exc
         return self
 
     def surface(self):
@@ -134,21 +140,16 @@ class StudyReport:
 
 
 def _solve_level(config, surface, level):
-    """One study cell: solve at dt and dt/2, return both trajectories."""
+    """One study cell: solve at dt and dt/2, return both norm series."""
     mesh = build_level_mesh(surface, level, config.degree)
     grid = TimeGrid.from_mesh(mesh, t_end=1.0, factor=config.dt_factor)
     forcing = forcing_profile(config.profile, surface)
     qset = tuple(sorted({q for _, q in config.pq_pairs}))
-    common = dict(
-        scheme=config.scheme,
-        u0=None,
-        norms=[(name, q) for name in ("udot", "lap", "fh") for q in qset],
-        cg_tol=config.cg_tol,
-        store_fields=(),
-        max_dt_factor=4.0 * config.dt_factor,
-    )
-    coarse = solve_heat(mesh, forcing, grid, **common)
-    fine = solve_heat(mesh, forcing, grid.halved(), **common)
+    pairs = [(name, q) for name in ("udot", "lap", "fh") for q in qset]
+    common = dict(scheme=config.scheme, cg_tol=config.cg_tol,
+                  max_dt_factor=4.0 * config.dt_factor)
+    coarse = norm_series(solve_heat(mesh, forcing, grid, **common), pairs)
+    fine = norm_series(solve_heat(mesh, forcing, grid.halved(), **common), pairs)
     return mesh, grid, coarse, fine
 
 
@@ -167,12 +168,12 @@ def maxreg_study(config):
         mesh, grid, coarse, fine = _solve_level(config, surface, level)
         for p, q in config.pq_pairs:
             norms_fine = {
-                name: spacetime_norm(fine, name, p, q)
+                name: spacetime_norm(*fine, name, p, q)
                 for name in ("udot", "lap", "fh")
             }
             ok = True
             for name, value in norms_fine.items():
-                ref = spacetime_norm(coarse, name, p, q)
+                ref = spacetime_norm(*coarse, name, p, q)
                 scale = max(abs(value), 1e-300)
                 if abs(value - ref) / scale > config.richardson_rtol:
                     ok = False
@@ -220,16 +221,16 @@ def convergence_study(config):
         n = max(2, math.ceil(1.0 / (config.dt_factor * mesh.h ** ((config.degree + 1) / 2.0 + 0.5))))
         grid = TimeGrid(1.0, n)
         u0 = interpolate(space, solution.initial)
-        traj = solve_heat(
+        nodes = solve_heat(
             mesh, solution.forcing, grid, scheme=STATIONARY, integrator="bdf2",
-            u0=u0.coeffs, norms=(), cg_tol=config.cg_tol, store_fields=("u",),
+            u0=u0.coeffs, cg_tol=config.cg_tol,
         )
         geom = space.geometry()
         exact_pts = surface.project(mesh.time, geom.points.reshape(-1, geom.points.shape[-1]))
         err = 0.0
-        for i, t in enumerate(traj.times):
-            uh = element_values(traj.fields["u"][i], mesh.elements, geom)
-            ue = solution.value(t, exact_pts).reshape(uh.shape)
+        for node in nodes:
+            uh = element_values(node.u, mesh.elements, geom)
+            ue = solution.value(node.t, exact_pts).reshape(uh.shape)
             err = max(err, math.sqrt(float(np.sum(geom.weights * (uh - ue) ** 2))))
         rows.append((level, mesh.h, grid.dt, err))
     _, hs, _, errors = zip(*rows)

@@ -492,6 +492,17 @@ def _bump_center(surface, t):
     )
 
 
+def profile_seed(profile_id):
+    """The seed k of an "osc-seed<k>" profile id, None for the other ids of
+    the forcing_profile catalog; UnknownProfile for any other id."""
+    if profile_id in ("zero", "bump", "sqwave"):
+        return None
+    seed = profile_id.removeprefix("osc-seed")
+    if seed == profile_id or not seed.isdecimal():
+        raise UnknownProfile(f"unknown forcing profile {profile_id!r}")
+    return int(seed)
+
+
 def forcing_profile(profile_id, surface):
     """Return a deterministic forcing f(t, x) from the documented catalog.
 
@@ -499,6 +510,7 @@ def forcing_profile(profile_id, surface):
     "sqwave" (smoothed square wave in time times a smooth spatial factor);
     "osc-seed<k>" (low-frequency random-coefficient sum, fixed seed k).
     """
+    seed = profile_seed(profile_id)
     if profile_id == "zero":
         def zero(t, x):
             x = np.asarray(x, dtype=float)
@@ -521,43 +533,37 @@ def forcing_profile(profile_id, surface):
             )
         return sqwave
 
-    if profile_id.startswith("osc-seed"):
-        try:
-            seed = int(profile_id[len("osc-seed"):])
-        except ValueError:
-            raise UnknownProfile(f"malformed profile id {profile_id!r}") from None
-        d = surface.ambient_dim
-        nmono = 1 + d + d * (d + 1) // 2
-        ntime = 5
-        rng = np.random.default_rng(seed)
-        coeff = rng.uniform(-1.0, 1.0, size=(nmono, ntime)) / math.sqrt(nmono * ntime)
-        # the rows weigh the monomials 1, x_i, x_i x_j (i <= j), which is the
-        # row-major upper triangle of (1, x) (1, x)^T: so the sum is one
-        # quadratic form (1, x)^T H (1, x) = c0 + c.x + x^T C x
-        form = np.zeros((d + 1, d + 1, ntime))
-        form[np.triu_indices(d + 1)] = coeff
-        ones = np.ones(d)
+    # osc-seed<k>
+    d = surface.ambient_dim
+    nmono = 1 + d + d * (d + 1) // 2
+    ntime = 5
+    rng = np.random.default_rng(seed)
+    coeff = rng.uniform(-1.0, 1.0, size=(nmono, ntime)) / math.sqrt(nmono * ntime)
+    # the rows weigh the monomials 1, x_i, x_i x_j (i <= j), which is the
+    # row-major upper triangle of (1, x) (1, x)^T: so the sum is one
+    # quadratic form (1, x)^T H (1, x) = c0 + c.x + x^T C x
+    form = np.zeros((d + 1, d + 1, ntime))
+    form[np.triu_indices(d + 1)] = coeff
+    ones = np.ones(d)
 
-        def oscillator(t, x):
-            tau = np.array(
-                [
-                    1.0,
-                    math.cos(TWO_PI * t),
-                    math.sin(TWO_PI * t),
-                    math.cos(2.0 * TWO_PI * t),
-                    math.sin(2.0 * TWO_PI * t),
-                ]
-            )
-            h = form @ tau
-            x = np.asarray(x, dtype=float)
-            lin = x @ h[1:, 1:]
-            lin += h[0, 1:]
-            lin *= x
-            # a product with ones sums the d terms faster than a reduction
-            out = lin @ ones
-            out += h[0, 0]
-            return out
+    def oscillator(t, x):
+        tau = np.array(
+            [
+                1.0,
+                math.cos(TWO_PI * t),
+                math.sin(TWO_PI * t),
+                math.cos(2.0 * TWO_PI * t),
+                math.sin(2.0 * TWO_PI * t),
+            ]
+        )
+        h = form @ tau
+        x = np.asarray(x, dtype=float)
+        lin = x @ h[1:, 1:]
+        lin += h[0, 1:]
+        lin *= x
+        # a product with ones sums the d terms faster than a reduction
+        out = lin @ ones
+        out += h[0, 0]
+        return out
 
-        return oscillator
-
-    raise UnknownProfile(f"unknown forcing profile {profile_id!r}")
+    return oscillator

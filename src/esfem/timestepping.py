@@ -6,12 +6,19 @@ derivative sits on the mass-weighted coefficient vector).  Implicit Euler is
 the reference integrator; BDF2 is available where higher time accuracy is
 needed (convergence studies).  Nodal coefficient vectors are transported by
 keeping them fixed while the mesh moves.
+
+solve_heat is a stream: it checks its arguments when called and returns an
+iterator that yields one TimeNode per time node.  Each step runs only when
+its node is drawn, and the stream holds only what its next step needs, so
+callers reduce the nodes as they draw them (norm_series, for instance) and
+memory does not grow with the number of steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +40,6 @@ SCHEME_B = "B"
 STATIONARY = "stationary"
 
 FIELDS = ("u", "udot", "lap", "fh")
-L2_NORMS = tuple((name, 2.0) for name in FIELDS)
 
 # degree of the polynomial in t whose value one step ahead starts each CG
 # solve of solve_heat (start vectors for successive right-hand sides: Fischer,
@@ -97,52 +103,51 @@ class TimeGrid:
         return TimeGrid(self.t_end, 2 * self.n_steps)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """What one solve_heat call recorded, built once at its end.
+class TimeNode(NamedTuple):
+    """One time node of a solve_heat stream: the time t, the mesh snapshot at
+    t and its geometry, and the coefficient vectors of the solution u, its
+    time derivative udot, the discrete Laplacian lap and the projected
+    forcing fh.  The stream never writes to these arrays again."""
 
-    mesh0 is the snapshot the solve started from; times are the n_steps + 1 time nodes; fields maps each name solve_heat
-    was asked to keep ("u", "udot", "lap", "fh") to its (n_steps + 1, N)
-    coefficient series; norm_series maps each recorded (field, q) pair to
-    its per-node L^q space norms on the mesh snapshot at that node.
-    """
-
-    mesh0: object
-    times: np.ndarray
-    fields: dict
-    norm_series: dict
-
-    def norms(self, fieldname, q):
-        """The recorded per-node L^q norms of the field; KeyError listing the
-        recorded pairs when this one was not recorded."""
-        try:
-            return self.norm_series[(fieldname, float(q))]
-        except KeyError:
-            raise KeyError(
-                f"norms for {fieldname!r} at q={q} were not recorded; "
-                f"recorded: {sorted(self.norm_series)}"
-            ) from None
+    t: float
+    mesh: object
+    geom: object
+    u: np.ndarray
+    udot: np.ndarray
+    lap: np.ndarray
+    fh: np.ndarray
 
 
-def spacetime_norm(traj, fieldname, p, q):
-    """Bochner norm: composite trapezoid in t of the space norms to the p."""
+def norm_series(nodes, pairs):
+    """Draw every node of a solve_heat stream; return the times and a dict
+    that maps each (field, q) pair to the field's per-node L^q space norms,
+    each taken on the mesh snapshot of its node.  Unknown field names raise
+    ValueError before a node is drawn."""
+    series = {}  # field -> q -> its norms so far, in the order first asked for
+    for name, q in pairs:
+        if name not in FIELDS:
+            raise ValueError(f"unknown field {name!r}")
+        series.setdefault(name, {})[float(q)] = []
+    times = []
+    for node in nodes:
+        times.append(node.t)
+        for name, by_q in series.items():
+            coeffs = getattr(node, name)
+            at_quad = element_values(coeffs, node.mesh.elements, node.geom)
+            for q, norms in by_q.items():
+                norms.append(values_norm_lq(at_quad, coeffs, node.geom, q))
+    return np.array(times), {(name, q): np.array(norms) for name, by_q in series.items()
+                             for q, norms in by_q.items()}
+
+
+def spacetime_norm(times, norms, fieldname, p, q):
+    """Bochner norm from the result of norm_series: composite trapezoid in t
+    of the field's recorded L^q space norms to the p."""
     for exponent in (p, q):
         if not (1.0 < exponent < math.inf):
             raise InvalidExponent("space-time norms need exponents in (1, inf)")
-    series = traj.norms(fieldname, q)
-    return float(np.trapezoid(series**p, traj.times) ** (1.0 / p))
-
-
-def _check_policy(grid, mesh, max_dt_factor):
-    if max_dt_factor is not None and grid.dt > max_dt_factor * mesh.h**2 * (1 + 1e-9):
-        raise StepTooLarge(
-            f"dt={grid.dt:.3e} exceeds {max_dt_factor}*h^2={max_dt_factor * mesh.h ** 2:.3e}"
-        )
-
-
-def _check_field(name):
-    if name not in FIELDS:
-        raise ValueError(f"unknown field {name!r}")
+    series = norms[(fieldname, float(q))]
+    return float(np.trapezoid(series**p, times) ** (1.0 / p))
 
 
 def solve_heat(
@@ -152,9 +157,7 @@ def solve_heat(
     scheme=SCHEME_A,
     integrator="be",
     u0=None,
-    norms=L2_NORMS,
     cg_tol=1e-12,
-    store_fields=FIELDS,
     max_dt_factor=None,
 ):
     """Integrate one of the semi-discrete schemes over the given time grid.
@@ -163,20 +166,20 @@ def solve_heat(
     the inverse-lifted exact forcing; nodes lie on Gamma so no transport is
     needed for the analytic families used here), or None for f = 0: then no
     load vector is evaluated, no mass solve for fh runs and fh is zero.  u0
-    is a coefficient vector (defaults to zero).  Returns a Trajectory that
-    holds what was asked for and nothing else.
+    is a coefficient vector (defaults to zero).
+
+    Returns an iterator over the grid's n_steps + 1 time nodes that yields
+    one TimeNode per node.  Argument errors (an unknown scheme or integrator,
+    StepTooLarge) raise here, at the call; the initial state is computed when
+    the first node is drawn and each step when its node is drawn, so a caller
+    that stops drawing runs no further step.  The stream holds only what its
+    next step needs.
 
     Every CG solve after the first of its field (u, fh, and lap in scheme B)
     starts from the polynomial in t through that field's last
     EXTRAPOLATION_ORDER + 1 nodal vectors, evaluated at the new time node (of
     lower degree while fewer vectors are known).  Nodal vectors are
     transported with the mesh, so this holds on moving meshes too.
-
-    norms lists the (field, q) pairs whose per-node L^q space norms are
-    recorded (default: every field at q = 2), and store_fields names the
-    fields whose coefficient series are kept (default: all four; () keeps
-    none).  Nothing else can be asked of the Trajectory afterwards.
-    Unknown field names raise ValueError.
 
     Per accepted step the non-conservative scheme satisfies
     M(t) udot + A(t) u = b(t) exactly up to solver tolerance, with
@@ -191,25 +194,19 @@ def solve_heat(
         raise ValueError(f"unknown integrator {integrator!r}")
     if integrator == "bdf2" and scheme == SCHEME_B:
         raise ValueError("bdf2 is only wired for the non-conservative forms")
-    _check_policy(grid, mesh0, max_dt_factor)
+    if max_dt_factor is not None and grid.dt > max_dt_factor * mesh0.h**2 * (1 + 1e-9):
+        raise StepTooLarge(
+            f"dt={grid.dt:.3e} exceeds {max_dt_factor}*h^2={max_dt_factor * mesh0.h ** 2:.3e}"
+        )
+    u = np.zeros(mesh0.num_nodes) if u0 is None else np.asarray(u0, dtype=float).copy()
+    return _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol)
 
+
+def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol):
     moving = scheme != STATIONARY and not mesh0.surface.is_stationary
     times = grid.times()
     dt = grid.dt
     n_dofs = mesh0.num_nodes
-
-    norm_qs = {}  # field -> the q of its recorded norms
-    for name, q in norms:
-        _check_field(name)
-        qs = norm_qs.setdefault(name, [])
-        if float(q) not in qs:
-            qs.append(float(q))
-    series = {(name, q): np.empty(len(times))
-              for name, qs in norm_qs.items() for q in qs}
-    for name in store_fields:
-        _check_field(name)
-    stored = [name for name in FIELDS if name in store_fields]
-    buffers = {name: [] for name in stored}
 
     mesh = mesh0
     space = FeSpace(mesh, DISCRETE)
@@ -217,7 +214,6 @@ def solve_heat(
     mass = assemble_mass(space)
     stiff = assemble_stiffness(space)
 
-    u = np.zeros(n_dofs) if u0 is None else np.asarray(u0, dtype=float).copy()
     if forcing is None:
         b = fh = np.zeros(n_dofs)
     else:
@@ -230,17 +226,7 @@ def solve_heat(
     u_past = _Extrapolation(u)
     if scheme == SCHEME_B:
         lap_past = _Extrapolation(lap)
-
-    def push(i, vals, mesh_i, geom_i):
-        for name, qs in norm_qs.items():
-            coeffs = vals[name]
-            at_quad = element_values(coeffs, mesh_i.elements, geom_i)
-            for q in qs:
-                series[(name, q)][i] = values_norm_lq(at_quad, coeffs, geom_i, q)
-        for name in stored:
-            buffers[name].append(vals[name])
-
-    push(0, {"u": u, "udot": udot, "lap": lap, "fh": fh}, mesh, geom)
+    yield TimeNode(times[0], mesh, geom, u, udot, lap, fh)
 
     mass_prev = mass
     u_prev = None  # for bdf2
@@ -292,11 +278,8 @@ def solve_heat(
 
         u_prev = u if integrator == "bdf2" else None
         u = u_new
-        push(i, {"u": u, "udot": udot, "lap": lap, "fh": fh}, mesh, geom)
         mass_prev = mass
-
-    fields = {name: np.array(rows) for name, rows in buffers.items()}
-    return Trajectory(mesh0, times, fields, series)
+        yield TimeNode(t1, mesh, geom, u, udot, lap, fh)
 
 
 def weighted_total_mass(mesh, coeffs):

@@ -228,6 +228,18 @@ def test_cli_solve_honours_t_end(tmp_path):
      "surface.dimension"),
     ("convergence", "[surface]\nkind = circle\n[study]\nlevels = 16,32\nmode = 0\n",
      "study.mode"),
+    ("maxreg", "[surface]\nkind = circle\n[study]\nlevels = 16\nprofile = nope\n",
+     "study.profile"),
+    ("solve", "[surface]\nkind = circle\n[study]\nlevels = 16\nprofile = osc-seedx\n",
+     "study.profile"),
+    ("solve", "[surface]\nkind = circle\n[study]\nlevels = 16\nprofile = osc-seed-1\n",
+     "study.profile"),
+    ("greens", "[surface]\nkind = circle\n[study]\nlevels = 16\nc_star = 0\n", "study.c_star"),
+    ("greens", "[surface]\nkind = circle\n[study]\nlevels = 16\nc_star = nan\n",
+     "study.c_star"),
+    ("solve", "[surface]\nkind = circle\n[study]\nlevels = 16\nt_end = 0\n", "study.t_end"),
+    ("greens", "[surface]\nkind = circle\n[study]\nlevels = 16\nt_end = inf\n",
+     "study.t_end"),
 ])
 def test_cli_rejected_config_values_are_config_errors(tmp_path, capsys, command,
                                                       config, key):

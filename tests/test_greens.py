@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,47 +29,48 @@ from esfem.greens import (
 )
 from esfem.meshing import SurfaceMesh, build_circle_mesh, build_sphere_mesh
 from esfem.surfaces import Circle, Sphere, Surface
-from esfem.timestepping import TimeGrid
+from esfem.timestepping import TimeGrid, norm_series
 
 
 @pytest.fixture(scope="module")
 def circle_kernel():
     mesh = build_circle_mesh(Circle(), 32, 1)
     grid = TimeGrid.from_mesh(mesh, 1.0, 0.5)
-    traj = discrete_green(mesh, mesh.nodes[0], grid, norms=(("udot", 1.0),))
-    return mesh, traj
+    return mesh, list(discrete_green(mesh, mesh.nodes[0], grid))
 
 
 def test_kernel_initial_slice_is_delta(circle_kernel):
-    mesh, traj = circle_kernel
+    mesh, nodes = circle_kernel
     space = FeSpace(mesh)
     delta = discrete_delta(space, mesh.nodes[0])
-    assert np.abs(traj.fields["u"][0] - delta.coeffs).max() <= 1e-13
+    assert nodes[0].t == 0.0
+    assert np.abs(nodes[0].u - delta.coeffs).max() <= 1e-13
 
 
 def test_kernel_total_mass_conserved(circle_kernel):
-    mesh, traj = circle_kernel
+    mesh, nodes = circle_kernel
     mass = assemble_mass(FeSpace(mesh))
     ones = np.ones(mesh.num_nodes)
-    for i in range(0, len(traj.times), 50):
-        total = float(traj.fields["u"][i] @ mass.matvec(ones))
+    for node in nodes[::50]:
+        total = float(node.u @ mass.matvec(ones))
         assert abs(total - 1.0) <= 1e-10
 
 
 def test_kernel_flattens_to_average(circle_kernel):
-    mesh, traj = circle_kernel
+    mesh, nodes = circle_kernel
     mass = assemble_mass(FeSpace(mesh))
     ones = np.ones(mesh.num_nodes)
     area = float(ones @ mass.matvec(ones))
     deviations = []
-    for i in (0, len(traj.times) // 2, len(traj.times) - 1):
-        dev = traj.fields["u"][i] - 1.0 / area
+    for i in (0, len(nodes) // 2, len(nodes) - 1):
+        dev = nodes[i].u - 1.0 / area
         deviations.append(math.sqrt(float(dev @ mass.matvec(dev))))
     assert deviations[0] > deviations[1] > deviations[2]
     # exponential-in-t fit over the tail has negative slope
-    tail = np.array([traj.norms("udot", 1.0)[i] for i in range(len(traj.times))])
-    sel = traj.times >= 0.5
-    slope = np.polyfit(traj.times[sel], np.log(tail[sel] + 1e-300), 1)[0]
+    times, norms = norm_series(nodes, [("udot", 1.0)])
+    tail = norms[("udot", 1.0)]
+    sel = times >= 0.5
+    slope = np.polyfit(times[sel], np.log(tail[sel] + 1e-300), 1)[0]
     assert slope < 0
 
 
@@ -80,12 +82,12 @@ def test_kernel_symmetry_spot_check():
     pairs = [(mesh.nodes[i], mesh.nodes[j])
              for i, j in rng.integers(0, mesh.num_nodes, size=(10, 2))]
     for x0, x1 in pairs:
-        k0 = discrete_green(mesh, x0, grid)
-        k1 = discrete_green(mesh, x1, grid)
+        *_, k0 = discrete_green(mesh, x0, grid)
+        *_, k1 = discrete_green(mesh, x1, grid)
         e0 = delta_load(space, x0)
         e1 = delta_load(space, x1)
-        a = float(e1 @ k0.fields["u"][-1])
-        b = float(e0 @ k1.fields["u"][-1])
+        a = float(e1 @ k0.u)
+        b = float(e0 @ k1.u)
         assert abs(a - b) <= 1e-8 * max(abs(a), abs(b), 1e-12)
 
 
@@ -198,8 +200,8 @@ def test_dyadic_report_partitions_spacetime():
     # the h < 1/(4 C) precondition needs a fine curve mesh at C = 16
     mesh = build_circle_mesh(Circle(), 512, 1)
     grid = TimeGrid(1.0, 400)
-    traj = discrete_green(mesh, mesh.nodes[0], grid)
-    table = dyadic_report(traj, mesh.nodes[0], c_star=16.0)
+    nodes = discrete_green(mesh, mesh.nodes[0], grid)
+    table = dyadic_report(mesh, nodes, mesh.nodes[0], c_star=16.0)
     total = table["total_measure"]
     space_measure = float(
         np.ones(mesh.num_nodes)
@@ -217,11 +219,68 @@ def test_dyadic_report_partitions_spacetime():
     assert values[-1] > 0
     assert values[-1] > values[0]
 
+    # on a longer grid with the same step the report reads the same nodes up
+    # to t = 1, and it stops drawing at the first node past t = 1
+    drawn = []
+
+    def counted(nodes):
+        for node in nodes:
+            drawn.append(node.t)
+            yield node
+
+    longer = discrete_green(mesh, mesh.nodes[0], TimeGrid(1.25, 500))
+    assert dyadic_report(mesh, counted(longer), mesh.nodes[0], c_star=16.0) == table
+    assert len(drawn) == 402 and drawn[-1] > 1.0
+
 
 def test_dyadic_rejects_coarse_mesh():
     mesh = build_circle_mesh(Circle(), 8, 1)
     with pytest.raises(HTooLarge):
         build_dyadic(mesh, mesh.nodes[0], c_star=16.0)
+    # the report checks before it draws a node, so no step runs
+    nodes = discrete_green(mesh, mesh.nodes[0], TimeGrid(1.0, 4))
+    with pytest.raises(HTooLarge):
+        dyadic_report(mesh, nodes, mesh.nodes[0], c_star=16.0)
+    assert next(nodes).t == 0.0
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dyadic_report_memory_does_not_grow_with_the_steps():
+    # sphere L3 has h = 0.165, so c_star = 1 passes h < 1/(4 c_star); stored
+    # u and udot series would grow the peak 3.8x from 100 to 400 steps
+    mesh = build_sphere_mesh(Sphere(), 3, 1)
+    x0 = mesh.nodes[0]
+
+    def report(steps):
+        nodes = discrete_green(mesh, x0, TimeGrid(1.0, steps))
+        return dyadic_report(mesh, nodes, x0, c_star=1.0)
+
+    report(10)  # fills the mesh's caches
+    short, long = _peak_bytes(lambda: report(100)), _peak_bytes(lambda: report(400))
+    assert long < 1.1 * short, (short, long)
+
+
+def test_kernel_difference_memory_does_not_grow_with_the_steps():
+    # on curves, where the inverse lift needs less memory than on spheres:
+    # stored udot series would grow the peak 1.7x from 100 to 400 steps
+    surface = Circle()
+    coarse = build_circle_mesh(surface, 16, 1)
+    fine = build_circle_mesh(surface, 64, 1)
+
+    def difference(steps):
+        return kernel_difference_l1(coarse, fine, coarse.nodes[0], TimeGrid(0.5, steps))
+
+    difference(4)  # fills the meshes' caches
+    short, long = _peak_bytes(lambda: difference(100)), _peak_bytes(lambda: difference(400))
+    assert long < 1.1 * short, (short, long)
 
 
 @pytest.mark.parametrize("degree", [1, 2])

@@ -30,6 +30,9 @@ def test_config_validation():
         StudyConfig(pq_pairs=((1.0, 2.0),)).validate()
     with pytest.raises(ConfigError):
         StudyConfig(levels=(32, 16)).validate()
+    for profile in ("nope", "osc-seedx", "osc-seed-1"):
+        with pytest.raises(ConfigError, match="study.profile"):
+            StudyConfig(profile=profile).validate()
     assert StudyConfig().validate() is not None
 
 

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -25,11 +24,13 @@ from esfem.surfaces import (
 from esfem import timestepping
 from esfem.timestepping import (
     EXTRAPOLATION_ORDER,
+    FIELDS,
     SCHEME_A,
     SCHEME_B,
     STATIONARY,
     TimeGrid,
     extrapolation_weights,
+    norm_series,
     solve_heat,
     spacetime_norm,
     weighted_total_mass,
@@ -38,20 +39,20 @@ from esfem.timestepping import (
 
 def test_zero_data_stays_zero():
     mesh = build_circle_mesh(Circle(), 16, 1)
-    traj = solve_heat(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 20),
-                      scheme=SCHEME_A)
-    assert np.abs(traj.fields["u"]).max() == 0.0
+    nodes = solve_heat(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 20),
+                       scheme=SCHEME_A)
+    assert all(np.abs(node.u).max() == 0.0 for node in nodes)
 
 
 def test_constants_are_invariant_under_scheme_a_on_flows():
     surface = ScaledSphereFlow(dimension=2)
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(1.0, 40)
-    traj = solve_heat(
+    nodes = solve_heat(
         mesh, forcing_profile("zero", surface), grid, scheme=SCHEME_A,
         u0=np.ones(mesh.num_nodes),
     )
-    assert np.abs(traj.fields["u"] - 1.0).max() <= 1e-12
+    assert max(np.abs(node.u - 1.0).max() for node in nodes) <= 1e-12
 
 
 def test_scheme_identity_per_step():
@@ -59,13 +60,14 @@ def test_scheme_identity_per_step():
     surface = mesh.surface
     forcing = forcing_profile("bump", surface)
     grid = TimeGrid(0.5, 64)
-    traj = solve_heat(mesh, forcing, grid, scheme=SCHEME_A)
+    nodes = list(solve_heat(mesh, forcing, grid, scheme=SCHEME_A))
     space = FeSpace(mesh)
     mass = assemble_mass(space)
     stiff = assemble_stiffness(space)
     for i in (7, 31, 64):
-        b = load_vector(space, forcing, t=traj.times[i])
-        resid = mass.matvec(traj.fields["udot"][i]) + stiff.matvec(traj.fields["u"][i]) - b
+        node = nodes[i]
+        b = load_vector(space, forcing, t=node.t)
+        resid = mass.matvec(node.udot) + stiff.matvec(node.u) - b
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -75,11 +77,12 @@ def test_scheme_b_conserves_weighted_mass():
     grid = TimeGrid(1.0, 200)
     rng = np.random.default_rng(0)
     u0 = 1.0 + 0.2 * rng.standard_normal(mesh.num_nodes)
-    traj = solve_heat(mesh, forcing_profile("zero", surface), grid, scheme=SCHEME_B, u0=u0)
+    nodes = list(solve_heat(mesh, forcing_profile("zero", surface), grid,
+                            scheme=SCHEME_B, u0=u0))
     initial = weighted_total_mass(mesh, u0)
     for i in (1, 50, 100, 200):
-        snapshot = mesh.evolved(traj.times[i])
-        value = weighted_total_mass(snapshot, traj.fields["u"][i])
+        snapshot = mesh.evolved(nodes[i].t)
+        value = weighted_total_mass(snapshot, nodes[i].u)
         assert abs(value - initial) <= 1e-10 * abs(initial)
 
 
@@ -89,7 +92,8 @@ def test_schemes_coincide_on_stationary_surface():
     grid = TimeGrid(0.5, 50)
     ta = solve_heat(mesh, forcing, grid, scheme=SCHEME_A)
     tb = solve_heat(mesh, forcing, grid, scheme=SCHEME_B)
-    assert np.abs(ta.fields["u"] - tb.fields["u"]).max() <= 1e-12
+    for a, b in zip(ta, tb, strict=True):
+        assert np.abs(a.u - b.u).max() <= 1e-12
 
 
 def test_scheme_b_dilution_solution():
@@ -98,22 +102,22 @@ def test_scheme_b_dilution_solution():
     surface = ScaledSphereFlow(dimension=2)
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(1.0, 100)
-    traj = solve_heat(
+    nodes = list(solve_heat(
         mesh, forcing_profile("zero", surface), grid, scheme=SCHEME_B,
         u0=np.ones(mesh.num_nodes),
-    )
+    ))
     for i in (10, 50, 100):
-        expected = 1.0 / surface.radius(traj.times[i]) ** 2
-        assert np.abs(traj.fields["u"][i] - expected).max() <= 1e-9
+        expected = 1.0 / surface.radius(nodes[i].t) ** 2
+        assert np.abs(nodes[i].u - expected).max() <= 1e-9
 
 
 def test_scheme_b_mass_nondecreasing_for_positive_forcing():
     surface = ScaledSphereFlow(dimension=2)
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(1.0, 50)
-    traj = solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=SCHEME_B)
+    nodes = list(solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=SCHEME_B))
     values = [
-        weighted_total_mass(mesh.evolved(traj.times[i]), traj.fields["u"][i])
+        weighted_total_mass(mesh.evolved(nodes[i].t), nodes[i].u)
         for i in range(0, 51, 10)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -124,9 +128,9 @@ def test_energy_dissipation_homogeneous():
     space = FeSpace(mesh)
     mass = assemble_mass(space)
     u0 = interpolate(space, lambda x: np.sign(x[..., 0])).coeffs
-    traj = solve_heat(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 80),
-                      scheme=STATIONARY, u0=u0)
-    energies = [float(u @ mass.matvec(u)) for u in traj.fields["u"]]
+    nodes = solve_heat(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 80),
+                       scheme=STATIONARY, u0=u0)
+    energies = [float(node.u @ mass.matvec(node.u)) for node in nodes]
     assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))
 
 
@@ -138,13 +142,14 @@ def test_eigen_decay_convergence_order():
         mesh = build_circle_mesh(surface, n, 1)
         space = FeSpace(mesh)
         grid = TimeGrid(1.0, max(4, int(8 / mesh.h)))
-        traj = solve_heat(
+        *_, last = solve_heat(
             mesh, solution.forcing, grid, scheme="stationary", integrator="bdf2",
             u0=interpolate(space, solution.initial).coeffs,
         )
+        assert last.t == 1.0
         geom = space.geometry()
         pts = surface.project(0.0, geom.points.reshape(-1, 2))
-        uh = traj.fields["u"][-1][mesh.elements] @ geom.shape_values.T
+        uh = last.u[mesh.elements] @ geom.shape_values.T
         ue = solution.value(1.0, pts).reshape(uh.shape)
         errors.append(math.sqrt(float(np.sum(geom.weights * (uh - ue) ** 2))))
         hs.append(mesh.h)
@@ -156,10 +161,11 @@ def test_stationary_energy_identity_bounds():
     mesh = build_circle_mesh(Circle(), 48, 1)
     forcing = forcing_profile("osc-seed42", mesh.surface)
     grid = TimeGrid.from_mesh(mesh, 1.0, 0.5)
-    traj = solve_heat(mesh, forcing, grid, scheme=STATIONARY)
-    lap = spacetime_norm(traj, "lap", 2.0, 2.0)
-    dtu = spacetime_norm(traj, "udot", 2.0, 2.0)
-    f = spacetime_norm(traj, "fh", 2.0, 2.0)
+    times, norms = norm_series(solve_heat(mesh, forcing, grid, scheme=STATIONARY),
+                               [("lap", 2.0), ("udot", 2.0), ("fh", 2.0)])
+    lap = spacetime_norm(times, norms, "lap", 2.0, 2.0)
+    dtu = spacetime_norm(times, norms, "udot", 2.0, 2.0)
+    f = spacetime_norm(times, norms, "fh", 2.0, 2.0)
     assert lap <= 1.02 * f
     assert dtu <= 2.04 * f
 
@@ -167,21 +173,25 @@ def test_stationary_energy_identity_bounds():
 def test_spacetime_norm_contracts():
     mesh = build_circle_mesh(Circle(), 16, 1)
     grid = TimeGrid(2.0, 40)
-    traj = solve_heat(
-        mesh, lambda t, x: np.ones(x.shape[:-1]), grid, scheme=STATIONARY,
-        norms=[("fh", 2.0), ("fh", 3.0)],
-    )
+    pairs = [("fh", 2.0), ("fh", 3.0)]
+    ones = norm_series(
+        solve_heat(mesh, lambda t, x: np.ones(x.shape[:-1]), grid, scheme=STATIONARY),
+        pairs)
     # f_h == 1 for all t: norm is a * T^(1/p) with a = |1|_Lq
-    space_norm = traj.norms("fh", 2.0)[0]
+    space_norm = ones[1][("fh", 2.0)][0]
     for p in (2.0, 4.0):
         expected = space_norm * 2.0 ** (1.0 / p)
-        assert abs(spacetime_norm(traj, "fh", p, 2.0) - expected) <= 1e-12
-    zero = solve_heat(mesh, forcing_profile("zero", mesh.surface), grid, scheme=STATIONARY)
-    assert spacetime_norm(zero, "fh", 2.0, 2.0) == 0.0
+        assert abs(spacetime_norm(*ones, "fh", p, 2.0) - expected) <= 1e-12
+    zero = norm_series(
+        solve_heat(mesh, forcing_profile("zero", mesh.surface), grid, scheme=STATIONARY),
+        pairs)
+    assert spacetime_norm(*zero, "fh", 2.0, 2.0) == 0.0
     with pytest.raises(InvalidExponent):
-        spacetime_norm(traj, "fh", 1.0, 2.0)
+        spacetime_norm(*ones, "fh", 1.0, 2.0)
     with pytest.raises(InvalidExponent):
-        spacetime_norm(traj, "fh", 2.0, math.inf)
+        spacetime_norm(*ones, "fh", 2.0, math.inf)
+    with pytest.raises(KeyError):
+        spacetime_norm(*ones, "fh", 2.0, 4.0)
 
 
 def test_spacetime_norm_against_dense_quadrature_oracle():
@@ -190,23 +200,23 @@ def test_spacetime_norm_against_dense_quadrature_oracle():
     mesh = build_circle_mesh(Circle(), 24, 1)
     forcing = forcing_profile("bump", mesh.surface)
     grid = TimeGrid(1.0, 100)
-    traj = solve_heat(mesh, forcing, grid, scheme=STATIONARY)
-    value = spacetime_norm(traj, "fh", 2.0, 2.0)
+    nodes = list(solve_heat(mesh, forcing, grid, scheme=STATIONARY))
+    value = spacetime_norm(*norm_series(nodes, [("fh", 2.0)]), "fh", 2.0, 2.0)
 
     gx, gw = np.polynomial.legendre.leggauss(40)
     xi = 0.5 * (gx + 1.0)
     sv = mesh.reference.shape_values(xi.reshape(-1, 1))
-    series = np.empty(len(traj.times))
-    for i in range(len(traj.times)):
+    series = np.empty(len(nodes))
+    for i, node in enumerate(nodes):
         total = 0.0
         for el in mesh.elements:
             coords = mesh.nodes[el]
             pts = sv @ coords
             speeds = np.linalg.norm(coords[1] - coords[0])
-            vals = sv @ traj.fields["fh"][i][el]
+            vals = sv @ node.fh[el]
             total += 0.5 * float(np.sum(gw * vals**2)) * speeds
         series[i] = total
-    oracle = math.sqrt(float(np.trapezoid(series, traj.times)))
+    oracle = math.sqrt(float(np.trapezoid(series, grid.times())))
     assert abs(value - oracle) <= 1e-8 * oracle
 
 
@@ -215,14 +225,15 @@ def test_linearity_of_ratio():
     base = forcing_profile("bump", mesh.surface)
     doubled = lambda t, x: 2.0 * base(t, x)
     grid = TimeGrid.from_mesh(mesh, 1.0, 0.5)
-    t1 = solve_heat(mesh, base, grid, scheme=STATIONARY)
-    t2 = solve_heat(mesh, doubled, grid, scheme=STATIONARY)
+    pairs = [("udot", 2.0), ("lap", 2.0), ("fh", 2.0)]
+    t1 = norm_series(solve_heat(mesh, base, grid, scheme=STATIONARY), pairs)
+    t2 = norm_series(solve_heat(mesh, doubled, grid, scheme=STATIONARY), pairs)
 
-    def ratio(traj):
+    def ratio(series):
         return (
-            spacetime_norm(traj, "udot", 2.0, 2.0)
-            + spacetime_norm(traj, "lap", 2.0, 2.0)
-        ) / spacetime_norm(traj, "fh", 2.0, 2.0)
+            spacetime_norm(*series, "udot", 2.0, 2.0)
+            + spacetime_norm(*series, "lap", 2.0, 2.0)
+        ) / spacetime_norm(*series, "fh", 2.0, 2.0)
 
     assert abs(ratio(t1) - ratio(t2)) <= 1e-10 * ratio(t1)
 
@@ -250,41 +261,38 @@ def test_bdf2_rejected_for_conservative_scheme():
                    scheme="B", integrator="bdf2")
 
 
-def _norm_oracle(traj, field, q, moving):
-    # per-node L^q norms of the stored coefficients, each on its own snapshot
-    series = np.empty(len(traj.times))
-    for i, t in enumerate(traj.times):
-        mesh = traj.mesh0.evolved(t) if moving else traj.mesh0
+def _norm_oracle(nodes, mesh0, field, q, moving):
+    # per-node L^q norms of the nodes' coefficients, each on its own snapshot
+    series = np.empty(len(nodes))
+    for i, node in enumerate(nodes):
+        mesh = mesh0.evolved(node.t) if moving else mesh0
         geom = FeSpace(mesh).geometry()
-        coeffs = traj.fields[field][i]
+        coeffs = getattr(node, field)
         values = element_values(coeffs, mesh.elements, geom)
         series[i] = values_norm_lq(values, coeffs, geom, q)
     return series
 
 
-def test_solve_heat_records_exactly_the_requested_norms():
+def _undrawable():
+    raise AssertionError("a node was drawn")
+    yield
+
+
+def test_norm_series_records_exactly_the_requested_norms():
     mesh = build_circle_mesh(Circle(), 16, 1)
     forcing = forcing_profile("bump", mesh.surface)
     grid = TimeGrid(0.5, 10)
     pairs = [("udot", 1.0), ("fh", 2.0), ("fh", 3.0), ("fh", 2)]
-    traj = solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=pairs,
-                      store_fields=())
-    assert set(traj.norm_series) == {("udot", 1.0), ("fh", 2.0), ("fh", 3.0)}
-    assert traj.fields == {}
-    for field, q in (("u", 2.0), ("udot", 2.0), ("lap", 2.0), ("fh", 1.0)):
-        with pytest.raises(KeyError):
-            traj.norms(field, q)
+    nodes = list(solve_heat(mesh, forcing, grid, scheme=STATIONARY))
+    times, norms = norm_series(nodes, pairs)
+    assert times.tolist() == grid.times().tolist()
+    assert list(norms) == [("udot", 1.0), ("fh", 2.0), ("fh", 3.0)]
+    for (field, q), series in norms.items():
+        oracle = _norm_oracle(nodes, mesh, field, q, moving=False)
+        assert np.allclose(series, oracle, rtol=1e-13, atol=0.0)
 
-    # the recorded series equal the ones computed from stored coefficients
-    full = solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=pairs)
-    assert set(full.fields) == {"u", "udot", "lap", "fh"}
-    for field, q in set(traj.norm_series):
-        assert np.array_equal(traj.norms(field, q), full.norms(field, q))
-        oracle = _norm_oracle(full, field, q, moving=False)
-        assert np.allclose(traj.norms(field, q), oracle, rtol=1e-13, atol=0.0)
-
-    with pytest.raises(ValueError, match="unknown field"):
-        solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=[("v", 2.0)])
+    with pytest.raises(ValueError, match="unknown field 'v'"):
+        norm_series(_undrawable(), [("v", 2.0)])
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
@@ -293,40 +301,42 @@ def test_moving_mesh_norms_are_taken_on_the_evolved_snapshot(scheme):
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(1.0, 8)
     pairs = [("u", 2.0), ("udot", 1.5), ("lap", 2.0), ("fh", 3.0)]
-    traj = solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=scheme,
-                      norms=pairs)
+    nodes = list(solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=scheme))
+    _, norms = norm_series(nodes, pairs)
     for field, q in pairs:
-        oracle = _norm_oracle(traj, field, q, moving=True)
-        assert np.allclose(traj.norms(field, q), oracle, rtol=1e-13, atol=0.0)
+        oracle = _norm_oracle(nodes, mesh, field, q, moving=True)
+        assert np.allclose(norms[(field, q)], oracle, rtol=1e-13, atol=0.0)
         # the radius runs between 0.75 and 1.25, so the initial mesh gives
         # other norms
-        frozen = _norm_oracle(traj, field, q, moving=False)
-        assert not np.allclose(traj.norms(field, q), frozen, rtol=1e-3)
+        frozen = _norm_oracle(nodes, mesh, field, q, moving=False)
+        assert not np.allclose(norms[(field, q)], frozen, rtol=1e-3)
 
 
-def test_store_fields_names_the_kept_coefficients():
-    mesh = build_circle_mesh(Circle(), 16, 1)
-    forcing = forcing_profile("bump", mesh.surface)
-    grid = TimeGrid(0.5, 10)
-    some = solve_heat(mesh, forcing, grid, scheme=STATIONARY, norms=(),
-                      store_fields=("fh", "u"))
-    assert list(some.fields) == ["u", "fh"]
-    assert some.fields["u"].shape == (grid.n_steps + 1, mesh.num_nodes)
-    assert some.norm_series == {}
-    with pytest.raises(ValueError, match="unknown field 'v'"):
-        solve_heat(mesh, forcing, grid, scheme=STATIONARY, store_fields=("v",))
-
-
-def test_unrecorded_norms_raise_a_key_error_listing_the_recorded_pairs():
-    mesh = build_circle_mesh(Circle(), 16, 1)
-    traj = solve_heat(mesh, forcing_profile("bump", mesh.surface), TimeGrid(0.5, 4),
-                      scheme=STATIONARY, norms=[("udot", 1.0), ("fh", 2.0)])
-    recorded = "recorded: [('fh', 2.0), ('udot', 1.0)]"
-    with pytest.raises(KeyError, match=re.escape(recorded)):
-        traj.norms("u", 2.0)
-    with pytest.raises(KeyError, match=re.escape("'fh' at q=3")):
-        traj.norms("fh", 3)
-    assert traj.norms("fh", 2) is traj.norm_series[("fh", 2.0)]
+@pytest.mark.parametrize("scheme", [SCHEME_A, STATIONARY])
+def test_solve_heat_steps_only_as_nodes_are_drawn(monkeypatch, scheme):
+    surface = ScaledSphereFlow(dimension=2)
+    mesh = build_sphere_mesh(surface, 1, 1)
+    grid = TimeGrid(0.5, 6)
+    iterations = _count_cg(monkeypatch)
+    nodes = solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=scheme)
+    assert iterations == []
+    # the initial state solves for fh and lap, each step for u and fh
+    first = next(nodes)
+    assert len(iterations) == 2
+    kept = [first, next(nodes)]
+    assert len(iterations) == 4
+    copies = [{name: getattr(node, name).copy() for name in FIELDS} for node in kept]
+    rest = list(nodes)
+    assert len(iterations) == 2 + 2 * grid.n_steps
+    # one node per time node, on the mesh snapshot of its time, and the
+    # stream never writes to a node it has handed over
+    all_nodes = kept + rest
+    assert [node.t for node in all_nodes] == grid.times().tolist()
+    for node in all_nodes:
+        assert node.mesh.time == (node.t if scheme == SCHEME_A else 0.0)
+    for node, copy in zip(kept, copies):
+        for name in FIELDS:
+            assert np.array_equal(getattr(node, name), copy[name])
 
 
 def _count_scaled_add(monkeypatch):
@@ -348,12 +358,12 @@ def test_stationary_operator_is_built_once(monkeypatch):
     forcing = forcing_profile("osc-seed42", mesh.surface)
     grid = TimeGrid(0.5, 12)
     calls = _count_scaled_add(monkeypatch)
-    solve_heat(mesh, forcing, grid, scheme=STATIONARY)
+    list(solve_heat(mesh, forcing, grid, scheme=STATIONARY))
     assert calls == [grid.dt]
 
     # BDF2: one backward Euler start-up system, then one BDF2 system
     calls.clear()
-    solve_heat(mesh, forcing, grid, scheme=STATIONARY, integrator="bdf2")
+    list(solve_heat(mesh, forcing, grid, scheme=STATIONARY, integrator="bdf2"))
     assert calls == [grid.dt, 2.0 * grid.dt / 3.0]
 
 
@@ -362,7 +372,7 @@ def test_moving_operator_is_built_every_step(monkeypatch):
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(1.0, 6)
     calls = _count_scaled_add(monkeypatch)
-    solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=SCHEME_A)
+    list(solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=SCHEME_A))
     assert calls == [grid.dt] * grid.n_steps
 
 
@@ -413,8 +423,9 @@ def test_extrapolated_start_vectors_save_cg_iterations(monkeypatch):
     grid = TimeGrid.from_mesh(mesh, 1.0, 0.5)
     assert grid.n_steps == 74
     iterations = _count_cg(monkeypatch)
-    solve_heat(mesh, forcing_profile("osc-seed42", mesh.surface), grid,
-               scheme=STATIONARY, store_fields=())
+    for _ in solve_heat(mesh, forcing_profile("osc-seed42", mesh.surface), grid,
+                        scheme=STATIONARY):
+        pass
     assert len(iterations) == 2 + 2 * grid.n_steps
     assert sum(iterations) <= 2100
 
@@ -425,7 +436,8 @@ def test_homogeneous_solve_without_load_vectors(monkeypatch, scheme):
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(0.5, 12)
     u0 = 1.0 + 0.2 * np.random.default_rng(3).standard_normal(mesh.num_nodes)
-    zero = solve_heat(mesh, forcing_profile("zero", surface), grid, scheme=scheme, u0=u0)
+    zero = list(solve_heat(mesh, forcing_profile("zero", surface), grid, scheme=scheme,
+                           u0=u0))
 
     def no_load(*args, **kwargs):
         raise AssertionError("a homogeneous solve evaluated a load vector")
@@ -433,15 +445,18 @@ def test_homogeneous_solve_without_load_vectors(monkeypatch, scheme):
     monkeypatch.setattr(timestepping, "load_vector", no_load)
     monkeypatch.setattr(timestepping, "load_from_geometry", no_load)
     iterations = _count_cg(monkeypatch)
-    none = solve_heat(mesh, None, grid, scheme=scheme, u0=u0)
+    none = list(solve_heat(mesh, None, grid, scheme=scheme, u0=u0))
     # no mass solve for fh: the initial lap solve, then one system solve per
     # step, and one lap solve per step in scheme B
     per_step = 2 if scheme == SCHEME_B else 1
     assert len(iterations) == 1 + per_step * grid.n_steps
-    assert np.all(none.fields["fh"] == 0.0)
-    assert np.all(none.norm_series[("fh", 2.0)] == 0.0)
-    for name in ("u", "udot", "lap"):
-        assert np.array_equal(none.fields[name], zero.fields[name]), name
-    assert none.norm_series.keys() == zero.norm_series.keys()
-    for key, series in zero.norm_series.items():
-        assert np.array_equal(none.norm_series[key], series), key
+    assert len(none) == len(zero) == grid.n_steps + 1
+    for a, b in zip(none, zero):
+        assert np.all(a.fh == 0.0)
+        for name in ("u", "udot", "lap"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    pairs = [(name, 2.0) for name in FIELDS]
+    none_norms, zero_norms = norm_series(none, pairs)[1], norm_series(zero, pairs)[1]
+    assert np.all(none_norms[("fh", 2.0)] == 0.0)
+    for key, series in zero_norms.items():
+        assert np.array_equal(none_norms[key], series), key
