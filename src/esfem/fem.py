@@ -19,6 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InvalidExponent,
     NonConvergence,
     PointNotOnMesh,
@@ -613,13 +614,60 @@ def element_point(mesh, element, ref):
     return sv @ mesh.nodes[mesh.elements[element]]
 
 
-# rays scored against every element per block: the (block, E, d) barycentric
-# temporaries stay a few MB however many points are lifted
+# rays per block: the (block, E, d) barycentric temporaries of the scoring
+# stay a few MB however many points are lifted
 _LIFT_BLOCK = 1024
 _LIFT_MAXITER = 40
 
 
-def radial_inverse_lift(mesh, points, tol=1e-12):
+def _row_dot(a, b):
+    # np.sum(a * b, axis=-1) for a few columns, bit for bit, without the slow
+    # reduce over a short axis
+    out = a[:, 0] * b[:, 0]
+    for k in range(1, a.shape[-1]):
+        out += a[:, k] * b[:, k]
+    return out
+
+
+def _sum_min(lam):
+    # sum and minimum over the leading axis of length d, componentwise: a
+    # reduce over an axis that short is slow
+    lam_sum, lam_min = lam[0] + lam[1], np.minimum(lam[0], lam[1])
+    for comp in lam[2:]:
+        lam_sum += comp
+        np.minimum(lam_min, comp, out=lam_min)
+    return lam_sum, lam_min
+
+
+def _score_rays(inv, rays):
+    # the element whose flat simplex each ray crosses deepest, and the
+    # reference coordinates of the crossing
+    lam = np.einsum("eij,pj->ipe", inv, rays)  # (d, P, E)
+    lam_sum, lam_min = _sum_min(lam)
+    # min(lam)/sum == min(lam/sum) exactly: division by sum > 0 is monotone
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = lam_min / lam_sum
+    score[~(lam_sum > 0)] = -1.0
+    best = np.argmax(score, axis=-1)
+    rows = np.arange(rays.shape[0])
+    return best, (lam[1:, rows, best] / lam_sum[rows, best]).T
+
+
+def _check_guess(guess, n, n_elements):
+    guess = np.asarray(guess)
+    if guess.shape != (n,):
+        raise DimensionMismatch(
+            f"guess has shape {guess.shape}; expected ({n},), one element per point")
+    if guess.dtype.kind not in "iu":
+        raise ValueError(f"guess must hold element indices, got dtype {guess.dtype}")
+    if n and (guess.min() < 0 or guess.max() >= n_elements):
+        raise ValueError(
+            f"guess names elements outside 0..{n_elements - 1}: "
+            f"{int(guess.min())}..{int(guess.max())}")
+    return guess
+
+
+def radial_inverse_lift(mesh, points, tol=1e-12, guess=None):
     """Inverse of the closest-point projection restricted to Gamma_h, for
     surfaces with radial projection (circle/sphere families).
 
@@ -627,16 +675,21 @@ def radial_inverse_lift(mesh, points, tol=1e-12):
     through the element maps gives the Gamma_h points projecting onto
     ``points``.  Each ray through the origin goes to the element whose flat
     vertex simplex it crosses deepest (largest smallest barycentric; the first
-    such element on ties).  Projected Gauss-Newton then moves the crossing of
-    the flat simplex onto the curved element until the residual normal to the
-    ray is below ``tol``.  Raises PointNotOnMesh for non-finite or zero
-    points and NonConvergence if Newton stalls.
+    such element on ties).  ``guess`` optionally gives one element per point
+    to try first: a ray that crosses its guessed flat simplex (no barycentric
+    below 0) keeps that element, and only the other rays are scored against
+    every element, so a wrong guess costs time but never the result.
+    Projected Gauss-Newton then moves the crossing of the flat simplex onto
+    the curved element until the residual normal to the ray is below
+    ``tol``.  Raises PointNotOnMesh for non-finite or zero points,
+    NonConvergence if Newton stalls, and DimensionMismatch or ValueError for
+    a guess of the wrong length or with elements out of range.
     """
     surface = mesh.surface
     if not hasattr(surface, "radius"):
         raise UnsupportedSurface("inverse lift by ray casting needs a radial kind")
     pts = np.asarray(points, dtype=float)
-    norms = np.linalg.norm(pts, axis=-1, keepdims=True)
+    norms = np.sqrt(_row_dot(pts, pts))[:, None]
     bad = ~(np.isfinite(norms[:, 0]) & (norms[:, 0] > 0.0))
     if bad.any():
         raise PointNotOnMesh(
@@ -645,42 +698,43 @@ def radial_inverse_lift(mesh, points, tol=1e-12):
         )
     rays = pts / norms
     n = rays.shape[0]
+    if guess is not None:
+        guess = _check_guess(guess, n, mesh.num_elements)
     inv = np.linalg.inv(np.swapaxes(mesh.vertex_coords(), 1, 2))
     elems = np.empty(n, dtype=np.intp)
     refs = np.empty((n, mesh.dimension))
     for lo in range(0, n, _LIFT_BLOCK):
         hi = min(lo + _LIFT_BLOCK, n)
-        lam = np.einsum("eij,pj->ipe", inv, rays[lo:hi])  # (d, block, E)
-        # componentwise reductions: a reduce over an axis of length d is slow
-        lam_sum, lam_min = lam[0] + lam[1], np.minimum(lam[0], lam[1])
-        for comp in lam[2:]:
-            lam_sum += comp
-            np.minimum(lam_min, comp, out=lam_min)
-        # min(lam)/sum == min(lam/sum) exactly: division by sum > 0 is monotone
+        if guess is None:
+            elems[lo:hi], refs[lo:hi] = _score_rays(inv, rays[lo:hi])
+            continue
+        # barycentrics against the guessed simplex only, gathered per block
+        tried = guess[lo:hi]
+        lam = np.einsum("pij,pj->ip", np.take(inv, tried, axis=0), rays[lo:hi])
+        lam_sum, lam_min = _sum_min(lam)
+        elems[lo:hi] = tried
         with np.errstate(divide="ignore", invalid="ignore"):
-            score = lam_min / lam_sum
-        score[~(lam_sum > 0)] = -1.0
-        best = np.argmax(score, axis=-1)
-        rows = np.arange(hi - lo)
-        elems[lo:hi] = best
-        # Newton starts from the crossing of the flat simplex
-        refs[lo:hi] = (lam[1:, rows, best] / lam_sum[rows, best]).T
+            refs[lo:hi] = (lam[1:] / lam_sum).T
+        missed = lo + np.flatnonzero(~((lam_min >= 0.0) & (lam_sum > 0.0)))
+        if missed.size:
+            elems[missed], refs[missed] = _score_rays(inv, rays[missed])
 
     ref_el = mesh.reference
-    local_nodes = mesh.elements[elems]
+    local_nodes = np.take(mesh.elements, elems, axis=0)
 
     def residual(idx):
         # component of the Gamma_h point normal to the ray
-        coords = mesh.nodes[local_nodes[idx]]
+        coords = np.take(mesh.nodes, local_nodes[idx], axis=0)
         pos = np.einsum("pl,pld->pd", ref_el.shape_values(refs[idx]), coords)
         ray = rays[idx]
-        return pos - ray * np.sum(ray * pos, axis=-1, keepdims=True), coords
+        return pos - ray * _row_dot(ray, pos)[:, None], coords
 
-    active = np.arange(n)
+    active = slice(None)  # the first pass takes every point, without copies
     for _ in range(_LIFT_MAXITER):
         resid, coords = residual(active)
-        keep = ~(np.linalg.norm(resid, axis=-1) < tol)
-        active, resid, coords = active[keep], resid[keep], coords[keep]
+        keep = ~(np.sqrt(_row_dot(resid, resid)) < tol)
+        active = np.arange(n)[active][keep]
+        resid, coords = resid[keep], coords[keep]
         if active.size == 0:
             return elems, refs
         ray = rays[active]

@@ -197,12 +197,46 @@ def delta_consistency(discrete_space, lifted_space, x0, p):
 
 def point_interpolation(mesh, elements, refs):
     """The map from a coefficient vector on mesh to its values at the points
-    with reference coordinates refs in the given elements."""
+    with reference coordinates refs in the given elements.
+
+    ``elements`` may come in rows, shape (groups, points per group) with refs
+    (groups, points per group, d), such as the quadrature points of each
+    element of a finer mesh.  When every row lies in one element, the
+    coefficients are gathered once per row; otherwise once per point.  The
+    values come back flat, row after row.
+    """
+    elements = np.asarray(elements)
+    refs = np.asarray(refs, dtype=float)
+    sv = mesh.reference.shape_values(refs.reshape(-1, refs.shape[-1]))
+    if elements.ndim == 2 and (elements == elements[:, :1]).all():
+        # (rows, nodes per element, points per row) against (rows, nodes per
+        # element): the same products and sums as the per-point path
+        table = np.ascontiguousarray(
+            sv.reshape(elements.shape + sv.shape[-1:]).transpose(0, 2, 1))
+        gather = mesh.elements[elements[:, 0]]
+        return lambda coeffs: np.einsum("ek,ekq->eq", coeffs[gather], table).reshape(-1)
     # stored as (nodes per element, points), so one evaluation runs over
     # contiguous rows
-    sv = np.ascontiguousarray(mesh.reference.shape_values(refs).T)
-    gather = np.ascontiguousarray(mesh.elements[elements].T)
+    sv = np.ascontiguousarray(sv.T)
+    gather = np.ascontiguousarray(mesh.elements[elements.reshape(-1)].T)
     return lambda coeffs: np.einsum("kp,kp->p", sv, coeffs[gather])
+
+
+def _coarse_at_quadrature(coarse_mesh, geom):
+    # the map to the coarse kernel's values at the lifted quadrature points
+    # of the fine elements; the lift's arrays are freed before any solve.
+    # Both builders order children after their parent: when E_c divides E_f,
+    # fine element k lies in coarse element k // (E_f / E_c), which the
+    # inverse lift tries first for each of k's points
+    n_fine, n_quad = geom.weights.shape
+    guess = None
+    if n_fine % coarse_mesh.num_elements == 0:
+        ratio = n_fine // coarse_mesh.num_elements
+        guess = np.repeat(np.arange(n_fine) // ratio, n_quad)
+    elems, refs = radial_inverse_lift(
+        coarse_mesh, geom.points.reshape(-1, geom.points.shape[-1]), guess=guess)
+    return point_interpolation(coarse_mesh, elems.reshape(n_fine, n_quad),
+                               refs.reshape(n_fine, n_quad, -1))
 
 
 def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
@@ -232,9 +266,7 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
 
     lifted_fine = FeSpace(fine_mesh, LIFTED, quad_order=quad_order)
     geom = lifted_fine.geometry()
-    flat_pts = geom.points.reshape(-1, geom.points.shape[-1])
-    coarse_at_points = point_interpolation(
-        coarse_mesh, *radial_inverse_lift(coarse_mesh, flat_pts))
+    coarse_at_points = _coarse_at_quadrature(coarse_mesh, geom)
     weights = geom.weights.reshape(-1)
 
     def source_on(mesh):

@@ -158,6 +158,10 @@ def build_circle_mesh(surface, n_elements, degree=1, interior_jitter=0.0):
     parametrization regular uniformly in h (the optimal degree+1 geometry
     approximation survives) and keeps quasi-uniformity, but makes the
     leading geometric error rough from element to element.
+
+    Element e spans the parameter angles [2*pi*e/N, 2*pi*(e+1)/N], so the
+    meshes nest in child order: when N_c divides N_f, element k of the N_f
+    mesh lies in the ray cone of element k // (N_f / N_c) of the N_c mesh.
     """
     n_elements = int(n_elements)
     if surface.dimension != 1:
@@ -211,7 +215,12 @@ def _subdivide(verts, faces):
 
 def build_sphere_mesh(surface, levels, degree=1):
     """Icosahedral degree-k mesh: `levels` midpoint subdivisions, all nodes
-    (vertices and, for degree 2, edge nodes) projected onto Gamma(0)."""
+    (vertices and, for degree 2, edge nodes) projected onto Gamma(0).
+
+    Each subdivision puts the four children of face k at 4k..4k+3, so the
+    levels nest in child order: element k of level L lies in the ray cone of
+    element k // 4**(L - J) of level J <= L.
+    """
     if surface.dimension != 2:
         raise UnsupportedSurface("sphere meshes need a two-dimensional surface")
     if not (hasattr(surface, "radius") or surface.kind == "ellipsoid_flow"):

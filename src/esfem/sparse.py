@@ -79,6 +79,7 @@ class SparseMatrix:
         self.n = pattern.n
         self.vals = vals
         self._data = None
+        self._inv_diag = None
 
     @property
     def indptr(self):
@@ -111,6 +112,23 @@ class SparseMatrix:
         diag = np.zeros(self.n)
         diag[self.pattern.diag_rows] = self.vals.ravel()[self.pattern.diag_slots]
         return diag
+
+    def inverse_diagonal(self):
+        """1 / diagonal, the Jacobi preconditioner; computed once per matrix.
+
+        Raises NonFiniteValue on every call while the diagonal is not finite
+        and positive.
+        """
+        if self._inv_diag is None:
+            diag = self.diagonal()
+            positive = np.isfinite(diag) & (diag > 0)
+            if not positive.all():
+                bad = int(np.argmin(positive))
+                raise NonFiniteValue(
+                    f"diagonal entry {bad} is {diag[bad]!r}; the matrix is not SPD")
+            self._inv_diag = 1.0 / diag
+            self._inv_diag.setflags(write=False)  # shared by every solve
+        return self._inv_diag
 
     def to_dense(self):
         dense = np.zeros((self.n, self.n))
@@ -147,15 +165,9 @@ def cg_solve(mat, b, tol=1e-12, maxiter=None, x0=None, atol=0.0):
         x = np.array(x0, dtype=float)
         if not np.isfinite(x).all():
             raise NonFiniteValue(f"start vector x0: {_nonfinite(x)}")
-    diag = mat.diagonal()
-    positive = np.isfinite(diag) & (diag > 0)
-    if not positive.all():
-        bad = int(np.argmin(positive))
-        raise NonFiniteValue(
-            f"diagonal entry {bad} is {diag[bad]!r}; the matrix is not SPD")
+    inv_diag = mat.inverse_diagonal()
     if bnorm == 0.0:
         return np.zeros(mat.n), SolveReport(0, 0.0, True)
-    inv_diag = 1.0 / diag
 
     if x0 is None:
         x = np.zeros(mat.n)

@@ -4,7 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from esfem.errors import InvalidExponent, NonConvergence, PointNotOnMesh, SingularElement
+from esfem.errors import (
+    DimensionMismatch,
+    InvalidExponent,
+    NonConvergence,
+    PointNotOnMesh,
+    SingularElement,
+)
 from esfem.fem import (
     DISCRETE,
     LIFTED,
@@ -666,6 +672,80 @@ def test_radial_inverse_lift_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def ancestor_lift_points(coarse, fine):
+    # the lifted quadrature points and the nodes of each fine element, with
+    # the coarse element k // ratio that nesting puts fine element k in
+    geom = FeSpace(fine, LIFTED).geometry()
+    per_element = np.concatenate([geom.points, fine.nodes[fine.elements]], axis=1)
+    ancestor = np.arange(fine.num_elements) // (fine.num_elements // coarse.num_elements)
+    return (per_element.reshape(-1, per_element.shape[-1]),
+            np.repeat(ancestor, per_element.shape[1]))
+
+
+def assert_same_lift(mesh, got, expected):
+    # the same elements and refs, except that a point on an edge shared by
+    # two elements may go to either one; it must then map to the same point
+    (elems, refs), (e_elems, e_refs) = got, expected
+    same = elems == e_elems
+    assert np.abs(refs[same] - e_refs[same]).max() <= 1e-14
+    sv, e_sv = mesh.reference.shape_values(refs), mesh.reference.shape_values(e_refs)
+    mapped = np.einsum("pl,pld->pd", sv, mesh.nodes[mesh.elements[elems]])
+    e_mapped = np.einsum("pl,pld->pd", e_sv, mesh.nodes[mesh.elements[e_elems]])
+    assert np.abs(mapped - e_mapped).max() <= 1e-14
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_CASES))
+def test_radial_inverse_lift_with_ancestor_guess_matches_scoring(case):
+    coarse, fine = LIFT_CASES[case]()
+    pts, ancestor = ancestor_lift_points(coarse, fine)
+    assert_same_lift(coarse, radial_inverse_lift(coarse, pts, guess=ancestor),
+                     radial_inverse_lift(coarse, pts))
+
+
+@pytest.mark.parametrize("wrong", ["all", "half"])
+def test_radial_inverse_lift_recovers_from_wrong_guesses(wrong):
+    coarse, fine = build_sphere_mesh(Sphere(), 1, 2), build_sphere_mesh(Sphere(), 2, 2)
+    pts, ancestor = ancestor_lift_points(coarse, fine)
+    guess = (ancestor + 1) % coarse.num_elements
+    if wrong == "half":
+        guess[::2] = ancestor[::2]
+    assert_same_lift(coarse, radial_inverse_lift(coarse, pts, guess=guess),
+                     radial_inverse_lift(coarse, pts))
+
+
+@pytest.mark.parametrize("guess, error", [
+    (np.zeros(3, dtype=int), DimensionMismatch),
+    (np.zeros((2, 1), dtype=int), DimensionMismatch),
+    (np.array([0, -1]), ValueError),
+    (np.array([0, 80]), ValueError),
+    (np.array([0.0, 1.0]), ValueError),
+], ids=["long", "2d", "negative", "past-end", "float"])
+def test_radial_inverse_lift_rejects_a_bad_guess(guess, error):
+    # each check raises, not asserts, so it holds under python -O as well
+    mesh = build_sphere_mesh(Sphere(), 1, 1)
+    assert mesh.num_elements == 80
+    pts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(error, match="guess"):
+        radial_inverse_lift(mesh, pts, guess=guess)
+
+
+def test_radial_inverse_lift_with_guess_memory_is_bounded():
+    # the guessed simplices are gathered per block, so a guess costs no
+    # memory beyond the lift without one (22 MiB measured for both)
+    coarse, fine = build_sphere_mesh(Sphere(), 1, 1), build_sphere_mesh(Sphere(), 3, 1)
+    geom = FeSpace(fine, LIFTED).geometry()
+    pts = geom.points.reshape(-1, 3).copy()
+    assert len(pts) == 103_680
+    guess = np.repeat(np.arange(fine.num_elements) // 16, geom.points.shape[1])
+    tracemalloc.start()
+    try:
+        radial_inverse_lift(coarse, pts, guess=guess)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0]],

@@ -283,22 +283,39 @@ def test_kernel_difference_memory_does_not_grow_with_the_steps():
     assert long < 1.1 * short, (short, long)
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-def test_point_interpolation_matches_gathered_sum(degree):
+INTERPOLATION_PAIRS = {
+    # coarse mesh, fine mesh; the circles with 20 and 90 elements do not nest
+    "sphere-P1": lambda: (build_sphere_mesh(Sphere(), 1, 1), build_sphere_mesh(Sphere(), 2, 1)),
+    "sphere-P2": lambda: (build_sphere_mesh(Sphere(), 1, 2), build_sphere_mesh(Sphere(), 2, 2)),
+    "circle-P2-20-90": lambda: (build_circle_mesh(Circle(), 20, 2),
+                                build_circle_mesh(Circle(), 90, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERPOLATION_PAIRS))
+def test_point_interpolation_matches_gathered_sum(case):
     # the coarse-kernel map of kernel_difference_l1 against the plain formula
-    # sum_k phi_k(ref_p) u[element_p, k], on lifted fine quadrature points
-    surface = Sphere()
-    coarse = build_sphere_mesh(surface, 1, degree)
-    fine = build_sphere_mesh(surface, 2, degree)
+    # sum_k phi_k(ref_p) u[element_p, k], on lifted fine quadrature points,
+    # given flat and in rows of one fine element each
+    coarse, fine = INTERPOLATION_PAIRS[case]()
     geom = FeSpace(fine, LIFTED).geometry()
-    elems, refs = radial_inverse_lift(coarse, geom.points.reshape(-1, 3))
-    interpolate = point_interpolation(coarse, elems, refs)
+    n_fine, n_quad = geom.weights.shape
+    elems, refs = radial_inverse_lift(coarse, geom.points.reshape(n_fine * n_quad, -1))
+    rows = elems.reshape(n_fine, n_quad)
+    nested = bool((rows == rows[:, :1]).all())
+    # the spheres nest, so each row takes the per-row gather; the circles do
+    # not, so their rows fall back to the per-point gather
+    assert nested == case.startswith("sphere")
+    per_point = point_interpolation(coarse, elems, refs)
+    per_row = point_interpolation(coarse, rows, refs.reshape(n_fine, n_quad, -1))
     sv = coarse.reference.shape_values(refs)
     gather = coarse.elements[elems]
-    rng = np.random.default_rng(degree)
+    rng = np.random.default_rng(len(case))
     for _ in range(3):
         u = rng.standard_normal(coarse.num_nodes)
         expected = np.sum(sv * u[gather], axis=1)
-        got = interpolate(u)
+        got = per_row(u)
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+        # the same products summed in the same order on both paths
+        assert np.array_equal(got, per_point(u))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from esfem.errors import DegenerateMesh, FlowEvaluationFailure, IOFailure, UnsupportedSurface
-from esfem.fem import FeSpace, integrate
+from esfem.fem import LIFTED, FeSpace, integrate
 from esfem.meshing import (
     SurfaceMesh,
     build_circle_mesh,
@@ -249,3 +249,32 @@ def test_icosphere_orientation_matches_per_face_loop(monkeypatch, degree, revers
         assert np.array_equal(mesh.elements[:, :3], np.array(expected))
         assert mesh.elements.dtype == np.int64
         assert mesh.orientation_defects() == 0
+
+
+NESTED_PAIRS = {
+    # coarse mesh, fine mesh built in child order from it
+    **{f"sphere-P{p}-L{lc}-L3": (lambda p=p, lc=lc: (build_sphere_mesh(Sphere(), lc, p),
+                                                      build_sphere_mesh(Sphere(), 3, p)))
+       for p in (1, 2) for lc in (0, 1, 2)},
+    **{f"circle-P{p}-16-64": (lambda p=p: (build_circle_mesh(Circle(), 16, p),
+                                           build_circle_mesh(Circle(), 64, p)))
+       for p in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_PAIRS))
+def test_refined_elements_lie_in_the_cone_of_their_ancestor(case):
+    # kernel_difference_l1 guesses coarse element k // ratio for the lifted
+    # quadrature points of fine element k: every such point and every node
+    # of fine element k has no negative barycentric against the vertex
+    # simplex of that coarse element (the flat cone of rays through it)
+    coarse, fine = NESTED_PAIRS[case]()
+    ratio, rest = divmod(fine.num_elements, coarse.num_elements)
+    assert ratio > 1 and rest == 0
+    geom = FeSpace(fine, LIFTED).geometry()
+    per_element = np.concatenate([geom.points, fine.nodes[fine.elements]], axis=1)
+    ancestor = np.arange(fine.num_elements) // ratio
+    vertices = coarse.vertex_coords()[ancestor]  # (E_f, d, d), one vertex a row
+    bary = np.linalg.solve(np.swapaxes(vertices, 1, 2), np.swapaxes(per_element, 1, 2))
+    assert bary.min() >= -1e-12
+    assert np.all(bary.sum(axis=1) > 0.0)

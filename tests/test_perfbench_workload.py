@@ -5,8 +5,10 @@ Running the smallest one here (``maxreg-ellipsoid`` at seed 42, about 0.2 s)
 makes a change of the numerics beyond the benchmark's tolerance fail the
 test suite, not only a benchmark run.  The gated workloads also run traced,
 through ``perfbench/child.py`` in a fresh interpreter, so a solver path that
-bypasses the traced ``solve_heat`` fails here too.  The workloads, the check
-and the child are taken from the checkout's ``perfbench/`` by path.
+bypasses the traced ``solve_heat`` fails here too, and the traced outputs of
+each (``greens-kernel`` among them) are checked against the references.
+The workloads, the check and the child are taken from the checkout's
+``perfbench/`` by path.
 """
 
 import importlib.util
@@ -48,8 +50,10 @@ def test_maxreg_ellipsoid_matches_its_references(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["maxreg-ellipsoid", "greens-kernel"])
 def test_traced_workload_recounts_its_solver_work(tmp_path, monkeypatch, name):
-    # the recount identities the benchmark's traced self-test checks
+    # the recount identities the benchmark's traced self-test checks, and the
+    # traced run's outputs against their references
     workload = _load("workloads", monkeypatch).WORKLOADS[name]
+    checks = _load("checks", monkeypatch)
     ini = tmp_path / "config.ini"
     ini.write_text(workload.ini(42), encoding="ascii")
     env = {key: value for key, value in os.environ.items()
@@ -68,3 +72,6 @@ def test_traced_workload_recounts_its_solver_work(tmp_path, monkeypatch, name):
         assert solves == 2
         assert layers["sparse.cg.calls"] == 2 * layers["timestepping.steps"] + 2 * solves
     assert layers["timestepping.dof_steps"] == workload.work + workload.uncounted
+    references = checks.load_references()
+    assert checks.reference_key(workload, 42) in references[workload.name]
+    assert checks.check(workload, 42, str(tmp_path / "out"), references) == []

@@ -297,3 +297,19 @@ def test_cg_rejects_a_diagonal_that_is_not_finite_and_positive(bad):
     # checked before the shortcut for a zero right-hand side too
     with pytest.raises(NonFiniteValue, match="diagonal entry 1"):
         cg_solve(mat, np.zeros(3))
+    # a rejected diagonal is not cached: every call raises the same way
+    with pytest.raises(NonFiniteValue, match=r"diagonal entry 1 is .*not SPD"):
+        cg_solve(mat, np.ones(3))
+
+
+def test_jacobi_diagonal_is_inverted_once_per_matrix():
+    mat = tridiagonal_laplacian_plus_identity(20)
+    diagonals = []
+    gather = mat.diagonal
+    mat.diagonal = lambda: diagonals.append(1) or gather()
+    b = np.linspace(1.0, 2.0, 20)
+    first, _ = cg_solve(mat, b)
+    second, _ = cg_solve(mat, b, x0=np.zeros(20))
+    assert len(diagonals) == 1
+    assert np.array_equal(mat.inverse_diagonal(), 1.0 / gather())
+    assert np.array_equal(first, second)
