@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .surfaces import (  # noqa: F401
     Circle,
-    ClosestPointResult,
     EllipsoidFlow,
     ScaledSphereFlow,
     Sphere,
@@ -16,7 +15,6 @@ from .meshing import (  # noqa: F401
     SurfaceMesh,
     build_circle_mesh,
     build_sphere_mesh,
-    quasi_uniformity_report,
 )
 from .fem import (  # noqa: F401
     DISCRETE,
@@ -25,13 +23,11 @@ from .fem import (  # noqa: F401
     FeSpace,
     assemble_mass,
     assemble_stiffness,
-    compute_prefactors,
     discrete_delta,
     discrete_laplacian,
     interpolate,
     l2_project,
     lift_function,
-    inverse_lift_function,
     norm_lq,
     norm_w1q,
     ritz_project,
@@ -51,7 +47,6 @@ from .greens import (  # noqa: F401
     dyadic_report,
     green_decay_study,
     kernel_difference_l1,
-    smallest_nonzero_eigenvalue,
 )
 from .studies import (  # noqa: F401
     StudyConfig,

@@ -28,7 +28,6 @@ from .greens import (
     green_decay_study,
     kernel_difference_l1,
 )
-from .meshing import write_mesh_text, write_mesh_vtk
 from .studies import (
     StudyConfig,
     build_level_mesh,
@@ -37,6 +36,8 @@ from .studies import (
     emit_reports,
     inequality_suite,
     maxreg_study,
+    write_mesh_text,
+    write_mesh_vtk,
     write_table,
 )
 from .surfaces import forcing_profile, make_surface

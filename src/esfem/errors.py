@@ -5,10 +5,6 @@ class EsfemError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class PointOutsideTube(EsfemError):
-    """Point is too far from the surface for a unique projection."""
-
-
 class NonConvergence(EsfemError):
     """An iterative solver did not reach its tolerance."""
 
@@ -30,7 +26,7 @@ class DegenerateMesh(EsfemError):
 
 
 class FlowEvaluationFailure(EsfemError):
-    """Flow map or velocity could not be evaluated."""
+    """Flow map could not be evaluated."""
 
 
 class PointNotOnMesh(EsfemError):

@@ -13,7 +13,6 @@ one product of the weighted inverse metric with a reference table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -160,7 +159,7 @@ def _check_gram(det):
     )
 
 
-def element_geometry(mesh, tag=DISCRETE, order=None, ref_points=None):
+def element_geometry(mesh, tag=DISCRETE, order=None):
     """Geometry tables at reference quadrature points (cached on the mesh).
 
     Raises SingularElement if the Gram determinant of any element map is
@@ -173,20 +172,14 @@ def element_geometry(mesh, tag=DISCRETE, order=None, ref_points=None):
     if cache is None:
         cache = {}
         mesh._geom_cache = cache
-    key = (tag, order) if ref_points is None else None
-    if key is not None and key in cache:
+    key = (tag, order)
+    if key in cache:
         return cache[key]
     if tag not in (DISCRETE, LIFTED):
         raise ValueError(f"unknown surface tag {tag!r}")
 
     rule = reference_rule(m, order)
-    if ref_points is None:
-        maps = _rule_maps(m, mesh.degree, order)
-        wts_ref = rule.weights
-    else:
-        pts_ref = np.asarray(ref_points, dtype=float).reshape(-1, m)
-        maps = _ReferenceMaps(mesh.reference, pts_ref)
-        wts_ref = np.zeros(len(pts_ref))
+    maps = _rule_maps(m, mesh.degree, order)
     n_el, d = mesh.num_elements, m + 1
     coords = mesh.element_coords().reshape(n_el, -1)
     points = (coords @ maps.point_map).reshape(n_el, -1, d)
@@ -205,14 +198,13 @@ def element_geometry(mesh, tag=DISCRETE, order=None, ref_points=None):
         rule=rule,
         maps=maps,
         points=points,
-        weights=wts_ref[None, :] * mu,
+        weights=rule.weights[None, :] * mu,
         jac=jac,
         inv_metric=inv,
         metric_factor=mu,
         base_points=base_points,
     )
-    if key is not None:
-        cache[key] = geom
+    cache[key] = geom
     return geom
 
 
@@ -288,13 +280,6 @@ def lift_function(u, lifted_space=None):
     return FeFunction(space, u.coeffs.copy())
 
 
-def inverse_lift_function(u, discrete_space=None):
-    if u.space.tag != LIFTED:
-        raise ValueError("inverse lift expects a function on the lifted surface")
-    space = discrete_space or FeSpace(u.space.mesh, DISCRETE)
-    return FeFunction(space, u.coeffs.copy())
-
-
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -345,14 +330,6 @@ def load_from_geometry(geom, elements, n_dofs, fn, t=None):
     fvals = _call_spatial(fn, t, geom.points)
     local = (geom.weights * fvals) @ geom.shape_values
     return np.bincount(elements.ravel(), weights=local.ravel(), minlength=n_dofs)
-
-
-def integrate(space, fn=None, t=None, order=None):
-    """Integral of a callable (or of 1) over the space's surface."""
-    geom = space.geometry(order)
-    if fn is None:
-        return float(geom.weights.sum())
-    return float(np.sum(geom.weights * _call_spatial(fn, t, geom.points)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,62 +395,6 @@ def ritz_project(space, fn, grad_fn, t=None, order=None, tol=1e-12,
     system = stiffness.scaled_add(1.0, mass)
     coeffs, _ = cg_solve(system, b, tol=tol)
     return FeFunction(space, coeffs)
-
-
-# ---------------------------------------------------------------------------
-# geometric prefactors of the discrete-to-exact change of variables
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PrefactorField:
-    """Pointwise measure ratio and gradient transform of the lift.
-
-    measure_ratio a(x) satisfies  int_{Gamma_h} u v = int_Gamma a u^l v^l;
-    gradient_transform B(x) satisfies the same identity for tangential
-    gradients.  Deviations are measured against 1 and against the tangential
-    projector (the identity on the tangent space).
-    """
-
-    points: np.ndarray
-    measure_ratio: np.ndarray
-    gradient_transform: np.ndarray
-    sup_measure_dev: float
-    sup_gradient_dev: float
-    min_measure_ratio: float
-
-
-def compute_prefactors(mesh, order=None):
-    m = mesh.dimension
-    d = m + 1
-    if order is None:
-        order = default_quad_order(mesh.degree, m, LIFTED)
-    # evaluate at quadrature points plus the reference lattice nodes
-    rule = reference_rule(m, order)
-    extra = mesh.reference.nodes
-    ref_pts = np.vstack([rule.points, extra])
-    disc = element_geometry(mesh, DISCRETE, order=order, ref_points=ref_pts)
-    lift = element_geometry(mesh, LIFTED, order=order, ref_points=ref_pts)
-    ratio = disc.metric_factor / lift.metric_factor
-
-    # B = ratio * T Ghat^{-1} T^T with T the lifted tangent map and Ghat the
-    # discrete first fundamental form; supported on the tangent space of Gamma
-    dq = mesh.surface.projection_jacobian(mesh.time, disc.points.reshape(-1, d))
-    tmap = dq.reshape(disc.points.shape + (d,)) @ disc.jac
-    bfield = ratio[..., None, None] * (tmap @ disc.inv_metric @ np.swapaxes(tmap, -1, -2))
-
-    y = lift.points
-    nu = mesh.surface.normal(mesh.time, y.reshape(-1, d)).reshape(y.shape)
-    tangential_id = np.eye(d) - nu[..., :, None] * nu[..., None, :]
-    dev = np.linalg.eigvalsh(bfield - tangential_id)
-    return PrefactorField(
-        points=y.reshape(-1, d),
-        measure_ratio=ratio.reshape(-1),
-        gradient_transform=bfield.reshape(-1, d, d),
-        sup_measure_dev=float(np.abs(ratio - 1.0).max()),
-        sup_gradient_dev=float(np.abs(dev).max()),
-        min_measure_ratio=float(ratio.min()),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +502,6 @@ def locate_point(mesh, x, tol=1e-10, candidates=16):
         for e in trial:
             coords = mesh.nodes[mesh.elements[e]]
             ref = start.copy()
-            ok = False
             for _ in range(30):
                 sv = ref_el.shape_values(ref[None, :])[0]
                 sg = ref_el.shape_gradients(ref[None, :])[0]
@@ -591,11 +511,7 @@ def locate_point(mesh, x, tol=1e-10, candidates=16):
                 step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
                 ref = ref + step
                 if np.linalg.norm(step) < 1e-14:
-                    ok = True
                     break
-            if not ok:
-                sv = ref_el.shape_values(ref[None, :])[0]
-                pos = sv @ coords
             final = ref_el.shape_values(ref[None, :])[0] @ coords
             if (
                 np.linalg.norm(final - x) <= tol * scale

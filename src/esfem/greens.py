@@ -31,35 +31,6 @@ from .sparse import cg_solve
 from .timestepping import STATIONARY, TimeGrid, norm_series, solve_heat
 
 
-def smallest_nonzero_eigenvalue(mass, stiffness, tol=1e-10, maxiter=400, seed=0):
-    """Smallest nonzero generalized eigenvalue of (A, M) by inverse iteration
-    on the shifted pencil (A + M, M) with the constant mode deflated."""
-    n = mass.n
-    rng = np.random.default_rng(seed)
-    ones = np.ones(n)
-    m_one = mass.matvec(ones)
-    weight = float(ones @ m_one)
-    shifted = stiffness.scaled_add(1.0, mass)
-
-    y = rng.standard_normal(n)
-    y -= ones * float(m_one @ y) / weight
-    y /= math.sqrt(float(y @ mass.matvec(y)))
-    lam = math.inf
-    x = y
-    for _ in range(maxiter):
-        x, _ = cg_solve(shifted, mass.matvec(y), tol=1e-13, x0=y)
-        x -= ones * float(m_one @ x) / weight
-        mx = mass.matvec(x)
-        lam_new = float(x @ stiffness.matvec(x)) / float(x @ mx)
-        x /= math.sqrt(float(x @ mx))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-        y = x
-    return lam
-
-
 def default_source_points(mesh, count=8):
     """Sources spread over the mesh: vertices, element interiors, midpoints."""
     if mesh.dimension == 1:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateMesh, FlowEvaluationFailure, IOFailure, UnsupportedSurface
+from .errors import DegenerateMesh, FlowEvaluationFailure, UnsupportedSurface
 from .reference import reference_element
 
 # surface dimension -> the element degrees its mesh builder supports, and
@@ -94,18 +94,6 @@ class SurfaceMesh:
         e2 = np.linalg.norm(verts[:, 0] - verts[:, 2], axis=-1)
         return np.max(np.stack([e0, e1, e2]), axis=0)
 
-    def inscribed_radii(self):
-        verts = self.vertex_coords()
-        if self.dimension == 1:
-            # convention for segments: half the length
-            return 0.5 * self.flat_diameters()
-        e0 = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=-1)
-        e1 = np.linalg.norm(verts[:, 2] - verts[:, 1], axis=-1)
-        e2 = np.linalg.norm(verts[:, 0] - verts[:, 2], axis=-1)
-        s = 0.5 * (e0 + e1 + e2)
-        area2 = s * (s - e0) * (s - e1) * (s - e2)
-        return np.sqrt(np.maximum(area2, 0.0)) / s
-
     @property
     def h(self):
         if self._h is None:
@@ -126,23 +114,6 @@ class SurfaceMesh:
             self.surface, self.degree, nodes, self.elements,
             ref_nodes=self.ref_nodes, time=t, family_cache=self.family_cache,
         )
-
-    def node_surface_residual(self):
-        """Max distance of nodes from the exact surface (should be ~1e-14)."""
-        q = self.surface.project(self.time, self.nodes)
-        return float(np.max(np.linalg.norm(self.nodes - q, axis=-1)))
-
-    def orientation_defects(self):
-        """Count of elements whose flat normal opposes the surface normal."""
-        verts = self.vertex_coords()
-        bary = verts.mean(axis=1)
-        nu = self.surface.normal(self.time, self.surface.project(self.time, bary))
-        if self.dimension == 1:
-            tang = verts[:, 1] - verts[:, 0]
-            flat_n = np.stack([tang[:, 1], -tang[:, 0]], axis=-1)
-        else:
-            flat_n = np.cross(verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0])
-        return int(np.sum(np.sum(flat_n * nu, axis=-1) <= 0.0))
 
 
 def build_circle_mesh(surface, n_elements, degree=1, interior_jitter=0.0):
@@ -254,131 +225,3 @@ def build_sphere_mesh(surface, levels, degree=1):
         elements.append((a, b, c, edge(a, b), edge(b, c), edge(c, a)))
     ref_nodes = surface.project(0.0, np.array(verts))
     return SurfaceMesh(surface, 2, ref_nodes, np.array(elements, dtype=np.int64), time=0.0)
-
-
-def quasi_uniformity_report(mesh):
-    """Measured uniformity of the triangulation.
-
-    size_ratio is max over min flat-element diameter (1 for congruent
-    elements); shape_ratio is the worst diameter over inscribed radius.
-    """
-    diam = mesh.flat_diameters()
-    rho = mesh.inscribed_radii()
-    return {
-        "h": float(diam.max()),
-        "min_diameter": float(diam.min()),
-        "size_ratio": float(diam.max() / diam.min()),
-        "shape_ratio": float((diam / rho).max()),
-        "min_inscribed_radius": float(rho.min()),
-        "num_elements": mesh.num_elements,
-    }
-
-
-# ---------------------------------------------------------------------------
-# export / import
-# ---------------------------------------------------------------------------
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
-def write_mesh_text(mesh, path):
-    """Line-oriented whitespace-separated snapshot (header, nodes, elements)."""
-    lines = [
-        "esfem-mesh 1",
-        f"degree {mesh.degree}",
-        f"dimension {mesh.dimension}",
-        f"time {_fmt(mesh.time)}",
-        f"nodes {mesh.num_nodes}",
-    ]
-    lines += [" ".join(_fmt(v) for v in row) for row in mesh.nodes]
-    lines.append(f"refnodes {mesh.num_nodes}")
-    lines += [" ".join(_fmt(v) for v in row) for row in mesh.ref_nodes]
-    lines.append(f"elements {mesh.num_elements}")
-    lines += [" ".join(str(int(v)) for v in row) for row in mesh.elements]
-    _write_lines(path, lines)
-
-
-def _write_lines(path, lines):
-    """Write the lines to path; raises IOFailure when that fails."""
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
-
-
-def _read_section(lines, idx, keyword, dtype, path):
-    """Rows of the section whose header line ``<keyword> <count>`` is at idx,
-    as an array, and the index of the line after the section."""
-    head = lines[idx] if idx < len(lines) else []
-    if len(head) != 2 or head[0] != keyword or not head[1].isdigit():
-        raise IOFailure(f"{path}: expected a '{keyword} <count>' line")
-    count = int(head[1])
-    rows = lines[idx + 1:idx + 1 + count]
-    if len(rows) != count:
-        raise IOFailure(f"{path}: {keyword} section has {len(rows)} of {count} rows")
-    try:
-        table = np.array(rows, dtype=dtype)
-    except ValueError as exc:
-        raise IOFailure(f"{path}: malformed {keyword} section: {exc}") from exc
-    return table, idx + 1 + count
-
-
-def read_mesh_text(path, surface):
-    """Read a snapshot written by write_mesh_text; the surface is supplied by
-    the caller (the file stores geometry, not the analytic surface).
-
-    Raises IOFailure when the file is not an esfem mesh or is incomplete.
-    """
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.split() for ln in fh if ln.strip()]
-    if not lines or lines[0][0] != "esfem-mesh":
-        raise IOFailure(f"{path}: not an esfem mesh file")
-    idx = 1
-    header = {}
-    while idx < len(lines) and lines[idx][0] in ("degree", "dimension", "time"):
-        header[lines[idx][0]] = lines[idx][1]
-        idx += 1
-    missing = {"degree", "time"} - header.keys()
-    if missing:
-        raise IOFailure(f"{path}: header lacks {', '.join(sorted(missing))}")
-    nodes, idx = _read_section(lines, idx, "nodes", float, path)
-    ref, idx = _read_section(lines, idx, "refnodes", float, path)
-    elements, idx = _read_section(lines, idx, "elements", np.int64, path)
-    if ref.shape != nodes.shape:
-        raise IOFailure(f"{path}: refnodes do not match nodes")
-    return SurfaceMesh(
-        surface, int(header["degree"]), nodes, elements,
-        ref_nodes=ref, time=float(header["time"]),
-    )
-
-
-def write_mesh_vtk(mesh, path, point_data=None):
-    """Legacy ASCII VTK: POLYDATA with polygons (m=2) or lines (m=1).
-
-    Curved (degree 2) elements are written through their corner vertices; all
-    nodes are kept in the point list so nodal data stays attached.
-    """
-    nodes = mesh.nodes
-    d = nodes.shape[1]
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "esfem surface mesh",
-        "ASCII",
-        "DATASET POLYDATA",
-        f"POINTS {mesh.num_nodes} double",
-    ]
-    lines += [" ".join(_fmt(v) for v in list(row) + [0.0] * (3 - d)) for row in nodes]
-    verts = mesh.elements[:, list(mesh.reference.vertex_ids)]
-    nv = verts.shape[1]
-    kind = "LINES" if mesh.dimension == 1 else "POLYGONS"
-    lines.append(f"{kind} {mesh.num_elements} {mesh.num_elements * (nv + 1)}")
-    lines += [f"{nv} " + " ".join(str(int(v)) for v in row) for row in verts]
-    if point_data:
-        lines.append(f"POINT_DATA {mesh.num_nodes}")
-        for name, values in point_data.items():
-            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-            lines += [_fmt(v) for v in values]
-    _write_lines(path, lines)

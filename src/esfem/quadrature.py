@@ -94,15 +94,3 @@ def reference_rule(dim, order):
     if dim == 2:
         return triangle_rule(order)
     raise ValueError(f"unsupported reference dimension {dim}")
-
-
-def reference_monomial_integral(dim, powers):
-    """Exact integral of x^p (segment) or x^p y^q (unit triangle)."""
-    if dim == 1:
-        (p,) = powers
-        return 1.0 / (p + 1)
-    p, q = powers
-    # int_T x^p y^q = p! q! / (p+q+2)!
-    from math import factorial
-
-    return factorial(p) * factorial(q) / factorial(p + q + 2)

@@ -95,10 +95,6 @@ class SparseMatrix:
             self._data = self.vals.ravel()[self.pattern.entry_slots]
         return self._data
 
-    @property
-    def nnz(self):
-        return self.pattern.indices.size
-
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
@@ -129,12 +125,6 @@ class SparseMatrix:
             self._inv_diag = 1.0 / diag
             self._inv_diag.setflags(write=False)  # shared by every solve
         return self._inv_diag
-
-    def to_dense(self):
-        dense = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        dense[rows, self.indices] = self.data
-        return dense
 
     def scaled_add(self, alpha, other):
         """self + alpha*other, for two matrices on one pattern."""

@@ -1,7 +1,8 @@
 """Refinement-study harness: bounded-ratio tables for the regularity checks,
 convergence studies against the exact decay solutions, and the fitted-constant
 inequality suite.  All reports are deterministic for a fixed config and seed
-and are emitted as CSV plus a plain-text summary."""
+and are emitted as CSV plus a plain-text summary; mesh snapshots go out
+through the same table writer."""
 
 from __future__ import annotations
 
@@ -434,6 +435,48 @@ def write_table(path, header, rows, sep=","):
     except OSError as exc:
         raise IOFailure(str(exc)) from exc
     return path
+
+
+def write_mesh_text(mesh, path):
+    """Line-oriented whitespace-separated snapshot (header, nodes, elements)."""
+    rows = [
+        ["esfem-mesh", 1],
+        ["degree", mesh.degree],
+        ["dimension", mesh.dimension],
+        ["time", mesh.time],
+        ["nodes", mesh.num_nodes], *mesh.nodes,
+        ["refnodes", mesh.num_nodes], *mesh.ref_nodes,
+        ["elements", mesh.num_elements], *mesh.elements,
+    ]
+    return write_table(path, (), rows, sep=" ")
+
+
+def write_mesh_vtk(mesh, path, point_data=None):
+    """Legacy ASCII VTK: POLYDATA with polygons (m=2) or lines (m=1).
+
+    Curved (degree 2) elements are written through their corner vertices; all
+    nodes are kept in the point list so nodal data stays attached.
+    """
+    pad = [0.0] * (3 - mesh.nodes.shape[1])
+    verts = mesh.elements[:, list(mesh.reference.vertex_ids)]
+    nv = verts.shape[1]
+    kind = "LINES" if mesh.dimension == 1 else "POLYGONS"
+    rows = [
+        ["# vtk DataFile Version 3.0"],
+        ["esfem surface mesh"],
+        ["ASCII"],
+        ["DATASET POLYDATA"],
+        ["POINTS", mesh.num_nodes, "double"],
+        *([*row, *pad] for row in mesh.nodes),
+        [kind, mesh.num_elements, mesh.num_elements * (nv + 1)],
+        *([nv, *row] for row in verts),
+    ]
+    if point_data:
+        rows.append(["POINT_DATA", mesh.num_nodes])
+        for name, values in point_data.items():
+            rows += [["SCALARS", name, "double", 1], ["LOOKUP_TABLE", "default"]]
+            rows += [[float(v)] for v in values]
+    return write_table(path, (), rows, sep=" ")
 
 
 def emit_reports(report, outdir):

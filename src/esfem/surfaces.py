@@ -14,31 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonConvergence,
-    PointOutsideTube,
-    UnknownProfile,
-    UnsupportedSurface,
-)
+from .errors import NonConvergence, UnknownProfile, UnsupportedSurface
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class ClosestPointResult:
-    """Projection of an off-surface point: foot point, signed distance, normal."""
-
-    point: np.ndarray
-    signed_distance: float
-    normal: np.ndarray
 
 
 class Surface:
     """Base class for closed hypersurfaces of dimension ``m`` in R^(m+1).
 
-    Subclasses provide the implicit equation, projection, normals and (for
-    evolving kinds) the flow map and its velocity.  The default flow is the
-    identity (stationary surface).
+    Subclasses provide the closest-point projection, its Jacobian, normals
+    and (for evolving kinds) the flow map that moves the mesh nodes.  The
+    default flow is the identity (stationary surface).
     """
 
     kind = "abstract"
@@ -49,11 +35,7 @@ class Surface:
         self.ambient_dim = self.dimension + 1
         self.horizon = float(horizon)
 
-    # -- implicit description -------------------------------------------------
-
-    def implicit(self, t, x):
-        """Residual of the implicit surface equation; zero on the surface."""
-        raise NotImplementedError
+    # -- projection --------------------------------------------------------------
 
     def project(self, t, x):
         """Closest-point projection onto the surface at time ``t`` (vectorized)."""
@@ -67,10 +49,6 @@ class Surface:
         """Jacobian dq/dx of the closest-point projection, shape (..., d, d)."""
         raise NotImplementedError
 
-    def tube_radius(self, t=0.0):
-        """Half-width of the tube in which the projection is certified unique."""
-        raise NotImplementedError
-
     # -- flow map --------------------------------------------------------------
 
     def position(self, t, y):
@@ -78,48 +56,10 @@ class Surface:
         initial surface."""
         return np.asarray(y, dtype=float)
 
-    def inverse_position(self, t, x):
-        """Inverse flow map: initial position of the point ``x`` at time ``t``."""
-        return np.asarray(x, dtype=float)
-
-    def velocity(self, t, x):
-        """Material velocity at the on-surface point ``x`` at time ``t``."""
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     # -- analytic helpers --------------------------------------------------------
-
-    def measure(self, t=0.0):
-        """Surface measure |Gamma(t)|, when known in closed form."""
-        raise UnsupportedSurface(f"no closed-form measure for kind {self.kind!r}")
 
     def geodesic_distance(self, t, x, y):
         raise UnsupportedSurface(f"no geodesic distance for kind {self.kind!r}")
-
-    def parametric_quadrature(self, t, order):
-        """Quadrature (points, weights) on the exact surface, independent of any
-        mesh.  Only available for kinds with a global smooth parametrization."""
-        raise UnsupportedSurface(f"no parametric quadrature for kind {self.kind!r}")
-
-    def sample_points(self, t, n, rng):
-        """n quasi-random points on the surface at time t (testing aid)."""
-        raise UnsupportedSurface(f"no sampler for kind {self.kind!r}")
-
-    def closest_point(self, t, x):
-        """Project a single point and package the result with checks.
-
-        Raises PointOutsideTube where the projection is not certified unique.
-        """
-        x = np.asarray(x, dtype=float)
-        self._check_in_tube(t, x)
-        q = self.project(t, x)
-        nu = self.normal(t, q)
-        diff = x - q
-        dist = float(np.linalg.norm(diff))
-        sign = 1.0 if float(np.dot(diff, nu)) >= 0.0 else -1.0
-        return ClosestPointResult(point=q, signed_distance=sign * dist, normal=nu)
-
-    def _check_in_tube(self, t, x):
-        pass
 
 
 def _radial_project(x, radius):
@@ -143,10 +83,6 @@ class _RadialSurface(Surface):
     def radius(self, t):
         raise NotImplementedError
 
-    def implicit(self, t, x):
-        x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x, axis=-1) - self.radius(t)
-
     def project(self, t, x):
         return _radial_project(np.asarray(x, dtype=float), self.radius(t))
 
@@ -157,15 +93,6 @@ class _RadialSurface(Surface):
     def projection_jacobian(self, t, x):
         return _radial_jacobian(x, self.radius(t))
 
-    def tube_radius(self, t=0.0):
-        return 0.5 * self.radius(t)
-
-    def measure(self, t=0.0):
-        r = self.radius(t)
-        if self.dimension == 1:
-            return TWO_PI * r
-        return 4.0 * math.pi * r * r
-
     def geodesic_distance(self, t, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -174,44 +101,6 @@ class _RadialSurface(Surface):
         yn = y / np.linalg.norm(y, axis=-1, keepdims=True)
         c = np.clip(np.sum(xn * yn, axis=-1), -1.0, 1.0)
         return r * np.arccos(c)
-
-    def parametric_quadrature(self, t, order):
-        r = self.radius(t)
-        if self.dimension == 1:
-            n = max(order, 8)
-            theta = TWO_PI * np.arange(n) / n
-            pts = r * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            w = np.full(n, TWO_PI * r / n)
-            return pts, w
-        # tensor Gauss-Legendre in (colatitude, longitude)
-        n = max(order, 8)
-        gx, gw = np.polynomial.legendre.leggauss(n)
-        phi = 0.5 * math.pi * (gx + 1.0)  # colatitude in (0, pi)
-        wphi = 0.5 * math.pi * gw
-        ntheta = 2 * n
-        theta = TWO_PI * np.arange(ntheta) / ntheta
-        wtheta = TWO_PI / ntheta
-        P, T = np.meshgrid(phi, theta, indexing="ij")
-        pts = r * np.stack(
-            [np.sin(P) * np.cos(T), np.sin(P) * np.sin(T), np.cos(P)], axis=-1
-        ).reshape(-1, 3)
-        w = (r * r * np.sin(P) * wphi[:, None] * wtheta).reshape(-1)
-        return pts, w
-
-    def sample_points(self, t, n, rng):
-        if self.dimension == 1:
-            theta = rng.uniform(0.0, TWO_PI, size=n)
-            pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        else:
-            v = rng.normal(size=(n, 3))
-            pts = v / np.linalg.norm(v, axis=-1, keepdims=True)
-        return self.radius(t) * pts
-
-    def _check_in_tube(self, t, x):
-        # The radial projection is well defined everywhere except near the
-        # center, where it becomes ill-conditioned.
-        if np.linalg.norm(x) < 0.25 * self.radius(t):
-            raise PointOutsideTube("point too close to the center for projection")
 
 
 class Circle(_RadialSurface):
@@ -239,7 +128,7 @@ class Sphere(_RadialSurface):
 class ScaledSphereFlow(_RadialSurface):
     """Circle/sphere uniformly scaled in time: r(t) = 1 + amplitude*sin(2*pi*t).
 
-    The flow map is X(t, y) = r(t)*y, so the velocity is (r'(t)/r(t))*x exactly.
+    The flow map is X(t, y) = r(t)*y.
     """
 
     kind = "scaled_sphere_flow"
@@ -254,24 +143,15 @@ class ScaledSphereFlow(_RadialSurface):
     def radius(self, t):
         return 1.0 + self.amplitude * math.sin(TWO_PI * t)
 
-    def radius_rate(self, t):
-        return self.amplitude * TWO_PI * math.cos(TWO_PI * t)
-
     def position(self, t, y):
         return self.radius(t) * np.asarray(y, dtype=float)
-
-    def inverse_position(self, t, x):
-        return np.asarray(x, dtype=float) / self.radius(t)
-
-    def velocity(self, t, x):
-        return (self.radius_rate(t) / self.radius(t)) * np.asarray(x, dtype=float)
 
 
 class EllipsoidFlow(Surface):
     """Ellipsoid with axes oscillating in time via a diagonal scaling.
 
     Axis i has length a_i(t) = 1 + amplitudes[i]*sin(2*pi*t), so the initial
-    surface is the unit sphere and the velocity is v_i = (a_i'/a_i) x_i.
+    surface is the unit sphere and the flow map is X_i(t, y) = a_i(t) y_i.
     """
 
     kind = "ellipsoid_flow"
@@ -293,24 +173,8 @@ class EllipsoidFlow(Surface):
             [1.0 + a * math.sin(TWO_PI * t) for a in self.amplitudes]
         )
 
-    def axes_rate(self, t):
-        return np.array(
-            [a * TWO_PI * math.cos(TWO_PI * t) for a in self.amplitudes]
-        )
-
-    def implicit(self, t, x):
-        x = np.asarray(x, dtype=float)
-        a = self.axes(t)
-        return np.sum((x / a) ** 2, axis=-1) - 1.0
-
     def position(self, t, y):
         return self.axes(t) * np.asarray(y, dtype=float)
-
-    def inverse_position(self, t, x):
-        return np.asarray(x, dtype=float) / self.axes(t)
-
-    def velocity(self, t, x):
-        return (self.axes_rate(t) / self.axes(t)) * np.asarray(x, dtype=float)
 
     def normal(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -364,7 +228,6 @@ class EllipsoidFlow(Surface):
         a2 = self.axes(t) ** 2
         lam = self._solve_multiplier(t, x)
         denom = a2 + lam[..., None]
-        q = a2 * x / denom
         # implicit differentiation of the multiplier equation
         dldx = (a2 * x / denom**2) / np.sum(
             a2 * x * x / denom**3, axis=-1, keepdims=True
@@ -376,19 +239,6 @@ class EllipsoidFlow(Surface):
         jac[..., idx, idx] = diag
         jac -= (a2 * x / denom**2)[..., :, None] * dldx[..., None, :]
         return jac
-
-    def tube_radius(self, t=0.0):
-        return 0.4 * float(np.min(self.axes(t)))
-
-    def sample_points(self, t, n, rng):
-        v = rng.normal(size=(n, self.ambient_dim))
-        v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        return self.axes(t) * v
-
-    def _check_in_tube(self, t, x):
-        q = self.project(t, np.asarray(x, dtype=float))
-        if np.linalg.norm(np.asarray(x, dtype=float) - q) > self.tube_radius(t):
-            raise PointOutsideTube("point outside the ellipsoid projection tube")
 
 
 def make_surface(kind, dimension=None, params=(), horizon=1.0):

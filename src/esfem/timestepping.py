@@ -280,10 +280,3 @@ def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol):
         u = u_new
         mass_prev = mass
         yield TimeNode(t1, mesh, geom, u, udot, lap, fh)
-
-
-def weighted_total_mass(mesh, coeffs):
-    """1^T M(t) u, the discrete integral of the finite element function."""
-    space = FeSpace(mesh, DISCRETE)
-    mass = assemble_mass(space)
-    return float(np.ones(mesh.num_nodes) @ mass.matvec(coeffs))

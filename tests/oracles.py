@@ -1,0 +1,264 @@
+"""Reference computations that the tests check the package against.
+
+Closed forms of the surfaces and flows, samplers, mesh diagnostics, a reader
+for the text mesh format, exact reference-element integrals, a dense view of
+sparse matrices, an eigenvalue and a mass oracle, and the geometric
+prefactors of the lift.  None of this is needed to run a study.
+"""
+
+import math
+
+import numpy as np
+
+from esfem.errors import IOFailure
+from esfem.fem import (
+    DISCRETE,
+    LIFTED,
+    FeSpace,
+    assemble_mass,
+    default_quad_order,
+    element_geometry,
+)
+from esfem.meshing import SurfaceMesh
+from esfem.sparse import cg_solve
+from esfem.surfaces import EllipsoidFlow
+
+TWO_PI = 2.0 * math.pi
+
+
+# --- surfaces and flows ------------------------------------------------------
+
+def _scale(surface, t):
+    # the per-axis factor s(t) by which the surface at t scales the unit
+    # circle or sphere: the axes of an ellipsoid, the radius otherwise
+    return surface.axes(t) if isinstance(surface, EllipsoidFlow) else surface.radius(t)
+
+
+def sample_points(surface, t, n, rng):
+    """n random points on a radial surface or an ellipsoid at time t."""
+    if surface.dimension == 1 and not isinstance(surface, EllipsoidFlow):
+        theta = rng.uniform(0.0, TWO_PI, size=n)
+        unit = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    else:
+        v = rng.normal(size=(n, surface.ambient_dim))
+        unit = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return _scale(surface, t) * unit
+
+
+def parametric_quadrature(surface, t, order):
+    """Quadrature (points, weights) on the exact circle or sphere, independent
+    of any mesh: the trapezoid rule in the angle, and tensor Gauss-Legendre in
+    (colatitude, longitude)."""
+    r = surface.radius(t)
+    n = max(order, 8)
+    if surface.dimension == 1:
+        theta = TWO_PI * np.arange(n) / n
+        pts = r * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        return pts, np.full(n, TWO_PI * r / n)
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    phi = 0.5 * math.pi * (gx + 1.0)  # colatitude in (0, pi)
+    wphi = 0.5 * math.pi * gw
+    ntheta = 2 * n
+    theta = TWO_PI * np.arange(ntheta) / ntheta
+    P, T = np.meshgrid(phi, theta, indexing="ij")
+    pts = r * np.stack(
+        [np.sin(P) * np.cos(T), np.sin(P) * np.sin(T), np.cos(P)], axis=-1
+    ).reshape(-1, 3)
+    w = (r * r * np.sin(P) * wphi[:, None] * (TWO_PI / ntheta)).reshape(-1)
+    return pts, w
+
+
+def inverse_position(surface, t, x):
+    """Initial position of the point x at time t under the flow of a
+    ScaledSphereFlow or EllipsoidFlow, X(t, y) = s(t) y."""
+    return np.asarray(x, dtype=float) / _scale(surface, t)
+
+
+def velocity(surface, t, x):
+    """Material velocity (s'(t)/s(t)) x of the same flows, where each axis
+    scales by s(t) = 1 + a sin(2 pi t)."""
+    if isinstance(surface, EllipsoidFlow):
+        amplitude = np.array(surface.amplitudes)
+    else:
+        amplitude = surface.amplitude
+    rate = amplitude * TWO_PI * math.cos(TWO_PI * t)
+    return (rate / _scale(surface, t)) * np.asarray(x, dtype=float)
+
+
+# --- mesh diagnostics --------------------------------------------------------
+
+def node_surface_residual(mesh):
+    """Max distance of the nodes from the exact surface (should be ~1e-14)."""
+    q = mesh.surface.project(mesh.time, mesh.nodes)
+    return float(np.max(np.linalg.norm(mesh.nodes - q, axis=-1)))
+
+
+def orientation_defects(mesh):
+    """Count of elements whose flat normal opposes the surface normal."""
+    verts = mesh.vertex_coords()
+    bary = verts.mean(axis=1)
+    nu = mesh.surface.normal(mesh.time, mesh.surface.project(mesh.time, bary))
+    if mesh.dimension == 1:
+        tang = verts[:, 1] - verts[:, 0]
+        flat_n = np.stack([tang[:, 1], -tang[:, 0]], axis=-1)
+    else:
+        flat_n = np.cross(verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0])
+    return int(np.sum(np.sum(flat_n * nu, axis=-1) <= 0.0))
+
+
+def inscribed_radii(mesh):
+    """Inscribed radius of each flat element; half the length of a segment."""
+    if mesh.dimension == 1:
+        return 0.5 * mesh.flat_diameters()
+    verts = mesh.vertex_coords()
+    e0 = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=-1)
+    e1 = np.linalg.norm(verts[:, 2] - verts[:, 1], axis=-1)
+    e2 = np.linalg.norm(verts[:, 0] - verts[:, 2], axis=-1)
+    s = 0.5 * (e0 + e1 + e2)
+    area2 = s * (s - e0) * (s - e1) * (s - e2)
+    return np.sqrt(np.maximum(area2, 0.0)) / s
+
+
+def quasi_uniformity_report(mesh):
+    """Measured uniformity of the triangulation.
+
+    size_ratio is max over min flat-element diameter (1 for congruent
+    elements); shape_ratio is the worst diameter over inscribed radius.
+    """
+    diam = mesh.flat_diameters()
+    rho = inscribed_radii(mesh)
+    return {
+        "h": float(diam.max()),
+        "min_diameter": float(diam.min()),
+        "size_ratio": float(diam.max() / diam.min()),
+        "shape_ratio": float((diam / rho).max()),
+        "min_inscribed_radius": float(rho.min()),
+        "num_elements": mesh.num_elements,
+    }
+
+
+# --- the text mesh format ----------------------------------------------------
+
+def _read_section(lines, idx, keyword, dtype, path):
+    """Rows of the section whose header line ``<keyword> <count>`` is at idx,
+    as an array, and the index of the line after the section."""
+    head = lines[idx] if idx < len(lines) else []
+    if len(head) != 2 or head[0] != keyword or not head[1].isdigit():
+        raise IOFailure(f"{path}: expected a '{keyword} <count>' line")
+    count = int(head[1])
+    rows = lines[idx + 1:idx + 1 + count]
+    if len(rows) != count:
+        raise IOFailure(f"{path}: {keyword} section has {len(rows)} of {count} rows")
+    try:
+        table = np.array(rows, dtype=dtype)
+    except ValueError as exc:
+        raise IOFailure(f"{path}: malformed {keyword} section: {exc}") from exc
+    return table, idx + 1 + count
+
+
+def read_mesh_text(path, surface):
+    """Read a snapshot written by write_mesh_text; the surface is supplied by
+    the caller (the file stores geometry, not the analytic surface).
+
+    Raises IOFailure when the file is not an esfem mesh or is incomplete.
+    """
+    with open(path, encoding="ascii") as fh:
+        lines = [ln.split() for ln in fh if ln.strip()]
+    if not lines or lines[0][0] != "esfem-mesh":
+        raise IOFailure(f"{path}: not an esfem mesh file")
+    idx = 1
+    header = {}
+    while idx < len(lines) and lines[idx][0] in ("degree", "dimension", "time"):
+        header[lines[idx][0]] = lines[idx][1]
+        idx += 1
+    missing = {"degree", "time"} - header.keys()
+    if missing:
+        raise IOFailure(f"{path}: header lacks {', '.join(sorted(missing))}")
+    nodes, idx = _read_section(lines, idx, "nodes", float, path)
+    ref, idx = _read_section(lines, idx, "refnodes", float, path)
+    elements, idx = _read_section(lines, idx, "elements", np.int64, path)
+    if ref.shape != nodes.shape:
+        raise IOFailure(f"{path}: refnodes do not match nodes")
+    return SurfaceMesh(
+        surface, int(header["degree"]), nodes, elements,
+        ref_nodes=ref, time=float(header["time"]),
+    )
+
+
+# --- exact integrals, matrices and spectra -----------------------------------
+
+def reference_monomial_integral(dim, powers):
+    """Exact integral of x^p (segment) or x^p y^q (unit triangle)."""
+    if dim == 1:
+        (p,) = powers
+        return 1.0 / (p + 1)
+    p, q = powers
+    # int_T x^p y^q = p! q! / (p+q+2)!
+    return math.factorial(p) * math.factorial(q) / math.factorial(p + q + 2)
+
+
+def dense(mat):
+    """The sparse matrix as a dense array, from its compressed rows."""
+    out = np.zeros((mat.n, mat.n))
+    rows = np.repeat(np.arange(mat.n), np.diff(mat.indptr))
+    out[rows, mat.indices] = mat.data
+    return out
+
+
+def smallest_nonzero_eigenvalue(mass, stiffness, tol=1e-10, maxiter=400, seed=0):
+    """Smallest nonzero generalized eigenvalue of (A, M) by inverse iteration
+    on the shifted pencil (A + M, M) with the constant mode deflated."""
+    n = mass.n
+    rng = np.random.default_rng(seed)
+    ones = np.ones(n)
+    m_one = mass.matvec(ones)
+    weight = float(ones @ m_one)
+    shifted = stiffness.scaled_add(1.0, mass)
+
+    y = rng.standard_normal(n)
+    y -= ones * float(m_one @ y) / weight
+    y /= math.sqrt(float(y @ mass.matvec(y)))
+    lam = math.inf
+    for _ in range(maxiter):
+        x, _ = cg_solve(shifted, mass.matvec(y), tol=1e-13, x0=y)
+        x -= ones * float(m_one @ x) / weight
+        mx = mass.matvec(x)
+        lam_new = float(x @ stiffness.matvec(x)) / float(x @ mx)
+        x /= math.sqrt(float(x @ mx))
+        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+            return lam_new
+        lam = lam_new
+        y = x
+    return lam
+
+
+def weighted_total_mass(mesh, coeffs):
+    """1^T M(t) u, the discrete integral of the finite element function."""
+    mass = assemble_mass(FeSpace(mesh, DISCRETE))
+    return float(np.ones(mesh.num_nodes) @ mass.matvec(coeffs))
+
+
+# --- geometric prefactors of the lift ----------------------------------------
+
+def prefactors(mesh):
+    """Deviation of the lift's geometric prefactors from the identity at the
+    lifted quadrature points.
+
+    The measure ratio a satisfies int_{Gamma_h} u v = int_Gamma a u^l v^l;
+    the gradient transform B = a T Ghat^{-1} T^T (T the lifted tangent map,
+    Ghat the discrete metric) satisfies the same identity for tangential
+    gradients.  Returns (sup |a - 1|, sup of the eigenvalue moduli of B - P
+    with P the tangential projector, min a).
+    """
+    d = mesh.dimension + 1
+    order = default_quad_order(mesh.degree, mesh.dimension, LIFTED)
+    disc = element_geometry(mesh, DISCRETE, order)
+    lift = element_geometry(mesh, LIFTED, order)
+    ratio = disc.metric_factor / lift.metric_factor
+    dq = mesh.surface.projection_jacobian(mesh.time, disc.points.reshape(-1, d))
+    tmap = dq.reshape(disc.points.shape + (d,)) @ disc.jac
+    bfield = ratio[..., None, None] * (tmap @ disc.inv_metric @ np.swapaxes(tmap, -1, -2))
+    nu = mesh.surface.normal(mesh.time, lift.points.reshape(-1, d)).reshape(lift.points.shape)
+    tangential_id = np.eye(d) - nu[..., :, None] * nu[..., None, :]
+    dev = np.linalg.eigvalsh(bfield - tangential_id)
+    return float(np.abs(ratio - 1.0).max()), float(np.abs(dev).max()), float(ratio.min())

@@ -25,11 +25,11 @@ from esfem.greens import (
     green_decay_study,
     kernel_difference_l1,
     point_interpolation,
-    smallest_nonzero_eigenvalue,
 )
 from esfem.meshing import SurfaceMesh, build_circle_mesh, build_sphere_mesh
 from esfem.surfaces import Circle, Sphere, Surface
 from esfem.timestepping import TimeGrid, norm_series
+from oracles import smallest_nonzero_eigenvalue
 
 
 @pytest.fixture(scope="module")

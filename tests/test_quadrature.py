@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from esfem.quadrature import (
-    reference_monomial_integral,
-    reference_rule,
-    segment_rule,
-    triangle_rule,
-)
+from esfem.quadrature import reference_rule, segment_rule, triangle_rule
+from oracles import reference_monomial_integral
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 8, 12])

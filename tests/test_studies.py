@@ -18,6 +18,7 @@ from esfem.studies import (
 )
 from esfem.surfaces import forcing_profile
 from esfem.timestepping import TimeGrid
+from oracles import dense
 
 TINY = StudyConfig(levels=(16, 24), pq_pairs=((2.0, 2.0),), profile="osc-seed42",
                    richardson_rtol=0.05)
@@ -79,8 +80,8 @@ def test_maxreg_ratio_matches_direct_energy_path():
 
     mesh = build_circle_mesh(cfg.surface(), 24, 1)
     space = FeSpace(mesh)
-    mass = assemble_mass(space).to_dense()
-    stiff = assemble_stiffness(space).to_dense()
+    mass = dense(assemble_mass(space))
+    stiff = dense(assemble_stiffness(space))
     forcing = forcing_profile("bump", cfg.surface())
     grid = TimeGrid.from_mesh(mesh, 1.0, cfg.dt_factor).halved()
     times = grid.times()

@@ -33,8 +33,8 @@ from esfem.timestepping import (
     norm_series,
     solve_heat,
     spacetime_norm,
-    weighted_total_mass,
 )
+from oracles import weighted_total_mass
 
 
 def test_zero_data_stays_zero():
