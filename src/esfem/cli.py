@@ -117,7 +117,18 @@ def parse_config(path):
             raise ConfigError(f"study.{key} (must be positive and finite, got {extras[key]})")
     config = StudyConfig(**values)
     config.validate()
+    if extras["kernel_difference"]:
+        _require_radial(config, "study.kernel_difference")
     return config, extras
+
+
+def _require_radial(config, what):
+    # the inverse lift by ray casting and the geodesic distance exist for
+    # the radially projecting kinds only
+    if not hasattr(config.surface(), "radius"):
+        raise ConfigError(
+            f"surface.kind ({what} needs circle, sphere or scaled_sphere_flow, "
+            f"got {config.surface_kind!r})")
 
 
 def _make_outdir(outdir):
@@ -129,9 +140,13 @@ def _make_outdir(outdir):
     return outdir
 
 
-def _study_setup(args):
-    """The parsed config, its extras, and the created output directory."""
+def _study_setup(args, radial=None):
+    """The parsed config, its extras, and the created output directory;
+    ConfigError before the directory is made if the command, named by
+    radial, needs a radial surface kind and the config has another."""
     config, extras = parse_config(args.config)
+    if radial is not None:
+        _require_radial(config, radial)
     outdir = args.out or os.environ.get("ESFEM_OUTDIR") or extras["directory"]
     return config, extras, _make_outdir(outdir)
 
@@ -280,7 +295,7 @@ def cmd_greens(args):
 
 
 def cmd_delta(args):
-    config, extras, outdir = _study_setup(args)
+    config, extras, outdir = _study_setup(args, radial="delta")
     surface = config.surface()
     rows = []
     for level in config.levels:

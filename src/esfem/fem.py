@@ -88,8 +88,7 @@ class ElementGeometry:
     metric_factor: (E, Q') square root of the Gram determinant det G;
     tangent_grads: (E, Q', nloc, d) tangential basis gradients
     ref_grads G^{-1} jac^T, computed on first access (only gradient
-    evaluation and the Ritz projection read them);
-    base_points: for the lifted tag, the underlying Gamma_h points.
+    evaluation and the Ritz projection read them).
 
     Q' is 1 where the quantity is the same at every point and Q otherwise:
     the reference gradients of degree 1, and the Jacobian and metric of
@@ -98,7 +97,7 @@ class ElementGeometry:
     """
 
     def __init__(self, rule, maps, points, weights, jac, inv_metric,
-                 metric_factor, base_points=None):
+                 metric_factor):
         self.rule = rule
         self.shape_values = maps.shape_values
         self.ref_grads = maps.shape_grads
@@ -108,7 +107,6 @@ class ElementGeometry:
         self.jac = jac
         self.inv_metric = inv_metric
         self.metric_factor = metric_factor
-        self.base_points = base_points
 
     @cached_property
     def tangent_grads(self):
@@ -165,36 +163,46 @@ def element_geometry(mesh, tag=DISCRETE, order=None):
     Raises SingularElement if the Gram determinant of any element map is
     zero, negative or not finite at a point.
     """
-    m = mesh.dimension
     if order is None:
-        order = default_quad_order(mesh.degree, m, tag)
+        order = default_quad_order(mesh.degree, mesh.dimension, tag)
     cache = getattr(mesh, "_geom_cache", None)
     if cache is None:
         cache = {}
         mesh._geom_cache = cache
     key = (tag, order)
-    if key in cache:
-        return cache[key]
+    if key not in cache:
+        cache[key] = block_geometry(mesh, tag, order, 0, mesh.num_elements)
+    return cache[key]
+
+
+def block_geometry(mesh, tag, order, lo, hi):
+    """Geometry tables of the elements lo:hi alone, built afresh and not
+    cached: the element maps' points and Jacobians at the rule's points,
+    composed with the closest-point projection for the lifted tag, and the
+    metric and weights they give.  ``element_geometry`` is this over all
+    elements; a caller that walks the elements in blocks holds one block's
+    tables at a time.
+
+    Raises SingularElement as ``element_geometry`` does, with the element
+    numbered within the block.
+    """
     if tag not in (DISCRETE, LIFTED):
         raise ValueError(f"unknown surface tag {tag!r}")
-
+    m = mesh.dimension
     rule = reference_rule(m, order)
     maps = _rule_maps(m, mesh.degree, order)
-    n_el, d = mesh.num_elements, m + 1
-    coords = mesh.element_coords().reshape(n_el, -1)
+    n_el, d = hi - lo, m + 1
+    coords = np.take(mesh.nodes, mesh.elements[lo:hi], axis=0).reshape(n_el, -1)
     points = (coords @ maps.point_map).reshape(n_el, -1, d)
     jac = (coords @ maps.jac_map).reshape(n_el, -1, d, m)
-    base_points = None
     if tag == LIFTED:
-        surface, t = mesh.surface, mesh.time
-        base_points = points
-        flat = points.reshape(-1, d)
-        points = surface.project(t, flat).reshape(points.shape)
-        dq = surface.projection_jacobian(t, flat).reshape(points.shape + (d,))
-        jac = dq @ jac
+        projected, dq = mesh.surface.project_with_jacobian(
+            mesh.time, points.reshape(-1, d))
+        jac = dq.reshape(points.shape + (d,)) @ jac
+        points = projected.reshape(points.shape)
     det, inv = _metric(jac, m)
     mu = np.sqrt(det)
-    geom = ElementGeometry(
+    return ElementGeometry(
         rule=rule,
         maps=maps,
         points=points,
@@ -202,10 +210,7 @@ def element_geometry(mesh, tag=DISCRETE, order=None):
         jac=jac,
         inv_metric=inv,
         metric_factor=mu,
-        base_points=base_points,
     )
-    cache[key] = geom
-    return geom
 
 
 def default_quad_order(degree, dim, tag):

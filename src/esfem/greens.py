@@ -20,6 +20,8 @@ from .fem import (
     LIFTED,
     FeSpace,
     assemble_mass,
+    block_geometry,
+    default_quad_order,
     delta_load,
     discrete_delta,
     element_point,
@@ -27,6 +29,7 @@ from .fem import (
     norm_lq,
     radial_inverse_lift,
 )
+from .quadrature import reference_rule
 from .sparse import cg_solve
 from .timestepping import STATIONARY, TimeGrid, norm_series, solve_heat
 
@@ -166,48 +169,99 @@ def delta_consistency(discrete_space, lifted_space, x0, p):
             "ratio": dnorm / tnorm}
 
 
-def point_interpolation(mesh, elements, refs):
-    """The map from a coefficient vector on mesh to its values at the points
-    with reference coordinates refs in the given elements.
+# lifted fine quadrature points set up per block: the block's points,
+# Jacobians and inverse-lift temporaries stay a few MB at any level
+_QUAD_BLOCK = 8192
 
-    ``elements`` may come in rows, shape (groups, points per group) with refs
-    (groups, points per group, d), such as the quadrature points of each
-    element of a finer mesh.  When every row lies in one element, the
-    coefficients are gathered once per row; otherwise once per point.  The
-    values come back flat, row after row.
+
+class _CoarseAtPoints:
+    """Values of coarse coefficient vectors at the lifted quadrature points
+    of the fine elements, from tables filled one block of fine elements at
+    a time.
+
+    While every fine element's points lie in one coarse element, as they do
+    on the nested meshes of both builders, the tables are the (E_f, nloc, Q)
+    coarse shape values and the (E_f, nloc) coarse nodes of each fine
+    element.  The first block with a fine element across coarse elements
+    turns them into per-point tables, (nloc, E_f*Q) shape values and nodes;
+    both give the same products summed in the same order.  An evaluation
+    writes into a given (E_f, Q) array and allocates nothing.
     """
-    elements = np.asarray(elements)
-    refs = np.asarray(refs, dtype=float)
-    sv = mesh.reference.shape_values(refs.reshape(-1, refs.shape[-1]))
-    if elements.ndim == 2 and (elements == elements[:, :1]).all():
-        # (rows, nodes per element, points per row) against (rows, nodes per
-        # element): the same products and sums as the per-point path
-        table = np.ascontiguousarray(
-            sv.reshape(elements.shape + sv.shape[-1:]).transpose(0, 2, 1))
-        gather = mesh.elements[elements[:, 0]]
-        return lambda coeffs: np.einsum("ek,ekq->eq", coeffs[gather], table).reshape(-1)
-    # stored as (nodes per element, points), so one evaluation runs over
-    # contiguous rows
-    sv = np.ascontiguousarray(sv.T)
-    gather = np.ascontiguousarray(mesh.elements[elements.reshape(-1)].T)
-    return lambda coeffs: np.einsum("kp,kp->p", sv, coeffs[gather])
+
+    def __init__(self, mesh, n_fine, n_quad, nested):
+        self.mesh, self.n_fine, self.n_quad = mesh, n_fine, n_quad
+        self.nested = nested
+        nloc = mesh.elements.shape[1]
+        if nested:
+            self.table = np.empty((n_fine, nloc, n_quad))
+            self.gather = np.empty((n_fine, nloc), dtype=mesh.elements.dtype)
+            self.gathered = np.empty((n_fine, nloc))
+        else:
+            self._per_point(0)
+
+    def _per_point(self, filled):
+        # per-point tables, with the rows of the first `filled` fine
+        # elements carried over from the per-element tables
+        nloc, n_points = self.mesh.elements.shape[1], self.n_fine * self.n_quad
+        table = np.empty((nloc, n_points))
+        gather = np.empty((nloc, n_points), dtype=self.mesh.elements.dtype)
+        if filled:
+            done = filled * self.n_quad
+            table[:, :done] = self.table[:filled].transpose(1, 0, 2).reshape(nloc, done)
+            gather[:, :done] = np.repeat(self.gather[:filled].T, self.n_quad, axis=1)
+        self.table, self.gather = table, gather
+        self.gathered = np.empty((nloc, n_points))
+        self.nested = False
+
+    def fill(self, lo, elems, refs):
+        """The tables of the fine elements from lo on, given the coarse
+        elements (block, Q) and reference coordinates (block*Q, m) of their
+        points."""
+        hi = lo + len(elems)
+        sv = self.mesh.reference.shape_values(refs)
+        if self.nested and not (elems == elems[:, :1]).all():
+            self._per_point(lo)
+        if self.nested:
+            self.table[lo:hi] = sv.reshape(len(elems), self.n_quad, -1).transpose(0, 2, 1)
+            self.gather[lo:hi] = self.mesh.elements[elems[:, 0]]
+        else:
+            points = slice(lo * self.n_quad, hi * self.n_quad)
+            self.table[:, points] = sv.T
+            self.gather[:, points] = self.mesh.elements[elems.reshape(-1)].T
+
+    def __call__(self, coeffs, out):
+        np.take(coeffs, self.gather, out=self.gathered)
+        if self.nested:
+            np.einsum("ek,ekq->eq", self.gathered, self.table, out=out)
+        else:
+            np.einsum("kp,kp->p", self.table, self.gathered, out=out.reshape(-1))
+        return out
 
 
-def _coarse_at_quadrature(coarse_mesh, geom):
-    # the map to the coarse kernel's values at the lifted quadrature points
-    # of the fine elements; the lift's arrays are freed before any solve.
+def _lifted_fine_quadrature(coarse_mesh, fine_mesh, order):
+    """Weights (E_f*Q,) of the fine elements' quadrature lifted onto the
+    exact surface, the coarse kernel's values at its points
+    (``_CoarseAtPoints``) and the fine reference shape values (Q, nloc),
+    set up in one pass over blocks of fine elements.  No lifted geometry of
+    the whole fine mesh is built or cached."""
+    n_fine, n_coarse = fine_mesh.num_elements, coarse_mesh.num_elements
+    n_quad = len(reference_rule(fine_mesh.dimension, order).weights)
     # Both builders order children after their parent: when E_c divides E_f,
     # fine element k lies in coarse element k // (E_f / E_c), which the
     # inverse lift tries first for each of k's points
-    n_fine, n_quad = geom.weights.shape
-    guess = None
-    if n_fine % coarse_mesh.num_elements == 0:
-        ratio = n_fine // coarse_mesh.num_elements
-        guess = np.repeat(np.arange(n_fine) // ratio, n_quad)
-    elems, refs = radial_inverse_lift(
-        coarse_mesh, geom.points.reshape(-1, geom.points.shape[-1]), guess=guess)
-    return point_interpolation(coarse_mesh, elems.reshape(n_fine, n_quad),
-                               refs.reshape(n_fine, n_quad, -1))
+    ratio = n_fine // n_coarse if n_fine % n_coarse == 0 else None
+    weights = np.empty((n_fine, n_quad))
+    coarse_at_points = _CoarseAtPoints(coarse_mesh, n_fine, n_quad, ratio is not None)
+    step = max(1, _QUAD_BLOCK // n_quad)
+    for lo in range(0, n_fine, step):
+        hi = min(lo + step, n_fine)
+        block = block_geometry(fine_mesh, LIFTED, order, lo, hi)
+        weights[lo:hi] = block.weights
+        guess = None if ratio is None else np.repeat(np.arange(lo, hi) // ratio, n_quad)
+        elems, refs = radial_inverse_lift(
+            coarse_mesh, block.points.reshape(-1, block.points.shape[-1]), guess=guess)
+        coarse_at_points.fill(lo, elems.reshape(hi - lo, n_quad), refs)
+    return weights.reshape(-1), coarse_at_points, block.shape_values
 
 
 def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
@@ -220,9 +274,14 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
     estimate.  x0 must lie on the exact surface (it is projected to each mesh
     through the inverse lift).
 
-    The mesh and budget checks raise at the call.  The coarse and fine
-    Green's streams are drawn in lockstep, one time node of each at a time,
-    so only the current node of either kernel is held.
+    The mesh and budget checks raise at the call.  The lifted fine
+    quadrature is set up block by block, and what the function then holds
+    is O(E_f*Q*nloc) for E_f fine elements, Q points and nloc coarse nodes
+    per element: the lifted weights, the table of coarse shape values at
+    the points with their coarse nodes, and two (E_f, Q) buffers into which
+    every time node is evaluated.  The coarse and fine Green's streams are
+    drawn in lockstep, one time node of each at a time, so only the current
+    node of either kernel is held.
     """
     if coarse_mesh.surface is not fine_mesh.surface:
         raise MeshMismatch("meshes must discretize one surface")
@@ -235,25 +294,29 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
     surface = coarse_mesh.surface
     x0 = surface.project(coarse_mesh.time, np.asarray(x0, dtype=float))
 
-    lifted_fine = FeSpace(fine_mesh, LIFTED, quad_order=quad_order)
-    geom = lifted_fine.geometry()
-    coarse_at_points = _coarse_at_quadrature(coarse_mesh, geom)
-    weights = geom.weights.reshape(-1)
+    if quad_order is None:
+        quad_order = default_quad_order(fine_mesh.degree, fine_mesh.dimension, LIFTED)
+    weights, coarse_at_points, fine_sv = _lifted_fine_quadrature(
+        coarse_mesh, fine_mesh, quad_order)
 
     def source_on(mesh):
         elems, refs = radial_inverse_lift(mesh, x0[None, :])
         return element_point(mesh, int(elems[0]), refs[0])
 
     x_coarse, x_fine = source_on(coarse_mesh), source_on(fine_mesh)
+    fine_gathered = np.empty(fine_mesh.elements.shape)
+    diff = np.empty((fine_mesh.num_elements, len(fine_sv)))
+    coarse_vals = np.empty_like(diff)
 
     def run(time_grid):
         coarse = discrete_green(coarse_mesh, x_coarse, time_grid, cg_tol=cg_tol)
         fine = discrete_green(fine_mesh, x_fine, time_grid, cg_tol=cg_tol)
         series = []
         for coarse_node, fine_node in zip(coarse, fine, strict=True):
-            fine_vals = element_values(fine_node.udot, fine_mesh.elements, geom).reshape(-1)
-            coarse_vals = coarse_at_points(coarse_node.udot)
-            series.append(float(weights @ np.abs(fine_vals - coarse_vals)))
+            np.take(fine_node.udot, fine_mesh.elements, out=fine_gathered)
+            np.matmul(fine_gathered, fine_sv.T, out=diff)
+            np.subtract(diff, coarse_at_points(coarse_node.udot, coarse_vals), out=diff)
+            series.append(float(weights @ np.abs(diff, out=diff).reshape(-1)))
         times, series = time_grid.times(), np.array(series)
         total = float(np.trapezoid(series, times))
         tail_sel = times >= 0.5 * times[-1]

@@ -49,6 +49,11 @@ class Surface:
         """Jacobian dq/dx of the closest-point projection, shape (..., d, d)."""
         raise NotImplementedError
 
+    def project_with_jacobian(self, t, x):
+        """``project`` and ``projection_jacobian`` at the same points, for
+        kinds that can share work between the two."""
+        return self.project(t, x), self.projection_jacobian(t, x)
+
     # -- flow map --------------------------------------------------------------
 
     def position(self, t, y):
@@ -219,14 +224,24 @@ class EllipsoidFlow(Surface):
 
     def project(self, t, x):
         x = np.asarray(x, dtype=float)
-        a2 = self.axes(t) ** 2
-        lam = self._solve_multiplier(t, x)
-        return a2 * x / (a2 + lam[..., None])
+        return self._project_at(t, x, self._solve_multiplier(t, x))
 
     def projection_jacobian(self, t, x):
         x = np.asarray(x, dtype=float)
-        a2 = self.axes(t) ** 2
+        return self._jacobian_at(t, x, self._solve_multiplier(t, x))
+
+    def project_with_jacobian(self, t, x):
+        # one Newton solve for the multiplier serves both
+        x = np.asarray(x, dtype=float)
         lam = self._solve_multiplier(t, x)
+        return self._project_at(t, x, lam), self._jacobian_at(t, x, lam)
+
+    def _project_at(self, t, x, lam):
+        a2 = self.axes(t) ** 2
+        return a2 * x / (a2 + lam[..., None])
+
+    def _jacobian_at(self, t, x, lam):
+        a2 = self.axes(t) ** 2
         denom = a2 + lam[..., None]
         # implicit differentiation of the multiplier equation
         dldx = (a2 * x / denom**2) / np.sum(

@@ -2,8 +2,9 @@
 
 Closed forms of the surfaces and flows, samplers, mesh diagnostics, a reader
 for the text mesh format, exact reference-element integrals, a dense view of
-sparse matrices, an eigenvalue and a mass oracle, and the geometric
-prefactors of the lift.  None of this is needed to run a study.
+sparse matrices, an eigenvalue and a mass oracle, the geometric prefactors of
+the lift, and the whole-mesh tables of the kernel difference.  None of this is
+needed to run a study.
 """
 
 import math
@@ -18,6 +19,7 @@ from esfem.fem import (
     assemble_mass,
     default_quad_order,
     element_geometry,
+    radial_inverse_lift,
 )
 from esfem.meshing import SurfaceMesh
 from esfem.sparse import cg_solve
@@ -262,3 +264,43 @@ def prefactors(mesh):
     tangential_id = np.eye(d) - nu[..., :, None] * nu[..., None, :]
     dev = np.linalg.eigvalsh(bfield - tangential_id)
     return float(np.abs(ratio - 1.0).max()), float(np.abs(dev).max()), float(ratio.min())
+
+
+# --- the kernel difference's tables over the whole fine mesh -------------------
+
+def point_interpolation(mesh, elements, refs):
+    """The map from a coefficient vector on mesh to its values at the points
+    with reference coordinates refs in the given elements.
+
+    ``elements`` may come in rows, shape (groups, points per group) with refs
+    (groups, points per group, d), such as the quadrature points of each
+    element of a finer mesh.  When every row lies in one element, the
+    coefficients are gathered once per row; otherwise once per point.  The
+    values come back flat, row after row.
+    """
+    elements = np.asarray(elements)
+    refs = np.asarray(refs, dtype=float)
+    sv = mesh.reference.shape_values(refs.reshape(-1, refs.shape[-1]))
+    if elements.ndim == 2 and (elements == elements[:, :1]).all():
+        table = np.ascontiguousarray(
+            sv.reshape(elements.shape + sv.shape[-1:]).transpose(0, 2, 1))
+        gather = mesh.elements[elements[:, 0]]
+        return lambda coeffs: np.einsum("ek,ekq->eq", coeffs[gather], table).reshape(-1)
+    sv = np.ascontiguousarray(sv.T)
+    gather = np.ascontiguousarray(mesh.elements[elements.reshape(-1)].T)
+    return lambda coeffs: np.einsum("kp,kp->p", sv, coeffs[gather])
+
+
+def coarse_at_quadrature(coarse_mesh, geom):
+    """The map from a coarse coefficient vector to its values at the
+    quadrature points of a whole lifted fine geometry, inverse-lifted in one
+    call with the nested guess when E_c divides E_f."""
+    n_fine, n_quad = geom.weights.shape
+    guess = None
+    if n_fine % coarse_mesh.num_elements == 0:
+        ratio = n_fine // coarse_mesh.num_elements
+        guess = np.repeat(np.arange(n_fine) // ratio, n_quad)
+    elems, refs = radial_inverse_lift(
+        coarse_mesh, geom.points.reshape(-1, geom.points.shape[-1]), guess=guess)
+    return point_interpolation(coarse_mesh, elems.reshape(n_fine, n_quad),
+                               refs.reshape(n_fine, n_quad, -1))

@@ -51,6 +51,16 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config(str(path))
 
 
+def test_parse_config_takes_the_ellipsoid_without_the_kernel_difference(tmp_path):
+    # only the kernel difference and the delta command need a radial kind
+    path = tmp_path / "ellipsoid.cfg"
+    path.write_text("[surface]\nkind = ellipsoid_flow\ndimension = 2\n"
+                    "[study]\nlevels = 1,2\nkernel_difference = false\n")
+    config, extras = parse_config(str(path))
+    assert config.surface_kind == "ellipsoid_flow"
+    assert extras["kernel_difference"] is False
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # missing required key -> exit 2 with a categorized line
     path = tmp_path / "bad.cfg"
@@ -240,6 +250,12 @@ def test_cli_solve_honours_t_end(tmp_path):
     ("solve", "[surface]\nkind = circle\n[study]\nlevels = 16\nt_end = 0\n", "study.t_end"),
     ("greens", "[surface]\nkind = circle\n[study]\nlevels = 16\nt_end = inf\n",
      "study.t_end"),
+    # the point-source decay needs geodesic distances, and the kernel
+    # difference the radial inverse lift: both exist on radial kinds only
+    ("delta", "[surface]\nkind = ellipsoid_flow\ndimension = 2\n[study]\nlevels = 1,2\n",
+     "surface.kind"),
+    ("greens", "[surface]\nkind = ellipsoid_flow\ndimension = 2\n[study]\nlevels = 1,2\n"
+               "kernel_difference = true\n", "surface.kind"),
 ])
 def test_cli_rejected_config_values_are_config_errors(tmp_path, capsys, command,
                                                       config, key):

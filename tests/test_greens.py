@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from esfem import greens
 from esfem.errors import HTooLarge, InsufficientSamples, MeshMismatch
 from esfem.fem import (
     DISCRETE,
@@ -11,6 +13,8 @@ from esfem.fem import (
     FeSpace,
     assemble_mass,
     assemble_stiffness,
+    block_geometry,
+    default_quad_order,
     delta_load,
     discrete_delta,
     radial_inverse_lift,
@@ -24,12 +28,11 @@ from esfem.greens import (
     dyadic_report,
     green_decay_study,
     kernel_difference_l1,
-    point_interpolation,
 )
 from esfem.meshing import SurfaceMesh, build_circle_mesh, build_sphere_mesh
 from esfem.surfaces import Circle, Sphere, Surface
 from esfem.timestepping import TimeGrid, norm_series
-from oracles import smallest_nonzero_eigenvalue
+from oracles import coarse_at_quadrature, point_interpolation, smallest_nonzero_eigenvalue
 
 
 @pytest.fixture(scope="module")
@@ -319,3 +322,86 @@ def test_point_interpolation_matches_gathered_sum(case):
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
         # the same products summed in the same order on both paths
         assert np.array_equal(got, per_point(u))
+
+
+def _circle_with_moved_vertex(n_elements, vertex, shift):
+    # a P1 circle mesh whose one vertex moves along the circle by shift
+    # elements, so the finer meshes that nest in the uniform one cross its
+    # elements near that vertex
+    mesh = build_circle_mesh(Circle(), n_elements, 1)
+    theta = 2.0 * math.pi * np.arange(n_elements) / n_elements
+    theta[vertex] += 2.0 * math.pi * shift / n_elements
+    nodes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    return SurfaceMesh(mesh.surface, 1, nodes, mesh.elements)
+
+
+TABLE_PAIRS = {
+    # coarse mesh, fine mesh, quadrature points per block (None: the module's)
+    "sphere-P1-L1-L3": lambda: (build_sphere_mesh(Sphere(), 1, 1),
+                                build_sphere_mesh(Sphere(), 3, 1), None),
+    "sphere-P2-L1-L3": lambda: (build_sphere_mesh(Sphere(), 1, 2),
+                                build_sphere_mesh(Sphere(), 3, 2), None),
+    # E_c does not divide E_f: the per-point tables from the first block on
+    "circle-P2-20-90": lambda: (build_circle_mesh(Circle(), 20, 2),
+                                build_circle_mesh(Circle(), 90, 2), 60),
+    # E_c divides E_f, but fine elements 30 and 31 cross coarse element 14's
+    # moved end: the blocks before them fill the per-element tables, which
+    # then turn into per-point tables
+    "circle-P1-20-40-moved": lambda: (_circle_with_moved_vertex(20, 15, 0.3),
+                                      build_circle_mesh(Circle(), 40, 1), 48),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_PAIRS))
+def test_blocked_tables_match_the_whole_mesh_tables(case, monkeypatch):
+    # the tables kernel_difference_l1 fills block by block against the
+    # lifted geometry of the whole fine mesh and the coarse values at its
+    # points, inverse-lifted in one call.  BLAS may round the element map of
+    # a block of rows differently from the same rows of the whole mesh (the
+    # sphere points move by an ulp), so the geometry is compared to 1e-15
+    # and the coarse values, which the inverse lift makes sensitive to the
+    # points, are compared at the same points, bit for bit
+    coarse, fine, block = TABLE_PAIRS[case]()
+    fine.surface = coarse.surface
+    if block is not None:
+        monkeypatch.setattr(greens, "_QUAD_BLOCK", block)
+    order = default_quad_order(fine.degree, fine.dimension, LIFTED)
+    weights, coarse_at_points, fine_sv = greens._lifted_fine_quadrature(coarse, fine, order)
+    assert not any(tag == LIFTED for tag, _ in getattr(fine, "_geom_cache", {}))
+    geom = FeSpace(fine, LIFTED).geometry()
+    n_fine, n_quad = geom.weights.shape
+    step = max(1, greens._QUAD_BLOCK // n_quad)
+    assert step < n_fine  # more than one block
+    assert np.abs(weights - geom.weights.reshape(-1)).max() <= 1e-15 * geom.weights.max()
+    assert np.array_equal(fine_sv, geom.shape_values)
+    blocks = [block_geometry(fine, LIFTED, order, lo, min(lo + step, n_fine))
+              for lo in range(0, n_fine, step)]
+    points = np.concatenate([b.points for b in blocks])
+    assert np.abs(points - geom.points).max() <= 1e-15 * np.abs(geom.points).max()
+    assert np.array_equal(np.concatenate([b.weights for b in blocks]).reshape(-1), weights)
+    assert coarse_at_points.nested == case.startswith("sphere")
+    expected_at = coarse_at_quadrature(coarse, SimpleNamespace(points=points,
+                                                               weights=geom.weights))
+    out = np.empty(geom.weights.shape)
+    rng = np.random.default_rng(len(case))
+    for _ in range(3):
+        u = rng.standard_normal(coarse.num_nodes)
+        assert np.array_equal(coarse_at_points(u, out).reshape(-1), expected_at(u))
+
+
+def test_kernel_difference_memory_is_bounded_by_its_tables():
+    # sphere L1/L3 at the lifted order 8: 1 280 fine elements, 81 points
+    # each.  The tables and buffers come to about 5 MB and the traced peak
+    # to 7.2 MB; the lifted geometry of the whole fine mesh with its inverse
+    # lift in one call peaked at 39.1 MB.  No lifted geometry is cached.
+    surface = Sphere()
+    coarse = build_sphere_mesh(surface, 1, 1)
+    fine = build_sphere_mesh(surface, 3, 1)
+
+    def difference():
+        return kernel_difference_l1(coarse, fine, coarse.nodes[0], TimeGrid(0.05, 4))
+
+    difference()  # fills the meshes' discrete caches
+    assert _peak_bytes(difference) < 9e6
+    for mesh in (coarse, fine):
+        assert not any(tag == LIFTED for tag, _ in mesh._geom_cache)

@@ -111,6 +111,19 @@ def test_ellipsoid_projection_jacobian_vs_finite_differences():
         assert np.abs(jac[:, j] - col).max() <= 1e-8
 
 
+@pytest.mark.parametrize("surface", [*ALL_SURFACES, EllipsoidFlow(dimension=1)],
+                         ids=lambda s: f"{s.kind}-{s.dimension}")
+def test_project_with_jacobian_equals_the_two_calls(surface):
+    # the ellipsoid solves its multiplier once for both; the result must not
+    # move by a bit from the separate projection and Jacobian
+    t = 0.37
+    rng = np.random.default_rng(surface.ambient_dim)
+    x = sample_points(surface, t, 500, rng) * rng.uniform(0.9, 1.1, size=(500, 1))
+    points, jac = surface.project_with_jacobian(t, x)
+    assert np.array_equal(points, surface.project(t, x))
+    assert np.array_equal(jac, surface.projection_jacobian(t, x))
+
+
 # --- exact heat solutions -----------------------------------------------
 
 def test_heat_solution_circle_examples():
