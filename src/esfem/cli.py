@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .errors import ConfigError, EsfemError, HTooLarge, IOFailure
+from .errors import ConfigError, EsfemError, HTooLarge, IOFailure, UnsupportedSurface
 from .fem import DISCRETE, LIFTED, FeSpace
 from .greens import (
     delta_consistency,
@@ -140,13 +140,21 @@ def _make_outdir(outdir):
     return outdir
 
 
-def _study_setup(args, radial=None):
+def _greens_t_end(config, extras):
+    # green_decay_study fits the decay on t >= 1 only
+    t_end = extras["t_end"]
+    if t_end is not None and t_end <= 1.0:
+        raise ConfigError(
+            f"study.t_end (greens fits the decay on t >= 1, so it must exceed 1, got {t_end})")
+
+
+def _study_setup(args, check=None):
     """The parsed config, its extras, and the created output directory;
-    ConfigError before the directory is made if the command, named by
-    radial, needs a radial surface kind and the config has another."""
+    ConfigError before the directory is made if ``check(config, extras)``,
+    what the command alone needs of its config, raises it."""
     config, extras = parse_config(args.config)
-    if radial is not None:
-        _require_radial(config, radial)
+    if check is not None:
+        check(config, extras)
     outdir = args.out or os.environ.get("ESFEM_OUTDIR") or extras["directory"]
     return config, extras, _make_outdir(outdir)
 
@@ -241,7 +249,7 @@ def cmd_convergence(args):
 
 
 def cmd_greens(args):
-    config, extras, outdir = _study_setup(args)
+    config, extras, outdir = _study_setup(args, check=_greens_t_end)
     surface = config.surface()
     t_end = 3.0 if extras["t_end"] is None else extras["t_end"]
     meshes = {}
@@ -257,7 +265,8 @@ def cmd_greens(args):
                     zip(fit.times, fit.values))
         outputs.append(name)
         # dyadic table around the first mesh node, on (0,1); only available
-        # once the mesh satisfies h < 1/(4*C)
+        # once the mesh satisfies h < 1/(4*C), and on kinds with a geodesic
+        # distance
         try:
             # diagnostic table: cap the step count, the annulus profile does
             # not need the full parabolic dt resolution
@@ -266,7 +275,7 @@ def cmd_greens(args):
             x0 = mesh.nodes[0]
             nodes = discrete_green(mesh, x0, unit_grid, cg_tol=config.cg_tol)
             table = dyadic_report(mesh, nodes, x0, c_star=extras["c_star"])
-        except HTooLarge as exc:
+        except (HTooLarge, UnsupportedSurface) as exc:
             print(f"level {level}: dyadic table skipped ({exc})")
             continue
         columns = ("set", "radius", "measure", "field_l2", "dtfield_l2")
@@ -295,7 +304,8 @@ def cmd_greens(args):
 
 
 def cmd_delta(args):
-    config, extras, outdir = _study_setup(args, radial="delta")
+    config, extras, outdir = _study_setup(
+        args, check=lambda config, _: _require_radial(config, "delta"))
     surface = config.surface()
     rows = []
     for level in config.levels:

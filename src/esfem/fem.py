@@ -113,25 +113,33 @@ class ElementGeometry:
         return self.ref_grads @ (self.inv_metric @ np.swapaxes(self.jac, -1, -2))
 
 
-def _metric(jac, m):
-    """det G and G^{-1} of G = jac^T jac, formed entry by entry from a
-    component-major copy of the Jacobians (a matmul over the trailing d x m
-    blocks is several times slower).  Raises SingularElement before
-    inverting if det G is not positive and finite everywhere."""
-    lead, d = jac.shape[:-2], jac.shape[-2]
+def _gram(jac, m):
+    """The entries G_ab, a <= b, of G = jac^T jac, each flat over the
+    leading axes, formed entry by entry from a component-major copy of the
+    Jacobians (a matmul over the trailing d x m blocks is several times
+    slower).  The copy goes on return, before the metric is inverted."""
+    d = jac.shape[-2]
     comp = jac.reshape(-1, d * m).T.copy()  # row k*m + a holds J_ka
+    entries = []
+    for a in range(m):
+        for b in range(a, m):
+            g = comp[a] * comp[b]
+            for k in range(1, d):
+                g += comp[k * m + a] * comp[k * m + b]
+            entries.append(g)
+    return entries
 
-    def entry(a, b):
-        g = comp[a] * comp[b]
-        for k in range(1, d):
-            g += comp[k * m + a] * comp[k * m + b]
-        return g
 
+def _metric(jac, m):
+    """det G and G^{-1} of G = jac^T jac.  Raises SingularElement before
+    inverting if det G is not positive and finite everywhere."""
+    lead = jac.shape[:-2]
     if m == 1:
-        det = entry(0, 0).reshape(lead)
+        (det,) = _gram(jac, m)
+        det = det.reshape(lead)
         _check_gram(det)
         return det, (1.0 / det)[..., None, None]
-    g00, g01, g11 = entry(0, 0), entry(0, 1), entry(1, 1)
+    g00, g01, g11 = _gram(jac, m)
     det = g00 * g11 - g01 * g01
     _check_gram(det.reshape(lead))
     inv = np.empty((len(det), 2, 2))
@@ -200,6 +208,7 @@ def block_geometry(mesh, tag, order, lo, hi):
             mesh.time, points.reshape(-1, d))
         jac = dq.reshape(points.shape + (d,)) @ jac
         points = projected.reshape(points.shape)
+        del dq  # the (E, Q, d, d) projection Jacobians are not held through the metric
     det, inv = _metric(jac, m)
     mu = np.sqrt(det)
     return ElementGeometry(
@@ -588,58 +597,9 @@ def _check_guess(guess, n, n_elements):
     return guess
 
 
-def radial_inverse_lift(mesh, points, tol=1e-12, guess=None):
-    """Inverse of the closest-point projection restricted to Gamma_h, for
-    surfaces with radial projection (circle/sphere families).
-
-    Returns (elements, ref_coords) such that mapping the reference points
-    through the element maps gives the Gamma_h points projecting onto
-    ``points``.  Each ray through the origin goes to the element whose flat
-    vertex simplex it crosses deepest (largest smallest barycentric; the first
-    such element on ties).  ``guess`` optionally gives one element per point
-    to try first: a ray that crosses its guessed flat simplex (no barycentric
-    below 0) keeps that element, and only the other rays are scored against
-    every element, so a wrong guess costs time but never the result.
-    Projected Gauss-Newton then moves the crossing of the flat simplex onto
-    the curved element until the residual normal to the ray is below
-    ``tol``.  Raises PointNotOnMesh for non-finite or zero points,
-    NonConvergence if Newton stalls, and DimensionMismatch or ValueError for
-    a guess of the wrong length or with elements out of range.
-    """
-    surface = mesh.surface
-    if not hasattr(surface, "radius"):
-        raise UnsupportedSurface("inverse lift by ray casting needs a radial kind")
-    pts = np.asarray(points, dtype=float)
-    norms = np.sqrt(_row_dot(pts, pts))[:, None]
-    bad = ~(np.isfinite(norms[:, 0]) & (norms[:, 0] > 0.0))
-    if bad.any():
-        raise PointNotOnMesh(
-            f"{int(bad.sum())} points are zero or not finite, "
-            f"first {pts[bad][0]}; no ray to cast"
-        )
-    rays = pts / norms
-    n = rays.shape[0]
-    if guess is not None:
-        guess = _check_guess(guess, n, mesh.num_elements)
-    inv = np.linalg.inv(np.swapaxes(mesh.vertex_coords(), 1, 2))
-    elems = np.empty(n, dtype=np.intp)
-    refs = np.empty((n, mesh.dimension))
-    for lo in range(0, n, _LIFT_BLOCK):
-        hi = min(lo + _LIFT_BLOCK, n)
-        if guess is None:
-            elems[lo:hi], refs[lo:hi] = _score_rays(inv, rays[lo:hi])
-            continue
-        # barycentrics against the guessed simplex only, gathered per block
-        tried = guess[lo:hi]
-        lam = np.einsum("pij,pj->ip", np.take(inv, tried, axis=0), rays[lo:hi])
-        lam_sum, lam_min = _sum_min(lam)
-        elems[lo:hi] = tried
-        with np.errstate(divide="ignore", invalid="ignore"):
-            refs[lo:hi] = (lam[1:] / lam_sum).T
-        missed = lo + np.flatnonzero(~((lam_min >= 0.0) & (lam_sum > 0.0)))
-        if missed.size:
-            elems[missed], refs[missed] = _score_rays(inv, rays[missed])
-
+def _project_onto_rays(mesh, rays, elems, refs, tol):
+    """Projected Gauss-Newton on one block: move refs (in place) until the
+    Gamma_h point of each (element, ref) lies on its ray to ``tol``."""
     ref_el = mesh.reference
     local_nodes = np.take(mesh.elements, elems, axis=0)
 
@@ -650,6 +610,7 @@ def radial_inverse_lift(mesh, points, tol=1e-12, guess=None):
         ray = rays[idx]
         return pos - ray * _row_dot(ray, pos)[:, None], coords
 
+    n = len(rays)
     active = slice(None)  # the first pass takes every point, without copies
     for _ in range(_LIFT_MAXITER):
         resid, coords = residual(active)
@@ -657,7 +618,7 @@ def radial_inverse_lift(mesh, points, tol=1e-12, guess=None):
         active = np.arange(n)[active][keep]
         resid, coords = resid[keep], coords[keep]
         if active.size == 0:
-            return elems, refs
+            return
         ray = rays[active]
         jac = np.swapaxes(coords, 1, 2) @ ref_el.shape_gradients(refs[active])
         jac -= ray[:, :, None] * (ray[:, None, :] @ jac)
@@ -672,4 +633,71 @@ def radial_inverse_lift(mesh, points, tol=1e-12, guess=None):
             f"{tol:.1e} after {_LIFT_MAXITER} Newton steps, worst "
             f"{float(np.nanmax(dist)):.3e}"
         )
+
+
+def radial_inverse_lift(mesh, points, tol=1e-12, guess=None):
+    """Inverse of the closest-point projection restricted to Gamma_h, for
+    surfaces with radial projection (circle/sphere families).
+
+    Returns (elements, ref_coords) such that mapping the reference points
+    through the element maps gives the Gamma_h points projecting onto
+    ``points``.  Each ray through the origin goes to the element whose flat
+    vertex simplex it crosses deepest (largest smallest barycentric; the first
+    such element on ties).  ``guess`` optionally gives one element per point
+    to try first: a ray that crosses its guessed flat simplex (no barycentric
+    below 0) keeps that element, and only the other rays are scored against
+    every element, so a wrong guess costs time but never the result.
+    Projected Gauss-Newton then moves the crossing of the flat simplex onto
+    the curved element until the residual normal to the ray is below
+    ``tol``.  Both run on blocks of ``_LIFT_BLOCK`` rays: beyond a few
+    values per point, the call's temporaries are O(block) at any number of
+    points.
+    Raises PointNotOnMesh for non-finite or zero points, NonConvergence if
+    Newton stalls (counting the points of the first block that stalls),
+    and DimensionMismatch or ValueError for a guess of the wrong length or
+    with elements out of range.
+    """
+    surface = mesh.surface
+    if not hasattr(surface, "radius"):
+        raise UnsupportedSurface("inverse lift by ray casting needs a radial kind")
+    pts = np.asarray(points, dtype=float)
+    norms = np.sqrt(_row_dot(pts, pts))
+    bad = ~(np.isfinite(norms) & (norms > 0.0))
+    if bad.any():
+        raise PointNotOnMesh(
+            f"{int(bad.sum())} points are zero or not finite, "
+            f"first {pts[bad][0]}; no ray to cast"
+        )
+    n = pts.shape[0]
+    if guess is not None:
+        guess = _check_guess(guess, n, mesh.num_elements)
+    # inverses of the flat simplices' vertex matrices turn a ray into
+    # barycentric weights: with a guess, only the guessed simplices are
+    # inverted, once each, and all of them only if a ray misses its guess
+    verts = np.swapaxes(mesh.vertex_coords(), 1, 2)
+    if guess is None:
+        inv = np.linalg.inv(verts)
+    else:
+        inv = None
+        guessed, slot = np.unique(guess, return_inverse=True)
+        guessed_inv = np.linalg.inv(verts[guessed])
+    elems = np.empty(n, dtype=np.intp)
+    refs = np.empty((n, mesh.dimension))
+    for lo in range(0, n, _LIFT_BLOCK):
+        hi = min(lo + _LIFT_BLOCK, n)
+        rays = pts[lo:hi] / norms[lo:hi, None]
+        if guess is None:
+            elems[lo:hi], refs[lo:hi] = _score_rays(inv, rays)
+        else:
+            # barycentrics against the guessed simplex only
+            lam = np.einsum("pij,pj->ip", np.take(guessed_inv, slot[lo:hi], axis=0), rays)
+            lam_sum, lam_min = _sum_min(lam)
+            elems[lo:hi] = guess[lo:hi]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                refs[lo:hi] = (lam[1:] / lam_sum).T
+            missed = np.flatnonzero(~((lam_min >= 0.0) & (lam_sum > 0.0)))
+            if missed.size:
+                inv = np.linalg.inv(verts) if inv is None else inv
+                elems[lo + missed], refs[lo + missed] = _score_rays(inv, rays[missed])
+        _project_onto_rays(mesh, rays, elems[lo:hi], refs[lo:hi], tol)
     return elems, refs

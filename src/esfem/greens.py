@@ -169,9 +169,13 @@ def delta_consistency(discrete_space, lifted_space, x0, p):
             "ratio": dnorm / tnorm}
 
 
-# lifted fine quadrature points set up per block: the block's points,
-# Jacobians and inverse-lift temporaries stay a few MB at any level
-_QUAD_BLOCK = 8192
+# lifted fine quadrature points set up per block: the block's geometry and
+# inverse-lift temporaries stay about 1 MB at any level, no more than the
+# evaluation adds to the tables (8192 was no faster at L3/L5)
+_QUAD_BLOCK = 4096
+# lifted fine quadrature points evaluated per block at each time node: a
+# block's coarse values and differences take 0.5 MB
+_EVAL_BLOCK = 32768
 
 
 class _CoarseAtPoints:
@@ -185,17 +189,24 @@ class _CoarseAtPoints:
     element.  The first block with a fine element across coarse elements
     turns them into per-point tables, (nloc, E_f*Q) shape values and nodes;
     both give the same products summed in the same order.  An evaluation
-    writes into a given (E_f, Q) array and allocates nothing.
+    covers a range of at most ``block`` fine elements and writes into a
+    given (elements, Q) array; its only scratch, the coarse coefficients
+    gathered for ``block`` fine elements, is allocated once.
     """
 
-    def __init__(self, mesh, n_fine, n_quad, nested):
-        self.mesh, self.n_fine, self.n_quad = mesh, n_fine, n_quad
-        self.nested = nested
+    def __init__(self, mesh, n_fine, n_quad, block):
+        self.mesh, self.n_fine, self.n_quad, self.block = mesh, n_fine, n_quad, block
+        # Both builders order children after their parent: when E_c divides
+        # E_f, fine element k lies in coarse element k // (E_f / E_c), which
+        # the inverse lift tries first for each of k's points
+        n_coarse = mesh.num_elements
+        self.ratio = n_fine // n_coarse if n_fine % n_coarse == 0 else None
+        self.nested = self.ratio is not None
         nloc = mesh.elements.shape[1]
-        if nested:
+        if self.nested:
             self.table = np.empty((n_fine, nloc, n_quad))
             self.gather = np.empty((n_fine, nloc), dtype=mesh.elements.dtype)
-            self.gathered = np.empty((n_fine, nloc))
+            self.gathered = np.empty((block, nloc))
         else:
             self._per_point(0)
 
@@ -210,31 +221,43 @@ class _CoarseAtPoints:
             table[:, :done] = self.table[:filled].transpose(1, 0, 2).reshape(nloc, done)
             gather[:, :done] = np.repeat(self.gather[:filled].T, self.n_quad, axis=1)
         self.table, self.gather = table, gather
-        self.gathered = np.empty((nloc, n_points))
+        self.gathered = np.empty((nloc, self.block * self.n_quad))
         self.nested = False
 
-    def fill(self, lo, elems, refs):
-        """The tables of the fine elements from lo on, given the coarse
-        elements (block, Q) and reference coordinates (block*Q, m) of their
-        points."""
-        hi = lo + len(elems)
+    def fill(self, lo, points):
+        """The tables of the fine elements from lo on, given their lifted
+        quadrature points (block, Q, d), which are inverse-lifted onto the
+        coarse mesh here."""
+        hi = lo + len(points)
+        guess = None
+        if self.ratio is not None:
+            guess = np.repeat(np.arange(lo, hi) // self.ratio, self.n_quad)
+        elems, refs = radial_inverse_lift(
+            self.mesh, points.reshape(-1, points.shape[-1]), guess=guess)
+        elems = elems.reshape(hi - lo, self.n_quad)
         sv = self.mesh.reference.shape_values(refs)
         if self.nested and not (elems == elems[:, :1]).all():
             self._per_point(lo)
         if self.nested:
-            self.table[lo:hi] = sv.reshape(len(elems), self.n_quad, -1).transpose(0, 2, 1)
+            self.table[lo:hi] = sv.reshape(hi - lo, self.n_quad, -1).transpose(0, 2, 1)
             self.gather[lo:hi] = self.mesh.elements[elems[:, 0]]
         else:
-            points = slice(lo * self.n_quad, hi * self.n_quad)
-            self.table[:, points] = sv.T
-            self.gather[:, points] = self.mesh.elements[elems.reshape(-1)].T
+            span = slice(lo * self.n_quad, hi * self.n_quad)
+            self.table[:, span] = sv.T
+            self.gather[:, span] = self.mesh.elements[elems.reshape(-1)].T
 
-    def __call__(self, coeffs, out):
-        np.take(coeffs, self.gather, out=self.gathered)
+    def __call__(self, coeffs, lo, hi, out):
+        """The values at the points of fine elements lo:hi, written into
+        out, shape (hi - lo, Q)."""
         if self.nested:
-            np.einsum("ek,ekq->eq", self.gathered, self.table, out=out)
+            gathered = self.gathered[:hi - lo]
+            np.take(coeffs, self.gather[lo:hi], out=gathered)
+            np.einsum("ek,ekq->eq", gathered, self.table[lo:hi], out=out)
         else:
-            np.einsum("kp,kp->p", self.table, self.gathered, out=out.reshape(-1))
+            span = slice(lo * self.n_quad, hi * self.n_quad)
+            gathered = self.gathered[:, :(hi - lo) * self.n_quad]
+            np.take(coeffs, self.gather[:, span], out=gathered)
+            np.einsum("kp,kp->p", self.table[:, span], gathered, out=out.reshape(-1))
         return out
 
 
@@ -244,24 +267,49 @@ def _lifted_fine_quadrature(coarse_mesh, fine_mesh, order):
     (``_CoarseAtPoints``) and the fine reference shape values (Q, nloc),
     set up in one pass over blocks of fine elements.  No lifted geometry of
     the whole fine mesh is built or cached."""
-    n_fine, n_coarse = fine_mesh.num_elements, coarse_mesh.num_elements
+    n_fine = fine_mesh.num_elements
     n_quad = len(reference_rule(fine_mesh.dimension, order).weights)
-    # Both builders order children after their parent: when E_c divides E_f,
-    # fine element k lies in coarse element k // (E_f / E_c), which the
-    # inverse lift tries first for each of k's points
-    ratio = n_fine // n_coarse if n_fine % n_coarse == 0 else None
     weights = np.empty((n_fine, n_quad))
-    coarse_at_points = _CoarseAtPoints(coarse_mesh, n_fine, n_quad, ratio is not None)
+    coarse_at_points = _CoarseAtPoints(coarse_mesh, n_fine, n_quad,
+                                       max(1, _EVAL_BLOCK // n_quad))
     step = max(1, _QUAD_BLOCK // n_quad)
     for lo in range(0, n_fine, step):
-        hi = min(lo + step, n_fine)
-        block = block_geometry(fine_mesh, LIFTED, order, lo, hi)
-        weights[lo:hi] = block.weights
-        guess = None if ratio is None else np.repeat(np.arange(lo, hi) // ratio, n_quad)
-        elems, refs = radial_inverse_lift(
-            coarse_mesh, block.points.reshape(-1, block.points.shape[-1]), guess=guess)
-        coarse_at_points.fill(lo, elems.reshape(hi - lo, n_quad), refs)
-    return weights.reshape(-1), coarse_at_points, block.shape_values
+        geom = block_geometry(fine_mesh, LIFTED, order, lo, min(lo + step, n_fine))
+        weights[lo:lo + step], points, fine_sv = geom.weights, geom.points, geom.shape_values
+        # the block's Jacobians and metric go before its points are lifted,
+        # and its points before the next block's geometry is built
+        del geom
+        coarse_at_points.fill(lo, points)
+        del points
+    return weights.reshape(-1), coarse_at_points, fine_sv
+
+
+def _node_difference(fine_mesh, weights, coarse_at_points, fine_sv):
+    """The L^1 norm over the lifted fine quadrature of the difference
+    between a fine and a coarse coefficient vector, as a function of the
+    two vectors.  A call runs over blocks of ``coarse_at_points.block``
+    fine elements, evaluating the fine values, the coarse values, their
+    difference and its weighted sum per block, and adds the blocks' sums;
+    its scratch, sized to one block, is allocated once."""
+    n_fine, n_quad = fine_mesh.num_elements, len(fine_sv)
+    block = coarse_at_points.block
+    fine_gathered = np.empty((block, fine_mesh.elements.shape[1]))
+    diff = np.empty((block, n_quad))
+    coarse_vals = np.empty_like(diff)
+
+    def l1(fine_coeffs, coarse_coeffs):
+        total = 0.0
+        for lo in range(0, n_fine, block):
+            hi = min(lo + block, n_fine)
+            n = hi - lo
+            d = diff[:n]
+            np.take(fine_coeffs, fine_mesh.elements[lo:hi], out=fine_gathered[:n])
+            np.matmul(fine_gathered[:n], fine_sv.T, out=d)
+            np.subtract(d, coarse_at_points(coarse_coeffs, lo, hi, coarse_vals[:n]), out=d)
+            total += weights[lo * n_quad:hi * n_quad] @ np.abs(d, out=d).reshape(-1)
+        return float(total)
+
+    return l1
 
 
 def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
@@ -277,11 +325,12 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
     The mesh and budget checks raise at the call.  The lifted fine
     quadrature is set up block by block, and what the function then holds
     is O(E_f*Q*nloc) for E_f fine elements, Q points and nloc coarse nodes
-    per element: the lifted weights, the table of coarse shape values at
-    the points with their coarse nodes, and two (E_f, Q) buffers into which
-    every time node is evaluated.  The coarse and fine Green's streams are
-    drawn in lockstep, one time node of each at a time, so only the current
-    node of either kernel is held.
+    per element: the lifted weights and the table of coarse shape values at
+    the points with their coarse nodes.  Every time node is evaluated one
+    block of fine elements at a time (``_EVAL_BLOCK`` points), into scratch
+    sized to that block, not to the (E_f, Q) points.  The coarse and fine
+    Green's streams are drawn in lockstep, one time node of each at a time,
+    so only the current node of either kernel is held.
     """
     if coarse_mesh.surface is not fine_mesh.surface:
         raise MeshMismatch("meshes must discretize one surface")
@@ -294,37 +343,34 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
     surface = coarse_mesh.surface
     x0 = surface.project(coarse_mesh.time, np.asarray(x0, dtype=float))
 
-    if quad_order is None:
-        quad_order = default_quad_order(fine_mesh.degree, fine_mesh.dimension, LIFTED)
-    weights, coarse_at_points, fine_sv = _lifted_fine_quadrature(
-        coarse_mesh, fine_mesh, quad_order)
-
     def source_on(mesh):
         elems, refs = radial_inverse_lift(mesh, x0[None, :])
         return element_point(mesh, int(elems[0]), refs[0])
 
+    # the Green's streams at dt and dt/2, whose point sources are solved
+    # here: on a fresh mesh that builds its geometry and sparsity pattern,
+    # whose temporaries so come before the tables, not on top of them
     x_coarse, x_fine = source_on(coarse_mesh), source_on(fine_mesh)
-    fine_gathered = np.empty(fine_mesh.elements.shape)
-    diff = np.empty((fine_mesh.num_elements, len(fine_sv)))
-    coarse_vals = np.empty_like(diff)
+    streams = [(time_grid,
+                discrete_green(coarse_mesh, x_coarse, time_grid, cg_tol=cg_tol),
+                discrete_green(fine_mesh, x_fine, time_grid, cg_tol=cg_tol))
+               for time_grid in (grid, grid.halved())]
 
-    def run(time_grid):
-        coarse = discrete_green(coarse_mesh, x_coarse, time_grid, cg_tol=cg_tol)
-        fine = discrete_green(fine_mesh, x_fine, time_grid, cg_tol=cg_tol)
-        series = []
-        for coarse_node, fine_node in zip(coarse, fine, strict=True):
-            np.take(fine_node.udot, fine_mesh.elements, out=fine_gathered)
-            np.matmul(fine_gathered, fine_sv.T, out=diff)
-            np.subtract(diff, coarse_at_points(coarse_node.udot, coarse_vals), out=diff)
-            series.append(float(weights @ np.abs(diff, out=diff).reshape(-1)))
+    if quad_order is None:
+        quad_order = default_quad_order(fine_mesh.degree, fine_mesh.dimension, LIFTED)
+    difference = _node_difference(
+        fine_mesh, *_lifted_fine_quadrature(coarse_mesh, fine_mesh, quad_order))
+
+    def run(time_grid, coarse, fine):
+        series = [difference(fine_node.udot, coarse_node.udot)
+                  for coarse_node, fine_node in zip(coarse, fine, strict=True)]
         times, series = time_grid.times(), np.array(series)
         total = float(np.trapezoid(series, times))
         tail_sel = times >= 0.5 * times[-1]
         tail = float(np.trapezoid(series[tail_sel], times[tail_sel]))
         return total, tail
 
-    value_coarse_dt, _ = run(grid)
-    value, tail = run(grid.halved())
+    (value_coarse_dt, _), (value, tail) = (run(*stream) for stream in streams)
     return {
         "l1_difference": value,
         "richardson_error": abs(value - value_coarse_dt),
@@ -381,8 +427,9 @@ def dyadic_report(mesh, nodes, x0, c_star=16.0):
     discrete_green stream, say) and of its time derivative over the
     parabolic dyadic decomposition of (0,1) x Gamma.
 
-    The decomposition is built before the first node is drawn, so HTooLarge
-    raises before any step runs.  Nodes are then drawn one at a time up to
+    The decomposition and the distances to x0 are computed before the first
+    node is drawn, so HTooLarge, and UnsupportedSurface on a kind without a
+    geodesic distance, raise before any step runs.  Nodes are then drawn one at a time up to
     t = 1 and reduced as they come; no solution series is kept.
 
     Classification uses rho = max(geodesic distance to x0, sqrt(t)); each

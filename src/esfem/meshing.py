@@ -158,30 +158,33 @@ def build_circle_mesh(surface, n_elements, degree=1, interior_jitter=0.0):
     return SurfaceMesh(surface, degree, ref_nodes, elements, time=0.0)
 
 
-def _midpoints(verts):
-    """mid(i, j): the index in the list verts of the normalized midpoint of
-    verts[i] and verts[j], appended on its first request."""
-    index = {}
-
-    def mid(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in index:
-            p = 0.5 * (verts[i] + verts[j])
-            verts.append(p / np.linalg.norm(p))
-            index[key] = len(verts) - 1
-        return index[key]
-
-    return mid
+def _edge_midpoints(verts, faces):
+    """The vertices with the normalized midpoints of the edges ab, bc, ca of
+    every face (a, b, c) appended, each edge once, in the order the faces
+    first name it, and the (F, 3) indices of every face's three midpoints."""
+    requests = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    n = len(verts)
+    codes = requests.min(axis=1) * n + requests.max(axis=1)
+    _, first, edge_of = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct edges by first request
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    a, b = requests[first[order]].T
+    mids = 0.5 * (verts[a] + verts[b])
+    # one dot product per row, as np.linalg.norm takes of a single vector
+    # (an einsum or a row sum rounds some norms differently)
+    mids /= np.sqrt(np.vecdot(mids, mids))[:, None]
+    return np.concatenate([verts, mids]), (n + rank[edge_of]).reshape(-1, 3)
 
 
 def _subdivide(verts, faces):
-    verts = list(verts)
-    mid = _midpoints(verts)
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return verts, out
+    """One midpoint subdivision: the four children of face k at 4k..4k+3."""
+    verts, faces = np.asarray(verts, dtype=float), np.asarray(faces, dtype=np.int64)
+    verts, mids = _edge_midpoints(verts, faces)
+    ab, bc, ca = mids.T
+    a, b, c = faces.T
+    children = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    return verts, children.reshape(-1, 3)
 
 
 def build_sphere_mesh(surface, levels, degree=1):
@@ -202,12 +205,10 @@ def build_sphere_mesh(surface, levels, degree=1):
         raise ValueError(f"levels must be >= {MIN_LEVEL[2]}")
     if degree not in ELEMENT_DEGREES[2]:
         raise ValueError(f"surface triangles support degrees {ELEMENT_DEGREES[2]}")
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
-    faces = list(_ICO_FACES)
+    verts = np.array([v / np.linalg.norm(v) for v in _ICO_VERTS])
+    faces = np.array(_ICO_FACES, dtype=np.int64)
     for _ in range(int(levels)):
         verts, faces = _subdivide(verts, faces)
-    verts = np.array(verts)
-    faces = np.array(faces, dtype=np.int64)
     # enforce outward orientation regardless of the base table
     corners = verts[faces]
     normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
@@ -218,10 +219,6 @@ def build_sphere_mesh(surface, levels, degree=1):
         ref_nodes = surface.project(0.0, verts)
         return SurfaceMesh(surface, 1, ref_nodes, faces, time=0.0)
 
-    verts = list(verts)
-    edge = _midpoints(verts)
-    elements = []
-    for a, b, c in faces.tolist():
-        elements.append((a, b, c, edge(a, b), edge(b, c), edge(c, a)))
-    ref_nodes = surface.project(0.0, np.array(verts))
-    return SurfaceMesh(surface, 2, ref_nodes, np.array(elements, dtype=np.int64), time=0.0)
+    verts, edges = _edge_midpoints(verts, faces)
+    ref_nodes = surface.project(0.0, verts)
+    return SurfaceMesh(surface, 2, ref_nodes, np.concatenate([faces, edges], axis=1), time=0.0)

@@ -6,7 +6,6 @@ through the same table writer."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -104,6 +103,10 @@ class StudyConfig:
 def config_hash(parameters):
     """Stable hash of a study's parameters: a StudyConfig, or the dict of
     parameters that a manifest records."""
+    # imported here: hashlib loads OpenSSL, which no study needs before its
+    # manifest is written
+    import hashlib
+
     if isinstance(parameters, StudyConfig):
         parameters = asdict(parameters)
     payload = json.dumps(parameters, sort_keys=True, default=list)

@@ -77,9 +77,11 @@ def _radial_jacobian(x, radius):
     r = np.linalg.norm(x, axis=-1)
     unit = x / r[..., None]
     d = x.shape[-1]
-    eye = np.eye(d)
-    outer = unit[..., :, None] * unit[..., None, :]
-    return (radius / r)[..., None, None] * (eye - outer)
+    # (radius/r)(I - unit unit^T), formed in one (..., d, d) array
+    jac = unit[..., :, None] * unit[..., None, :]
+    np.subtract(np.eye(d), jac, out=jac)
+    jac *= (radius / r)[..., None, None]
+    return jac
 
 
 class _RadialSurface(Surface):

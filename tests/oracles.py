@@ -1,10 +1,11 @@
 """Reference computations that the tests check the package against.
 
-Closed forms of the surfaces and flows, samplers, mesh diagnostics, a reader
-for the text mesh format, exact reference-element integrals, a dense view of
-sparse matrices, an eigenvalue and a mass oracle, the geometric prefactors of
-the lift, and the whole-mesh tables of the kernel difference.  None of this is
-needed to run a study.
+Closed forms of the surfaces and flows, samplers, mesh diagnostics, the
+icosphere built face by face, a reader for the text mesh format, exact
+reference-element integrals, a dense view of sparse matrices, an eigenvalue
+and a mass oracle, the geometric prefactors of the lift, and the whole-mesh
+tables and values of the kernel difference.  None of this is needed to run a
+study.
 """
 
 import math
@@ -21,6 +22,7 @@ from esfem.fem import (
     element_geometry,
     radial_inverse_lift,
 )
+from esfem import meshing
 from esfem.meshing import SurfaceMesh
 from esfem.sparse import cg_solve
 from esfem.surfaces import EllipsoidFlow
@@ -137,6 +139,48 @@ def quasi_uniformity_report(mesh):
         "min_inscribed_radius": float(rho.min()),
         "num_elements": mesh.num_elements,
     }
+
+
+def _midpoint_closure(verts):
+    """mid(i, j): the index in the list verts of the normalized midpoint of
+    verts[i] and verts[j], appended on its first request."""
+    index = {}
+
+    def mid(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in index:
+            p = 0.5 * (verts[i] + verts[j])
+            verts.append(p / np.linalg.norm(p))
+            index[key] = len(verts) - 1
+        return index[key]
+
+    return mid
+
+
+def icosphere_by_faces(levels, degree):
+    """The nodes, before projection, and the elements of build_sphere_mesh,
+    built face by face with a closure that appends each edge midpoint on its
+    first request: the loops that the vectorised midpoints replace."""
+    verts = [v / np.linalg.norm(v) for v in meshing._ICO_VERTS]
+    faces = list(meshing._ICO_FACES)
+    for _ in range(levels):
+        mid = _midpoint_closure(verts)
+        children = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            children.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+        faces = children
+    points = np.array(verts)
+    oriented = []
+    for a, b, c in faces:
+        n = np.cross(points[b] - points[a], points[c] - points[a])
+        oriented.append((a, c, b) if np.dot(n, points[a] + points[b] + points[c]) < 0.0
+                        else (a, b, c))
+    if degree == 1:
+        return points, np.array(oriented, dtype=np.int64)
+    edge = _midpoint_closure(verts)
+    elements = [(a, b, c, edge(a, b), edge(b, c), edge(c, a)) for a, b, c in oriented]
+    return np.array(verts), np.array(elements, dtype=np.int64)
 
 
 # --- the text mesh format ----------------------------------------------------
@@ -304,3 +348,12 @@ def coarse_at_quadrature(coarse_mesh, geom):
         coarse_mesh, geom.points.reshape(-1, geom.points.shape[-1]), guess=guess)
     return point_interpolation(coarse_mesh, elems.reshape(n_fine, n_quad),
                                refs.reshape(n_fine, n_quad, -1))
+
+
+def whole_difference_l1(fine_mesh, geom, coarse_at, fine_coeffs, coarse_coeffs):
+    """The L^1 norm over a whole lifted fine geometry of the difference
+    between a fine and a coarse coefficient vector, in one pass over all
+    (E_f, Q) points: the kernel difference at one time node, with coarse_at
+    from ``coarse_at_quadrature``."""
+    fine_vals = (fine_coeffs[fine_mesh.elements] @ geom.shape_values.T).reshape(-1)
+    return float(geom.weights.reshape(-1) @ np.abs(fine_vals - coarse_at(coarse_coeffs)))

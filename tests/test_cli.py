@@ -192,6 +192,33 @@ def test_cli_greens_hash_tracks_its_extras(tmp_path):
     assert hashes[0] != hashes[1]
 
 
+def test_cli_greens_skips_the_dyadic_table_without_a_geodesic_distance(tmp_path, capsys):
+    # sphere-type level 3 has h < 1/(4 c_star) at c_star = 1, so the dyadic
+    # table is due, but the ellipsoid has no geodesic distance: the table is
+    # skipped with its reason and the study still writes its manifest
+    out = tmp_path / "out"
+    path = tmp_path / "ellipsoid.cfg"
+    path.write_text("[surface]\nkind = ellipsoid_flow\ndimension = 2\n"
+                    "[study]\nlevels = 3\nc_star = 1\nt_end = 2\n")
+    assert main(["greens", "--config", str(path), "--out", str(out)]) == 0
+    assert ("level 3: dyadic table skipped (no geodesic distance for kind "
+            "'ellipsoid_flow')") in capsys.readouterr().out
+    assert _manifest(out, "greens")["outputs"] == ["greens_decay_level3.csv",
+                                                   "greens_summary.txt"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "greens_decay_level3.csv", "greens_manifest.json", "greens_summary.txt"]
+
+
+def test_cli_solve_takes_a_t_end_below_the_greens_fit_window(tmp_path):
+    # only greens fits on t >= 1; solve runs to any positive t_end
+    text = GOOD_CONFIG.replace("levels = 16,24", "levels = 16\nt_end = 0.5")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, text=text, out=str(out))]) == 0
+    rows = (out / "solve_level16.csv").read_text().splitlines()
+    assert rows[-1].split(",")[0] == "0.5"
+    assert _manifest(out, "solve")["parameters"]["t_end"] == 0.5
+
+
 @pytest.mark.parametrize("fmt,suffix", [("vtk", ".vtk"), ("text", ".txt")])
 def test_cli_mesh_unwritable_file_is_an_io_failure(tmp_path, capsys, fmt, suffix):
     out = tmp_path / "meshes"
@@ -249,6 +276,11 @@ def test_cli_solve_honours_t_end(tmp_path):
      "study.c_star"),
     ("solve", "[surface]\nkind = circle\n[study]\nlevels = 16\nt_end = 0\n", "study.t_end"),
     ("greens", "[surface]\nkind = circle\n[study]\nlevels = 16\nt_end = inf\n",
+     "study.t_end"),
+    # greens fits the decay on t >= 1
+    ("greens", "[surface]\nkind = ellipsoid_flow\ndimension = 2\n[study]\nlevels = 3\n"
+               "t_end = 1\n", "study.t_end"),
+    ("greens", "[surface]\nkind = circle\n[study]\nlevels = 16\nt_end = 0.5\n",
      "study.t_end"),
     # the point-source decay needs geodesic distances, and the kernel
     # difference the radial inverse lift: both exist on radial kinds only

@@ -30,9 +30,15 @@ from esfem.greens import (
     kernel_difference_l1,
 )
 from esfem.meshing import SurfaceMesh, build_circle_mesh, build_sphere_mesh
+from esfem.quadrature import reference_rule
 from esfem.surfaces import Circle, Sphere, Surface
 from esfem.timestepping import TimeGrid, norm_series
-from oracles import coarse_at_quadrature, point_interpolation, smallest_nonzero_eigenvalue
+from oracles import (
+    coarse_at_quadrature,
+    point_interpolation,
+    smallest_nonzero_eigenvalue,
+    whole_difference_l1,
+)
 
 
 @pytest.fixture(scope="module")
@@ -352,6 +358,21 @@ TABLE_PAIRS = {
 }
 
 
+def _blocked_tables(case, monkeypatch, eval_elements=None):
+    # the pair of TABLE_PAIRS and the tables of its lifted fine quadrature,
+    # set up in its blocks and evaluated eval_elements fine elements at a
+    # time (None: the module's block)
+    coarse, fine, block = TABLE_PAIRS[case]()
+    fine.surface = coarse.surface
+    if block is not None:
+        monkeypatch.setattr(greens, "_QUAD_BLOCK", block)
+    order = default_quad_order(fine.degree, fine.dimension, LIFTED)
+    if eval_elements is not None:
+        n_quad = len(reference_rule(fine.dimension, order).weights)
+        monkeypatch.setattr(greens, "_EVAL_BLOCK", eval_elements * n_quad)
+    return coarse, fine, order, greens._lifted_fine_quadrature(coarse, fine, order)
+
+
 @pytest.mark.parametrize("case", sorted(TABLE_PAIRS))
 def test_blocked_tables_match_the_whole_mesh_tables(case, monkeypatch):
     # the tables kernel_difference_l1 fills block by block against the
@@ -361,12 +382,8 @@ def test_blocked_tables_match_the_whole_mesh_tables(case, monkeypatch):
     # sphere points move by an ulp), so the geometry is compared to 1e-15
     # and the coarse values, which the inverse lift makes sensitive to the
     # points, are compared at the same points, bit for bit
-    coarse, fine, block = TABLE_PAIRS[case]()
-    fine.surface = coarse.surface
-    if block is not None:
-        monkeypatch.setattr(greens, "_QUAD_BLOCK", block)
-    order = default_quad_order(fine.degree, fine.dimension, LIFTED)
-    weights, coarse_at_points, fine_sv = greens._lifted_fine_quadrature(coarse, fine, order)
+    coarse, fine, order, (weights, coarse_at_points, fine_sv) = _blocked_tables(
+        case, monkeypatch, eval_elements=7)
     assert not any(tag == LIFTED for tag, _ in getattr(fine, "_geom_cache", {}))
     geom = FeSpace(fine, LIFTED).geometry()
     n_fine, n_quad = geom.weights.shape
@@ -382,18 +399,46 @@ def test_blocked_tables_match_the_whole_mesh_tables(case, monkeypatch):
     assert coarse_at_points.nested == case.startswith("sphere")
     expected_at = coarse_at_quadrature(coarse, SimpleNamespace(points=points,
                                                                weights=geom.weights))
+    # evaluated a range of fine elements at a time, as kernel_difference_l1
+    # does: the ranges cover the fine mesh in more than one piece
+    ranges = [(lo, min(lo + coarse_at_points.block, n_fine))
+              for lo in range(0, n_fine, coarse_at_points.block)]
+    assert len(ranges) > 1
     out = np.empty(geom.weights.shape)
     rng = np.random.default_rng(len(case))
     for _ in range(3):
         u = rng.standard_normal(coarse.num_nodes)
-        assert np.array_equal(coarse_at_points(u, out).reshape(-1), expected_at(u))
+        for lo, hi in ranges:
+            coarse_at_points(u, lo, hi, out[lo:hi])
+        assert np.array_equal(out.reshape(-1), expected_at(u))
+
+
+@pytest.mark.parametrize("eval_elements", [None, 7], ids=["module-block", "7-elements"])
+@pytest.mark.parametrize("case", sorted(TABLE_PAIRS))
+def test_blocked_difference_matches_the_whole_mesh_difference(case, eval_elements,
+                                                              monkeypatch):
+    # the L^1 difference at one time node, summed block by block over the
+    # fine elements, against one pass over the whole lifted fine geometry
+    # with its points inverse-lifted in one call; the sum runs in another
+    # order and the points may move by an ulp (see above)
+    coarse, fine, _, tables = _blocked_tables(case, monkeypatch, eval_elements)
+    difference = greens._node_difference(fine, *tables)
+    geom = FeSpace(fine, LIFTED).geometry()
+    coarse_at = coarse_at_quadrature(coarse, geom)
+    rng = np.random.default_rng(len(case))
+    for _ in range(3):
+        fine_u = rng.standard_normal(fine.num_nodes)
+        coarse_u = rng.standard_normal(coarse.num_nodes)
+        expected = whole_difference_l1(fine, geom, coarse_at, fine_u, coarse_u)
+        assert abs(difference(fine_u, coarse_u) - expected) <= 1e-14 * expected
 
 
 def test_kernel_difference_memory_is_bounded_by_its_tables():
     # sphere L1/L3 at the lifted order 8: 1 280 fine elements, 81 points
-    # each.  The tables and buffers come to about 5 MB and the traced peak
-    # to 7.2 MB; the lifted geometry of the whole fine mesh with its inverse
-    # lift in one call peaked at 39.1 MB.  No lifted geometry is cached.
+    # each.  The tables come to 3.4 MB and the traced peak to 4.36 MB: the
+    # set-up blocks and the evaluation's scratch, sized to a block of
+    # elements, each add under 1 MB to the tables.  No lifted geometry is
+    # cached.
     surface = Sphere()
     coarse = build_sphere_mesh(surface, 1, 1)
     fine = build_sphere_mesh(surface, 3, 1)
@@ -402,6 +447,6 @@ def test_kernel_difference_memory_is_bounded_by_its_tables():
         return kernel_difference_l1(coarse, fine, coarse.nodes[0], TimeGrid(0.05, 4))
 
     difference()  # fills the meshes' discrete caches
-    assert _peak_bytes(difference) < 9e6
+    assert _peak_bytes(difference) < 4.8e6
     for mesh in (coarse, fine):
         assert not any(tag == LIFTED for tag, _ in mesh._geom_cache)

@@ -9,6 +9,7 @@ from esfem.meshing import SurfaceMesh, build_circle_mesh, build_sphere_mesh
 from esfem.studies import write_mesh_text, write_mesh_vtk
 from esfem.surfaces import Circle, ScaledSphereFlow, Sphere, Surface
 from oracles import (
+    icosphere_by_faces,
     inverse_position,
     node_surface_residual,
     orientation_defects,
@@ -248,6 +249,20 @@ def test_icosphere_orientation_matches_per_face_loop(monkeypatch, degree, revers
         assert np.array_equal(mesh.elements[:, :3], np.array(expected))
         assert mesh.elements.dtype == np.int64
         assert orientation_defects(mesh) == 0
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_icosphere_matches_the_face_by_face_midpoints(degree):
+    # the edge midpoints found by one np.unique pass against the closure
+    # that appended each one on its first request, face by face: the same
+    # nodes, bit for bit and in the same order, and the same elements
+    surface = Sphere()
+    for levels in range(6):
+        verts, elements = icosphere_by_faces(levels, degree)
+        mesh = build_sphere_mesh(surface, levels, degree)
+        assert np.array_equal(mesh.nodes, surface.project(0.0, verts))
+        assert np.array_equal(mesh.elements, elements)
+        assert mesh.elements.dtype == np.int64
 
 
 NESTED_PAIRS = {

@@ -1,4 +1,9 @@
+import hashlib
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +48,26 @@ def test_config_hash_changes_iff_semantics_change():
     assert config_hash(a) == config_hash(b)
     c = StudyConfig(seed=43)
     assert config_hash(a) != config_hash(c)
+
+
+def test_cli_import_leaves_openssl_out_and_the_manifest_hash_pinned():
+    # hashlib loads OpenSSL (_hashlib), about 3.5 MB of RSS, so config_hash
+    # imports it only when a manifest is hashed; the digest stays the first
+    # 16 hex digits of SHA-256, so manifests stay byte-identical
+    parameters = {"kind": "sphere", "levels": [1, 3], "t_end": 3.0}
+    pinned = "32ab6746632d463f"
+    payload = json.dumps(parameters, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest()[:16] == pinned
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "import esfem.cli\n"
+            "from esfem.studies import config_hash\n"
+            "print('_hashlib' in sys.modules)\n"
+            f"print(config_hash({parameters!r}))\n"
+            "print('_hashlib' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert run.stdout.split() == ["False", pinned, "True"]
 
 
 def test_maxreg_study_smoke_and_determinism(tmp_path):
