@@ -96,9 +96,7 @@ class ElementGeometry:
     broadcasts against the quadrature axis.
     """
 
-    def __init__(self, rule, maps, points, weights, jac, inv_metric,
-                 metric_factor):
-        self.rule = rule
+    def __init__(self, maps, points, weights, jac, inv_metric, metric_factor):
         self.shape_values = maps.shape_values
         self.ref_grads = maps.shape_grads
         self.stiffness_table = maps.stiffness_table
@@ -212,7 +210,6 @@ def block_geometry(mesh, tag, order, lo, hi):
     det, inv = _metric(jac, m)
     mu = np.sqrt(det)
     return ElementGeometry(
-        rule=rule,
         maps=maps,
         points=points,
         weights=rule.weights[None, :] * mu,
@@ -426,10 +423,8 @@ def norm_lq(u, q, space=None, t=None, order=None):
     quadrature points and nodes (documented approximation)."""
     _check_exponent(q)
     if isinstance(u, FeFunction):
-        vals, geom = u.values_at_quadrature(order)
-        if q == math.inf:
-            return float(max(np.abs(vals).max(), np.abs(u.coeffs).max()))
-        return float(np.sum(geom.weights * np.abs(vals) ** q) ** (1.0 / q))
+        return element_norms_lq(u.coeffs, u.space.mesh.elements,
+                                u.space.geometry(order), q)
     if space is None:
         raise ValueError("a space is required to integrate a callable")
     geom = space.geometry(order)
@@ -493,49 +488,23 @@ def element_norms_lq(coeffs, elements, geom, q):
 # ---------------------------------------------------------------------------
 
 
-def _inside_reference(ref, dim, tol=1e-9):
-    if dim == 1:
-        return -tol <= ref[0] <= 1.0 + tol
-    return ref[0] >= -tol and ref[1] >= -tol and ref[0] + ref[1] <= 1.0 + tol
+def locate_point(mesh, x, tol=1e-10):
+    """Find (element, reference coordinates) of a point of Gamma_h.
 
-
-def locate_point(mesh, x, tol=1e-10, candidates=16):
-    """Find (element, reference coordinates) of a point on the mesh surface.
-
-    Gauss-Newton on |F_K(xi) - x|^2 over the nearest elements first, then over
-    all elements; raises PointNotOnMesh when no element contains the point.
+    Casts the ray from the origin through x as ``radial_inverse_lift`` does,
+    with the residual normal to the ray at rounding level.  On the meshes the
+    builders make, each element's ray cone is its flat simplex's cone, so the
+    ray meets Gamma_h at x itself when x is on it; raises PointNotOnMesh when
+    the point it meets is more than tol*max(1, |x|) from x, or x is zero or
+    not finite.
     """
     x = np.asarray(x, dtype=float)
-    centers = mesh.element_coords().mean(axis=1)
-    order = np.argsort(np.linalg.norm(centers - x, axis=-1))
     scale = max(1.0, float(np.linalg.norm(x)))
-    trial_sets = [order[:candidates], order[candidates:]]
-    ref_el = mesh.reference
-    start = np.full(mesh.dimension, 1.0 / 3.0 if mesh.dimension == 2 else 0.5)
-    for trial in trial_sets:
-        for e in trial:
-            coords = mesh.nodes[mesh.elements[e]]
-            ref = start.copy()
-            for _ in range(30):
-                sv = ref_el.shape_values(ref[None, :])[0]
-                sg = ref_el.shape_gradients(ref[None, :])[0]
-                pos = sv @ coords
-                resid = x - pos
-                jac = coords.T @ sg
-                step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-                ref = ref + step
-                if np.linalg.norm(step) < 1e-14:
-                    break
-            final = ref_el.shape_values(ref[None, :])[0] @ coords
-            if (
-                np.linalg.norm(final - x) <= tol * scale
-                and _inside_reference(ref, mesh.dimension)
-            ):
-                ref = np.clip(ref, 0.0, 1.0)
-                if mesh.dimension == 2 and ref.sum() > 1.0:
-                    ref = ref / ref.sum()
-                return int(e), ref
-    raise PointNotOnMesh(f"point {x} not inside any element")
+    elems, refs = _cast_rays(mesh, x[None, :], 1e-15 * scale, None)
+    element, ref = int(elems[0]), refs[0]
+    if not np.linalg.norm(element_point(mesh, element, ref) - x) <= tol * scale:
+        raise PointNotOnMesh(f"point {x} not inside any element")
+    return element, ref
 
 
 def element_point(mesh, element, ref):
@@ -629,7 +598,7 @@ def _project_onto_rays(mesh, rays, elems, refs, tol):
     stalled = ~(dist < tol)
     if stalled.any():
         raise NonConvergence(
-            f"radial inverse lift: {int(stalled.sum())} points above residual "
+            f"ray cast: {int(stalled.sum())} points above residual "
             f"{tol:.1e} after {_LIFT_MAXITER} Newton steps, worst "
             f"{float(np.nanmax(dist)):.3e}"
         )
@@ -650,16 +619,22 @@ def radial_inverse_lift(mesh, points, tol=1e-12, guess=None):
     Projected Gauss-Newton then moves the crossing of the flat simplex onto
     the curved element until the residual normal to the ray is below
     ``tol``.  Both run on blocks of ``_LIFT_BLOCK`` rays: beyond a few
-    values per point, the call's temporaries are O(block) at any number of
-    points.
-    Raises PointNotOnMesh for non-finite or zero points, NonConvergence if
-    Newton stalls (counting the points of the first block that stalls),
-    and DimensionMismatch or ValueError for a guess of the wrong length or
-    with elements out of range.
+    values per point and the mesh's ``flat_inverses``, the call's
+    temporaries are O(block) at any number of points.
+    Raises UnsupportedSurface for a non-radial kind, PointNotOnMesh for
+    non-finite or zero points, NonConvergence if Newton stalls (counting
+    the points of the first block that stalls), and DimensionMismatch or
+    ValueError for a guess of the wrong length or with elements out of
+    range.
     """
-    surface = mesh.surface
-    if not hasattr(surface, "radius"):
+    if not hasattr(mesh.surface, "radius"):
         raise UnsupportedSurface("inverse lift by ray casting needs a radial kind")
+    return _cast_rays(mesh, points, tol, guess)
+
+
+def _cast_rays(mesh, points, tol, guess):
+    # the ray cast of radial_inverse_lift on any mesh star-shaped around the
+    # origin; locate_point casts its one ray here too
     pts = np.asarray(points, dtype=float)
     norms = np.sqrt(_row_dot(pts, pts))
     bad = ~(np.isfinite(norms) & (norms > 0.0))
@@ -672,15 +647,8 @@ def radial_inverse_lift(mesh, points, tol=1e-12, guess=None):
     if guess is not None:
         guess = _check_guess(guess, n, mesh.num_elements)
     # inverses of the flat simplices' vertex matrices turn a ray into
-    # barycentric weights: with a guess, only the guessed simplices are
-    # inverted, once each, and all of them only if a ray misses its guess
-    verts = np.swapaxes(mesh.vertex_coords(), 1, 2)
-    if guess is None:
-        inv = np.linalg.inv(verts)
-    else:
-        inv = None
-        guessed, slot = np.unique(guess, return_inverse=True)
-        guessed_inv = np.linalg.inv(verts[guessed])
+    # barycentric weights; the snapshot computes them once
+    inv = mesh.flat_inverses
     elems = np.empty(n, dtype=np.intp)
     refs = np.empty((n, mesh.dimension))
     for lo in range(0, n, _LIFT_BLOCK):
@@ -689,15 +657,15 @@ def radial_inverse_lift(mesh, points, tol=1e-12, guess=None):
         if guess is None:
             elems[lo:hi], refs[lo:hi] = _score_rays(inv, rays)
         else:
-            # barycentrics against the guessed simplex only
-            lam = np.einsum("pij,pj->ip", np.take(guessed_inv, slot[lo:hi], axis=0), rays)
+            # barycentrics against the guessed simplex only; the rays that
+            # miss it are scored against every element
+            lam = np.einsum("pij,pj->ip", np.take(inv, guess[lo:hi], axis=0), rays)
             lam_sum, lam_min = _sum_min(lam)
             elems[lo:hi] = guess[lo:hi]
             with np.errstate(divide="ignore", invalid="ignore"):
                 refs[lo:hi] = (lam[1:] / lam_sum).T
             missed = np.flatnonzero(~((lam_min >= 0.0) & (lam_sum > 0.0)))
             if missed.size:
-                inv = np.linalg.inv(verts) if inv is None else inv
                 elems[lo + missed], refs[lo + missed] = _score_rays(inv, rays[missed])
         _project_onto_rays(mesh, rays, elems[lo:hi], refs[lo:hi], tol)
     return elems, refs

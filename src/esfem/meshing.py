@@ -65,6 +65,7 @@ class SurfaceMesh:
         self.dimension = surface.dimension
         self.reference = reference_element(self.dimension, self.degree)
         self._h = None
+        self._flat_inverses = None
         # shared across evolved snapshots (connectivity-dependent structures)
         self.family_cache = {} if family_cache is None else family_cache
 
@@ -76,14 +77,21 @@ class SurfaceMesh:
     def num_elements(self):
         return self.elements.shape[0]
 
-    def element_coords(self):
-        """Node coordinates per element, shape (E, nloc, d)."""
-        # np.take gathers whole rows several times faster than indexing
-        return np.take(self.nodes, self.elements, axis=0)
-
     def vertex_coords(self):
         """Corner-vertex coordinates of the flat elements, (E, nverts, d)."""
         return self.nodes[self.elements[:, list(self.reference.vertex_ids)]]
+
+    @property
+    def flat_inverses(self):
+        """Inverses of the flat elements' vertex matrices (vertices as
+        columns), (E, d, d), read-only: inverse e times a point gives its
+        barycentric weights in flat simplex e.  Computed on first access and
+        kept by this snapshot, since evolved snapshots move the nodes."""
+        if self._flat_inverses is None:
+            inv = np.linalg.inv(np.swapaxes(self.vertex_coords(), 1, 2))
+            inv.flags.writeable = False
+            self._flat_inverses = inv
+        return self._flat_inverses
 
     def flat_diameters(self):
         verts = self.vertex_coords()

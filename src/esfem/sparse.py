@@ -16,7 +16,6 @@ from .errors import DimensionMismatch, NonConvergence, NonFiniteValue
 class SolveReport:
     iterations: int
     relative_residual: float
-    converged: bool
 
 
 class SparsityPattern:
@@ -157,7 +156,7 @@ def cg_solve(mat, b, tol=1e-12, maxiter=None, x0=None, atol=0.0):
             raise NonFiniteValue(f"start vector x0: {_nonfinite(x)}")
     inv_diag = mat.inverse_diagonal()
     if bnorm == 0.0:
-        return np.zeros(mat.n), SolveReport(0, 0.0, True)
+        return np.zeros(mat.n), SolveReport(0, 0.0)
 
     if x0 is None:
         x = np.zeros(mat.n)
@@ -199,7 +198,7 @@ def cg_solve(mat, b, tol=1e-12, maxiter=None, x0=None, atol=0.0):
         raise NonConvergence(
             f"CG at relative residual {rel:.3e} after {niter} iterations (tol {tol:.1e})"
         )
-    return x, SolveReport(niter, rel, True)
+    return x, SolveReport(niter, rel)
 
 
 def _nonfinite(v):

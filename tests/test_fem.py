@@ -120,7 +120,7 @@ def quadrature_oracle(mesh, tag, order):
     rule = reference_rule(mesh.dimension, order)
     sv = mesh.reference.shape_values(rule.points)
     sg = mesh.reference.shape_gradients(rule.points)
-    coords = mesh.element_coords()
+    coords = np.take(mesh.nodes, mesh.elements, axis=0)
     points = np.einsum("ql,eld->eqd", sv, coords)
     jac = np.einsum("qlm,eld->eqdm", sg, coords)
     if tag == LIFTED:
@@ -223,7 +223,7 @@ def eager_geometry(mesh, tag, order):
     sv = mesh.reference.shape_values(rule.points)
     sg = mesh.reference.shape_gradients(
         rule.points[:1] if mesh.degree == 1 else rule.points)
-    coords = mesh.element_coords()
+    coords = np.take(mesh.nodes, mesh.elements, axis=0)
     points = sv @ coords
     jac = np.swapaxes(coords, 1, 2)[:, None] @ sg
     if tag == LIFTED:
@@ -515,6 +515,79 @@ def test_discrete_delta_exponential_decay():
 def test_locate_point_errors(circle64):
     with pytest.raises(PointNotOnMesh):
         locate_point(circle64, np.array([5.0, 5.0]))
+
+
+# --- point location ----------------------------------------------------------
+
+def ellipse_mesh(n_elements, degree):
+    # a closed curve that is no circle: the circle mesh's nodes under a
+    # diagonal linear map, which keeps every ray cone that of its flat simplex
+    circle = build_circle_mesh(Circle(), n_elements, degree)
+    return SurfaceMesh(circle.surface, degree, circle.nodes * [2.0, 0.5], circle.elements)
+
+
+LOCATE_CASES = {
+    **{f"sphere-P{k}-L{level}": (lambda k=k, level=level: build_sphere_mesh(Sphere(), level, k))
+       for k in (1, 2) for level in (1, 2, 3)},
+    **{f"ellipsoid_flow-P{k}": (lambda k=k: build_sphere_mesh(EllipsoidFlow(), 2, k).evolved(0.3))
+       for k in (1, 2)},
+    **{f"circle-P{k}-jitter": (lambda k=k: build_circle_mesh(Circle(), 24, k, interior_jitter=0.5))
+       for k in (1, 2, 3)},
+    "ellipse-P2": lambda: ellipse_mesh(20, 2),
+}
+
+
+def location_probes(mesh, per_kind=40, seed=0):
+    """Points of Gamma_h to locate: nodes (vertices and edge nodes), images
+    of random refs, and images of refs 1e-9 from the ends of an element."""
+    rng = np.random.default_rng(seed)
+    if mesh.dimension == 1:
+        near_ends = np.array([[1e-9], [1.0 - 1e-9]])
+        random_refs = rng.random((per_kind, 1))
+    else:
+        near_ends = np.array([[1e-9, 1e-9], [1.0 - 2e-9, 1e-9], [1e-9, 1.0 - 2e-9],
+                              [0.5, 1e-9], [1e-9, 0.5], [0.5 - 1e-9, 0.5 - 1e-9]])
+        random_refs = rng.random((per_kind, 2))
+        flip = random_refs.sum(axis=1) > 1.0
+        random_refs[flip] = 1.0 - random_refs[flip]
+    picks = rng.integers(mesh.num_elements, size=per_kind)
+    nodes = mesh.nodes[rng.choice(mesh.num_nodes, size=min(per_kind, mesh.num_nodes),
+                                  replace=False)]
+    on_random = [element_point(mesh, e, ref) for e, ref in zip(picks, random_refs)]
+    on_ends = [element_point(mesh, e, ref) for e in picks[:4] for ref in near_ends]
+    return np.vstack([nodes, on_random, on_ends])
+
+
+def assert_located(mesh, points):
+    for x in points:
+        element, ref = locate_point(mesh, x)
+        scale = max(1.0, float(np.linalg.norm(x)))
+        assert np.linalg.norm(element_point(mesh, element, ref) - x) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("case", sorted(LOCATE_CASES))
+def test_locate_point_finds_points_of_the_mesh(case):
+    mesh = LOCATE_CASES[case]()
+    assert_located(mesh, location_probes(mesh))
+
+
+def test_locate_point_uses_the_inverses_of_its_snapshot():
+    # the ellipsoid flow moves the nodes by a non-uniform scaling, so the
+    # flat simplices of the two snapshots have different inverses
+    mesh = build_sphere_mesh(EllipsoidFlow(), 2, 2)
+    assert_located(mesh, location_probes(mesh, seed=1))
+    moved = mesh.evolved(0.3)
+    assert_located(moved, location_probes(moved, seed=1))
+    assert moved.flat_inverses is not mesh.flat_inverses
+    verts = np.swapaxes(moved.vertex_coords(), 1, 2)
+    assert np.array_equal(moved.flat_inverses, np.linalg.inv(verts))
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5, 0.0], ids=["outside", "inside", "zero"])
+def test_locate_point_rejects_points_off_the_sphere_mesh(sphere2, scale):
+    x = scale * element_point(sphere2, 7, np.array([0.2, 0.3]))
+    with pytest.raises(PointNotOnMesh):
+        locate_point(sphere2, x)
 
 
 # --- Ritz projection ---------------------------------------------------------

@@ -154,7 +154,7 @@ def test_cg_tridiagonal_against_dense_oracle():
     expected = np.linalg.solve(dense(mat), b)
     x, report = cg_solve(mat, b, tol=1e-12)
     assert np.abs(x - expected).max() <= 1e-10
-    assert report.converged and report.relative_residual <= 1e-12
+    assert report.relative_residual <= 1e-12
 
 
 def test_cg_constructed_rhs_returns_ones():
@@ -272,7 +272,7 @@ def test_cg_in_place_matches_allocating_loop_bitwise():
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
 def test_cg_rejects_nonfinite_rhs(bad):
-    # an infinite entry once came back as zeros with converged=True
+    # an infinite entry once came back as zeros with a report of success
     with pytest.raises(NonFiniteValue, match=r"right-hand side b: 1 non-finite .* index 0"):
         cg_solve(identity(3), np.array([bad, 0.0, 0.0]))
 
