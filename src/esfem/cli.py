@@ -21,6 +21,7 @@ from . import __version__
 from .errors import ConfigError, EsfemError, HTooLarge, IOFailure, UnsupportedSurface
 from .fem import DISCRETE, LIFTED, FeSpace
 from .greens import (
+    MIN_FIT_SAMPLES,
     delta_consistency,
     delta_decay_fit,
     discrete_green,
@@ -140,14 +141,6 @@ def _make_outdir(outdir):
     return outdir
 
 
-def _greens_t_end(config, extras):
-    # green_decay_study fits the decay on t >= 1 only
-    t_end = extras["t_end"]
-    if t_end is not None and t_end <= 1.0:
-        raise ConfigError(
-            f"study.t_end (greens fits the decay on t >= 1, so it must exceed 1, got {t_end})")
-
-
 def _study_setup(args, check=None):
     """The parsed config, its extras, and the created output directory;
     ConfigError before the directory is made if ``check(config, extras)``,
@@ -155,8 +148,29 @@ def _study_setup(args, check=None):
     config, extras = parse_config(args.config)
     if check is not None:
         check(config, extras)
+    return config, extras, _study_outdir(args, extras)
+
+
+def _study_outdir(args, extras):
     outdir = args.out or os.environ.get("ESFEM_OUTDIR") or extras["directory"]
-    return config, extras, _make_outdir(outdir)
+    return _make_outdir(outdir)
+
+
+def _greens_meshes(config, t_end):
+    """The mesh of every level; ConfigError when a level's time grid on
+    [0, t_end] has too few nodes in the fit window [1, t_end]."""
+    surface = config.surface()
+    meshes = {}
+    for level in config.levels:
+        mesh = meshes[level] = build_level_mesh(surface, level, config.degree)
+        grid = TimeGrid.from_mesh(mesh, t_end=t_end, factor=config.dt_factor)
+        count = int((grid.times() >= 1.0).sum())
+        if count < MIN_FIT_SAMPLES:
+            raise ConfigError(
+                f"study.t_end (greens fits the decay on [1, t_end], where level {level} "
+                f"has {count} time nodes and the fit needs {MIN_FIT_SAMPLES}, "
+                f"got t_end = {t_end})")
+    return meshes
 
 
 def _write_manifest(outdir, name, parameters, outputs):
@@ -249,14 +263,13 @@ def cmd_convergence(args):
 
 
 def cmd_greens(args):
-    config, extras, outdir = _study_setup(args, check=_greens_t_end)
-    surface = config.surface()
+    config, extras = parse_config(args.config)
     t_end = 3.0 if extras["t_end"] is None else extras["t_end"]
-    meshes = {}
+    meshes = _greens_meshes(config, t_end)
+    outdir = _study_outdir(args, extras)
     outputs = []
     rates = []
-    for level in config.levels:
-        mesh = meshes[level] = build_level_mesh(surface, level, config.degree)
+    for level, mesh in meshes.items():
         grid = TimeGrid.from_mesh(mesh, t_end=t_end, factor=config.dt_factor)
         fit = green_decay_study(mesh, grid, cg_tol=config.cg_tol)
         rates.append(fit.rate)

@@ -253,9 +253,11 @@ class FeSpace:
     def pattern(self):
         cache = self.mesh.family_cache
         if "pattern" not in cache:
+            # entry (e, a, b) of the local matrices: row el[e, a], col el[e, b]
             el = self.mesh.elements
-            rows = np.repeat(el, el.shape[1], axis=1)
-            cols = np.tile(el, (1, el.shape[1]))
+            shape = el.shape + el.shape[1:]
+            rows = np.broadcast_to(el[:, :, None], shape)
+            cols = np.broadcast_to(el[:, None, :], shape)
             cache["pattern"] = SparsityPattern(self.num_dofs, rows, cols)
         return cache["pattern"]
 

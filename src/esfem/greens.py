@@ -84,6 +84,9 @@ def _log_linear_fit(times, values):
     return slope, intercept, r2
 
 
+MIN_FIT_SAMPLES = 5  # time nodes the decay fit of green_decay_study needs
+
+
 def green_decay_study(mesh, grid=None, sources=None, window=(1.0, None),
                       cg_tol=1e-12):
     """Fit the long-time exponential decay of the kernel's time derivative.
@@ -104,8 +107,9 @@ def green_decay_study(mesh, grid=None, sources=None, window=(1.0, None),
     t_lo, t_hi = window
     t_hi = times[-1] if t_hi is None else t_hi
     sel = (times >= t_lo) & (times <= t_hi) & (envelope > 0)
-    if sel.sum() < 5:
-        raise InsufficientSamples("need at least 5 samples in the fit window")
+    if sel.sum() < MIN_FIT_SAMPLES:
+        raise InsufficientSamples(
+            f"need at least {MIN_FIT_SAMPLES} samples in the fit window")
     slope, intercept, r2 = _log_linear_fit(times[sel], envelope[sel])
     return DecayFit(
         amplitude=math.exp(intercept),

@@ -21,7 +21,8 @@ class SolveReport:
 class SparsityPattern:
     """Where the entries of an assembly with fixed connectivity go.
 
-    Built once from the coordinate rows and columns of the local entries.
+    Built once from the coordinate rows and columns of the local entries,
+    two arrays of one size read in row-major order.
     The column table ``cols`` is (width, n), one column per matrix row:
     ``cols[:, i]`` lists the distinct columns of row i in increasing order,
     then column 0 up to the longest row's width; every matrix holds weight 0
@@ -32,21 +33,39 @@ class SparsityPattern:
     """
 
     def __init__(self, n, rows, cols):
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
         if rows.size != cols.size:
             raise DimensionMismatch("rows and cols length mismatch")
         self.n = n = int(n)
-        keys, inverse = np.unique(rows * n + cols, return_inverse=True)
-        entry_rows, self.indices = np.divmod(keys, n)
+        # the keys row*n + col in coordinate (row-major) order, sorted, and
+        # where each came from; rows and cols may be broadcast views, which
+        # are never copied, and the set-up holds three key-sized arrays
+        # where np.unique(..., return_inverse=True) holds five
+        keys = rows.reshape(cols.shape) * n
+        keys += cols
+        keys = keys.ravel()
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)  # first of its distinct key
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        entry_rows, self.indices = np.divmod(keys[first], n)
         counts = np.bincount(entry_rows, minlength=n)
         self.indptr = np.concatenate([[0], np.cumsum(counts)])
         self.width = width = int(counts.max(initial=0))
         # flat position of each distinct entry in the row-major (width, n)
         # table: the k-th entry of row i sits at k*n + i
-        self.entry_slots = ((np.arange(keys.size) - self.indptr[entry_rows]) * n
+        self.entry_slots = ((np.arange(entry_rows.size) - self.indptr[entry_rows]) * n
                             + entry_rows)
-        self.slots = self.entry_slots[inverse]  # of each coordinate entry
+        # the slot of each coordinate entry: its distinct entry's slot, taken
+        # in sorted order and scattered back through the sort order
+        distinct = np.cumsum(first, out=keys)
+        distinct -= 1
+        sorted_slots = self.entry_slots[distinct]
+        del keys, distinct
+        self.slots = np.empty_like(sorted_slots)
+        self.slots[order] = sorted_slots
         table = np.zeros(n * width, dtype=np.int64)
         table[self.entry_slots] = self.indices
         self.cols = table.reshape(width, n)

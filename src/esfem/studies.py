@@ -103,14 +103,20 @@ class StudyConfig:
 def config_hash(parameters):
     """Stable hash of a study's parameters: a StudyConfig, or the dict of
     parameters that a manifest records."""
-    # imported here: hashlib loads OpenSSL, which no study needs before its
-    # manifest is written
-    import hashlib
+    # CPython's builtin SHA-256 gives hashlib's digest without hashlib, which
+    # loads OpenSSL (_hashlib, about 3.5 MB of RSS) for one short payload
+    try:
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10, 3.11
+        except ImportError:
+            from hashlib import sha256
 
     if isinstance(parameters, StudyConfig):
         parameters = asdict(parameters)
     payload = json.dumps(parameters, sort_keys=True, default=list)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return sha256(payload.encode()).hexdigest()[:16]
 
 
 def build_level_mesh(surface, level, degree):
@@ -168,6 +174,7 @@ def maxreg_study(config):
     surface = config.surface()
 
     report = StudyReport(config=config)
+    failures = {pq: [] for pq in config.pq_pairs}  # (level, field, deviation)
     for level in config.levels:
         mesh, grid, coarse, fine = _solve_level(config, surface, level)
         for p, q in config.pq_pairs:
@@ -178,9 +185,10 @@ def maxreg_study(config):
             ok = True
             for name, value in norms_fine.items():
                 ref = spacetime_norm(*coarse, name, p, q)
-                scale = max(abs(value), 1e-300)
-                if abs(value - ref) / scale > config.richardson_rtol:
+                deviation = abs(value - ref) / max(abs(value), 1e-300)
+                if deviation > config.richardson_rtol:
                     ok = False
+                    failures[(p, q)].append((level, name, deviation))
             nf = norms_fine["fh"]
             ratio = (norms_fine["udot"] + norms_fine["lap"]) / nf if nf > 0 else math.nan
             report.rows.append(StudyRow(
@@ -192,10 +200,12 @@ def maxreg_study(config):
     for p, q in config.pq_pairs:
         rows = report.rows_for(p, q)
         ratios = [r.ratio for r in rows if not math.isnan(r.ratio)]
-        if not all(r.richardson_ok for r in rows):
+        if failures[(p, q)]:
+            where = ", ".join(f"level {level} {name} by {deviation:.3g}"
+                              for level, name, deviation in failures[(p, q)])
             raise RichardsonFailure(
-                f"dt-halving changed norms beyond {config.richardson_rtol:.0%} "
-                f"at (p,q)=({p},{q})"
+                f"dt-halving changed norms by more than richardson_rtol = "
+                f"{config.richardson_rtol:g} (relative) at (p,q)=({p},{q}): {where}"
             )
         if ratios:
             spread = max(ratios) / min(ratios)

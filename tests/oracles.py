@@ -251,6 +251,26 @@ def dense(mat):
     return out
 
 
+def pattern_arrays(n, rows, cols):
+    """The arrays of a SparsityPattern, built with np.unique(...,
+    return_inverse=True) on the raveled keys row*n + col."""
+    rows = np.asarray(rows, dtype=np.int64).ravel()
+    cols = np.asarray(cols, dtype=np.int64).ravel()
+    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+    entry_rows, indices = np.divmod(keys, n)
+    counts = np.bincount(entry_rows, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    width = int(counts.max(initial=0))
+    entry_slots = (np.arange(keys.size) - indptr[entry_rows]) * n + entry_rows
+    table = np.zeros(n * width, dtype=np.int64)
+    table[entry_slots] = indices
+    ondiag = entry_rows == indices
+    return {"n": n, "width": width, "indices": indices, "indptr": indptr,
+            "entry_slots": entry_slots, "slots": entry_slots[inverse],
+            "cols": table.reshape(width, n), "diag_rows": entry_rows[ondiag],
+            "diag_slots": entry_slots[ondiag]}
+
+
 def smallest_nonzero_eigenvalue(mass, stiffness, tol=1e-10, maxiter=400, seed=0):
     """Smallest nonzero generalized eigenvalue of (A, M) by inverse iteration
     on the shifted pencil (A + M, M) with the constant mode deflated."""

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+import esfem.cli
 from esfem.cli import main, parse_config
 from esfem.errors import ConfigError
 
@@ -209,6 +211,50 @@ def test_cli_greens_skips_the_dyadic_table_without_a_geodesic_distance(tmp_path,
         "greens_decay_level3.csv", "greens_manifest.json", "greens_summary.txt"]
 
 
+def test_cli_greens_rejects_a_fit_window_with_too_few_time_nodes(tmp_path, capsys):
+    # sphere level 1 steps by dt = 0.19, so [1, 1.2] holds 2 time nodes and
+    # the decay fit needs 5: a config error before the output directory
+    out = tmp_path / "out"
+    path = tmp_path / "short.cfg"
+    path.write_text("[surface]\nkind = sphere\ndimension = 2\n"
+                    "[study]\nlevels = 1,2\nt_end = 1.2\n")
+    assert main(["greens", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: study.t_end (")
+    assert "level 1 has 2 time nodes" in err
+    assert not out.exists()
+
+
+def test_cli_greens_builds_each_mesh_once(tmp_path, monkeypatch):
+    built = []
+
+    def counting_build(surface, level, degree):
+        built.append(level)
+        return build_level_mesh(surface, level, degree)
+
+    build_level_mesh = esfem.cli.build_level_mesh
+    monkeypatch.setattr(esfem.cli, "build_level_mesh", counting_build)
+    path = tmp_path / "greens.cfg"
+    path.write_text("[surface]\nkind = sphere\ndimension = 2\n"
+                    "[study]\nlevels = 1,2\nt_end = 2\n")
+    assert main(["greens", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert built == [1, 2]
+
+
+def test_cli_richardson_failure_names_level_field_and_deviation(tmp_path, capsys):
+    # circle P2 at 16 elements changes udot and lap by 1.5% and 1.9% when
+    # dt is halved, against the default richardson_rtol of 1%
+    path = tmp_path / "circle.cfg"
+    path.write_text("[surface]\nkind = circle\n[study]\nlevels = 16\ndegree = 2\n")
+    assert main(["maxreg", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("RichardsonFailure: ")
+    assert "richardson_rtol = 0.01 " in err and "(p,q)=(2.0,2.0)" in err
+    failed = re.findall(r"level (\d+) (udot|lap|fh) by ([0-9.e+-]+)", err)
+    assert [(level, name) for level, name, _ in failed] == [("16", "udot"), ("16", "lap")]
+    assert all(0.01 < float(deviation) < 0.03 for _, _, deviation in failed)
+
+
 def test_cli_solve_takes_a_t_end_below_the_greens_fit_window(tmp_path):
     # only greens fits on t >= 1; solve runs to any positive t_end
     text = GOOD_CONFIG.replace("levels = 16,24", "levels = 16\nt_end = 0.5")
@@ -282,6 +328,8 @@ def test_cli_solve_honours_t_end(tmp_path):
                "t_end = 1\n", "study.t_end"),
     ("greens", "[surface]\nkind = circle\n[study]\nlevels = 16\nt_end = 0.5\n",
      "study.t_end"),
+    ("greens", "[surface]\nkind = sphere\ndimension = 2\n[study]\nlevels = 1\n"
+               "t_end = 1.2\n", "study.t_end"),
     # the point-source decay needs geodesic distances, and the kernel
     # difference the radial inverse lift: both exist on radial kinds only
     ("delta", "[surface]\nkind = ellipsoid_flow\ndimension = 2\n[study]\nlevels = 1,2\n",

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from esfem.errors import DimensionMismatch, NonConvergence, NonFiniteValue
+from esfem.fem import FeSpace
+from esfem.meshing import build_circle_mesh, build_sphere_mesh
 from esfem.sparse import SparsityPattern, cg_solve
-from oracles import dense
+from esfem.surfaces import Circle, Sphere
+from oracles import dense, pattern_arrays
 
 
 def coo_matrix(n, rows, cols, values):
@@ -202,6 +207,74 @@ def test_padded_matvec_on_random_patterns(seed):
     assert np.abs(mat.matvec(x) - expected).max(initial=0.0) <= 1e-14 * scale
     empty = np.diff(mat.indptr) == 0
     assert np.all(mat.matvec(x)[empty] == 0.0)
+
+
+def assert_pattern_equals_oracle(pattern, n, rows, cols):
+    expected = pattern_arrays(n, rows, cols)
+    assert vars(pattern).keys() == expected.keys()
+    for name, value in expected.items():
+        got = getattr(pattern, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and np.array_equal(got, value), name
+        else:
+            assert got == value, name
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pattern_equals_the_np_unique_oracle(seed):
+    # duplicates, empty rows, one long row, and no entries at all (seed 0)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    nnz = 0 if seed == 0 else int(rng.integers(1, 6 * n))
+    rows = rng.integers(0, n, size=nnz)
+    rows[: nnz // 4] = 0
+    cols = rng.integers(0, n, size=nnz)
+    assert_pattern_equals_oracle(SparsityPattern(n, rows, cols), n, rows, cols)
+    # the same entries as 2-D arrays and as lists
+    if nnz % 2 == 0:
+        shape = (2, nnz // 2)
+        assert_pattern_equals_oracle(
+            SparsityPattern(n, rows.reshape(shape), cols.reshape(shape)), n, rows, cols)
+    assert_pattern_equals_oracle(
+        SparsityPattern(n, rows.tolist(), cols.tolist()), n, rows, cols)
+
+
+def test_pattern_of_broadcast_element_views_equals_the_oracle():
+    # rows and cols as FeSpace.pattern passes them: read-only broadcast views
+    el = np.array([[0, 3, 1], [1, 3, 2], [4, 2, 3]])
+    shape = el.shape + el.shape[1:]
+    rows = np.broadcast_to(el[:, :, None], shape)
+    cols = np.broadcast_to(el[:, None, :], shape)
+    assert_pattern_equals_oracle(SparsityPattern(5, rows, cols), 5,
+                                 np.repeat(el, 3, axis=1), np.tile(el, (1, 3)))
+
+
+@pytest.mark.parametrize("mesh", [
+    build_sphere_mesh(Sphere(), 1, 1), build_sphere_mesh(Sphere(), 3, 1),
+    build_sphere_mesh(Sphere(), 2, 2), build_circle_mesh(Circle(), 16, 1),
+    build_circle_mesh(Circle(), 32, 2), build_circle_mesh(Circle(), 24, 3),
+], ids=["sphere-L1-P1", "sphere-L3-P1", "sphere-L2-P2", "circle16-P1", "circle32-P2",
+        "circle24-P3"])
+def test_space_pattern_equals_the_np_unique_oracle(mesh):
+    # equal slots give bitwise-equal matrices, since assembly is one bincount
+    el = mesh.elements
+    assert_pattern_equals_oracle(FeSpace(mesh).pattern(), mesh.num_nodes,
+                                 np.repeat(el, el.shape[1], axis=1),
+                                 np.tile(el, (1, el.shape[1])))
+
+
+def test_space_pattern_set_up_memory_is_bounded():
+    # sphere L5 P1: 184 320 local entries, 1.47 MB per int64 key array; the
+    # pattern keeps 3.4 MB, and np.unique(..., return_inverse=True) on
+    # repeated and tiled element arrays peaked at 12.6 MB
+    space = FeSpace(build_sphere_mesh(Sphere(), 5, 1))
+    tracemalloc.start()
+    try:
+        space.pattern()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9e6
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])

@@ -52,8 +52,9 @@ def test_config_hash_changes_iff_semantics_change():
 
 def test_cli_import_leaves_openssl_out_and_the_manifest_hash_pinned():
     # hashlib loads OpenSSL (_hashlib), about 3.5 MB of RSS, so config_hash
-    # imports it only when a manifest is hashed; the digest stays the first
-    # 16 hex digits of SHA-256, so manifests stay byte-identical
+    # takes SHA-256 from CPython's builtin module and never loads it; the
+    # digest stays the first 16 hex digits of SHA-256, so manifests stay
+    # byte-identical
     parameters = {"kind": "sphere", "levels": [1, 3], "t_end": 3.0}
     pinned = "32ab6746632d463f"
     payload = json.dumps(parameters, sort_keys=True).encode()
@@ -67,7 +68,34 @@ def test_cli_import_leaves_openssl_out_and_the_manifest_hash_pinned():
             "print('_hashlib' in sys.modules)\n")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120, check=True)
-    assert run.stdout.split() == ["False", pinned, "True"]
+    assert run.stdout.split() == ["False", pinned, "False"]
+
+
+def test_cli_maxreg_on_an_osc_seed_profile_loads_neither_numpy_random_nor_openssl(tmp_path):
+    # the osc-seed coefficients are numpy's PCG64 stream reproduced in pure
+    # Python, and config_hash uses CPython's builtin SHA-256: numpy.random
+    # (nine extension modules, and OpenSSL through secrets and hmac) stays
+    # unloaded unless importing numpy itself loads it
+    config = tmp_path / "ellipsoid.cfg"
+    config.write_text("[surface]\nkind = ellipsoid_flow\ndimension = 2\n"
+                      "[study]\nscheme = A\nlevels = 1\nprofile = osc-seed42\n"
+                      "richardson_rtol = 1\n")
+    out = tmp_path / "out"
+    watched = ["numpy.random", "secrets", "hmac", "_hashlib"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            f"watched = {watched!r}\n"
+            "import numpy\n"
+            "before = [m for m in watched if m in sys.modules]\n"
+            "from esfem.cli import main\n"
+            f"assert main(['maxreg', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0\n"
+            "print(sorted(set(m for m in watched if m in sys.modules) - set(before)))\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
+    manifest = json.loads((out / "maxreg_manifest.json").read_text())
+    payload = json.dumps(manifest["parameters"], sort_keys=True, default=list).encode()
+    assert manifest["config_hash"] == hashlib.sha256(payload).hexdigest()[:16]
 
 
 def test_maxreg_study_smoke_and_determinism(tmp_path):
