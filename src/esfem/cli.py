@@ -18,10 +18,12 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .errors import ConfigError, EsfemError, HTooLarge, IOFailure, UnsupportedSurface
+from .errors import (BudgetExceeded, ConfigError, EsfemError, HTooLarge, IOFailure,
+                     MeshMismatch, UnsupportedSurface)
 from .fem import DISCRETE, LIFTED, FeSpace
 from .greens import (
     MIN_FIT_SAMPLES,
+    _check_kernel_pair,
     delta_consistency,
     delta_decay_fit,
     discrete_green,
@@ -156,20 +158,35 @@ def _study_outdir(args, extras):
     return _make_outdir(outdir)
 
 
-def _greens_meshes(config, t_end):
-    """The mesh of every level; ConfigError when a level's time grid on
-    [0, t_end] has too few nodes in the fit window [1, t_end]."""
+def _greens_meshes(config, t_end, kernel_difference):
+    """The mesh and the time grid on [0, t_end] of every level.  ConfigError
+    when a level's grid has too few nodes in the fit window [1, t_end], and,
+    with the kernel difference, when there are fewer than two levels or the
+    first and last level's meshes are no pair for it."""
+    if kernel_difference and len(config.levels) < 2:
+        raise ConfigError(
+            f"study.levels (kernel_difference compares the first and the last "
+            f"level and needs two, got {len(config.levels)})")
     surface = config.surface()
     meshes = {}
     for level in config.levels:
-        mesh = meshes[level] = build_level_mesh(surface, level, config.degree)
+        mesh = build_level_mesh(surface, level, config.degree)
         grid = TimeGrid.from_mesh(mesh, t_end=t_end, factor=config.dt_factor)
+        meshes[level] = mesh, grid
         count = int((grid.times() >= 1.0).sum())
         if count < MIN_FIT_SAMPLES:
             raise ConfigError(
                 f"study.t_end (greens fits the decay on [1, t_end], where level {level} "
                 f"has {count} time nodes and the fit needs {MIN_FIT_SAMPLES}, "
                 f"got t_end = {t_end})")
+    if kernel_difference:
+        (coarse, _), (fine, _) = meshes[config.levels[0]], meshes[config.levels[-1]]
+        try:
+            _check_kernel_pair(coarse, fine)
+        except (MeshMismatch, BudgetExceeded) as exc:
+            raise ConfigError(
+                f"study.levels (kernel_difference between levels {config.levels[0]} "
+                f"and {config.levels[-1]}: {exc})") from exc
     return meshes
 
 
@@ -265,12 +282,11 @@ def cmd_convergence(args):
 def cmd_greens(args):
     config, extras = parse_config(args.config)
     t_end = 3.0 if extras["t_end"] is None else extras["t_end"]
-    meshes = _greens_meshes(config, t_end)
+    meshes = _greens_meshes(config, t_end, extras["kernel_difference"])
     outdir = _study_outdir(args, extras)
     outputs = []
     rates = []
-    for level, mesh in meshes.items():
-        grid = TimeGrid.from_mesh(mesh, t_end=t_end, factor=config.dt_factor)
+    for level, (mesh, grid) in meshes.items():
         fit = green_decay_study(mesh, grid, cg_tol=config.cg_tol)
         rates.append(fit.rate)
         name = f"greens_decay_level{level}.csv"
@@ -300,8 +316,8 @@ def cmd_greens(args):
                 (["level", level, "decay_rate", rate]
                  for level, rate in zip(config.levels, rates)), sep=" ")
     outputs.append("greens_summary.txt")
-    if extras["kernel_difference"] and len(config.levels) >= 2:
-        coarse, fine = meshes[config.levels[0]], meshes[config.levels[-1]]
+    if extras["kernel_difference"]:
+        (coarse, _), (fine, _) = meshes[config.levels[0]], meshes[config.levels[-1]]
         grid = TimeGrid.from_mesh(fine, t_end=1.0, factor=config.dt_factor)
         result = kernel_difference_l1(coarse, fine, coarse.nodes[0], grid,
                                       cg_tol=max(config.cg_tol, 1e-11))

@@ -171,10 +171,7 @@ def element_geometry(mesh, tag=DISCRETE, order=None):
     """
     if order is None:
         order = default_quad_order(mesh.degree, mesh.dimension, tag)
-    cache = getattr(mesh, "_geom_cache", None)
-    if cache is None:
-        cache = {}
-        mesh._geom_cache = cache
+    cache = mesh._geom_cache
     key = (tag, order)
     if key not in cache:
         cache[key] = block_geometry(mesh, tag, order, 0, mesh.num_elements)
@@ -228,7 +225,13 @@ def default_quad_order(degree, dim, tag):
 
 
 class FeSpace:
-    """Isoparametric nodal space on a mesh snapshot, on Gamma_h or lifted."""
+    """Isoparametric nodal space on a mesh snapshot, on Gamma_h or lifted.
+
+    The space fixes the quadrature rule: every assembly, load, projection
+    and norm on it integrates with ``quad_order`` (``default_quad_order``
+    unless given).  The tables of another order are
+    ``element_geometry(mesh, tag, order)``.
+    """
 
     def __init__(self, mesh, tag=DISCRETE, quad_order=None):
         if tag not in (DISCRETE, LIFTED):
@@ -243,12 +246,8 @@ class FeSpace:
             else int(quad_order)
         )
 
-    def geometry(self, order=None):
-        return element_geometry(self.mesh, self.tag, order or self.quad_order)
-
-    def dof_points(self):
-        """Coordinates attached to each dof (mesh nodes, which lie on Gamma)."""
-        return self.mesh.nodes
+    def geometry(self):
+        return element_geometry(self.mesh, self.tag, self.quad_order)
 
     def pattern(self):
         cache = self.mesh.family_cache
@@ -275,12 +274,8 @@ class FeFunction:
         self.space = space
         self.coeffs = coeffs
 
-    def values_at_quadrature(self, order=None):
-        geom = self.space.geometry(order)
-        return self.coeffs[self.space.mesh.elements] @ geom.shape_values.T, geom
-
-    def gradients_at_quadrature(self, order=None):
-        geom = self.space.geometry(order)
+    def gradients_at_quadrature(self):
+        geom = self.space.geometry()
         local = self.coeffs[self.space.mesh.elements]
         return np.einsum("el,eqld->eqd", local, geom.tangent_grads), geom
 
@@ -298,8 +293,8 @@ def lift_function(u, lifted_space=None):
 # ---------------------------------------------------------------------------
 
 
-def assemble_mass(space, order=None):
-    geom = space.geometry(order)
+def assemble_mass(space):
+    geom = space.geometry()
     sv = geom.shape_values
     nq, nloc = sv.shape
     table = (sv[:, :, None] * sv[:, None, :]).reshape(nq, nloc * nloc)
@@ -307,10 +302,10 @@ def assemble_mass(space, order=None):
     return space.pattern().assemble(local)
 
 
-def assemble_stiffness(space, order=None):
+def assemble_stiffness(space):
     """A_ij = sum_q w_q g_i^T G^{-1} g_j: the weighted inverse metric times
     the reference table of gradient products, one matrix product."""
-    geom = space.geometry(order)
+    geom = space.geometry()
     weights, inv = geom.weights, geom.inv_metric
     n_el, m = len(weights), inv.shape[-1]
     if inv.shape[1] == 1:
@@ -333,9 +328,9 @@ def _call_spatial(fn, t, pts):
     return vals.reshape(pts.shape[:-1] + vals.shape[1:])
 
 
-def load_vector(space, fn, t=None, order=None):
+def load_vector(space, fn, t=None):
     """b_i = integral of fn * phi_i over the space's surface."""
-    return load_from_geometry(space.geometry(order), space.mesh.elements,
+    return load_from_geometry(space.geometry(), space.mesh.elements,
                               space.num_dofs, fn, t)
 
 
@@ -350,16 +345,16 @@ def load_from_geometry(geom, elements, n_dofs, fn, t=None):
 # ---------------------------------------------------------------------------
 
 
-def l2_project(space, fn, t=None, order=None, mass=None, tol=1e-12):
-    b = load_vector(space, fn, t=t, order=order)
+def l2_project(space, fn, mass=None, tol=1e-12):
+    b = load_vector(space, fn)
     mass = assemble_mass(space) if mass is None else mass
     coeffs, _ = cg_solve(mass, b, tol=tol)
     return FeFunction(space, coeffs)
 
 
-def interpolate(space, fn, t=None):
-    vals = _call_spatial(fn, t, space.dof_points())
-    return FeFunction(space, vals)
+def interpolate(space, fn):
+    """The nodal interpolant: fn at the mesh nodes, which lie on Gamma."""
+    return FeFunction(space, fn(space.mesh.nodes))
 
 
 def discrete_laplacian(u, mass=None, stiffness=None, tol=1e-12):
@@ -380,32 +375,27 @@ def delta_load(space, x0):
     return e
 
 
-def discrete_delta(space, x0, mass=None, tol=1e-12):
+def discrete_delta(space, x0, tol=1e-12):
     """L2 projection of the point mass at x0: reproduces chi(x0) against chi."""
-    e = delta_load(space, x0)
-    mass = assemble_mass(space) if mass is None else mass
-    coeffs, _ = cg_solve(mass, e, tol=tol)
+    coeffs, _ = cg_solve(assemble_mass(space), delta_load(space, x0), tol=tol)
     return FeFunction(space, coeffs)
 
 
-def ritz_project(space, fn, grad_fn, t=None, order=None, tol=1e-12,
-                 mass=None, stiffness=None):
+def ritz_project(space, fn, grad_fn, tol=1e-12):
     """Projection with respect to the (grad, grad) + (., .) inner product.
 
     grad_fn supplies the ambient gradient of fn; only its tangential part
     enters, because the test gradients are tangential already.
     """
-    geom = space.geometry(order)
-    mass = assemble_mass(space, order=order) if mass is None else mass
-    stiffness = assemble_stiffness(space, order=order) if stiffness is None else stiffness
-    fvals = _call_spatial(fn, t, geom.points)
-    gvals = _call_spatial(grad_fn, t, geom.points)
+    geom = space.geometry()
+    fvals = _call_spatial(fn, None, geom.points)
+    gvals = _call_spatial(grad_fn, None, geom.points)
     local = (geom.weights * fvals) @ geom.shape_values
     local += np.einsum("eqd,eqid->ei", geom.weights[..., None] * gvals,
                        geom.tangent_grads, optimize=True)
     b = np.bincount(space.mesh.elements.ravel(), weights=local.ravel(),
                     minlength=space.num_dofs)
-    system = stiffness.scaled_add(1.0, mass)
+    system = assemble_stiffness(space).scaled_add(1.0, assemble_mass(space))
     coeffs, _ = cg_solve(system, b, tol=tol)
     return FeFunction(space, coeffs)
 
@@ -415,32 +405,32 @@ def ritz_project(space, fn, grad_fn, t=None, order=None, tol=1e-12,
 # ---------------------------------------------------------------------------
 
 
-def _check_exponent(q):
+def check_exponent(q):
     if q != math.inf and not q >= 1:
         raise InvalidExponent(f"norm exponent must be >= 1 or inf, got {q}")
 
 
-def norm_lq(u, q, space=None, t=None, order=None):
+def norm_lq(u, q, space=None):
     """L^q norm over the space's surface; q = inf takes the max over
     quadrature points and nodes (documented approximation)."""
-    _check_exponent(q)
+    check_exponent(q)
     if isinstance(u, FeFunction):
         return element_norms_lq(u.coeffs, u.space.mesh.elements,
-                                u.space.geometry(order), q)
+                                u.space.geometry(), q)
     if space is None:
         raise ValueError("a space is required to integrate a callable")
-    geom = space.geometry(order)
-    vals = _call_spatial(u, t, geom.points)
+    geom = space.geometry()
+    vals = _call_spatial(u, None, geom.points)
     if q == math.inf:
         return float(np.abs(vals).max())
     return float(np.sum(geom.weights * np.abs(vals) ** q) ** (1.0 / q))
 
 
-def norm_w1q(u, q, order=None):
+def norm_w1q(u, q):
     """(|u|_q^q + |grad u|_q^q)^(1/q); max of the two sups for q = inf."""
-    _check_exponent(q)
-    vals, geom = u.values_at_quadrature(order)
-    grads, _ = u.gradients_at_quadrature(order)
+    check_exponent(q)
+    grads, geom = u.gradients_at_quadrature()
+    vals = element_values(u.coeffs, u.space.mesh.elements, geom)
     gmag = np.linalg.norm(grads, axis=-1)
     if q == math.inf:
         return float(max(np.abs(vals).max(), gmag.max(), np.abs(u.coeffs).max()))
@@ -448,8 +438,8 @@ def norm_w1q(u, q, order=None):
     return float(total ** (1.0 / q))
 
 
-def seminorm_h1(u, order=None):
-    grads, geom = u.gradients_at_quadrature(order)
+def seminorm_h1(u):
+    grads, geom = u.gradients_at_quadrature()
     gmag2 = np.sum(grads * grads, axis=-1)
     return float(math.sqrt(np.sum(geom.weights * gmag2)))
 
@@ -490,21 +480,21 @@ def element_norms_lq(coeffs, elements, geom, q):
 # ---------------------------------------------------------------------------
 
 
-def locate_point(mesh, x, tol=1e-10):
+def locate_point(mesh, x):
     """Find (element, reference coordinates) of a point of Gamma_h.
 
     Casts the ray from the origin through x as ``radial_inverse_lift`` does,
     with the residual normal to the ray at rounding level.  On the meshes the
     builders make, each element's ray cone is its flat simplex's cone, so the
     ray meets Gamma_h at x itself when x is on it; raises PointNotOnMesh when
-    the point it meets is more than tol*max(1, |x|) from x, or x is zero or
-    not finite.
+    the point it meets is more than 1e-10*max(1, |x|) from x, or x is zero
+    or not finite.
     """
     x = np.asarray(x, dtype=float)
     scale = max(1.0, float(np.linalg.norm(x)))
     elems, refs = _cast_rays(mesh, x[None, :], 1e-15 * scale, None)
     element, ref = int(elems[0]), refs[0]
-    if not np.linalg.norm(element_point(mesh, element, ref) - x) <= tol * scale:
+    if not np.linalg.norm(element_point(mesh, element, ref) - x) <= 1e-10 * scale:
         raise PointNotOnMesh(f"point {x} not inside any element")
     return element, ref
 

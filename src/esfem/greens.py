@@ -19,10 +19,8 @@ from .fem import (
     DISCRETE,
     LIFTED,
     FeSpace,
-    assemble_mass,
     block_geometry,
     default_quad_order,
-    delta_load,
     discrete_delta,
     element_point,
     element_values,
@@ -30,7 +28,6 @@ from .fem import (
     radial_inverse_lift,
 )
 from .quadrature import reference_rule
-from .sparse import cg_solve
 from .timestepping import STATIONARY, TimeGrid, norm_series, solve_heat
 
 
@@ -87,13 +84,12 @@ def _log_linear_fit(times, values):
 MIN_FIT_SAMPLES = 5  # time nodes the decay fit of green_decay_study needs
 
 
-def green_decay_study(mesh, grid=None, sources=None, window=(1.0, None),
-                      cg_tol=1e-12):
+def green_decay_study(mesh, grid=None, sources=None, cg_tol=1e-12):
     """Fit the long-time exponential decay of the kernel's time derivative.
 
     Tracks max over sources of the L^1 norm of d/dt kernel per time node,
-    restricted to the fit window (default t >= 1), and returns the log-linear
-    fit (rate > 0 means decay exp(-rate*t)).
+    restricted to the fit window t >= 1, and returns the log-linear fit
+    (rate > 0 means decay exp(-rate*t)).
     """
     if grid is None:
         grid = TimeGrid.from_mesh(mesh, t_end=3.0)
@@ -104,9 +100,7 @@ def green_decay_study(mesh, grid=None, sources=None, window=(1.0, None),
         _, norms = norm_series(discrete_green(mesh, x0, grid, cg_tol=cg_tol),
                                [("udot", 1.0)])
         envelope = np.maximum(envelope, norms[("udot", 1.0)])
-    t_lo, t_hi = window
-    t_hi = times[-1] if t_hi is None else t_hi
-    sel = (times >= t_lo) & (times <= t_hi) & (envelope > 0)
+    sel = (times >= 1.0) & (envelope > 0)
     if sel.sum() < MIN_FIT_SAMPLES:
         raise InsufficientSamples(
             f"need at least {MIN_FIT_SAMPLES} samples in the fit window")
@@ -120,20 +114,20 @@ def green_decay_study(mesh, grid=None, sources=None, window=(1.0, None),
     )
 
 
-def delta_decay_fit(space, x0, mass=None, exclusion=3.0, floor=1e-13):
-    """Regression of log|delta coefficients| against distance/h outside an
-    exclusion ball of ``exclusion``*h; returns (slope, r2, decay_length).
+def delta_decay_fit(space, x0):
+    """Regression of log|delta coefficients| against distance/h over the
+    nodes outside the exclusion ball of radius 3h whose coefficient is above
+    1e-13 of the peak; returns (slope, r2, decay_length).
 
     decay_length is the fitted K in |delta| ~ h^-m exp(-dist/(K h)).
     """
     mesh = space.mesh
-    delta = discrete_delta(space, x0, mass=mass)
-    pts = space.dof_points()
-    dist = mesh.surface.geodesic_distance(mesh.time, pts, np.asarray(x0, float))
+    delta = discrete_delta(space, x0)
+    dist = mesh.surface.geodesic_distance(mesh.time, mesh.nodes, np.asarray(x0, float))
     h = mesh.h
     vals = np.abs(delta.coeffs)
     peak = vals.max()
-    sel = (dist > exclusion * h) & (vals > floor * peak)
+    sel = (dist > 3.0 * h) & (vals > 1e-13 * peak)
     if sel.sum() < 5:
         raise InsufficientSamples("not enough dofs outside the exclusion ball")
     slope, _, r2 = _log_linear_fit(dist[sel] / h, np.maximum(vals[sel], 1e-300))
@@ -160,13 +154,10 @@ def delta_consistency(discrete_space, lifted_space, x0, p):
         raise MeshMismatch("expected (discrete, lifted) spaces")
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
-    e = delta_load(discrete_space, x0)
-    mass_h = assemble_mass(discrete_space)
-    mass_g = assemble_mass(lifted_space)
-    bar_coeffs, _ = cg_solve(mass_h, e, tol=1e-13)
-    tilde_coeffs, _ = cg_solve(mass_g, e, tol=1e-13)
-    diff = lifted_space.function(bar_coeffs - tilde_coeffs)
-    tilde = lifted_space.function(tilde_coeffs)
+    # the point source of either space pairs with phi_i(x0) on their one mesh
+    bar = discrete_delta(discrete_space, x0, tol=1e-13)
+    tilde = discrete_delta(lifted_space, x0, tol=1e-13)
+    diff = lifted_space.function(bar.coeffs - tilde.coeffs)
     dnorm = norm_lq(diff, p)
     tnorm = norm_lq(tilde, p)
     return {"difference_norm": dnorm, "reference_norm": tnorm,
@@ -316,8 +307,26 @@ def _node_difference(fine_mesh, weights, coarse_at_points, fine_sv):
     return l1
 
 
-def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
-                         max_fine_dofs=100_000, quad_order=None):
+# the most dofs kernel_difference_l1 takes on its fine mesh
+MAX_FINE_DOFS = 100_000
+
+
+def _check_kernel_pair(coarse_mesh, fine_mesh):
+    """MeshMismatch unless the fine mesh discretizes the coarse mesh's surface
+    with h below 1/3.5 of the coarse h (or is the coarse mesh);
+    BudgetExceeded if it has more than MAX_FINE_DOFS dofs."""
+    if coarse_mesh.surface is not fine_mesh.surface:
+        raise MeshMismatch("meshes must discretize one surface")
+    if coarse_mesh is not fine_mesh and coarse_mesh.h <= 3.5 * fine_mesh.h:
+        raise MeshMismatch(f"reference mesh must be at least ~4x finer, got h = "
+                           f"{coarse_mesh.h:.4g} and {fine_mesh.h:.4g}")
+    if fine_mesh.num_nodes > MAX_FINE_DOFS:
+        raise BudgetExceeded(
+            f"fine mesh has {fine_mesh.num_nodes} dofs > cap {MAX_FINE_DOFS}"
+        )
+
+
+def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11):
     """Truncated L^1 space-time norm of the difference of kernel time
     derivatives, with the fine mesh standing in for the exact kernel.
 
@@ -326,24 +335,17 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
     estimate.  x0 must lie on the exact surface (it is projected to each mesh
     through the inverse lift).
 
-    The mesh and budget checks raise at the call.  The lifted fine
-    quadrature is set up block by block, and what the function then holds
-    is O(E_f*Q*nloc) for E_f fine elements, Q points and nloc coarse nodes
-    per element: the lifted weights and the table of coarse shape values at
-    the points with their coarse nodes.  Every time node is evaluated one
+    The mesh and budget checks (``_check_kernel_pair``) raise at the call.
+    The lifted fine quadrature is set up block by block, and what the
+    function then holds is O(E_f*Q*nloc) for E_f fine elements, Q points
+    and nloc coarse nodes per element: the lifted weights and the table of
+    coarse shape values at the points with their coarse nodes.  Every time node is evaluated one
     block of fine elements at a time (``_EVAL_BLOCK`` points), into scratch
     sized to that block, not to the (E_f, Q) points.  The coarse and fine
     Green's streams are drawn in lockstep, one time node of each at a time,
     so only the current node of either kernel is held.
     """
-    if coarse_mesh.surface is not fine_mesh.surface:
-        raise MeshMismatch("meshes must discretize one surface")
-    if coarse_mesh is not fine_mesh and coarse_mesh.h <= 3.5 * fine_mesh.h:
-        raise MeshMismatch("reference mesh must be at least ~4x finer")
-    if fine_mesh.num_nodes > max_fine_dofs:
-        raise BudgetExceeded(
-            f"fine mesh has {fine_mesh.num_nodes} dofs > cap {max_fine_dofs}"
-        )
+    _check_kernel_pair(coarse_mesh, fine_mesh)
     surface = coarse_mesh.surface
     x0 = surface.project(coarse_mesh.time, np.asarray(x0, dtype=float))
 
@@ -360,8 +362,7 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11,
                 discrete_green(fine_mesh, x_fine, time_grid, cg_tol=cg_tol))
                for time_grid in (grid, grid.halved())]
 
-    if quad_order is None:
-        quad_order = default_quad_order(fine_mesh.degree, fine_mesh.dimension, LIFTED)
+    quad_order = default_quad_order(fine_mesh.degree, fine_mesh.dimension, LIFTED)
     difference = _node_difference(
         fine_mesh, *_lifted_fine_quadrature(coarse_mesh, fine_mesh, quad_order))
 

@@ -8,6 +8,7 @@ error accumulates over time steps.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -64,8 +65,7 @@ class SurfaceMesh:
         self.time = float(time)
         self.dimension = surface.dimension
         self.reference = reference_element(self.dimension, self.degree)
-        self._h = None
-        self._flat_inverses = None
+        self._geom_cache = {}  # (tag, order) -> fem.element_geometry's tables
         # shared across evolved snapshots (connectivity-dependent structures)
         self.family_cache = {} if family_cache is None else family_cache
 
@@ -81,17 +81,15 @@ class SurfaceMesh:
         """Corner-vertex coordinates of the flat elements, (E, nverts, d)."""
         return self.nodes[self.elements[:, list(self.reference.vertex_ids)]]
 
-    @property
+    @cached_property
     def flat_inverses(self):
         """Inverses of the flat elements' vertex matrices (vertices as
         columns), (E, d, d), read-only: inverse e times a point gives its
         barycentric weights in flat simplex e.  Computed on first access and
         kept by this snapshot, since evolved snapshots move the nodes."""
-        if self._flat_inverses is None:
-            inv = np.linalg.inv(np.swapaxes(self.vertex_coords(), 1, 2))
-            inv.flags.writeable = False
-            self._flat_inverses = inv
-        return self._flat_inverses
+        inv = np.linalg.inv(np.swapaxes(self.vertex_coords(), 1, 2))
+        inv.flags.writeable = False
+        return inv
 
     def flat_diameters(self):
         verts = self.vertex_coords()
@@ -102,11 +100,9 @@ class SurfaceMesh:
         e2 = np.linalg.norm(verts[:, 0] - verts[:, 2], axis=-1)
         return np.max(np.stack([e0, e1, e2]), axis=0)
 
-    @property
+    @cached_property
     def h(self):
-        if self._h is None:
-            self._h = float(self.flat_diameters().max())
-        return self._h
+        return float(self.flat_diameters().max())
 
     def evolved(self, t):
         """Snapshot at time t: node i goes to X(t, y_i); connectivity unchanged."""

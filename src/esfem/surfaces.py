@@ -189,12 +189,12 @@ class EllipsoidFlow(Surface):
         g = 2.0 * x / (a * a)
         return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
-    def _solve_multiplier(self, t, x, tol=1e-14, maxiter=50):
+    def _solve_multiplier(self, t, x):
         """Lagrange multiplier of the nearest-point condition, vectorized.
 
         q_i = a_i^2 x_i / (a_i^2 + lam) with g(lam) = sum (a_i x_i/(a_i^2+lam))^2 - 1
         monotone decreasing on (-min a_i^2, inf); damped Newton with a bisection
-        safeguard.
+        safeguard, to |g| <= 1e-14 (relative) in at most 50 steps.
         """
         x = np.asarray(x, dtype=float)
         a2 = self.axes(t) ** 2
@@ -205,10 +205,10 @@ class EllipsoidFlow(Surface):
         lam = np.zeros(x.shape[:-1])
         lam = np.clip(lam, lo, hi)
         converged = np.zeros(x.shape[:-1], dtype=bool)
-        for _ in range(maxiter):
+        for _ in range(50):
             denom = a2 + lam[..., None]
             g = np.sum(ax2 / denom**2, axis=-1) - 1.0
-            converged = np.abs(g) <= tol * np.maximum(
+            converged = np.abs(g) <= 1e-14 * np.maximum(
                 1.0, np.sum(ax2 / a2**2, axis=-1)
             )
             if np.all(converged):
@@ -287,11 +287,10 @@ def make_surface(kind, dimension=None, params=(), horizon=1.0):
 
 @dataclass(frozen=True)
 class HeatSolution:
-    """Separable decaying solution u(t,x) = exp(-rate*t) * profile(x), f = 0."""
+    """Separable decaying solution u(t,x) = exp(-rate*t) * profile(x) of the
+    heat equation with f = 0, which solve_heat takes as forcing None."""
 
-    decay_rate: float
     value: object
-    forcing: object
     initial: object
 
 
@@ -330,13 +329,7 @@ def exact_heat_solution(surface, mode):
     def value(t, x):
         return math.exp(-rate * t) * profile(x)
 
-    def forcing(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
-    return HeatSolution(
-        decay_rate=rate, value=value, forcing=forcing, initial=profile
-    )
+    return HeatSolution(value=value, initial=profile)
 
 
 # ---------------------------------------------------------------------------

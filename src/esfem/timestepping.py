@@ -28,6 +28,7 @@ from .fem import (
     FeSpace,
     assemble_mass,
     assemble_stiffness,
+    check_exponent,
     element_values,
     load_from_geometry,
     load_vector,
@@ -122,11 +123,13 @@ def norm_series(nodes, pairs):
     """Draw every node of a solve_heat stream; return the times and a dict
     that maps each (field, q) pair to the field's per-node L^q space norms,
     each taken on the mesh snapshot of its node.  Unknown field names raise
-    ValueError before a node is drawn."""
+    ValueError, and exponents outside [1, inf] InvalidExponent, before a node
+    is drawn."""
     series = {}  # field -> q -> its norms so far, in the order first asked for
     for name, q in pairs:
         if name not in FIELDS:
             raise ValueError(f"unknown field {name!r}")
+        check_exponent(q)
         series.setdefault(name, {})[float(q)] = []
     times = []
     for node in nodes:

@@ -225,6 +225,20 @@ def test_cli_greens_rejects_a_fit_window_with_too_few_time_nodes(tmp_path, capsy
     assert not out.exists()
 
 
+def test_cli_greens_rejects_a_kernel_pair_over_the_dof_cap(tmp_path, capsys, monkeypatch):
+    # sphere level 3 has 642 dofs; the cap is read when the pair is checked
+    monkeypatch.setattr(esfem.greens, "MAX_FINE_DOFS", 641)
+    out = tmp_path / "out"
+    path = tmp_path / "kernel.cfg"
+    path.write_text("[surface]\nkind = sphere\ndimension = 2\n"
+                    "[study]\nlevels = 1,3\nkernel_difference = true\n")
+    assert main(["greens", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: study.levels (kernel_difference between levels 1 and 3: ")
+    assert "642 dofs > cap 641" in err
+    assert not out.exists()
+
+
 def test_cli_greens_builds_each_mesh_once(tmp_path, monkeypatch):
     built = []
 
@@ -336,6 +350,12 @@ def test_cli_solve_honours_t_end(tmp_path):
      "surface.kind"),
     ("greens", "[surface]\nkind = ellipsoid_flow\ndimension = 2\n[study]\nlevels = 1,2\n"
                "kernel_difference = true\n", "surface.kind"),
+    # the kernel difference compares the first and the last level, whose
+    # h must shrink by more than 3.5 (sphere levels 1 and 2 halve it)
+    ("greens", "[surface]\nkind = sphere\ndimension = 2\n[study]\nlevels = 1\n"
+               "kernel_difference = true\n", "study.levels"),
+    ("greens", "[surface]\nkind = sphere\ndimension = 2\n[study]\nlevels = 1,2\n"
+               "kernel_difference = true\n", "study.levels"),
 ])
 def test_cli_rejected_config_values_are_config_errors(tmp_path, capsys, command,
                                                       config, key):

@@ -348,7 +348,7 @@ def test_l2_project_galerkin_orthogonality(circle64):
     space = FeSpace(circle64)
     fn = lambda x: np.exp(x[..., 0])
     proj = l2_project(space, fn)
-    geom = space.geometry(order=20)
+    geom = element_geometry(space.mesh, space.tag, 20)
     fvals = fn(geom.points)
     pvals = proj.coeffs[circle64.elements] @ geom.shape_values.T
     rng = np.random.default_rng(1)
@@ -385,7 +385,7 @@ def _eval_fe(member, mesh, x):
 
 
 def _callable_error_l2(space, u, fn, order=16):
-    geom = space.geometry(order=order)
+    geom = element_geometry(space.mesh, space.tag, order)
     uv = u.coeffs[space.mesh.elements] @ geom.shape_values.T
     fv = fn(geom.points)
     return math.sqrt(float(np.sum(geom.weights * (uv - fv) ** 2)))
@@ -401,7 +401,7 @@ def test_interpolation_estimate_constant_stable():
         ih = interpolate(space, sin_theta)
         err0 = _callable_error_l2(space, ih, sin_theta)
         # H1 seminorm of the error via elevated quadrature
-        geom = space.geometry(order=16)
+        geom = element_geometry(space.mesh, space.tag, 16)
         gv = np.einsum(
             "el,eqld->eqd", ih.coeffs[mesh.elements], geom.tangent_grads
         )
@@ -923,7 +923,7 @@ def test_two_path_integration_agreement():
         def fn(x):
             return 1.0 + x[..., 0] ** 2 + 0.5 * x[..., -1]
 
-        geom = space.geometry(order)
+        geom = element_geometry(space.mesh, space.tag, order)
         lifted_value = float(np.sum(geom.weights * fn(geom.points)))
         pts, w = parametric_quadrature(surface, 0.0, 200)
         param_value = float(w @ fn(pts))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from esfem import greens
-from esfem.errors import HTooLarge, InsufficientSamples, MeshMismatch
+from esfem.errors import BudgetExceeded, HTooLarge, InsufficientSamples, MeshMismatch
 from esfem.fem import (
     DISCRETE,
     LIFTED,
@@ -202,6 +202,14 @@ def test_kernel_difference_requires_finer_reference():
     fine = build_circle_mesh(Circle(), 32, 1)
     fine.surface = coarse.surface
     with pytest.raises(MeshMismatch):
+        kernel_difference_l1(coarse, fine, coarse.nodes[0], TimeGrid(0.5, 8))
+
+
+def test_kernel_difference_caps_the_fine_dofs(monkeypatch):
+    coarse = build_circle_mesh(Circle(), 8, 1)
+    fine = build_circle_mesh(coarse.surface, 64, 1)
+    monkeypatch.setattr(greens, "MAX_FINE_DOFS", 63)
+    with pytest.raises(BudgetExceeded, match="64 dofs > cap 63"):
         kernel_difference_l1(coarse, fine, coarse.nodes[0], TimeGrid(0.5, 8))
 
 

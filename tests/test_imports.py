@@ -1,6 +1,6 @@
-"""Every imported name in the package and the tests is used, and every
+"""Every imported name in the package and the tests is used, every
 function, class and method of the package is used by the package or by
-perfbench.
+perfbench, and every defaulted parameter of the package is set by some call.
 
 Static scans of the sources.  The import scan collects the names each module
 binds by ``import`` and fails on those that no expression of the module reads;
@@ -14,6 +14,15 @@ that no attribute read in ``src/`` or ``perfbench/`` and no whole string in
 often a dict key that only shares the method's name).  Imports and re-exports
 are not uses, and neither is code in ``tests/``: what only the tests reach
 belongs in the tests.
+
+The parameter scan fails on a parameter with a default, of any function or
+method of ``src/esfem``, that no call in ``src/``, ``tests/`` or
+``perfbench/`` passes, by keyword or by position (after self or cls for a
+method).  Calls are matched to definitions by name; a call that expands
+``*args`` or ``**kwargs`` sets every parameter, and a call of a class or a
+``super().__init__(...)`` calls the ``__init__`` that the class, or the
+first of its bases in turn, defines.  A default that nothing overrides is a
+configuration nobody runs: it belongs in the body as a constant.
 """
 
 import ast
@@ -134,3 +143,128 @@ def test_no_dead_definitions():
     others = [p.read_text(encoding="utf-8")
               for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert dead_definitions(package, others) == []
+
+
+def _defaulted(fn, method):
+    """The parameters of a def that have defaults, as (name, position among
+    the positional parameters after self or cls, or None if keyword-only)."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args][1 if method else 0:]
+    out = [(a.arg, i) for i, a in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _callee(call, classes, enclosing):
+    """The key of what a call names: a function or method name, or
+    ("__init__", class) for a call of a class or a super().__init__ in the
+    body of class ``enclosing``; None for anything else."""
+    func = call.func
+    if (isinstance(func, ast.Attribute) and func.attr == "__init__"
+            and isinstance(func.value, ast.Call)
+            and isinstance(func.value.func, ast.Name) and func.value.func.id == "super"):
+        owner = enclosing and _init_owner(classes, classes[enclosing]["bases"])
+        return owner and ("__init__", owner)
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in classes:
+        owner = _init_owner(classes, [name])
+        return owner and ("__init__", owner)
+    return name
+
+
+def _init_owner(classes, names):
+    """The first of the named classes, or of their bases in turn, that
+    defines ``__init__``."""
+    for name in names:
+        if name in classes:
+            if classes[name]["init"]:
+                return name
+            owner = _init_owner(classes, classes[name]["bases"])
+            if owner:
+                return owner
+    return None
+
+
+def unset_parameters(package, others=()):
+    """(module, "function" or "Class.method", parameter) of every defaulted
+    parameter of a top-level function or method in the package sources that
+    no call in the package or in others sets, by keyword or by position.  A call is matched to a def
+    by name; a call that expands *args or **kwargs sets every parameter, and
+    a call of a class or a super().__init__(...) is a call of the __init__
+    it reaches."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    users = [*trees.values(), *(ast.parse(source) for source in others)]
+    classes = {}
+    for tree in users:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = {
+                    "bases": [b.id for b in node.bases if isinstance(b, ast.Name)],
+                    "init": any(isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                                for f in node.body),
+                }
+    set_by = {}  # callee key -> keyword names and positional count it passes
+    for tree in users:
+        stack = [(tree, None)]
+        while stack:
+            node, enclosing = stack.pop()
+            if isinstance(node, ast.ClassDef):
+                enclosing = node.name
+            if isinstance(node, ast.Call):
+                key = _callee(node, classes, enclosing)
+                if key is not None:
+                    passed = set_by.setdefault(key, [set(), 0, False])
+                    passed[0].update(k.arg for k in node.keywords)
+                    passed[1] = max(passed[1], len(node.args))
+                    passed[2] |= (any(isinstance(a, ast.Starred) for a in node.args)
+                                  or any(k.arg is None for k in node.keywords))
+            stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
+    unset = []
+    for module, tree in trees.items():
+        defs = [(node, None) for node in tree.body]
+        defs += [(f, node.name) for node in tree.body if isinstance(node, ast.ClassDef)
+                 for f in node.body]
+        for fn, cls in defs:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            method = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            key = ("__init__", cls) if fn.name == "__init__" and cls else fn.name
+            keywords, count, expands = set_by.get(key, (set(), 0, False))
+            for name, position in _defaulted(fn, method):
+                if not (expands or name in keywords
+                        or (position is not None and position < count)):
+                    qualname = f"{cls}.{fn.name}" if cls else fn.name
+                    unset.append((module, qualname, name))
+    return sorted(unset)
+
+
+def test_scan_flags_a_parameter_nothing_sets():
+    package = {
+        "a": "def f(x, y=1, z=2, *, w=3):\n    return x\n\n"
+             "def g(x, y=1):\n    return x\n\n"
+             "def h(x=0, y=1):\n    return x\n\n"
+             "class Base:\n    def __init__(self, n, scale=1.0, shift=0.0):\n        pass\n\n"
+             "class Child(Base):\n    def __init__(self, n, tag=None):\n"
+             "        super().__init__(n, shift=1.0)\n\n"
+             "    def run(self, steps=10, log=False):\n        return self\n\n"
+             "class Leaf(Child):\n    pass\n",
+        "b": "import a\na.f(0, 5)\na.g(*[0, 1])\na.h(**{})\n"
+             "a.Child(3).run(20)\n",
+    }
+    # positions count after self; Leaf(...) reaches Child.__init__
+    others = ["from a import f, Leaf\nf(0, w=4)\nLeaf(1, tag='x')\n"]
+    assert unset_parameters(package, others) == [
+        ("a", "Base.__init__", "scale"), ("a", "Child.run", "log"), ("a", "f", "z"),
+    ]
+
+
+def test_no_parameter_is_left_unset():
+    package = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "esfem").glob("*.py"))}
+    others = [p.read_text(encoding="utf-8")
+              for directory in ("tests", "perfbench")
+              for p in sorted((ROOT / directory).glob("*.py"))]
+    assert unset_parameters(package, others) == []

@@ -122,6 +122,24 @@ def test_evolve_scaling_flow():
     assert node_surface_residual(moved) <= 1e-12
 
 
+def test_each_snapshot_keeps_its_own_caches():
+    # geometry, h and the flat inverses depend on the node positions, so an
+    # evolved snapshot starts without them; the sparsity pattern does not
+    mesh = build_sphere_mesh(ScaledSphereFlow(dimension=2), 1, 1)
+    assert mesh._geom_cache == {}
+    geom = FeSpace(mesh).geometry()
+    FeSpace(mesh).pattern()
+    assert list(mesh._geom_cache.values()) == [geom]
+    assert mesh.flat_inverses is mesh.flat_inverses
+    h = mesh.h
+    moved = mesh.evolved(0.25)
+    assert moved._geom_cache == {}
+    assert moved.family_cache is mesh.family_cache
+    assert moved.h == pytest.approx(1.25 * h, rel=1e-14)
+    assert not np.array_equal(moved.flat_inverses, mesh.flat_inverses)
+    assert mesh.h == h
+
+
 def test_evolve_roundtrip_via_inverse_flow():
     surface = ScaledSphereFlow(dimension=2)
     mesh = build_sphere_mesh(surface, 1, 1)

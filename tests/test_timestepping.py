@@ -143,7 +143,7 @@ def test_eigen_decay_convergence_order():
         space = FeSpace(mesh)
         grid = TimeGrid(1.0, max(4, int(8 / mesh.h)))
         *_, last = solve_heat(
-            mesh, solution.forcing, grid, scheme="stationary", integrator="bdf2",
+            mesh, None, grid, scheme="stationary", integrator="bdf2",
             u0=interpolate(space, solution.initial).coeffs,
         )
         assert last.t == 1.0
@@ -293,6 +293,10 @@ def test_norm_series_records_exactly_the_requested_norms():
 
     with pytest.raises(ValueError, match="unknown field 'v'"):
         norm_series(_undrawable(), [("v", 2.0)])
+    # L^q with q < 1 is no norm
+    for q in (0.5, -1.0, math.nan):
+        with pytest.raises(InvalidExponent, match=f"got {q}"):
+            norm_series(_undrawable(), [("u", 2.0), ("fh", q)])
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
