@@ -10,8 +10,18 @@ keeping them fixed while the mesh moves.
 solve_heat is a stream: it checks its arguments when called and returns an
 iterator that yields one TimeNode per time node.  Each step runs only when
 its node is drawn, and the stream holds only what its next step needs, so
-callers reduce the nodes as they draw them (norm_series, for instance) and
-memory does not grow with the number of steps.
+callers reduce the nodes as they draw them (norm_series or NormSeries, for
+instance) and memory does not grow with the number of steps.
+
+Streams of one problem on nested grids can share their frames, the part of
+a step that depends on its time alone: the mesh snapshot, its geometry, M,
+A, the load and fh = M^-1 b.  Given one FrameSlot and drawn in lockstep,
+the dt/2 stream first, the dt/2 stream builds each frame exactly as on its
+own, so its nodes are bitwise unchanged, and the dt stream takes the frame
+at each of its nodes instead of building it.  The slot holds one frame,
+and a stream on a moving mesh keeps nothing of a snapshot once its node is
+drawn, so a caller that reduces the nodes as it draws them keeps no more
+snapshots alive than two streams run one after the other.
 """
 
 from __future__ import annotations
@@ -31,7 +41,6 @@ from .fem import (
     check_exponent,
     element_values,
     load_from_geometry,
-    load_vector,
     values_norm_lq,
 )
 from .sparse import cg_solve
@@ -119,28 +128,45 @@ class TimeNode(NamedTuple):
     fh: np.ndarray
 
 
-def norm_series(nodes, pairs):
-    """Draw every node of a solve_heat stream; return the times and a dict
-    that maps each (field, q) pair to the field's per-node L^q space norms,
-    each taken on the mesh snapshot of its node.  Unknown field names raise
-    ValueError, and exponents outside [1, inf] InvalidExponent, before a node
-    is drawn."""
-    series = {}  # field -> q -> its norms so far, in the order first asked for
-    for name, q in pairs:
-        if name not in FIELDS:
-            raise ValueError(f"unknown field {name!r}")
-        check_exponent(q)
-        series.setdefault(name, {})[float(q)] = []
-    times = []
-    for node in nodes:
-        times.append(node.t)
-        for name, by_q in series.items():
+class NormSeries:
+    """Per-node L^q space norms of chosen fields of a solve_heat stream,
+    added one node at a time, so that streams drawn in lockstep can be
+    reduced as they are drawn.  pairs are (field, q); unknown field names
+    raise ValueError, and exponents outside [1, inf] InvalidExponent."""
+
+    def __init__(self, pairs):
+        self._times = []
+        self._series = {}  # field -> q -> its norms so far, in the order first asked for
+        for name, q in pairs:
+            if name not in FIELDS:
+                raise ValueError(f"unknown field {name!r}")
+            check_exponent(q)
+            self._series.setdefault(name, {})[float(q)] = []
+
+    def add(self, node):
+        """Record the node's norms, each taken on the node's mesh snapshot."""
+        self._times.append(node.t)
+        for name, by_q in self._series.items():
             coeffs = getattr(node, name)
             at_quad = element_values(coeffs, node.mesh.elements, node.geom)
             for q, norms in by_q.items():
                 norms.append(values_norm_lq(at_quad, coeffs, node.geom, q))
-    return np.array(times), {(name, q): np.array(norms) for name, by_q in series.items()
-                             for q, norms in by_q.items()}
+
+    def result(self):
+        """The times and a dict that maps each (field, q) pair to its norms."""
+        return np.array(self._times), {(name, q): np.array(norms)
+                                       for name, by_q in self._series.items()
+                                       for q, norms in by_q.items()}
+
+
+def norm_series(nodes, pairs):
+    """Draw every node of a solve_heat stream; return NormSeries.result()
+    for the given (field, q) pairs, which are checked before a node is
+    drawn."""
+    series = NormSeries(pairs)
+    for node in nodes:
+        series.add(node)
+    return series.result()
 
 
 def spacetime_norm(times, norms, fieldname, p, q):
@@ -153,6 +179,55 @@ def spacetime_norm(times, norms, fieldname, p, q):
     return float(np.trapezoid(series**p, times) ** (1.0 / p))
 
 
+class _Frame(NamedTuple):
+    """What a step needs at its time node t that depends on t alone, not on
+    the time step or the solution: the mesh snapshot at t, its geometry,
+    M(t), A(t), the load b(t) and fh = M(t)^-1 b(t)."""
+
+    t: float
+    mesh: object
+    geom: object
+    mass: object
+    stiff: object
+    b: np.ndarray
+    fh: np.ndarray
+
+
+class FrameSlot:
+    """The one frame that the solve_heat streams of one problem (mesh0, the
+    forcing and whether the mesh moves; the grids may differ) pass between
+    them: see solve_heat's frames.
+
+    A stream that takes a frame evolves, assembles and loads nothing, and
+    re-solves only fh, starting from the frame's fh.  Its M, A, b, u and
+    udot are bitwise those of a stream on its own, and its fh meets its own
+    tolerance; scheme A and the stationary scheme take lap = udot - fh.
+    Drawn in any order the streams stay correct, but share less.
+    """
+
+    def __init__(self):
+        self._frame = None
+        self._problem = None
+
+    def _join(self, mesh0, forcing, moving):
+        if self._problem is None:
+            self._problem = (mesh0, forcing, moving)
+            return
+        first_mesh, first_forcing, first_moving = self._problem
+        if mesh0 is not first_mesh or forcing is not first_forcing or moving != first_moving:
+            raise ValueError("streams sharing a FrameSlot must share mesh0, the "
+                             "forcing and whether the mesh moves")
+
+    def _take(self, t):
+        # the frame at time t, or None after emptying the slot, so that the
+        # caller's new frame is the only one the slot keeps alive
+        frame = self._frame
+        if frame is not None and frame.t == t:
+            return frame
+        self._frame = None
+        return None
+
+
 def solve_heat(
     mesh0,
     forcing,
@@ -162,6 +237,7 @@ def solve_heat(
     u0=None,
     cg_tol=1e-12,
     max_dt_factor=None,
+    frames=None,
 ):
     """Integrate one of the semi-discrete schemes over the given time grid.
 
@@ -173,16 +249,28 @@ def solve_heat(
 
     Returns an iterator over the grid's n_steps + 1 time nodes that yields
     one TimeNode per node.  Argument errors (an unknown scheme or integrator,
-    StepTooLarge) raise here, at the call; the initial state is computed when
-    the first node is drawn and each step when its node is drawn, so a caller
-    that stops drawing runs no further step.  The stream holds only what its
-    next step needs.
+    StepTooLarge, a FrameSlot of another problem) raise here, at the call;
+    the initial state is computed when the first node is drawn and each step
+    when its node is drawn, so a caller that stops drawing runs no further
+    step.  The stream holds only what its next step needs: on a moving mesh
+    it keeps nothing of a node's snapshot once the node is drawn.
+
+    frames is a FrameSlot shared with other streams of this mesh0 and
+    forcing, or None.  At each time node a stream uses one frame: the mesh
+    snapshot, its geometry, M, A, b and fh.  With a slot it takes the
+    slot's frame when that is at the same time, and otherwise builds its
+    own and puts it in the slot, so one frame stays alive in the slot.  Draw
+    the stream on grid.halved() first and the stream on grid in lockstep
+    (node 2k, then node k): the dt/2 stream then builds every frame as on
+    its own and its nodes are bitwise unchanged, and the dt stream builds
+    none (see FrameSlot for what it re-solves).
 
     Every CG solve after the first of its field (u, fh, and lap in scheme B)
     starts from the polynomial in t through that field's last
     EXTRAPOLATION_ORDER + 1 nodal vectors, evaluated at the new time node (of
-    lower degree while fewer vectors are known).  Nodal vectors are
-    transported with the mesh, so this holds on moving meshes too.
+    lower degree while fewer vectors are known); an fh solve on a taken
+    frame starts from the frame's fh.  Nodal vectors are transported with
+    the mesh, so this holds on moving meshes too.
 
     Per accepted step the non-conservative scheme satisfies
     M(t) udot + A(t) u = b(t) exactly up to solver tolerance, with
@@ -201,85 +289,115 @@ def solve_heat(
         raise StepTooLarge(
             f"dt={grid.dt:.3e} exceeds {max_dt_factor}*h^2={max_dt_factor * mesh0.h ** 2:.3e}"
         )
-    u = np.zeros(mesh0.num_nodes) if u0 is None else np.asarray(u0, dtype=float).copy()
-    return _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol)
-
-
-def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol):
     moving = scheme != STATIONARY and not mesh0.surface.is_stationary
+    if frames is not None:
+        frames._join(mesh0, forcing, moving)
+    u = np.zeros(mesh0.num_nodes) if u0 is None else np.asarray(u0, dtype=float).copy()
+    return _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, frames)
+
+
+def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, slot):
     times = grid.times()
     dt = grid.dt
     n_dofs = mesh0.num_nodes
-
-    mesh = mesh0
-    space = FeSpace(mesh, DISCRETE)
-    geom = space.geometry()
-    mass = assemble_mass(space)
-    stiff = assemble_stiffness(space)
-
-    if forcing is None:
-        b = fh = np.zeros(n_dofs)
-    else:
-        b = load_vector(space, forcing, t=times[0])
-        force_scale = float(np.linalg.norm(b))
-        fh, _ = cg_solve(mass, b, tol=cg_tol)
-        fh_past = _Extrapolation(fh)
-    lap, _ = cg_solve(mass, -stiff.matvec(u), tol=cg_tol)
-    udot = fh + lap
+    zero = np.zeros(n_dofs)  # b and fh when forcing is None
     u_past = _Extrapolation(u)
-    if scheme == SCHEME_B:
-        lap_past = _Extrapolation(lap)
-    yield TimeNode(times[0], mesh, geom, u, udot, lap, fh)
-
-    mass_prev = mass
+    fh_past = lap_past = None
     u_prev = None  # for bdf2
-    system, system_scale = None, None  # M + system_scale * A
-    for i in range(1, len(times)):
-        t1 = times[i]
-        bdf2_step = integrator == "bdf2" and u_prev is not None
-        scale = 2.0 * dt / 3.0 if bdf2_step else dt
-        if moving:
-            mesh = mesh0.evolved(t1)
-            space = FeSpace(mesh, DISCRETE)
-            geom = space.geometry()
-            mass = assemble_mass(space)
-            stiff = assemble_stiffness(space)
-        # rebuilt only when the mesh moves, or when BDF2 follows its Euler step
-        if moving or scale != system_scale:
-            system, system_scale = mass.scaled_add(scale, stiff), scale
-        if forcing is not None:
-            b = load_from_geometry(geom, mesh.elements, n_dofs, forcing, t=t1)
-            force_scale = max(force_scale, float(np.linalg.norm(b)))
+    mass_prev = None  # for scheme B
+    frozen = None  # the frame whose snapshot and operators a frozen mesh keeps
+    systems = {}  # scale -> M + scale * A on a frozen mesh
+    force_scale = 0.0
 
-        if bdf2_step:
-            # (3 u1 - 4 u0 + um1) / (2 dt) against M(t1)
-            rhs = mass.matvec((4.0 * u - u_prev) / 3.0) + (2.0 * dt / 3.0) * b
-            u_new, _ = cg_solve(system, rhs, tol=cg_tol, x0=u_past.extrapolate())
-            udot = (3.0 * u_new - 4.0 * u + u_prev) / (2.0 * dt)
+    def step(i, t):
+        # the node at times[i]; on a moving mesh nothing of its frame
+        # outlives the TimeNode returned, so a caller that drops the node
+        # frees the snapshot before the next one is built
+        nonlocal u, u_prev, fh_past, lap_past, mass_prev, frozen, force_scale
+        taken = None if slot is None else slot._take(t)
+        if taken is not None:
+            frame = taken
         else:
-            if scheme == SCHEME_B:
-                rhs = mass_prev.matvec(u) + dt * b
+            if frozen is not None:
+                frame = frozen
             else:
-                rhs = mass.matvec(u) + dt * b
-            u_new, _ = cg_solve(system, rhs, tol=cg_tol, x0=u_past.extrapolate())
-            udot = (u_new - u) / dt
-        u_past.push(u_new)
+                mesh = mesh0.evolved(t) if i else mesh0
+                space = FeSpace(mesh, DISCRETE)
+                frame = _Frame(t, mesh, space.geometry(), assemble_mass(space),
+                               assemble_stiffness(space), None, None)
+            if forcing is None:
+                b = zero
+            else:
+                b = load_from_geometry(frame.geom, frame.mesh.elements, n_dofs, forcing, t=t)
+            frame = frame._replace(t=t, b=b)
+        if not moving:
+            frozen = frame
+        mass, stiff, b = frame.mass, frame.stiff, frame.b
 
-        if forcing is not None:
+        if forcing is None:
+            fh = zero
+        else:
+            force_scale = max(force_scale, float(np.linalg.norm(b)))
+            if taken is not None:
+                x0 = taken.fh
+            elif fh_past is not None:
+                x0 = fh_past.extrapolate()
+            else:
+                x0 = None
             # relative CG tolerances are meaningless where the forcing crosses
             # zero; anchor an absolute floor to the forcing scale seen so far
-            fh, _ = cg_solve(mass, b, tol=cg_tol, x0=fh_past.extrapolate(),
-                             atol=cg_tol * force_scale)
-            fh_past.push(fh)
-        if scheme == SCHEME_B:
-            lap, _ = cg_solve(mass, -stiff.matvec(u_new), tol=cg_tol,
-                              x0=lap_past.extrapolate())
-            lap_past.push(lap)
-        else:
-            # scheme identity: M udot = b - A u_new, hence lap = udot - fh
-            lap = udot - fh
+            fh, _ = cg_solve(mass, b, tol=cg_tol, x0=x0,
+                             atol=cg_tol * force_scale if i else 0.0)
+            if taken is not None:
+                fh_past = None  # this stream's own fh solves start again
+            elif fh_past is None:
+                fh_past = _Extrapolation(fh)
+            else:
+                fh_past.push(fh)
+        if taken is None and slot is not None:
+            slot._frame = frame._replace(fh=fh)
 
-        u_prev = u if integrator == "bdf2" else None
-        u = u_new
-        mass_prev = mass
-        yield TimeNode(t1, mesh, geom, u, udot, lap, fh)
+        if i == 0:
+            lap, _ = cg_solve(mass, -stiff.matvec(u), tol=cg_tol)
+            udot = fh + lap
+            if scheme == SCHEME_B:
+                lap_past = _Extrapolation(lap)
+        else:
+            bdf2_step = integrator == "bdf2" and u_prev is not None
+            scale = 2.0 * dt / 3.0 if bdf2_step else dt
+            if moving:
+                system = mass.scaled_add(scale, stiff)
+            else:
+                if scale not in systems:
+                    systems[scale] = mass.scaled_add(scale, stiff)
+                system = systems[scale]
+
+            if bdf2_step:
+                # (3 u1 - 4 u0 + um1) / (2 dt) against M(t1)
+                rhs = mass.matvec((4.0 * u - u_prev) / 3.0) + (2.0 * dt / 3.0) * b
+                u_new, _ = cg_solve(system, rhs, tol=cg_tol, x0=u_past.extrapolate())
+                udot = (3.0 * u_new - 4.0 * u + u_prev) / (2.0 * dt)
+            else:
+                if scheme == SCHEME_B:
+                    rhs = mass_prev.matvec(u) + dt * b
+                else:
+                    rhs = mass.matvec(u) + dt * b
+                u_new, _ = cg_solve(system, rhs, tol=cg_tol, x0=u_past.extrapolate())
+                udot = (u_new - u) / dt
+            u_past.push(u_new)
+
+            if scheme == SCHEME_B:
+                lap, _ = cg_solve(mass, -stiff.matvec(u_new), tol=cg_tol,
+                                  x0=lap_past.extrapolate())
+                lap_past.push(lap)
+            else:
+                # scheme identity: M udot = b - A u_new, hence lap = udot - fh
+                lap = udot - fh
+            u_prev = u if integrator == "bdf2" else None
+            u = u_new
+        if scheme == SCHEME_B:
+            mass_prev = mass
+        return TimeNode(t, frame.mesh, frame.geom, u, udot, lap, fh)
+
+    for i, t in enumerate(times):
+        yield step(i, t)

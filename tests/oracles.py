@@ -4,8 +4,8 @@ Closed forms of the surfaces and flows, samplers, mesh diagnostics, the
 icosphere built face by face, a reader for the text mesh format, exact
 reference-element integrals, a dense view of sparse matrices, an eigenvalue
 and a mass oracle, the geometric prefactors of the lift, and the whole-mesh
-tables and values of the kernel difference.  None of this is needed to run a
-study.
+tables and values of the kernel difference, and a maxreg study cell solved
+by two streams that share nothing.  None of this is needed to run a study.
 """
 
 import math
@@ -25,7 +25,9 @@ from esfem.fem import (
 from esfem import meshing
 from esfem.meshing import SurfaceMesh
 from esfem.sparse import cg_solve
-from esfem.surfaces import EllipsoidFlow
+from esfem.studies import build_level_mesh
+from esfem.surfaces import EllipsoidFlow, forcing_profile
+from esfem.timestepping import TimeGrid, norm_series, solve_heat
 
 TWO_PI = 2.0 * math.pi
 
@@ -377,3 +379,21 @@ def whole_difference_l1(fine_mesh, geom, coarse_at, fine_coeffs, coarse_coeffs):
     from ``coarse_at_quadrature``."""
     fine_vals = (fine_coeffs[fine_mesh.elements] @ geom.shape_values.T).reshape(-1)
     return float(geom.weights.reshape(-1) @ np.abs(fine_vals - coarse_at(coarse_coeffs)))
+
+
+# --- a maxreg study cell without shared frames ---------------------------------
+
+def unshared_cell(config, surface, level):
+    """``studies._solve_level`` with two independent solve_heat streams, the
+    dt stream drawn to its end before the dt/2 stream starts: each stream
+    evolves, assembles and loads every one of its own time nodes."""
+    mesh = build_level_mesh(surface, level, config.degree)
+    grid = TimeGrid.from_mesh(mesh, t_end=1.0, factor=config.dt_factor)
+    forcing = forcing_profile(config.profile, surface)
+    qset = tuple(sorted({q for _, q in config.pq_pairs}))
+    pairs = [(name, q) for name in ("udot", "lap", "fh") for q in qset]
+    common = dict(scheme=config.scheme, cg_tol=config.cg_tol,
+                  max_dt_factor=4.0 * config.dt_factor)
+    coarse = norm_series(solve_heat(mesh, forcing, grid, **common), pairs)
+    fine = norm_series(solve_heat(mesh, forcing, grid.halved(), **common), pairs)
+    return mesh, grid, coarse, fine

@@ -147,6 +147,25 @@ def test_cli_convergence_and_delta(tmp_path):
     assert len(report) == 3
 
 
+def test_cli_delta_solves_each_point_source_once(tmp_path, monkeypatch):
+    # per level one mass assembly, CG solve and point location for each of
+    # the decay fit's source (solved at 1e-12) and the consistency pair
+    # (solved at 1e-13), whose one solve serves both p = 1 and p = 2
+    from esfem import fem
+
+    counts = dict.fromkeys(("assemble_mass", "cg_solve", "locate_point"), 0)
+    for name in counts:
+        def counting(*args, _name=name, _original=getattr(fem, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fem, name, counting)
+    cfg = write_config(tmp_path, out=str(tmp_path / "delta"))
+    assert main(["delta", "--config", cfg]) == 0
+    levels = 2  # 16,24
+    assert counts == dict.fromkeys(counts, 3 * levels)
+
+
 def _manifest(outdir, name):
     return json.loads((outdir / f"{name}_manifest.json").read_text())
 

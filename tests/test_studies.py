@@ -1,13 +1,16 @@
+import dataclasses
 import hashlib
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from esfem import studies
 from esfem.errors import ConfigError
 from esfem.fem import FeSpace, assemble_mass, assemble_stiffness, load_vector
 from esfem.meshing import build_circle_mesh
@@ -23,7 +26,7 @@ from esfem.studies import (
 )
 from esfem.surfaces import forcing_profile
 from esfem.timestepping import TimeGrid
-from oracles import dense
+from oracles import dense, unshared_cell
 
 TINY = StudyConfig(levels=(16, 24), pq_pairs=((2.0, 2.0),), profile="osc-seed42",
                    richardson_rtol=0.05)
@@ -113,8 +116,6 @@ def test_maxreg_study_smoke_and_determinism(tmp_path):
 
 
 def test_maxreg_zero_forcing_reports_na(tmp_path):
-    import dataclasses
-
     cfg = dataclasses.replace(TINY, profile="zero", levels=(16,))
     rep = maxreg_study(cfg)
     assert math.isnan(rep.rows[0].ratio)
@@ -202,3 +203,69 @@ def test_emit_reports_empty_and_rows(tmp_path):
     lines = (tmp_path / "three" / "maxreg.csv").read_text().splitlines()
     assert len(lines) == 4
     assert lines[1].startswith("16,")
+
+
+ELLIPSOID_A = StudyConfig(surface_kind="ellipsoid_flow", dimension=2, scheme="A",
+                          levels=(3,), profile="osc-seed7")
+SHARED_CELLS = {
+    "ellipsoid-A-L3": ELLIPSOID_A,
+    "ellipsoid-B-L3": dataclasses.replace(ELLIPSOID_A, scheme="B"),
+    "sphere-stationary-L2": StudyConfig(surface_kind="sphere", dimension=2,
+                                        scheme="stationary", levels=(2,),
+                                        profile="osc-seed7", richardson_rtol=0.05),
+    "ellipsoid-A-L2-zero": dataclasses.replace(ELLIPSOID_A, levels=(2,), profile="zero"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_CELLS))
+def test_shared_frames_leave_the_cell_and_its_outputs_unchanged(tmp_path, monkeypatch, name):
+    # the lockstep cell against two streams that share nothing: the dt/2
+    # series bit for bit, the dt series' u-derived norms bit for bit and its
+    # re-solved fh (and lap = udot - fh) to solver tolerance; the written
+    # table and summary byte for byte
+    config = SHARED_CELLS[name]
+    surface = config.surface()
+    level = config.levels[0]
+    _, grid, coarse, fine = studies._solve_level(config, surface, level)
+    _, oracle_grid, oracle_coarse, oracle_fine = unshared_cell(config, surface, level)
+    assert grid == oracle_grid
+    assert np.array_equal(fine[0], oracle_fine[0])
+    assert fine[1].keys() == oracle_fine[1].keys()
+    for key, series in oracle_fine[1].items():
+        assert np.array_equal(fine[1][key], series), key
+    assert np.array_equal(coarse[0], oracle_coarse[0])
+    for key, series in oracle_coarse[1].items():
+        if key[0] == "udot" or (key[0] == "lap" and config.scheme == "B"):
+            assert np.array_equal(coarse[1][key], series), key
+        else:
+            scale = max(float(np.abs(series).max()), 1e-300)
+            assert np.abs(coarse[1][key] - series).max() <= 1e-10 * scale, key
+
+    emit_reports(maxreg_study(config), tmp_path / "shared")
+    monkeypatch.setattr(studies, "_solve_level", unshared_cell)
+    emit_reports(maxreg_study(config), tmp_path / "unshared")
+    for file in ("maxreg.csv", "maxreg_summary.txt"):
+        assert (tmp_path / "shared" / file).read_bytes() == (
+            tmp_path / "unshared" / file).read_bytes(), file
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shared_frames_keep_the_cell_peak_memory(monkeypatch):
+    # both streams are alive at once, but the slot holds one frame and the
+    # nodes are dropped as they are reduced: the moving L3 cell may peak at
+    # most 5% above two streams run one after the other (a prototype that
+    # kept one more frame and geometry alive peaked 30% above)
+    surface = ELLIPSOID_A.surface()
+    for fn in (unshared_cell, studies._solve_level):  # warm caches and imports
+        fn(ELLIPSOID_A, surface, 3)
+    unshared = _traced_peak(unshared_cell, ELLIPSOID_A, surface, 3)
+    shared = _traced_peak(studies._solve_level, ELLIPSOID_A, surface, 3)
+    assert shared <= 1.05 * unshared, (shared, unshared)

@@ -13,9 +13,10 @@ from esfem.fem import (
     load_vector,
     values_norm_lq,
 )
-from esfem.meshing import build_circle_mesh, build_sphere_mesh
+from esfem.meshing import SurfaceMesh, build_circle_mesh, build_sphere_mesh
 from esfem.surfaces import (
     Circle,
+    EllipsoidFlow,
     ScaledSphereFlow,
     Sphere,
     exact_heat_solution,
@@ -28,6 +29,7 @@ from esfem.timestepping import (
     SCHEME_A,
     SCHEME_B,
     STATIONARY,
+    FrameSlot,
     TimeGrid,
     extrapolation_weights,
     norm_series,
@@ -446,7 +448,6 @@ def test_homogeneous_solve_without_load_vectors(monkeypatch, scheme):
     def no_load(*args, **kwargs):
         raise AssertionError("a homogeneous solve evaluated a load vector")
 
-    monkeypatch.setattr(timestepping, "load_vector", no_load)
     monkeypatch.setattr(timestepping, "load_from_geometry", no_load)
     iterations = _count_cg(monkeypatch)
     none = list(solve_heat(mesh, None, grid, scheme=scheme, u0=u0))
@@ -464,3 +465,156 @@ def test_homogeneous_solve_without_load_vectors(monkeypatch, scheme):
     assert np.all(none_norms[("fh", 2.0)] == 0.0)
     for key, series in zero_norms.items():
         assert np.array_equal(none_norms[key], series), key
+
+
+def _lockstep(fine, coarse):
+    # draw node 2k of the fine stream, then node k of the coarse one
+    fine_nodes, coarse_nodes = [], []
+    for k, node in enumerate(fine):
+        fine_nodes.append(node)
+        if k % 2 == 0:
+            coarse_nodes.append(next(coarse))
+    assert next(coarse, None) is None
+    return fine_nodes, coarse_nodes
+
+
+def _assert_nodes_close(nodes, reference, exact):
+    # the fields named in exact bit for bit, the others to solver tolerance
+    assert [node.t for node in nodes] == [node.t for node in reference]
+    for node, ref in zip(nodes, reference):
+        assert node.mesh.time == ref.mesh.time
+        for name in FIELDS:
+            got, want = getattr(node, name), getattr(ref, name)
+            if name in exact:
+                assert np.array_equal(got, want), (name, node.t)
+            else:
+                scale = max(float(np.abs(want).max()), 1e-300)
+                assert np.abs(got - want).max() <= 1e-10 * scale, (name, node.t)
+
+
+@pytest.mark.parametrize("profile", ["bump", None])
+@pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B, STATIONARY])
+def test_streams_on_nested_grids_share_their_frames(scheme, profile):
+    surface = ScaledSphereFlow(dimension=2)
+    mesh = build_sphere_mesh(surface, 1, 1)
+    forcing = None if profile is None else forcing_profile(profile, surface)
+    grid = TimeGrid(0.5, 6)
+    u0 = np.cos(3.0 * mesh.nodes[:, 0])
+    alone = [list(solve_heat(mesh, forcing, g, scheme=scheme, u0=u0))
+             for g in (grid.halved(), grid)]
+    slot = FrameSlot()
+    fine, coarse = _lockstep(solve_heat(mesh, forcing, grid.halved(), scheme=scheme,
+                                        u0=u0, frames=slot),
+                             solve_heat(mesh, forcing, grid, scheme=scheme, u0=u0,
+                                        frames=slot))
+    # the dt/2 stream builds every frame as on its own; the dt stream takes
+    # the snapshot, geometry, M, A and b of each of its nodes from it
+    _assert_nodes_close(fine, alone[0], FIELDS)
+    for node, twin in zip(coarse, fine[::2]):
+        assert node.mesh is twin.mesh and node.geom is twin.geom
+    exact = {"u", "udot"}
+    if profile is None:
+        exact = set(FIELDS)  # fh = 0 and nothing is re-solved
+    elif scheme == SCHEME_B:
+        exact.add("lap")  # its own mass solve, from M, A and u alone
+    _assert_nodes_close(coarse, alone[1], exact)
+
+
+def test_streams_drawn_in_another_order_stay_correct():
+    # node k of the coarse stream before node 2k of the fine one: the
+    # coarse stream builds the common frames and the fine stream takes them;
+    # results stay those of streams on their own, up to the re-solved fh
+    surface = EllipsoidFlow(dimension=2)
+    mesh = build_sphere_mesh(surface, 1, 1)
+    forcing = forcing_profile("osc-seed3", surface)
+    grid = TimeGrid(0.5, 5)
+    alone = [list(solve_heat(mesh, forcing, g)) for g in (grid.halved(), grid)]
+    slot = FrameSlot()
+    fine = solve_heat(mesh, forcing, grid.halved(), frames=slot)
+    coarse_stream = solve_heat(mesh, forcing, grid, frames=slot)
+    coarse, fine_nodes = [], []
+    for k in range(grid.n_steps + 1):
+        if k:
+            fine_nodes.append(next(fine))  # node 2k - 1 builds its own frame
+        coarse.append(next(coarse_stream))  # node k builds the frame at t_k
+        fine_nodes.append(next(fine))  # node 2k takes it
+    assert next(coarse_stream, None) is None
+    assert next(fine, None) is None
+    for node, twin in zip(fine_nodes[::2], coarse):
+        assert node.mesh is twin.mesh
+    _assert_nodes_close(coarse, alone[1], FIELDS)
+    _assert_nodes_close(fine_nodes, alone[0], {"u", "udot"})
+
+
+def test_a_frame_slot_serves_one_problem():
+    surface = ScaledSphereFlow(dimension=2)
+    mesh = build_sphere_mesh(surface, 1, 1)
+    forcing = forcing_profile("bump", surface)
+    grid = TimeGrid(0.5, 6)
+    slot = FrameSlot()
+    solve_heat(mesh, forcing, grid, frames=slot)
+    other_mesh = build_sphere_mesh(surface, 1, 1)
+    for args, kwargs in [
+        ((other_mesh, forcing, grid), {}),
+        ((mesh, forcing_profile("bump", surface), grid), {}),
+        ((mesh, None, grid), {}),
+        ((mesh, forcing, grid), {"scheme": STATIONARY}),
+    ]:
+        with pytest.raises(ValueError, match="FrameSlot"):
+            solve_heat(*args, frames=slot, **kwargs)
+    # scheme B moves the mesh as A does, so its frames are the same
+    solve_heat(mesh, forcing, grid.halved(), scheme=SCHEME_B, frames=slot)
+
+
+def test_shared_frames_are_built_once_per_fine_node(monkeypatch):
+    # the moving L3 cell of maxreg: 74 dt steps and 148 dt/2 steps
+    surface = EllipsoidFlow(dimension=2)
+    mesh = build_sphere_mesh(surface, 3, 1)
+    forcing = forcing_profile("osc-seed42", surface)
+    grid = TimeGrid.from_mesh(mesh, 1.0, 0.5)
+    assert grid.n_steps == 74
+    evolved, loads, solves = [], [], []
+    original_evolved = SurfaceMesh.evolved
+    original_load = timestepping.load_from_geometry
+    original_cg = timestepping.cg_solve
+
+    def counting_evolved(self, t):
+        evolved.append(t)
+        return original_evolved(self, t)
+
+    def counting_load(*args, **kwargs):
+        loads.append(kwargs["t"])
+        return original_load(*args, **kwargs)
+
+    def recording_cg(*args, **kwargs):
+        x, report = original_cg(*args, **kwargs)
+        solves.append((kwargs.get("x0"), report.iterations))
+        return x, report
+
+    monkeypatch.setattr(SurfaceMesh, "evolved", counting_evolved)
+    monkeypatch.setattr(timestepping, "load_from_geometry", counting_load)
+    monkeypatch.setattr(timestepping, "cg_solve", recording_cg)
+    slot = FrameSlot()
+    fine = solve_heat(mesh, forcing, grid.halved(), frames=slot)
+    coarse = solve_heat(mesh, forcing, grid, frames=slot)
+    fine_solves = coarse_solves = 0
+    for k in range(2 * grid.n_steps + 1):
+        before = len(solves)
+        fine_node = next(fine)
+        fine_solves += len(solves) - before
+        if k % 2 == 0:
+            before = len(solves)
+            next(coarse)
+            drawn = solves[before:]
+            coarse_solves += len(drawn)
+            # the fh solve starts from the frame's fh, which already meets
+            # (or nearly meets) the coarse stream's tolerance
+            fh_solves = [its for x0, its in drawn
+                         if x0 is not None and np.array_equal(x0, fine_node.fh)]
+            assert len(fh_solves) == 1 and fh_solves[0] <= 1, (k, drawn)
+    # one snapshot and one load per dt/2 node: 148 + 1, not 222 + 2
+    assert len(evolved) == 2 * grid.n_steps
+    assert loads == grid.halved().times().tolist()
+    # still two solves per step and two for the initial node, per stream
+    assert fine_solves == 2 + 2 * 2 * grid.n_steps
+    assert coarse_solves == 2 + 2 * grid.n_steps
