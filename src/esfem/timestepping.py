@@ -166,6 +166,9 @@ def norm_series(nodes, pairs):
     series = NormSeries(pairs)
     for node in nodes:
         series.add(node)
+        # dropped before the next node is drawn, so that a moving stream
+        # builds the next snapshot without the last one alive
+        del node
     return series.result()
 
 

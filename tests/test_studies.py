@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from esfem import studies
 from esfem.errors import ConfigError
 from esfem.fem import FeSpace, assemble_mass, assemble_stiffness, load_vector
-from esfem.meshing import build_circle_mesh
+from esfem.meshing import SurfaceMesh, build_circle_mesh
 from esfem.studies import (
     StudyConfig,
     StudyReport,
@@ -258,7 +259,7 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_shared_frames_keep_the_cell_peak_memory(monkeypatch):
+def test_shared_frames_keep_the_cell_peak_memory():
     # both streams are alive at once, but the slot holds one frame and the
     # nodes are dropped as they are reduced: the moving L3 cell may peak at
     # most 5% above two streams run one after the other (a prototype that
@@ -269,3 +270,22 @@ def test_shared_frames_keep_the_cell_peak_memory(monkeypatch):
     unshared = _traced_peak(unshared_cell, ELLIPSOID_A, surface, 3)
     shared = _traced_peak(studies._solve_level, ELLIPSOID_A, surface, 3)
     assert shared <= 1.05 * unshared, (shared, unshared)
+
+
+def test_shared_frames_build_each_snapshot_with_no_other_alive(monkeypatch):
+    # the slot gives up its frame before a stream builds the next one, and
+    # the cell drops each node once it is reduced: whenever the mesh is
+    # evolved, no earlier evolved snapshot is alive
+    snapshots, alive = [], []
+    original = SurfaceMesh.evolved
+
+    def watched(self, t):
+        alive.append(sum(ref() is not None for ref in snapshots))
+        snapshot = original(self, t)
+        snapshots.append(weakref.ref(snapshot))
+        return snapshot
+
+    monkeypatch.setattr(SurfaceMesh, "evolved", watched)
+    config = dataclasses.replace(ELLIPSOID_A, levels=(2,))
+    _, grid, _, _ = studies._solve_level(config, config.surface(), 2)
+    assert alive == [0] * (2 * grid.n_steps)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -316,6 +317,26 @@ def test_moving_mesh_norms_are_taken_on_the_evolved_snapshot(scheme):
         # other norms
         frozen = _norm_oracle(nodes, mesh, field, q, moving=False)
         assert not np.allclose(norms[(field, q)], frozen, rtol=1e-3)
+
+
+def test_norm_series_keeps_no_snapshot_while_the_next_is_built(monkeypatch):
+    # a lone stream on a moving mesh, reduced by norm_series: when a step
+    # evolves the mesh, no earlier evolved snapshot is alive
+    surface = ScaledSphereFlow(dimension=2)
+    mesh = build_sphere_mesh(surface, 1, 1)
+    grid = TimeGrid(0.5, 6)
+    snapshots, alive = [], []
+    original = SurfaceMesh.evolved
+
+    def watched(self, t):
+        alive.append(sum(ref() is not None for ref in snapshots))
+        snapshot = original(self, t)
+        snapshots.append(weakref.ref(snapshot))
+        return snapshot
+
+    monkeypatch.setattr(SurfaceMesh, "evolved", watched)
+    norm_series(solve_heat(mesh, forcing_profile("bump", surface), grid), [("u", 2.0)])
+    assert alive == [0] * grid.n_steps
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_A, STATIONARY])
