@@ -307,7 +307,7 @@ def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, slot):
     u_past = _Extrapolation(u)
     fh_past = lap_past = None
     u_prev = None  # for bdf2
-    mass_prev = None  # for scheme B
+    mass_u = None  # M u at the last node, for scheme B
     frozen = None  # the frame whose snapshot and operators a frozen mesh keeps
     systems = {}  # scale -> M + scale * A on a frozen mesh
     force_scale = 0.0
@@ -316,7 +316,7 @@ def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, slot):
         # the node at times[i]; on a moving mesh nothing of its frame
         # outlives the TimeNode returned, so a caller that drops the node
         # frees the snapshot before the next one is built
-        nonlocal u, u_prev, fh_past, lap_past, mass_prev, frozen, force_scale
+        nonlocal u, u_prev, fh_past, lap_past, mass_u, frozen, force_scale
         taken = None if slot is None else slot._take(t)
         if taken is not None:
             frame = taken
@@ -385,7 +385,7 @@ def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, slot):
                 udot = (3.0 * u_new - 4.0 * u + u_prev) / (2.0 * dt)
             else:
                 if scheme == SCHEME_B:
-                    rhs = mass_prev.matvec(u) + dt * b
+                    rhs = mass_u + dt * b
                 else:
                     rhs = mass.matvec(u) + dt * b
                 u_new, _ = cg_solve(system, rhs, tol=cg_tol, x0=u_past.extrapolate())
@@ -402,7 +402,9 @@ def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, slot):
             u_prev = u if integrator == "bdf2" else None
             u = u_new
         if scheme == SCHEME_B:
-            mass_prev = mass
+            # the next step's M(t_prev) u_prev, formed now so that no step
+            # keeps the last node's M
+            mass_u = mass.matvec(u)
         return TimeNode(t, frame.mesh, frame.geom, u, udot, lap, fh)
 
     for i, t in enumerate(times):
