@@ -72,11 +72,18 @@ class DecayFit:
 
 
 def _log_linear_fit(times, values):
+    """Least-squares line through (times, log values): its slope, intercept
+    and R^2.  The slope and intercept come in closed form from centred
+    sums; np.polyfit would give the same to rounding, through an SVD least
+    squares that loads LAPACK code for two numbers."""
     logs = np.log(values)
-    slope, intercept = np.polyfit(times, logs, 1)
+    t_mean, log_mean = times.mean(), logs.mean()
+    t_centred, log_centred = times - t_mean, logs - log_mean
+    slope = (t_centred @ log_centred) / (t_centred @ t_centred)
+    intercept = log_mean - slope * t_mean
     fitted = slope * times + intercept
     ss_res = float(np.sum((logs - fitted) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
+    ss_tot = float(np.sum(log_centred ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return slope, intercept, r2
 
@@ -87,20 +94,21 @@ MIN_FIT_SAMPLES = 5  # time nodes the decay fit of green_decay_study needs
 def green_decay_study(mesh, grid=None, sources=None, cg_tol=1e-12):
     """Fit the long-time exponential decay of the kernel's time derivative.
 
-    Tracks max over sources of the L^1 norm of d/dt kernel per time node,
-    restricted to the fit window t >= 1, and returns the log-linear fit
-    (rate > 0 means decay exp(-rate*t)).
+    Tracks max over sources of the L^1 norm of d/dt kernel at each time
+    node of the fit window t >= 1, the only nodes whose norms are taken,
+    and returns the log-linear fit (rate > 0 means decay exp(-rate*t)).
     """
     if grid is None:
         grid = TimeGrid.from_mesh(mesh, t_end=3.0)
     sources = default_source_points(mesh) if sources is None else sources
     times = grid.times()
+    times = times[times >= 1.0]
     envelope = np.zeros(len(times))
     for x0 in sources:
         _, norms = norm_series(discrete_green(mesh, x0, grid, cg_tol=cg_tol),
-                               [("udot", 1.0)])
+                               [("udot", 1.0)], t_min=1.0)
         envelope = np.maximum(envelope, norms[("udot", 1.0)])
-    sel = (times >= 1.0) & (envelope > 0)
+    sel = envelope > 0
     if sel.sum() < MIN_FIT_SAMPLES:
         raise InsufficientSamples(
             f"need at least {MIN_FIT_SAMPLES} samples in the fit window")
@@ -181,14 +189,18 @@ class _CoarseAtPoints:
     of the fine elements, from tables filled one block of fine elements at
     a time.
 
-    While every fine element's points lie in one coarse element, as they do
-    on the nested meshes of both builders, the tables are the (E_f, nloc, Q)
-    coarse shape values and the (E_f, nloc) coarse nodes of each fine
-    element.  The first block with a fine element across coarse elements
-    turns them into per-point tables, (nloc, E_f*Q) shape values and nodes;
-    both give the same products summed in the same order.  An evaluation
-    covers a range of at most ``block`` fine elements and writes into a
-    given (elements, Q) array; its only scratch, the coarse coefficients
+    The coarse shape functions sum to one, so the value at a point is
+    c_0 + sum_{k>=1} (c_k - c_0) phi_k of the point's coarse coefficients
+    c_k, and the tables keep only the shape rows k = 1..nloc-1.  While
+    every fine element's points lie in one coarse element, as they do on
+    the nested meshes of both builders, the tables are the
+    (E_f, nloc - 1, Q) coarse shape values and the (E_f, nloc) coarse
+    nodes of each fine element.  The first block with a fine element
+    across coarse elements turns them into per-point tables,
+    (nloc - 1, E_f*Q) shape values and (nloc, E_f*Q) nodes; both give the
+    same products summed in the same order.  An evaluation covers a range
+    of at most ``block`` fine elements and writes into a given
+    (elements, Q) array; its only scratch, the coarse coefficients
     gathered for ``block`` fine elements, is allocated once.
     """
 
@@ -202,7 +214,7 @@ class _CoarseAtPoints:
         self.nested = self.ratio is not None
         nloc = mesh.elements.shape[1]
         if self.nested:
-            self.table = np.empty((n_fine, nloc, n_quad))
+            self.table = np.empty((n_fine, nloc - 1, n_quad))
             self.gather = np.empty((n_fine, nloc), dtype=mesh.elements.dtype)
             self.gathered = np.empty((block, nloc))
         else:
@@ -212,11 +224,11 @@ class _CoarseAtPoints:
         # per-point tables, with the rows of the first `filled` fine
         # elements carried over from the per-element tables
         nloc, n_points = self.mesh.elements.shape[1], self.n_fine * self.n_quad
-        table = np.empty((nloc, n_points))
+        table = np.empty((nloc - 1, n_points))
         gather = np.empty((nloc, n_points), dtype=self.mesh.elements.dtype)
         if filled:
             done = filled * self.n_quad
-            table[:, :done] = self.table[:filled].transpose(1, 0, 2).reshape(nloc, done)
+            table[:, :done] = self.table[:filled].transpose(1, 0, 2).reshape(nloc - 1, done)
             gather[:, :done] = np.repeat(self.gather[:filled].T, self.n_quad, axis=1)
         self.table, self.gather = table, gather
         self.gathered = np.empty((nloc, self.block * self.n_quad))
@@ -233,7 +245,7 @@ class _CoarseAtPoints:
         elems, refs = radial_inverse_lift(
             self.mesh, points.reshape(-1, points.shape[-1]), guess=guess)
         elems = elems.reshape(hi - lo, self.n_quad)
-        sv = self.mesh.reference.shape_values(refs)
+        sv = self.mesh.reference.shape_values(refs)[:, 1:]
         if self.nested and not (elems == elems[:, :1]).all():
             self._per_point(lo)
         if self.nested:
@@ -244,18 +256,29 @@ class _CoarseAtPoints:
             self.table[:, span] = sv.T
             self.gather[:, span] = self.mesh.elements[elems.reshape(-1)].T
 
-    def __call__(self, coeffs, lo, hi, out):
-        """The values at the points of fine elements lo:hi, written into
-        out, shape (hi - lo, Q)."""
+    def __call__(self, coeffs, lo, hi, out, first):
+        """The values at the points of fine elements lo:hi less one value
+        per fine element: writes those into out, shape (hi - lo, Q), and the
+        values left out into first, shape (hi - lo,).  On the nested layout
+        first holds each fine element's c_0, which the kernel difference
+        subtracts in its fine matmul; on the per-point layout, zeros."""
         if self.nested:
             gathered = self.gathered[:hi - lo]
             np.take(coeffs, self.gather[lo:hi], out=gathered)
-            np.einsum("ek,ekq->eq", gathered, self.table[lo:hi], out=out)
+            base, rest = gathered[:, 0], gathered[:, 1:]
+            np.subtract(rest, base[:, None], out=rest)
+            np.einsum("ek,ekq->eq", rest, self.table[lo:hi], out=out)
+            first[:] = base
         else:
             span = slice(lo * self.n_quad, hi * self.n_quad)
             gathered = self.gathered[:, :(hi - lo) * self.n_quad]
             np.take(coeffs, self.gather[:, span], out=gathered)
-            np.einsum("kp,kp->p", self.table[:, span], gathered, out=out.reshape(-1))
+            base, rest = gathered[0], gathered[1:]
+            np.subtract(rest, base, out=rest)
+            flat = out.reshape(-1)
+            np.einsum("kp,kp->p", self.table[:, span], rest, out=flat)
+            flat += base
+            first[:] = 0.0
         return out
 
 
@@ -288,10 +311,16 @@ def _node_difference(fine_mesh, weights, coarse_at_points, fine_sv):
     two vectors.  A call runs over blocks of ``coarse_at_points.block``
     fine elements, evaluating the fine values, the coarse values, their
     difference and its weighted sum per block, and adds the blocks' sums;
-    its scratch, sized to one block, is allocated once."""
+    its scratch, sized to one block, is allocated once.
+
+    The value per fine element that the coarse values leave out (c_0 on
+    the nested layout) is gathered after the element's fine coefficients,
+    and the fine map's last row, -1, subtracts it in the same matmul."""
     n_fine, n_quad = fine_mesh.num_elements, len(fine_sv)
+    nloc = fine_mesh.elements.shape[1]
+    fine_map = np.vstack([fine_sv.T, np.full(n_quad, -1.0)])
     block = coarse_at_points.block
-    fine_gathered = np.empty((block, fine_mesh.elements.shape[1]))
+    fine_gathered = np.empty((block, nloc + 1))
     diff = np.empty((block, n_quad))
     coarse_vals = np.empty_like(diff)
 
@@ -300,10 +329,11 @@ def _node_difference(fine_mesh, weights, coarse_at_points, fine_sv):
         for lo in range(0, n_fine, block):
             hi = min(lo + block, n_fine)
             n = hi - lo
-            d = diff[:n]
-            np.take(fine_coeffs, fine_mesh.elements[lo:hi], out=fine_gathered[:n])
-            np.matmul(fine_gathered[:n], fine_sv.T, out=d)
-            np.subtract(d, coarse_at_points(coarse_coeffs, lo, hi, coarse_vals[:n]), out=d)
+            d, gathered = diff[:n], fine_gathered[:n]
+            np.take(fine_coeffs, fine_mesh.elements[lo:hi], out=gathered[:, :nloc])
+            coarse = coarse_at_points(coarse_coeffs, lo, hi, coarse_vals[:n], gathered[:, nloc])
+            np.matmul(gathered, fine_map, out=d)
+            np.subtract(d, coarse, out=d)
             total += weights[lo * n_quad:hi * n_quad] @ np.abs(d, out=d).reshape(-1)
         return float(total)
 
@@ -340,11 +370,12 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11):
 
     The mesh and budget checks (``_check_kernel_pair``) raise at the call.
     The lifted fine quadrature is set up block by block, and what the
-    function then holds is O(E_f*Q*nloc) for E_f fine elements, Q points
-    and nloc coarse nodes per element: the lifted weights and the table of
-    coarse shape values at the points with their coarse nodes.  Every time node is evaluated one
-    block of fine elements at a time (``_EVAL_BLOCK`` points), into scratch
-    sized to that block, not to the (E_f, Q) points.  The coarse and fine
+    function then holds is O(E_f*Q*(nloc - 1)) for E_f fine elements, Q
+    points and nloc coarse nodes per element: the lifted weights and the
+    table of coarse shape values at the points, less the first shape
+    function (``_CoarseAtPoints``), with their coarse nodes.  Every time
+    node is evaluated one block of fine elements at a time (``_EVAL_BLOCK``
+    points), into scratch sized to that block, not to the (E_f, Q) points.  The coarse and fine
     Green's streams are drawn in lockstep, one time node of each at a time,
     so only the current node of either kernel is held.
     """

@@ -75,8 +75,11 @@ def triangle_rule(order):
 def _duffy_rule(order):
     """Tensor Gauss rule mapped to the triangle by (u,v) -> (u, v(1-u)).
 
-    The map multiplies polynomial degree by at most 2 plus the Jacobian's one,
-    so n = order + 1 points per direction are exact for ``order``.
+    With the Jacobian 1 - u, a monomial x^a y^b with a + b <= order becomes
+    u^a (1-u)^(b+1) v^b: degree at most order + 1 in u and order in v.
+    Gauss with n points per direction is exact to degree 2n - 1, so
+    (order + 1) // 2 + 1 points per direction are exact for ``order``; the
+    rule takes n = order + 1, more than that.
     """
     n = order + 1
     x, w = np.polynomial.legendre.leggauss(n)

@@ -161,7 +161,8 @@ def _solve_level(config, surface, level):
     frame and the snapshot being built are the only ones alive."""
     mesh = build_level_mesh(surface, level, config.degree)
     grid = TimeGrid.from_mesh(mesh, t_end=1.0, factor=config.dt_factor)
-    forcing = forcing_profile(config.profile, surface)
+    # f = 0 as None: no load is evaluated and no fh is solved for
+    forcing = None if config.profile == "zero" else forcing_profile(config.profile, surface)
     qset = tuple(sorted({q for _, q in config.pq_pairs}))
     pairs = [(name, q) for name in ("udot", "lap", "fh") for q in qset]
     common = dict(scheme=config.scheme, cg_tol=config.cg_tol,

@@ -159,13 +159,14 @@ class NormSeries:
                                        for q, norms in by_q.items()}
 
 
-def norm_series(nodes, pairs):
+def norm_series(nodes, pairs, t_min=-math.inf):
     """Draw every node of a solve_heat stream; return NormSeries.result()
     for the given (field, q) pairs, which are checked before a node is
-    drawn."""
+    drawn, over the nodes at t >= t_min."""
     series = NormSeries(pairs)
     for node in nodes:
-        series.add(node)
+        if node.t >= t_min:
+            series.add(node)
         # dropped before the next node is drawn, so that a moving stream
         # builds the next snapshot without the last one alive
         del node

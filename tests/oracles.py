@@ -357,10 +357,10 @@ def point_interpolation(mesh, elements, refs):
     return lambda coeffs: np.einsum("kp,kp->p", sv, coeffs[gather])
 
 
-def coarse_at_quadrature(coarse_mesh, geom):
-    """The map from a coarse coefficient vector to its values at the
-    quadrature points of a whole lifted fine geometry, inverse-lifted in one
-    call with the nested guess when E_c divides E_f."""
+def lift_quadrature(coarse_mesh, geom):
+    """The coarse elements (E_f, Q) and reference coordinates (E_f, Q, d)
+    of the quadrature points of a whole lifted fine geometry, inverse-lifted
+    in one call with the nested guess when E_c divides E_f."""
     n_fine, n_quad = geom.weights.shape
     guess = None
     if n_fine % coarse_mesh.num_elements == 0:
@@ -368,8 +368,13 @@ def coarse_at_quadrature(coarse_mesh, geom):
         guess = np.repeat(np.arange(n_fine) // ratio, n_quad)
     elems, refs = radial_inverse_lift(
         coarse_mesh, geom.points.reshape(-1, geom.points.shape[-1]), guess=guess)
-    return point_interpolation(coarse_mesh, elems.reshape(n_fine, n_quad),
-                               refs.reshape(n_fine, n_quad, -1))
+    return elems.reshape(n_fine, n_quad), refs.reshape(n_fine, n_quad, -1)
+
+
+def coarse_at_quadrature(coarse_mesh, geom):
+    """The map from a coarse coefficient vector to its values at the
+    quadrature points of a whole lifted fine geometry (``lift_quadrature``)."""
+    return point_interpolation(coarse_mesh, *lift_quadrature(coarse_mesh, geom))
 
 
 def whole_difference_l1(fine_mesh, geom, coarse_at, fine_coeffs, coarse_coeffs):

@@ -32,9 +32,10 @@ from esfem.greens import (
 from esfem.meshing import SurfaceMesh, build_circle_mesh, build_sphere_mesh
 from esfem.quadrature import reference_rule
 from esfem.surfaces import Circle, Sphere, Surface
-from esfem.timestepping import TimeGrid, norm_series
+from esfem.timestepping import NormSeries, TimeGrid, norm_series
 from oracles import (
     coarse_at_quadrature,
+    lift_quadrature,
     point_interpolation,
     smallest_nonzero_eigenvalue,
     whole_difference_l1,
@@ -189,6 +190,64 @@ def test_green_decay_study_matches_eigenvalue():
     space = FeSpace(mesh)
     lam = smallest_nonzero_eigenvalue(assemble_mass(space), assemble_stiffness(space))
     assert abs(fit.rate - lam) <= 0.10 * lam
+
+
+def _polyfit_agrees(fit, times, values):
+    slope, intercept = np.polyfit(times, np.log(values), 1)
+    assert abs(fit[0] - slope) <= 1e-12 * abs(slope)
+    assert abs(fit[1] - intercept) <= 1e-12 * abs(intercept)
+
+
+def test_log_linear_fit_matches_polyfit():
+    # the closed form against np.polyfit's least squares: on an exact line,
+    # and on both levels' decay envelopes of the greens-kernel study
+    # (sphere P1 L1 and L3 on [0, 3], dt = 0.5 h^2)
+    times = np.linspace(1.0, 3.0, 11)
+    values = np.exp(0.75 - 1.8 * times)
+    fit = greens._log_linear_fit(times, values)
+    _polyfit_agrees(fit, times, values)
+    assert abs(fit[0] + 1.8) <= 1e-14 and abs(fit[1] - 0.75) <= 1e-14
+    assert abs(fit[2] - 1.0) <= 1e-14
+    for level in (1, 3):
+        mesh = build_sphere_mesh(Sphere(), level, 1)
+        decay = green_decay_study(mesh, TimeGrid.from_mesh(mesh, t_end=3.0))
+        _polyfit_agrees(greens._log_linear_fit(decay.times, decay.values),
+                        decay.times, decay.values)
+
+
+def test_green_decay_study_takes_norms_in_its_fit_window_only(monkeypatch):
+    # every node is drawn, but only the nodes at t >= 1 are reduced; the
+    # fit window's norms are those of the whole series
+    mesh = build_circle_mesh(Circle(), 32, 1)
+    grid = TimeGrid.from_mesh(mesh, t_end=3.0)
+    x0 = mesh.nodes[0]
+    times, norms = norm_series(discrete_green(mesh, x0, grid), [("udot", 1.0)])
+    window = times >= 1.0
+    assert 0 < window.sum() < len(times)
+    drawn, reduced = [], []
+
+    def counted(nodes):
+        for node in nodes:
+            drawn.append(node.t)
+            yield node
+
+    windowed = norm_series(counted(discrete_green(mesh, x0, grid)), [("udot", 1.0)],
+                           t_min=1.0)
+    assert drawn == list(times)
+    assert np.array_equal(windowed[0], times[window])
+    assert np.array_equal(windowed[1][("udot", 1.0)], norms[("udot", 1.0)][window])
+
+    add = NormSeries.add
+
+    def counted_add(self, node):
+        reduced.append(node.t)
+        add(self, node)
+
+    monkeypatch.setattr(NormSeries, "add", counted_add)
+    sources = default_source_points(mesh, 2)
+    fit = green_decay_study(mesh, grid, sources=sources)
+    assert reduced == 2 * list(times[window])
+    assert np.array_equal(fit.times, times[window])
 
 
 def test_kernel_difference_same_mesh_is_zero():
@@ -385,12 +444,13 @@ def _blocked_tables(case, monkeypatch, eval_elements=None):
 @pytest.mark.parametrize("case", sorted(TABLE_PAIRS))
 def test_blocked_tables_match_the_whole_mesh_tables(case, monkeypatch):
     # the tables kernel_difference_l1 fills block by block against the
-    # lifted geometry of the whole fine mesh and the coarse values at its
-    # points, inverse-lifted in one call.  BLAS may round the element map of
-    # a block of rows differently from the same rows of the whole mesh (the
-    # sphere points move by an ulp), so the geometry is compared to 1e-15
-    # and the coarse values, which the inverse lift makes sensitive to the
-    # points, are compared at the same points, bit for bit
+    # lifted geometry of the whole fine mesh and the inverse lift of its
+    # points in one call.  BLAS may round the element map of a block of
+    # rows differently from the same rows of the whole mesh (the sphere
+    # points move by an ulp), so the geometry is compared to 1e-15 and the
+    # tables, which the inverse lift makes sensitive to the points, are
+    # compared at the same points, bit for bit: the stored shape rows
+    # k >= 1 and coarse nodes against those of the one lift
     coarse, fine, order, (weights, coarse_at_points, fine_sv) = _blocked_tables(
         case, monkeypatch, eval_elements=7)
     assert not any(tag == LIFTED for tag, _ in getattr(fine, "_geom_cache", {}))
@@ -406,20 +466,39 @@ def test_blocked_tables_match_the_whole_mesh_tables(case, monkeypatch):
     assert np.abs(points - geom.points).max() <= 1e-15 * np.abs(geom.points).max()
     assert np.array_equal(np.concatenate([b.weights for b in blocks]).reshape(-1), weights)
     assert coarse_at_points.nested == case.startswith("sphere")
-    expected_at = coarse_at_quadrature(coarse, SimpleNamespace(points=points,
-                                                               weights=geom.weights))
-    # evaluated a range of fine elements at a time, as kernel_difference_l1
-    # does: the ranges cover the fine mesh in more than one piece
+    at_points = SimpleNamespace(points=points, weights=geom.weights)
+    elems, refs = lift_quadrature(coarse, at_points)
+    rows = coarse.reference.shape_values(refs)[..., 1:]
+    if coarse_at_points.nested:
+        assert (elems == elems[:, :1]).all()
+        assert np.array_equal(coarse_at_points.table,
+                              rows.reshape(n_fine, n_quad, -1).transpose(0, 2, 1))
+        assert np.array_equal(coarse_at_points.gather, coarse.elements[elems[:, 0]])
+    else:
+        assert np.array_equal(coarse_at_points.table, rows.T)
+        assert np.array_equal(coarse_at_points.gather, coarse.elements[elems.reshape(-1)].T)
+    # the values c_0 + sum_{k>=1} (c_k - c_0) phi_k, with c_0 handed out
+    # per fine element on the nested layout, against the plain
+    # sum_k c_k phi_k, which rounds differently, evaluated a range of fine
+    # elements at a time, as kernel_difference_l1 does: the ranges cover
+    # the fine mesh in more than one piece
+    expected_at = coarse_at_quadrature(coarse, at_points)
     ranges = [(lo, min(lo + coarse_at_points.block, n_fine))
               for lo in range(0, n_fine, coarse_at_points.block)]
     assert len(ranges) > 1
-    out = np.empty(geom.weights.shape)
+    out, first = np.empty(geom.weights.shape), np.empty(n_fine)
     rng = np.random.default_rng(len(case))
     for _ in range(3):
         u = rng.standard_normal(coarse.num_nodes)
         for lo, hi in ranges:
-            coarse_at_points(u, lo, hi, out[lo:hi])
-        assert np.array_equal(out.reshape(-1), expected_at(u))
+            coarse_at_points(u, lo, hi, out[lo:hi], first[lo:hi])
+        if coarse_at_points.nested:
+            assert np.array_equal(first, u[coarse.elements[elems[:, 0], 0]])
+        else:
+            assert not first.any()
+        expected = expected_at(u)
+        got = (out + first[:, None]).reshape(-1)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("eval_elements", [None, 7], ids=["module-block", "7-elements"])
@@ -444,10 +523,11 @@ def test_blocked_difference_matches_the_whole_mesh_difference(case, eval_element
 
 def test_kernel_difference_memory_is_bounded_by_its_tables():
     # sphere L1/L3 at the lifted order 8: 1 280 fine elements, 81 points
-    # each.  The tables come to 3.4 MB and the traced peak to 4.36 MB: the
-    # set-up blocks and the evaluation's scratch, sized to a block of
-    # elements, each add under 1 MB to the tables.  No lifted geometry is
-    # cached.
+    # each.  The tables, two coarse shape rows and the weight per point,
+    # come to 2.5 MB and the traced peak to 3.35 MB (4.17 MB with all three
+    # shape rows): the set-up blocks and the evaluation's scratch, sized to
+    # a block of elements, each add under 1 MB to the tables.  No lifted
+    # geometry is cached.
     surface = Sphere()
     coarse = build_sphere_mesh(surface, 1, 1)
     fine = build_sphere_mesh(surface, 3, 1)
@@ -456,6 +536,6 @@ def test_kernel_difference_memory_is_bounded_by_its_tables():
         return kernel_difference_l1(coarse, fine, coarse.nodes[0], TimeGrid(0.05, 4))
 
     difference()  # fills the meshes' discrete caches
-    assert _peak_bytes(difference) < 4.8e6
+    assert _peak_bytes(difference) < 3.9e6
     for mesh in (coarse, fine):
         assert not any(tag == LIFTED for tag, _ in mesh._geom_cache)

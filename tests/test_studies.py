@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esfem import studies
+from esfem import studies, timestepping
 from esfem.errors import ConfigError
 from esfem.fem import FeSpace, assemble_mass, assemble_stiffness, load_vector
 from esfem.meshing import SurfaceMesh, build_circle_mesh
@@ -248,6 +248,29 @@ def test_shared_frames_leave_the_cell_and_its_outputs_unchanged(tmp_path, monkey
     for file in ("maxreg.csv", "maxreg_summary.txt"):
         assert (tmp_path / "shared" / file).read_bytes() == (
             tmp_path / "unshared" / file).read_bytes(), file
+
+
+def test_zero_profile_cell_evaluates_no_load_and_solves_no_fh(monkeypatch):
+    # profile = zero reaches solve_heat as f = None: the L2 cell (19 dt
+    # steps) then evaluates none of its 39 loads, one per dt/2 node, and
+    # runs only the system solves and each stream's first lap solve, 59 CG
+    # calls instead of 118 (its outputs: the "-zero" case above)
+    calls = {"load": 0, "cg": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(timestepping, "load_from_geometry",
+                        counted("load", timestepping.load_from_geometry))
+    monkeypatch.setattr(timestepping, "cg_solve", counted("cg", timestepping.cg_solve))
+    config = SHARED_CELLS["ellipsoid-A-L2-zero"]
+    _, grid, _, fine = studies._solve_level(config, config.surface(), 2)
+    assert grid.n_steps == 19
+    assert calls == {"load": 0, "cg": 59}
+    assert not fine[1][("fh", 2.0)].any()
 
 
 def _traced_peak(fn, *args):
