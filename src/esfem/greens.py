@@ -199,8 +199,8 @@ class _CoarseAtPoints:
     across coarse elements turns them into per-point tables,
     (nloc - 1, E_f*Q) shape values and (nloc, E_f*Q) nodes; both give the
     same products summed in the same order.  An evaluation covers a range
-    of at most ``block`` fine elements and writes into a given
-    (elements, Q) array; its only scratch, the coarse coefficients
+    of at most ``block`` fine elements and writes into given (elements, Q)
+    and (elements,) arrays; its only scratch, the coarse coefficients
     gathered for ``block`` fine elements, is allocated once.
     """
 
