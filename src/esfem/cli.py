@@ -39,11 +39,12 @@ from .studies import (
     emit_reports,
     inequality_suite,
     maxreg_study,
+    study_forcing,
     write_mesh_text,
     write_mesh_vtk,
     write_table,
 )
-from .surfaces import forcing_profile, make_surface
+from .surfaces import make_surface
 from .timestepping import FIELDS, TimeGrid, norm_series, solve_heat
 
 
@@ -229,7 +230,7 @@ def cmd_mesh(args):
 def cmd_solve(args):
     config, extras, outdir = _study_setup(args)
     surface = config.surface()
-    forcing = forcing_profile(config.profile, surface)
+    forcing = study_forcing(config, surface)
     t_end = 1.0 if extras["t_end"] is None else extras["t_end"]
     outputs = []
     for level in config.levels:

@@ -61,10 +61,6 @@ class BudgetExceeded(EsfemError):
     """Configured work cap (e.g. fine reference solves) exceeded."""
 
 
-class StepTooLarge(EsfemError):
-    """Time step violates the configured dt <= c*h^2 policy."""
-
-
 class RichardsonFailure(EsfemError):
     """Halving the time step changed a reported norm by more than allowed."""
 

@@ -328,10 +328,9 @@ def _call_spatial(fn, t, pts):
     return vals.reshape(pts.shape[:-1] + vals.shape[1:])
 
 
-def load_vector(space, fn, t=None):
+def load_vector(space, fn):
     """b_i = integral of fn * phi_i over the space's surface."""
-    return load_from_geometry(space.geometry(), space.mesh.elements,
-                              space.num_dofs, fn, t)
+    return load_from_geometry(space.geometry(), space.mesh.elements, space.num_dofs, fn)
 
 
 def load_from_geometry(geom, elements, n_dofs, fn, t=None):
@@ -508,7 +507,10 @@ def element_point(mesh, element, ref):
 # rays per block: the (block, E, d) barycentric temporaries of the scoring
 # stay a few MB however many points are lifted
 _LIFT_BLOCK = 1024
+# Newton steps of radial_inverse_lift before it reports a stall, and the
+# residual normal to the ray that it stops at
 _LIFT_MAXITER = 40
+_LIFT_TOL = 1e-12
 
 
 def _row_dot(a, b):
@@ -596,7 +598,7 @@ def _project_onto_rays(mesh, rays, elems, refs, tol):
         )
 
 
-def radial_inverse_lift(mesh, points, tol=1e-12, guess=None):
+def radial_inverse_lift(mesh, points, guess=None):
     """Inverse of the closest-point projection restricted to Gamma_h, for
     surfaces with radial projection (circle/sphere families).
 
@@ -610,7 +612,7 @@ def radial_inverse_lift(mesh, points, tol=1e-12, guess=None):
     every element, so a wrong guess costs time but never the result.
     Projected Gauss-Newton then moves the crossing of the flat simplex onto
     the curved element until the residual normal to the ray is below
-    ``tol``.  Both run on blocks of ``_LIFT_BLOCK`` rays: beyond a few
+    ``_LIFT_TOL``.  Both run on blocks of ``_LIFT_BLOCK`` rays: beyond a few
     values per point and the mesh's ``flat_inverses``, the call's
     temporaries are O(block) at any number of points.
     Raises UnsupportedSurface for a non-radial kind, PointNotOnMesh for
@@ -621,7 +623,7 @@ def radial_inverse_lift(mesh, points, tol=1e-12, guess=None):
     """
     if not hasattr(mesh.surface, "radius"):
         raise UnsupportedSurface("inverse lift by ray casting needs a radial kind")
-    return _cast_rays(mesh, points, tol, guess)
+    return _cast_rays(mesh, points, _LIFT_TOL, guess)
 
 
 def _cast_rays(mesh, points, tol, guess):

@@ -31,8 +31,12 @@ from .quadrature import reference_rule
 from .timestepping import STATIONARY, TimeGrid, norm_series, solve_heat
 
 
-def default_source_points(mesh, count=8):
-    """Sources spread over the mesh: vertices, element interiors, midpoints."""
+SOURCE_COUNT = 8  # point sources of default_source_points
+
+
+def default_source_points(mesh):
+    """SOURCE_COUNT sources spread over the mesh: vertices, element
+    interiors, midpoints."""
     if mesh.dimension == 1:
         refs = [np.array([0.0]), np.array([0.5]), np.array([0.37]), np.array([0.81])]
     else:
@@ -43,8 +47,8 @@ def default_source_points(mesh, count=8):
             np.array([0.21, 0.34]),
         ]
     points = []
-    for i in range(count):
-        element = int(round(i * mesh.num_elements / count)) % mesh.num_elements
+    for i in range(SOURCE_COUNT):
+        element = int(round(i * mesh.num_elements / SOURCE_COUNT)) % mesh.num_elements
         points.append(element_point(mesh, element, refs[i % len(refs)]))
     return points
 
@@ -91,20 +95,20 @@ def _log_linear_fit(times, values):
 MIN_FIT_SAMPLES = 5  # time nodes the decay fit of green_decay_study needs
 
 
-def green_decay_study(mesh, grid=None, sources=None, cg_tol=1e-12):
+def green_decay_study(mesh, grid=None, cg_tol=1e-12):
     """Fit the long-time exponential decay of the kernel's time derivative.
 
-    Tracks max over sources of the L^1 norm of d/dt kernel at each time
-    node of the fit window t >= 1, the only nodes whose norms are taken,
-    and returns the log-linear fit (rate > 0 means decay exp(-rate*t)).
+    Tracks max over the default sources of the L^1 norm of d/dt kernel at
+    each time node of the fit window t >= 1, the only nodes whose norms are
+    taken, and returns the log-linear fit (rate > 0 means decay
+    exp(-rate*t)).
     """
     if grid is None:
         grid = TimeGrid.from_mesh(mesh, t_end=3.0)
-    sources = default_source_points(mesh) if sources is None else sources
     times = grid.times()
     times = times[times >= 1.0]
     envelope = np.zeros(len(times))
-    for x0 in sources:
+    for x0 in default_source_points(mesh):
         _, norms = norm_series(discrete_green(mesh, x0, grid, cg_tol=cg_tol),
                                [("udot", 1.0)], t_min=1.0)
         envelope = np.maximum(envelope, norms[("udot", 1.0)])

@@ -120,19 +120,10 @@ class SurfaceMesh:
         )
 
 
-def build_circle_mesh(surface, n_elements, degree=1, interior_jitter=0.0):
+def build_circle_mesh(surface, n_elements, degree=1):
     """Uniform degree-k mesh of a closed curve, nodes on the exact curve.
 
     Nodes sit at parameter angles 2*pi*j/(N*k) projected onto Gamma(0).
-    The perfectly uniform family is special on the circle: every odd
-    parameter derivative of the curve is tangential, so the geometric
-    consistency errors superconverge by a whole extra order for degree >= 2.
-    Rate studies that target the generic order use ``interior_jitter``,
-    which shifts each element's interior nodes by a deterministic
-    per-element pseudo-random angle of size O(span^2).  That keeps the
-    parametrization regular uniformly in h (the optimal degree+1 geometry
-    approximation survives) and keeps quasi-uniformity, but makes the
-    leading geometric error rough from element to element.
 
     Element e spans the parameter angles [2*pi*e/N, 2*pi*(e+1)/N], so the
     meshes nest in child order: when N_c divides N_f, element k of the N_f
@@ -148,12 +139,6 @@ def build_circle_mesh(surface, n_elements, degree=1, interior_jitter=0.0):
     n_nodes = n_elements * degree
     fractions = np.arange(n_nodes) / degree
     theta = 2.0 * math.pi * fractions / n_elements
-    if interior_jitter and degree > 1:
-        span = 2.0 * math.pi / n_elements
-        element_of = np.arange(n_nodes) // degree
-        local = np.arange(n_nodes) % degree
-        wiggle = np.sin(2.71 * element_of + 0.9)  # fixed quasi-random signs
-        theta = theta + interior_jitter * span * span * wiggle * (local > 0)
     param = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     ref_nodes = surface.project(0.0, param)
     elements = np.empty((n_elements, degree + 1), dtype=np.int64)

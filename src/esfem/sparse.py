@@ -151,21 +151,23 @@ class SparseMatrix:
         return SparseMatrix(self.pattern, self.vals + alpha * other.vals)
 
 
-def cg_solve(mat, b, tol=1e-12, maxiter=None, x0=None, atol=0.0):
+# CG iterations per unknown before cg_solve gives up
+CG_ITERATIONS_PER_DOF = 10
+
+
+def cg_solve(mat, b, tol=1e-12, x0=None, atol=0.0):
     """Jacobi (diagonal) preconditioned conjugate gradients for SPD systems.
 
-    Success means the true
-    residual satisfies |b - Ax| <= max(tol*|b|, atol); the report's residual
-    is recomputed from the returned iterate, not taken from the recurrence.
-    Raises NonConvergence past ``maxiter`` (default 10n), and NonFiniteValue
-    naming the input when b or x0 is not finite or the diagonal is not
-    finite and positive, or when the recurrence degenerates.
+    Success means the true residual satisfies |b - Ax| <= max(tol*|b|,
+    atol); the report's residual is recomputed from the returned iterate,
+    not taken from the recurrence.  Raises NonConvergence past
+    CG_ITERATIONS_PER_DOF * n iterations, and NonFiniteValue naming the
+    input when b or x0 is not finite or the diagonal is not finite and
+    positive, or when the recurrence degenerates.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (mat.n,):
         raise DimensionMismatch(f"rhs must have length {mat.n}")
-    if maxiter is None:
-        maxiter = 10 * mat.n
     bnorm = _norm(b)
     if not math.isfinite(bnorm):
         raise NonFiniteValue(f"right-hand side b: {_nonfinite(b)}")
@@ -193,6 +195,7 @@ def cg_solve(mat, b, tol=1e-12, maxiter=None, x0=None, atol=0.0):
     # iterate slightly past the target so the recomputed residual meets tol
     target = max(0.5 * tol * bnorm, atol)
     niter = 0
+    maxiter = CG_ITERATIONS_PER_DOF * mat.n
     while niter < maxiter:
         if _norm(r) <= target:
             break

@@ -71,10 +71,15 @@ class StudyConfig:
         if any(not (1.0 < p < math.inf and 1.0 < q < math.inf)
                for p, q in self.pq_pairs):
             raise ConfigError("study.pq (all p, q must lie in (1, inf))")
+        if not self.levels:
+            raise ConfigError("study.levels (must name at least one level)")
         if list(self.levels) != sorted(set(self.levels)):
             raise ConfigError("study.levels (must be strictly increasing)")
-        if self.dt_factor <= 0:
-            raise ConfigError("study.dt_factor (must be positive)")
+        for key, value in (("study.dt_factor", self.dt_factor),
+                           ("study.richardson_rtol", self.richardson_rtol),
+                           ("solver.cg_tol", self.cg_tol)):
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{key} (must be positive and finite, got {value})")
         if self.mode < 1:
             raise ConfigError(f"study.mode (must be >= 1, got {self.mode})")
         try:
@@ -87,7 +92,7 @@ class StudyConfig:
         if self.degree not in ELEMENT_DEGREES[dim]:
             raise ConfigError(f"study.degree (must be one of {ELEMENT_DEGREES[dim]} "
                               f"on a {dim}-dimensional surface, got {self.degree})")
-        if self.levels and self.levels[0] < MIN_LEVEL[dim]:
+        if self.levels[0] < MIN_LEVEL[dim]:
             raise ConfigError(f"study.levels (must be >= {MIN_LEVEL[dim]} on a "
                               f"{dim}-dimensional surface, got {self.levels[0]})")
         try:
@@ -118,6 +123,12 @@ def config_hash(parameters):
         parameters = asdict(parameters)
     payload = json.dumps(parameters, sort_keys=True, default=list)
     return sha256(payload.encode()).hexdigest()[:16]
+
+
+def study_forcing(config, surface):
+    """The forcing of the config's profile as solve_heat takes it: None for
+    ``zero``, so that no load is evaluated and no fh is solved for."""
+    return None if config.profile == "zero" else forcing_profile(config.profile, surface)
 
 
 def build_level_mesh(surface, level, degree):
@@ -161,12 +172,10 @@ def _solve_level(config, surface, level):
     frame and the snapshot being built are the only ones alive."""
     mesh = build_level_mesh(surface, level, config.degree)
     grid = TimeGrid.from_mesh(mesh, t_end=1.0, factor=config.dt_factor)
-    # f = 0 as None: no load is evaluated and no fh is solved for
-    forcing = None if config.profile == "zero" else forcing_profile(config.profile, surface)
+    forcing = study_forcing(config, surface)
     qset = tuple(sorted({q for _, q in config.pq_pairs}))
     pairs = [(name, q) for name in ("udot", "lap", "fh") for q in qset]
-    common = dict(scheme=config.scheme, cg_tol=config.cg_tol,
-                  max_dt_factor=4.0 * config.dt_factor, frames=FrameSlot())
+    common = dict(scheme=config.scheme, cg_tol=config.cg_tol, frames=FrameSlot())
     coarse_nodes = solve_heat(mesh, forcing, grid, **common)
     fine_nodes = solve_heat(mesh, forcing, grid.halved(), **common)
     coarse, fine = NormSeries(pairs), NormSeries(pairs)
@@ -285,7 +294,10 @@ _PROJECTION_TEST_FUNCTIONS = (
 )
 
 
-def inequality_suite(config, count=20):
+RANDOM_FUNCTIONS = 20  # random FE functions per level of inequality_suite
+
+
+def inequality_suite(config):
     """Per-level fitted constants for: lifted/discrete norm equivalence,
     L^p stability of the L^2 projection, the inverse inequality, the
     gradient-Laplacian interpolation inequality, and Ritz-projection
@@ -313,7 +325,7 @@ def inequality_suite(config, count=20):
         h = mesh.h
         out["h"].append(h)
 
-        funcs = _random_fe_functions(space, count, rng)
+        funcs = _random_fe_functions(space, RANDOM_FUNCTIONS, rng)
 
         # norm equivalence between the discrete and lifted surfaces; the
         # lifted space reuses the discrete quadrature order so the two norms
@@ -350,12 +362,13 @@ def inequality_suite(config, count=20):
                     worst = max(worst, gn / bound)
             out["interpolation_c"][q].append(worst)
 
-        # Ritz projection stability in W^{1,q} for w = sin(theta)-type data
-        wfun, wgrad = _ritz_test_pair(surface)
-        ritz = ritz_project(lifted, wfun, wgrad, tol=config.cg_tol)
+        # Ritz projection stability in W^{1,q} for w = x_d, the last
+        # coordinate (sin(theta) times the radius on a circle)
+        ritz = ritz_project(lifted, _last_coordinate, _last_coordinate_gradient,
+                            tol=config.cg_tol)
         for q in q_values:
             num = norm_w1q(ritz, q)
-            den = _callable_w1q_norm(lifted, wfun, wgrad, q)
+            den = _callable_w1q_norm(lifted, _last_coordinate, _last_coordinate_gradient, q)
             out["ritz_stability"][q].append(num / den)
 
     out["stable"] = {}
@@ -402,31 +415,14 @@ def _callable_w1q_norm(space, fn, grad_fn, q):
     return float(np.sum(w * (np.abs(vals) ** q + gmag**q)) ** (1.0 / q))
 
 
-def _ritz_test_pair(surface):
-    if surface.dimension == 1:
-        def wfun(x):
-            theta = np.arctan2(x[..., 1], x[..., 0])
-            return np.sin(theta)
+def _last_coordinate(x):
+    return x[..., -1]
 
-        def wgrad(x):
-            r2 = np.sum(x * x, axis=-1, keepdims=True)
-            g = np.zeros_like(x)
-            # ambient extension of sin(theta) = y / r
-            g[..., 0] = -x[..., 0] * x[..., 1] / r2[..., 0] ** 1.5
-            g[..., 1] = (r2[..., 0] - x[..., 1] ** 2) / r2[..., 0] ** 1.5
-            return g
 
-        return wfun, wgrad
-
-    def wfun(x):
-        return x[..., 2]
-
-    def wgrad(x):
-        g = np.zeros_like(x)
-        g[..., 2] = 1.0
-        return g
-
-    return wfun, wgrad
+def _last_coordinate_gradient(x):
+    g = np.zeros_like(x)
+    g[..., -1] = 1.0
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +474,11 @@ def write_mesh_text(mesh, path):
     return write_table(path, (), rows, sep=" ")
 
 
-def write_mesh_vtk(mesh, path, point_data=None):
+def write_mesh_vtk(mesh, path):
     """Legacy ASCII VTK: POLYDATA with polygons (m=2) or lines (m=1).
 
-    Curved (degree 2) elements are written through their corner vertices; all
-    nodes are kept in the point list so nodal data stays attached.
+    Curved (degree 2) elements are written through their corner vertices;
+    all nodes are kept in the point list.
     """
     pad = [0.0] * (3 - mesh.nodes.shape[1])
     verts = mesh.elements[:, list(mesh.reference.vertex_ids)]
@@ -498,11 +494,6 @@ def write_mesh_vtk(mesh, path, point_data=None):
         [kind, mesh.num_elements, mesh.num_elements * (nv + 1)],
         *([nv, *row] for row in verts),
     ]
-    if point_data:
-        rows.append(["POINT_DATA", mesh.num_nodes])
-        for name, values in point_data.items():
-            rows += [["SCALARS", name, "double", 1], ["LOOKUP_TABLE", "default"]]
-            rows += [[float(v)] for v in values]
     return write_table(path, (), rows, sep=" ")
 
 

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidExponent, StepTooLarge
+from .errors import InvalidExponent
 from .fem import (
     DISCRETE,
     FeSpace,
@@ -240,7 +240,6 @@ def solve_heat(
     integrator="be",
     u0=None,
     cg_tol=1e-12,
-    max_dt_factor=None,
     frames=None,
 ):
     """Integrate one of the semi-discrete schemes over the given time grid.
@@ -253,11 +252,11 @@ def solve_heat(
 
     Returns an iterator over the grid's n_steps + 1 time nodes that yields
     one TimeNode per node.  Argument errors (an unknown scheme or integrator,
-    StepTooLarge, a FrameSlot of another problem) raise here, at the call;
-    the initial state is computed when the first node is drawn and each step
-    when its node is drawn, so a caller that stops drawing runs no further
-    step.  The stream holds only what its next step needs: on a moving mesh
-    it keeps nothing of a node's snapshot once the node is drawn.
+    a FrameSlot of another problem) raise here, at the call; the initial
+    state is computed when the first node is drawn and each step when its
+    node is drawn, so a caller that stops drawing runs no further step.
+    The stream holds only what its next step needs: on a moving mesh it
+    keeps nothing of a node's snapshot once the node is drawn.
 
     frames is a FrameSlot shared with other streams of this mesh0 and
     forcing, or None.  At each time node a stream uses one frame: the mesh
@@ -289,10 +288,6 @@ def solve_heat(
         raise ValueError(f"unknown integrator {integrator!r}")
     if integrator == "bdf2" and scheme == SCHEME_B:
         raise ValueError("bdf2 is only wired for the non-conservative forms")
-    if max_dt_factor is not None and grid.dt > max_dt_factor * mesh0.h**2 * (1 + 1e-9):
-        raise StepTooLarge(
-            f"dt={grid.dt:.3e} exceeds {max_dt_factor}*h^2={max_dt_factor * mesh0.h ** 2:.3e}"
-        )
     moving = scheme != STATIONARY and not mesh0.surface.is_stationary
     if frames is not None:
         frames._join(mesh0, forcing, moving)

@@ -147,6 +147,33 @@ def test_cli_convergence_and_delta(tmp_path):
     assert len(report) == 3
 
 
+def test_cli_solve_on_zero_forcing_evaluates_no_load_and_solves_no_fh(tmp_path, monkeypatch):
+    # profile = zero reaches solve_heat as f = None: sphere level 2 (19
+    # steps) evaluates none of its 20 loads and runs 20 CG calls, not 40
+    # (one fh solve per node on b = 0); the trajectory is zero all the same
+    from esfem import timestepping
+
+    calls = {"load": 0, "cg": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(timestepping, "load_from_geometry",
+                        counted("load", timestepping.load_from_geometry))
+    monkeypatch.setattr(timestepping, "cg_solve", counted("cg", timestepping.cg_solve))
+    out = tmp_path / "out"
+    text = ("[surface]\nkind = sphere\ndimension = 2\n[study]\nlevels = 2\n"
+            "profile = zero\n[output]\ndirectory = {out}\n")
+    assert main(["solve", "--config", write_config(tmp_path, text=text, out=str(out))]) == 0
+    assert calls == {"load": 0, "cg": 20}
+    rows = (out / "solve_level2.csv").read_text().splitlines()
+    assert len(rows) == 1 + 20
+    assert all(float(v) == 0.0 for row in rows[1:] for v in row.split(",")[1:])
+
+
 def test_cli_delta_solves_each_point_source_once(tmp_path, monkeypatch):
     # per level one mass assembly, CG solve and point location for each of
     # the decay fit's source (solved at 1e-12) and the consistency pair
@@ -375,6 +402,17 @@ def test_cli_solve_honours_t_end(tmp_path):
                "kernel_difference = true\n", "study.levels"),
     ("greens", "[surface]\nkind = sphere\ndimension = 2\n[study]\nlevels = 1,2\n"
                "kernel_difference = true\n", "study.levels"),
+    # step factor, Richardson tolerance and CG tolerance must be positive
+    # and finite, and a study needs a level
+    *(("solve", f"[surface]\nkind = circle\n[study]\nlevels = 16\ndt_factor = {v}\n",
+       "study.dt_factor") for v in ("nan", "inf", "0", "-1")),
+    *(("maxreg", f"[surface]\nkind = circle\n[study]\nlevels = 8,16\n"
+                 f"richardson_rtol = {v}\n", "study.richardson_rtol")
+      for v in ("nan", "inf", "0", "-0.01")),
+    *(("solve", f"[surface]\nkind = circle\n[study]\nlevels = 16\n[solver]\ncg_tol = {v}\n",
+       "solver.cg_tol") for v in ("nan", "inf", "0", "-1")),
+    *((command, "[surface]\nkind = circle\n[study]\nlevels =\n", "study.levels")
+      for command in ("solve", "maxreg", "greens", "delta", "convergence", "inequalities")),
 ])
 def test_cli_rejected_config_values_are_config_errors(tmp_path, capsys, command,
                                                       config, key):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from esfem import fem
 from esfem.errors import (
     DimensionMismatch,
     InvalidExponent,
@@ -25,7 +26,7 @@ from esfem.fem import (
     interpolate,
     l2_project,
     lift_function,
-    load_vector,
+    load_from_geometry,
     locate_point,
     norm_lq,
     norm_w1q,
@@ -35,7 +36,13 @@ from esfem.fem import (
 from esfem.meshing import SurfaceMesh, build_circle_mesh, build_sphere_mesh
 from esfem.quadrature import reference_rule
 from esfem.surfaces import Circle, EllipsoidFlow, ScaledSphereFlow, Sphere
-from oracles import dense, parametric_quadrature, prefactors, smallest_nonzero_eigenvalue
+from oracles import (
+    dense,
+    jittered_circle_mesh,
+    parametric_quadrature,
+    prefactors,
+    smallest_nonzero_eigenvalue,
+)
 
 ICO_EDGE = 4.0 / math.sqrt(10.0 + 2.0 * math.sqrt(5.0))
 
@@ -531,7 +538,7 @@ LOCATE_CASES = {
        for k in (1, 2) for level in (1, 2, 3)},
     **{f"ellipsoid_flow-P{k}": (lambda k=k: build_sphere_mesh(EllipsoidFlow(), 2, k).evolved(0.3))
        for k in (1, 2)},
-    **{f"circle-P{k}-jitter": (lambda k=k: build_circle_mesh(Circle(), 24, k, interior_jitter=0.5))
+    **{f"circle-P{k}-jitter": (lambda k=k: jittered_circle_mesh(24, k))
        for k in (1, 2, 3)},
     "ellipse-P2": lambda: ellipse_mesh(20, 2),
 }
@@ -657,7 +664,8 @@ def test_type_error_inside_a_callable_reaches_the_caller(circle64):
         raise TypeError("bug inside the forcing")
 
     with pytest.raises(TypeError, match="bug inside the forcing"):
-        load_vector(FeSpace(circle64), forcing, t=0.0)
+        load_from_geometry(FeSpace(circle64).geometry(), circle64.elements,
+                           circle64.num_nodes, forcing, 0.0)
     with pytest.raises(TypeError, match="bug inside the forcing"):
         ritz_project(FeSpace(circle64, LIFTED), sin_theta, lambda x: forcing(0.0, x))
 
@@ -826,12 +834,13 @@ def test_radial_inverse_lift_rejects_points_without_a_ray(sphere2, bad):
         radial_inverse_lift(sphere2, pts)
 
 
-def test_radial_inverse_lift_reports_stalled_newton():
+def test_radial_inverse_lift_reports_stalled_newton(monkeypatch):
     # a zero tolerance is never met, so Newton runs into its iteration cap
     mesh = build_sphere_mesh(Sphere(), 1, 2)
     pts = mesh.surface.project(0.0, np.array([[0.3, 0.2, 0.9], [-0.5, 0.4, 0.1]]))
+    monkeypatch.setattr(fem, "_LIFT_TOL", 0.0)
     with pytest.raises(NonConvergence, match=r"2 points above residual .* worst \d"):
-        radial_inverse_lift(mesh, pts, tol=0.0)
+        radial_inverse_lift(mesh, pts)
 
 
 # --- prefactors --------------------------------------------------------------
@@ -860,7 +869,7 @@ def test_prefactor_orders():
     # by a whole order here, hiding the generic rate
     for degree, levels, builder in (
         (1, (16, 32, 64), lambda n, k: build_circle_mesh(Circle(), n, k)),
-        (2, (64, 128, 256), lambda n, k: build_circle_mesh(Circle(), n, k, interior_jitter=0.5)),
+        (2, (64, 128, 256), jittered_circle_mesh),
         (1, (1, 2, 3), lambda lvl, k: build_sphere_mesh(Sphere(), lvl, k)),
     ):
         sup_a, sup_b, hs = [], [], []

@@ -21,7 +21,6 @@ from esfem.fem import (
 )
 from esfem.greens import (
     build_dyadic,
-    default_source_points,
     delta_consistency,
     delta_decay_fit,
     discrete_green,
@@ -35,6 +34,7 @@ from esfem.surfaces import Circle, Sphere, Surface
 from esfem.timestepping import NormSeries, TimeGrid, norm_series
 from oracles import (
     coarse_at_quadrature,
+    jittered_circle_mesh,
     lift_quadrature,
     point_interpolation,
     smallest_nonzero_eigenvalue,
@@ -151,7 +151,7 @@ def test_delta_consistency_order(degree):
     jitter = 0.0 if degree == 1 else 0.5
     ratios, hs = [], []
     for n in levels:
-        mesh = build_circle_mesh(Circle(), n, degree, interior_jitter=jitter)
+        mesh = jittered_circle_mesh(n, degree, jitter)
         space = FeSpace(mesh)
         lifted = FeSpace(mesh, LIFTED)
         x0 = mesh.nodes[1]
@@ -184,7 +184,7 @@ def test_delta_decay_needs_enough_samples():
 
 def test_green_decay_study_matches_eigenvalue():
     mesh = build_circle_mesh(Circle(), 32, 1)
-    fit = green_decay_study(mesh, sources=default_source_points(mesh, 4))
+    fit = green_decay_study(mesh)
     assert fit.rate > 0
     assert fit.r_squared >= 0.95
     space = FeSpace(mesh)
@@ -244,9 +244,8 @@ def test_green_decay_study_takes_norms_in_its_fit_window_only(monkeypatch):
         add(self, node)
 
     monkeypatch.setattr(NormSeries, "add", counted_add)
-    sources = default_source_points(mesh, 2)
-    fit = green_decay_study(mesh, grid, sources=sources)
-    assert reduced == 2 * list(times[window])
+    fit = green_decay_study(mesh, grid)
+    assert reduced == greens.SOURCE_COUNT * list(times[window])
     assert np.array_equal(fit.times, times[window])
 
 

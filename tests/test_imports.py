@@ -1,6 +1,7 @@
 """Every imported name in the package and the tests is used, every
 function, class and method of the package is used by the package or by
-perfbench, and every defaulted parameter of the package is set by some call.
+perfbench, and every defaulted parameter of the package is set by some call
+in the package or in perfbench.
 
 Static scans of the sources.  The import scan collects the names each module
 binds by ``import`` and fails on those that no expression of the module reads;
@@ -16,13 +17,16 @@ are not uses, and neither is code in ``tests/``: what only the tests reach
 belongs in the tests.
 
 The parameter scan fails on a parameter with a default, of any function or
-method of ``src/esfem``, that no call in ``src/``, ``tests/`` or
-``perfbench/`` passes, by keyword or by position (after self or cls for a
-method).  Calls are matched to definitions by name; a call that expands
-``*args`` or ``**kwargs`` sets every parameter, and a call of a class or a
+method of ``src/esfem``, that no call in ``src/`` or ``perfbench/`` passes,
+by keyword or by position (after self or cls for a method).  Calls are
+matched to definitions by name; a call that expands ``*args`` or
+``**kwargs`` sets every parameter, and a call of a class or a
 ``super().__init__(...)`` calls the ``__init__`` that the class, or the
 first of its bases in turn, defines.  A default that nothing overrides is a
-configuration nobody runs: it belongs in the body as a constant.
+configuration nobody runs: it belongs in the body as a constant.  Calls in
+``tests/`` do not count here either: a parameter that only a test sets is a
+knob for the tests, which set a module constant with monkeypatch or build
+what they need in ``tests/oracles.py`` instead.
 """
 
 import ast
@@ -137,12 +141,19 @@ def test_scan_flags_a_dead_definition():
     ]
 
 
-def test_no_dead_definitions():
+def package_and_users(root):
+    """The sources of the package under root by module name, and those of
+    the code outside it whose uses and calls count: perfbench's, not the
+    tests'."""
     package = {p.stem: p.read_text(encoding="utf-8")
-               for p in sorted((ROOT / "src" / "esfem").glob("*.py"))}
+               for p in sorted((root / "src" / "esfem").glob("*.py"))}
     others = [p.read_text(encoding="utf-8")
-              for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    assert dead_definitions(package, others) == []
+              for p in sorted((root / "perfbench").glob("*.py"))]
+    return package, others
+
+
+def test_no_dead_definitions():
+    assert dead_definitions(*package_and_users(ROOT)) == []
 
 
 def _defaulted(fn, method):
@@ -261,10 +272,18 @@ def test_scan_flags_a_parameter_nothing_sets():
     ]
 
 
+def test_scan_flags_a_parameter_only_a_test_sets(tmp_path):
+    # perfbench's calls count, a test's do not
+    files = {
+        "src/esfem/a.py": "def f(x, y=1, z=2):\n    return x\n",
+        "perfbench/run.py": "from esfem import a\na.f(0, y=5)\n",
+        "tests/test_a.py": "from esfem import a\n\ndef test_f():\n    a.f(0, z=3)\n",
+    }
+    for name, source in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    assert unset_parameters(*package_and_users(tmp_path)) == [("a", "f", "z")]
+
+
 def test_no_parameter_is_left_unset():
-    package = {p.stem: p.read_text(encoding="utf-8")
-               for p in sorted((ROOT / "src" / "esfem").glob("*.py"))}
-    others = [p.read_text(encoding="utf-8")
-              for directory in ("tests", "perfbench")
-              for p in sorted((ROOT / directory).glob("*.py"))]
-    assert unset_parameters(package, others) == []
+    assert unset_parameters(*package_and_users(ROOT)) == []

@@ -213,13 +213,12 @@ def test_mesh_text_rejects_truncated_and_foreign_files(tmp_path):
 def test_vtk_export_structure(tmp_path):
     mesh = build_sphere_mesh(Sphere(), 2, 1)
     path = tmp_path / "mesh.vtk"
-    write_mesh_vtk(mesh, path, point_data={"height": mesh.nodes[:, 2]})
+    write_mesh_vtk(mesh, path)
     text = path.read_text().splitlines()
     assert text[0].startswith("# vtk DataFile")
     assert "DATASET POLYDATA" in text[3]
     polygons = [ln for ln in text if ln.startswith("POLYGONS")]
     assert polygons and int(polygons[0].split()[1]) == 320
-    assert any(ln.startswith("POINT_DATA") for ln in text)
 
     line_mesh = build_circle_mesh(Circle(), 8, 1)
     path2 = tmp_path / "circle.vtk"

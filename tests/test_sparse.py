@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from esfem import sparse
 from esfem.errors import DimensionMismatch, NonConvergence, NonFiniteValue
 from esfem.fem import FeSpace
 from esfem.meshing import build_circle_mesh, build_sphere_mesh
@@ -184,11 +185,13 @@ def test_cg_polish_changes_little():
     assert np.linalg.norm(x2 - x) <= 10 * tol * np.linalg.norm(x)
 
 
-def test_cg_nonconvergence_raises():
+def test_cg_nonconvergence_raises(monkeypatch):
+    # an iteration cap of 2 on 80 unknowns
     mat = tridiagonal_laplacian_plus_identity(80)
     rng = np.random.default_rng(2)
-    with pytest.raises(NonConvergence):
-        cg_solve(mat, rng.standard_normal(80), tol=1e-14, maxiter=2)
+    monkeypatch.setattr(sparse, "CG_ITERATIONS_PER_DOF", 2 / 80)
+    with pytest.raises(NonConvergence, match="after 2 iterations"):
+        cg_solve(mat, rng.standard_normal(80), tol=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(5))
