@@ -2,9 +2,9 @@
 an INI-style config file with strict key checking.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error,
-3 acceptance failure (``maxreg --check``).  The output directory from the
-config can be overridden with ``--out`` or the ESFEM_OUTDIR environment
-variable.
+3 acceptance failure (``maxreg --check`` or ``inequalities --check``).  The
+output directory from the config can be overridden with ``--out`` or the
+ESFEM_OUTDIR environment variable.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .studies import (
     write_mesh_vtk,
     write_table,
 )
-from .surfaces import make_surface
 from .timestepping import FIELDS, TimeGrid, norm_series, solve_heat
 
 
@@ -206,9 +205,11 @@ def _write_manifest(outdir, name, parameters, outputs):
 
 
 def cmd_mesh(args):
-    surface = make_surface(args.surface, args.dimension, args.params or (),
-                           args.horizon)
-    mesh = build_level_mesh(surface, args.levels, args.degree)
+    # the flags pass the rules a study config passes, before any output
+    config = StudyConfig(surface_kind=args.surface, dimension=args.dimension,
+                         surface_params=args.params or (), horizon=args.horizon,
+                         degree=args.degree, levels=(args.levels,)).validate()
+    mesh = build_level_mesh(config.surface(), args.levels, args.degree)
     if args.time:
         mesh = mesh.evolved(args.time)
     outdir = _make_outdir(args.out or "out")
@@ -410,8 +411,9 @@ def main(argv=None):
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--check", action="store_true",
-                       help="exit 3 when an acceptance criterion fails")
+        if name in ("maxreg", "inequalities"):
+            p.add_argument("--check", action="store_true",
+                           help="exit 3 when an acceptance criterion fails")
         p.set_defaults(func=func)
 
     args = parser.parse_args(argv)

@@ -280,12 +280,11 @@ class FeFunction:
         return np.einsum("el,eqld->eqd", local, geom.tangent_grads), geom
 
 
-def lift_function(u, lifted_space=None):
+def lift_function(u, lifted_space):
     """View a Gamma_h function as its lift on Gamma (same nodal coefficients)."""
     if u.space.tag != DISCRETE:
         raise ValueError("lift expects a function on the discrete surface")
-    space = lifted_space or FeSpace(u.space.mesh, LIFTED)
-    return FeFunction(space, u.coeffs.copy())
+    return FeFunction(lifted_space, u.coeffs.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +343,8 @@ def load_from_geometry(geom, elements, n_dofs, fn, t=None):
 # ---------------------------------------------------------------------------
 
 
-def l2_project(space, fn, mass=None, tol=1e-12):
+def l2_project(space, fn, mass, tol=1e-12):
     b = load_vector(space, fn)
-    mass = assemble_mass(space) if mass is None else mass
     coeffs, _ = cg_solve(mass, b, tol=tol)
     return FeFunction(space, coeffs)
 
@@ -356,13 +354,10 @@ def interpolate(space, fn):
     return FeFunction(space, fn(space.mesh.nodes))
 
 
-def discrete_laplacian(u, mass=None, stiffness=None, tol=1e-12):
+def discrete_laplacian(u, mass, stiffness, tol=1e-12):
     """w with (w, chi) = -(grad u, grad chi) for all chi, i.e. M w = -A u."""
-    space = u.space
-    mass = assemble_mass(space) if mass is None else mass
-    stiffness = assemble_stiffness(space) if stiffness is None else stiffness
     coeffs, _ = cg_solve(mass, -stiffness.matvec(u.coeffs), tol=tol)
-    return FeFunction(space, coeffs)
+    return FeFunction(u.space, coeffs)
 
 
 def delta_load(space, x0):

@@ -28,7 +28,7 @@ from .fem import (
     radial_inverse_lift,
 )
 from .quadrature import reference_rule
-from .timestepping import STATIONARY, TimeGrid, norm_series, solve_heat
+from .timestepping import STATIONARY, norm_series, solve_heat
 
 
 SOURCE_COUNT = 8  # point sources of default_source_points
@@ -95,7 +95,7 @@ def _log_linear_fit(times, values):
 MIN_FIT_SAMPLES = 5  # time nodes the decay fit of green_decay_study needs
 
 
-def green_decay_study(mesh, grid=None, cg_tol=1e-12):
+def green_decay_study(mesh, grid, cg_tol=1e-12):
     """Fit the long-time exponential decay of the kernel's time derivative.
 
     Tracks max over the default sources of the L^1 norm of d/dt kernel at
@@ -103,8 +103,6 @@ def green_decay_study(mesh, grid=None, cg_tol=1e-12):
     taken, and returns the log-linear fit (rate > 0 means decay
     exp(-rate*t)).
     """
-    if grid is None:
-        grid = TimeGrid.from_mesh(mesh, t_end=3.0)
     times = grid.times()
     times = times[times >= 1.0]
     envelope = np.zeros(len(times))

@@ -35,9 +35,9 @@ from .timestepping import (
     SCHEME_A,
     SCHEME_B,
     STATIONARY,
-    FrameSlot,
     NormSeries,
     TimeGrid,
+    norm_series,
     solve_heat,
     spacetime_norm,
 )
@@ -164,26 +164,35 @@ class StudyReport:
 def _solve_level(config, surface, level):
     """One study cell: solve at dt and dt/2, return both norm series.
 
-    The two streams share their frames: drawn in lockstep, the dt/2 stream
-    first, the dt stream takes the snapshot, operators, load and fh of each
-    of its nodes from the dt/2 stream's node at the same time (see
-    FrameSlot).  The dt/2 series are bitwise those of a stream on its own.
-    Nodes are reduced as they are drawn and not kept, so that the slot's
-    frame and the snapshot being built are the only ones alive."""
+    The dt stream takes its frames from the dt/2 stream: each of its nodes
+    takes the snapshot, geometry, M, A and b of the dt/2 stream's node at
+    the same time, and its fh solve starts from that node's fh (see
+    solve_heat).  The dt/2 stream is drawn only as the dt stream asks for
+    its even nodes, so its series are bitwise those of a stream on its own.
+    Nodes are reduced as they are drawn and dropped before the next is
+    drawn, so that each snapshot is built with no other alive."""
     mesh = build_level_mesh(surface, level, config.degree)
     grid = TimeGrid.from_mesh(mesh, t_end=1.0, factor=config.dt_factor)
     forcing = study_forcing(config, surface)
     qset = tuple(sorted({q for _, q in config.pq_pairs}))
     pairs = [(name, q) for name in ("udot", "lap", "fh") for q in qset]
-    common = dict(scheme=config.scheme, cg_tol=config.cg_tol, frames=FrameSlot())
-    coarse_nodes = solve_heat(mesh, forcing, grid, **common)
-    fine_nodes = solve_heat(mesh, forcing, grid.halved(), **common)
-    coarse, fine = NormSeries(pairs), NormSeries(pairs)
-    for k in range(2 * grid.n_steps + 1):
-        fine.add(next(fine_nodes))
-        if k % 2 == 0:
-            coarse.add(next(coarse_nodes))
-    return mesh, grid, coarse.result(), fine.result()
+    common = dict(scheme=config.scheme, cg_tol=config.cg_tol)
+    fine = NormSeries(pairs)
+
+    def even_fine_nodes():
+        nodes = solve_heat(mesh, forcing, grid.halved(), **common)
+        # next(), not enumerate: enumerate's cached (k, node) tuple would keep
+        # node 2k alive while the snapshot of node 2k + 1 is built
+        for k in range(2 * grid.n_steps + 1):
+            node = next(nodes)
+            fine.add(node)
+            if k % 2 == 0:
+                yield node
+            del node
+
+    coarse = norm_series(solve_heat(mesh, forcing, grid, frames=even_fine_nodes(), **common),
+                         pairs)
+    return mesh, grid, coarse, fine.result()
 
 
 def maxreg_study(config):

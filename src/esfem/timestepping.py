@@ -13,15 +13,13 @@ its node is drawn, and the stream holds only what its next step needs, so
 callers reduce the nodes as they draw them (norm_series or NormSeries, for
 instance) and memory does not grow with the number of steps.
 
-Streams of one problem on nested grids can share their frames, the part of
-a step that depends on its time alone: the mesh snapshot, its geometry, M,
-A, the load and fh = M^-1 b.  Given one FrameSlot and drawn in lockstep,
-the dt/2 stream first, the dt/2 stream builds each frame exactly as on its
-own, so its nodes are bitwise unchanged, and the dt stream takes the frame
-at each of its nodes instead of building it.  The slot holds one frame,
-and a stream on a moving mesh keeps nothing of a snapshot once its node is
-drawn, so a caller that reduces the nodes as it draws them keeps no more
-snapshots alive than two streams run one after the other.
+Each node carries the frame it was computed on, the part of a step that
+depends on its time alone: the mesh snapshot, its geometry, M, A and the
+load b.  A stream on grid can take its frames from the even nodes of a
+stream on grid.halved() instead of building them (solve_heat's frames):
+the dt/2 stream is then bitwise unchanged, and a caller that reduces the
+nodes as it draws them keeps no more snapshots alive than two streams run
+one after the other.
 """
 
 from __future__ import annotations
@@ -114,14 +112,18 @@ class TimeGrid:
 
 
 class TimeNode(NamedTuple):
-    """One time node of a solve_heat stream: the time t, the mesh snapshot at
-    t and its geometry, and the coefficient vectors of the solution u, its
-    time derivative udot, the discrete Laplacian lap and the projected
-    forcing fh.  The stream never writes to these arrays again."""
+    """One time node of a solve_heat stream: the time t, the frame the step
+    was computed on (the mesh snapshot at t, its geometry, M(t), A(t) and
+    the load b(t)), and the coefficient vectors of the solution u, its time
+    derivative udot, the discrete Laplacian lap and the projected forcing
+    fh.  The stream never writes to these arrays again."""
 
     t: float
     mesh: object
     geom: object
+    mass: object
+    stiff: object
+    b: np.ndarray
     u: np.ndarray
     udot: np.ndarray
     lap: np.ndarray
@@ -183,55 +185,6 @@ def spacetime_norm(times, norms, fieldname, p, q):
     return float(np.trapezoid(series**p, times) ** (1.0 / p))
 
 
-class _Frame(NamedTuple):
-    """What a step needs at its time node t that depends on t alone, not on
-    the time step or the solution: the mesh snapshot at t, its geometry,
-    M(t), A(t), the load b(t) and fh = M(t)^-1 b(t)."""
-
-    t: float
-    mesh: object
-    geom: object
-    mass: object
-    stiff: object
-    b: np.ndarray
-    fh: np.ndarray
-
-
-class FrameSlot:
-    """The one frame that the solve_heat streams of one problem (mesh0, the
-    forcing and whether the mesh moves; the grids may differ) pass between
-    them: see solve_heat's frames.
-
-    A stream that takes a frame evolves, assembles and loads nothing, and
-    re-solves only fh, starting from the frame's fh.  Its M, A, b, u and
-    udot are bitwise those of a stream on its own, and its fh meets its own
-    tolerance; scheme A and the stationary scheme take lap = udot - fh.
-    Drawn in any order the streams stay correct, but share less.
-    """
-
-    def __init__(self):
-        self._frame = None
-        self._problem = None
-
-    def _join(self, mesh0, forcing, moving):
-        if self._problem is None:
-            self._problem = (mesh0, forcing, moving)
-            return
-        first_mesh, first_forcing, first_moving = self._problem
-        if mesh0 is not first_mesh or forcing is not first_forcing or moving != first_moving:
-            raise ValueError("streams sharing a FrameSlot must share mesh0, the "
-                             "forcing and whether the mesh moves")
-
-    def _take(self, t):
-        # the frame at time t, or None after emptying the slot, so that the
-        # caller's new frame is the only one the slot keeps alive
-        frame = self._frame
-        if frame is not None and frame.t == t:
-            return frame
-        self._frame = None
-        return None
-
-
 def solve_heat(
     mesh0,
     forcing,
@@ -251,28 +204,29 @@ def solve_heat(
     is a coefficient vector (defaults to zero).
 
     Returns an iterator over the grid's n_steps + 1 time nodes that yields
-    one TimeNode per node.  Argument errors (an unknown scheme or integrator,
-    a FrameSlot of another problem) raise here, at the call; the initial
-    state is computed when the first node is drawn and each step when its
-    node is drawn, so a caller that stops drawing runs no further step.
-    The stream holds only what its next step needs: on a moving mesh it
-    keeps nothing of a node's snapshot once the node is drawn.
+    one TimeNode per node.  Argument errors (an unknown scheme or
+    integrator) raise here, at the call; the initial state is computed when
+    the first node is drawn and each step when its node is drawn, so a
+    caller that stops drawing runs no further step.  The stream holds only
+    what its next step needs: on a moving mesh it keeps nothing of a node's
+    snapshot once the node is drawn, and on a frozen one only the snapshot,
+    its geometry, M and A.
 
-    frames is a FrameSlot shared with other streams of this mesh0 and
-    forcing, or None.  At each time node a stream uses one frame: the mesh
-    snapshot, its geometry, M, A, b and fh.  With a slot it takes the
-    slot's frame when that is at the same time, and otherwise builds its
-    own and puts it in the slot, so one frame stays alive in the slot.  Draw
-    the stream on grid.halved() first and the stream on grid in lockstep
-    (node 2k, then node k): the dt/2 stream then builds every frame as on
-    its own and its nodes are bitwise unchanged, and the dt stream builds
-    none (see FrameSlot for what it re-solves).
+    frames is None, or an iterator over the even nodes of a stream of this
+    mesh0, forcing and scheme on grid.halved().  The stream then draws one
+    of them per step and takes its snapshot, geometry, M, A and b instead of
+    evolving, assembling and loading; its M, A, b, u and udot are bitwise
+    those of a stream on its own.  It still solves for fh, starting from
+    the node's fh, so fh meets this stream's own tolerance, and scheme A and
+    the stationary scheme take lap = udot - fh.  A drawn node at another t,
+    or on a snapshot not of mesh0 at the time this stream needs (t on a
+    moving mesh, mesh0.time on a frozen one), raises ValueError.
 
     Every CG solve after the first of its field (u, fh, and lap in scheme B)
     starts from the polynomial in t through that field's last
     EXTRAPOLATION_ORDER + 1 nodal vectors, evaluated at the new time node (of
-    lower degree while fewer vectors are known); an fh solve on a taken
-    frame starts from the frame's fh.  Nodal vectors are transported with
+    lower degree while fewer vectors are known); with frames, fh solves
+    start from the drawn node's fh.  Nodal vectors are transported with
     the mesh, so this holds on moving meshes too.
 
     Per accepted step the non-conservative scheme satisfies
@@ -289,13 +243,13 @@ def solve_heat(
     if integrator == "bdf2" and scheme == SCHEME_B:
         raise ValueError("bdf2 is only wired for the non-conservative forms")
     moving = scheme != STATIONARY and not mesh0.surface.is_stationary
-    if frames is not None:
-        frames._join(mesh0, forcing, moving)
     u = np.zeros(mesh0.num_nodes) if u0 is None else np.asarray(u0, dtype=float).copy()
     return _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, frames)
 
 
-def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, slot):
+
+
+def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, frames):
     times = grid.times()
     dt = grid.dt
     n_dofs = mesh0.num_nodes
@@ -304,7 +258,7 @@ def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, slot):
     fh_past = lap_past = None
     u_prev = None  # for bdf2
     mass_u = None  # M u at the last node, for scheme B
-    frozen = None  # the frame whose snapshot and operators a frozen mesh keeps
+    frozen = None  # the snapshot, geometry, M and A that a frozen mesh keeps
     systems = {}  # scale -> M + scale * A on a frozen mesh
     force_scale = 0.0
 
@@ -313,51 +267,47 @@ def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, slot):
         # outlives the TimeNode returned, so a caller that drops the node
         # frees the snapshot before the next one is built
         nonlocal u, u_prev, fh_past, lap_past, mass_u, frozen, force_scale
-        taken = None if slot is None else slot._take(t)
-        if taken is not None:
-            frame = taken
+        fh_start = None
+        if frames is not None:
+            node = next(frames, None)
+            snapshot_time = t if moving and i else mesh0.time
+            if (node is None or node.t != t
+                    or node.mesh.family_cache is not mesh0.family_cache
+                    or node.mesh.time != snapshot_time):
+                raise ValueError(f"frames must yield a node at t = {t} on mesh0's "
+                                 f"snapshot at {snapshot_time}")
+            mesh, geom, mass, stiff, b = node.mesh, node.geom, node.mass, node.stiff, node.b
+            fh_start = node.fh
         else:
             if frozen is not None:
-                frame = frozen
+                mesh, geom, mass, stiff = frozen
             else:
                 mesh = mesh0.evolved(t) if i else mesh0
                 space = FeSpace(mesh, DISCRETE)
-                frame = _Frame(t, mesh, space.geometry(), assemble_mass(space),
-                               assemble_stiffness(space), None, None)
+                geom = space.geometry()
+                mass, stiff = assemble_mass(space), assemble_stiffness(space)
+                if not moving:
+                    frozen = mesh, geom, mass, stiff
             if forcing is None:
                 b = zero
             else:
-                b = load_from_geometry(frame.geom, frame.mesh.elements, n_dofs, forcing, t=t)
-            # built field by field: namedtuple._replace goes through an
-            # iterator, which on CPython 3.11 left one more 7-tuple on the
-            # interpreter's free list per node (up to 2 000, about 0.2 MB)
-            frame = _Frame(t, frame.mesh, frame.geom, frame.mass, frame.stiff, b, None)
-        if not moving:
-            frozen = frame
-        mass, stiff, b = frame.mass, frame.stiff, frame.b
+                b = load_from_geometry(geom, mesh.elements, n_dofs, forcing, t=t)
+            if fh_past is not None:
+                fh_start = fh_past.extrapolate()
 
         if forcing is None:
             fh = zero
         else:
             force_scale = max(force_scale, float(np.linalg.norm(b)))
-            if taken is not None:
-                x0 = taken.fh
-            elif fh_past is not None:
-                x0 = fh_past.extrapolate()
-            else:
-                x0 = None
             # relative CG tolerances are meaningless where the forcing crosses
             # zero; anchor an absolute floor to the forcing scale seen so far
-            fh, _ = cg_solve(mass, b, tol=cg_tol, x0=x0,
+            fh, _ = cg_solve(mass, b, tol=cg_tol, x0=fh_start,
                              atol=cg_tol * force_scale if i else 0.0)
-            if taken is not None:
-                fh_past = None  # this stream's own fh solves start again
-            elif fh_past is None:
-                fh_past = _Extrapolation(fh)
-            else:
-                fh_past.push(fh)
-        if taken is None and slot is not None:
-            slot._frame = _Frame(t, frame.mesh, frame.geom, frame.mass, frame.stiff, b, fh)
+            if frames is None:
+                if fh_past is None:
+                    fh_past = _Extrapolation(fh)
+                else:
+                    fh_past.push(fh)
 
         if i == 0:
             lap, _ = cg_solve(mass, -stiff.matvec(u), tol=cg_tol)
@@ -401,7 +351,7 @@ def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, slot):
             # the next step's M(t_prev) u_prev, formed now so that no step
             # keeps the last node's M
             mass_u = mass.matvec(u)
-        return TimeNode(t, frame.mesh, frame.geom, u, udot, lap, fh)
+        return TimeNode(t, mesh, geom, mass, stiff, b, u, udot, lap, fh)
 
     for i, t in enumerate(times):
         yield step(i, t)

@@ -6,6 +6,7 @@ import pytest
 import esfem.cli
 from esfem.cli import main, parse_config
 from esfem.errors import ConfigError
+from esfem.studies import StudyReport
 
 GOOD_CONFIG = """
 [surface]
@@ -422,4 +423,53 @@ def test_cli_rejected_config_values_are_config_errors(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith(f"ConfigError: {key} (")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags,key", [
+    (["--surface", "sphere", "--dimension", "2", "--levels", "-1"], "study.levels"),
+    (["--surface", "sphere", "--dimension", "2", "--levels", "1", "--degree", "3"],
+     "study.degree"),
+    (["--surface", "circle", "--levels", "8", "--degree", "4"], "study.degree"),
+    (["--surface", "ellipsoid_flow", "--dimension", "2", "--levels", "1",
+      "--params", "0.1,0.2"], "surface.params"),
+    (["--surface", "scaled_sphere_flow", "--dimension", "2", "--levels", "1",
+      "--params", "1.5"], "surface.params"),
+])
+def test_cli_mesh_rejects_bad_flags_as_config_errors(tmp_path, capsys, flags, key):
+    out = tmp_path / "out"
+    assert main(["mesh", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ConfigError: {key} (")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_maxreg_check_exits_3_on_a_non_uniform_pair(tmp_path, monkeypatch):
+    def non_uniform(config):
+        verdict = {"spread": 2.0, "last_growth": 0.5, "uniform": False}
+        return StudyReport(config=config, uniformity={(2.0, 2.0): verdict})
+
+    monkeypatch.setattr(esfem.cli, "maxreg_study", non_uniform)
+    cfg = write_config(tmp_path, out=str(tmp_path / "out"))
+    assert main(["maxreg", "--config", cfg]) == 0
+    assert main(["maxreg", "--config", cfg, "--check"]) == 3
+
+
+def test_cli_inequalities_check_exits_3_when_unstable(tmp_path, monkeypatch):
+    monkeypatch.setattr(esfem.cli, "inequality_suite", lambda config: {
+        "stable": {"inverse_constant": False}, "all_stable": False})
+    cfg = write_config(tmp_path, out=str(tmp_path / "out"))
+    assert main(["inequalities", "--config", cfg]) == 0
+    assert main(["inequalities", "--config", cfg, "--check"]) == 3
+    assert (tmp_path / "out" / "inequalities.txt").read_text() == "FAIL inverse_constant\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence", "greens", "delta"])
+def test_cli_check_is_refused_where_it_checks_nothing(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, out=str(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--check"])
+    assert exc.value.code == 2
+    assert "--check" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -335,26 +335,27 @@ def test_l2_project_fixes_members(circle64):
         sv = circle64.reference.shape_values(refs)
         return np.sum(sv * member.coeffs[circle64.elements[elems]], axis=1)
 
-    proj = l2_project(space, as_callable)
+    proj = l2_project(space, as_callable, assemble_mass(space))
     assert np.abs(proj.coeffs - member.coeffs).max() <= 1e-11
 
 
 def test_l2_project_constant(circle64):
-    proj = l2_project(FeSpace(circle64), lambda x: np.ones(x.shape[:-1]))
+    space = FeSpace(circle64)
+    proj = l2_project(space, lambda x: np.ones(x.shape[:-1]), assemble_mass(space))
     assert np.abs(proj.coeffs - 1.0).max() <= 1e-12
 
 
 def test_l2_project_contracts(circle64):
     space = FeSpace(circle64)
     fn = lambda x: x[..., 0]
-    proj = l2_project(space, fn)
+    proj = l2_project(space, fn, assemble_mass(space))
     assert norm_lq(proj, 2) <= norm_lq(fn, 2, space=space) * (1 + 1e-10)
 
 
 def test_l2_project_galerkin_orthogonality(circle64):
     space = FeSpace(circle64)
     fn = lambda x: np.exp(x[..., 0])
-    proj = l2_project(space, fn)
+    proj = l2_project(space, fn, assemble_mass(space))
     geom = element_geometry(space.mesh, space.tag, 20)
     fvals = fn(geom.points)
     pvals = proj.coeffs[circle64.elements] @ geom.shape_values.T
@@ -426,7 +427,8 @@ def test_interpolation_estimate_constant_stable():
 
 def test_discrete_laplacian_of_constant(circle64):
     space = FeSpace(circle64)
-    lap = discrete_laplacian(space.function(np.ones(space.num_dofs)))
+    lap = discrete_laplacian(space.function(np.ones(space.num_dofs)),
+                             assemble_mass(space), assemble_stiffness(space))
     assert np.abs(lap.coeffs).max() <= 1e-11
 
 
@@ -434,9 +436,9 @@ def test_discrete_laplacian_weak_identity(circle64):
     space = FeSpace(circle64)
     rng = np.random.default_rng(3)
     u = space.function(rng.standard_normal(space.num_dofs))
-    lap = discrete_laplacian(u)
     mass = assemble_mass(space)
     stiff = assemble_stiffness(space)
+    lap = discrete_laplacian(u, mass, stiff)
     for _ in range(5):
         chi = rng.standard_normal(space.num_dofs)
         lhs = float(lap.coeffs @ mass.matvec(chi))
@@ -459,7 +461,7 @@ def test_discrete_laplacian_eigenfunction(builder, mode_fn, expected_factor):
         mesh = builder(level)
         space = FeSpace(mesh)
         u = interpolate(space, mode_fn)
-        lap = discrete_laplacian(u)
+        lap = discrete_laplacian(u, assemble_mass(space), assemble_stiffness(space))
         resid = space.function(lap.coeffs + expected_factor * u.coeffs)
         errors.append(norm_lq(resid, 2))
         hs.append(mesh.h)
@@ -945,7 +947,7 @@ def test_lift_preserves_nodal_values(circle64):
     space = FeSpace(circle64)
     rng = np.random.default_rng(8)
     u = space.function(rng.standard_normal(space.num_dofs))
-    lifted = lift_function(u)
+    lifted = lift_function(u, FeSpace(circle64, LIFTED))
     assert lifted.space.tag == LIFTED
     assert np.array_equal(lifted.coeffs, u.coeffs)
 
@@ -953,7 +955,8 @@ def test_lift_preserves_nodal_values(circle64):
 def test_lift_constant_is_constant(circle64):
     space = FeSpace(circle64)
     one = space.function(np.ones(space.num_dofs))
-    assert abs(norm_lq(lift_function(one), math.inf) - 1.0) <= 1e-14
+    lifted = lift_function(one, FeSpace(circle64, LIFTED))
+    assert abs(norm_lq(lifted, math.inf) - 1.0) <= 1e-14
 
 
 def test_inverse_lift_of_coordinate_on_square():

@@ -184,7 +184,7 @@ def test_delta_decay_needs_enough_samples():
 
 def test_green_decay_study_matches_eigenvalue():
     mesh = build_circle_mesh(Circle(), 32, 1)
-    fit = green_decay_study(mesh)
+    fit = green_decay_study(mesh, TimeGrid.from_mesh(mesh, t_end=3.0))
     assert fit.rate > 0
     assert fit.r_squared >= 0.95
     space = FeSpace(mesh)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import weakref
 
@@ -30,14 +31,13 @@ from esfem.timestepping import (
     SCHEME_A,
     SCHEME_B,
     STATIONARY,
-    FrameSlot,
     TimeGrid,
     extrapolation_weights,
     norm_series,
     solve_heat,
     spacetime_norm,
 )
-from oracles import weighted_total_mass
+from oracles import dense, weighted_total_mass
 
 
 def test_zero_data_stays_zero():
@@ -480,15 +480,20 @@ def test_homogeneous_solve_without_load_vectors(monkeypatch, scheme):
         assert np.array_equal(none_norms[key], series), key
 
 
-def _lockstep(fine, coarse):
-    # draw node 2k of the fine stream, then node k of the coarse one
-    fine_nodes, coarse_nodes = [], []
-    for k, node in enumerate(fine):
-        fine_nodes.append(node)
-        if k % 2 == 0:
-            coarse_nodes.append(next(coarse))
-    assert next(coarse, None) is None
-    return fine_nodes, coarse_nodes
+def _shared_streams(mesh, forcing, grid, **kwargs):
+    # the dt/2 stream's nodes, and those of the dt stream that takes its
+    # frames from the even ones
+    fine = []
+
+    def even_nodes():
+        for node in solve_heat(mesh, forcing, grid.halved(), **kwargs):
+            fine.append(node)
+            if len(fine) % 2:
+                yield node
+
+    coarse = list(solve_heat(mesh, forcing, grid, frames=even_nodes(), **kwargs))
+    assert len(fine) == 2 * len(coarse) - 1 == 2 * grid.n_steps + 1
+    return fine, coarse
 
 
 def _assert_nodes_close(nodes, reference, exact):
@@ -515,16 +520,13 @@ def test_streams_on_nested_grids_share_their_frames(scheme, profile):
     u0 = np.cos(3.0 * mesh.nodes[:, 0])
     alone = [list(solve_heat(mesh, forcing, g, scheme=scheme, u0=u0))
              for g in (grid.halved(), grid)]
-    slot = FrameSlot()
-    fine, coarse = _lockstep(solve_heat(mesh, forcing, grid.halved(), scheme=scheme,
-                                        u0=u0, frames=slot),
-                             solve_heat(mesh, forcing, grid, scheme=scheme, u0=u0,
-                                        frames=slot))
+    fine, coarse = _shared_streams(mesh, forcing, grid, scheme=scheme, u0=u0)
     # the dt/2 stream builds every frame as on its own; the dt stream takes
     # the snapshot, geometry, M, A and b of each of its nodes from it
     _assert_nodes_close(fine, alone[0], FIELDS)
     for node, twin in zip(coarse, fine[::2]):
-        assert node.mesh is twin.mesh and node.geom is twin.geom
+        for name in ("mesh", "geom", "mass", "stiff", "b"):
+            assert getattr(node, name) is getattr(twin, name), (name, node.t)
     exact = {"u", "udot"}
     if profile is None:
         exact = set(FIELDS)  # fh = 0 and nothing is re-solved
@@ -533,50 +535,51 @@ def test_streams_on_nested_grids_share_their_frames(scheme, profile):
     _assert_nodes_close(coarse, alone[1], exact)
 
 
-def test_streams_drawn_in_another_order_stay_correct():
-    # node k of the coarse stream before node 2k of the fine one: the
-    # coarse stream builds the common frames and the fine stream takes them;
-    # results stay those of streams on their own, up to the re-solved fh
-    surface = EllipsoidFlow(dimension=2)
-    mesh = build_sphere_mesh(surface, 1, 1)
-    forcing = forcing_profile("osc-seed3", surface)
-    grid = TimeGrid(0.5, 5)
-    alone = [list(solve_heat(mesh, forcing, g)) for g in (grid.halved(), grid)]
-    slot = FrameSlot()
-    fine = solve_heat(mesh, forcing, grid.halved(), frames=slot)
-    coarse_stream = solve_heat(mesh, forcing, grid, frames=slot)
-    coarse, fine_nodes = [], []
-    for k in range(grid.n_steps + 1):
-        if k:
-            fine_nodes.append(next(fine))  # node 2k - 1 builds its own frame
-        coarse.append(next(coarse_stream))  # node k builds the frame at t_k
-        fine_nodes.append(next(fine))  # node 2k takes it
-    assert next(coarse_stream, None) is None
-    assert next(fine, None) is None
-    for node, twin in zip(fine_nodes[::2], coarse):
-        assert node.mesh is twin.mesh
-    _assert_nodes_close(coarse, alone[1], FIELDS)
-    _assert_nodes_close(fine_nodes, alone[0], {"u", "udot"})
-
-
-def test_a_frame_slot_serves_one_problem():
+def test_frames_must_be_nodes_of_mesh0_at_the_stream_times():
     surface = ScaledSphereFlow(dimension=2)
     mesh = build_sphere_mesh(surface, 1, 1)
     forcing = forcing_profile("bump", surface)
     grid = TimeGrid(0.5, 6)
-    slot = FrameSlot()
-    solve_heat(mesh, forcing, grid, frames=slot)
     other_mesh = build_sphere_mesh(surface, 1, 1)
-    for args, kwargs in [
-        ((other_mesh, forcing, grid), {}),
-        ((mesh, forcing_profile("bump", surface), grid), {}),
-        ((mesh, None, grid), {}),
-        ((mesh, forcing, grid), {"scheme": STATIONARY}),
+
+    def even(nodes):
+        return (node for k, node in enumerate(nodes) if k % 2 == 0)
+
+    for frames, kwargs in [
+        (even(solve_heat(other_mesh, forcing, grid.halved())), {}),  # another mesh
+        (solve_heat(mesh, forcing, grid.halved()), {}),  # odd nodes too
+        (even(solve_heat(mesh, forcing, grid.halved(), scheme=STATIONARY)), {}),
+        (even(solve_heat(mesh, forcing, grid.halved())), {"scheme": STATIONARY}),
+        (itertools.islice(even(solve_heat(mesh, forcing, grid.halved())), 3), {}),
     ]:
-        with pytest.raises(ValueError, match="FrameSlot"):
-            solve_heat(*args, frames=slot, **kwargs)
+        with pytest.raises(ValueError, match="frames must yield a node at t"):
+            list(solve_heat(mesh, forcing, grid, frames=frames, **kwargs))
     # scheme B moves the mesh as A does, so its frames are the same
-    solve_heat(mesh, forcing, grid.halved(), scheme=SCHEME_B, frames=slot)
+    nodes = solve_heat(mesh, forcing, grid, scheme=SCHEME_B,
+                       frames=even(solve_heat(mesh, forcing, grid.halved())))
+    assert len(list(nodes)) == grid.n_steps + 1
+
+
+def test_shared_scheme_identity_holds_on_the_nodes_own_operators():
+    # a shared ellipsoid_flow scheme-A cell: at every node of both streams
+    # M udot + A u = b to solver tolerance, and the node's M, A and b are
+    # those of a fresh assembly and load on mesh0 evolved to t
+    surface = EllipsoidFlow(dimension=2)
+    mesh = build_sphere_mesh(surface, 1, 1)
+    forcing = forcing_profile("osc-seed7", surface)
+    grid = TimeGrid(0.5, 5)
+    fine, coarse = _shared_streams(mesh, forcing, grid)
+    for node in fine + coarse:
+        resid = node.mass.matvec(node.udot) + node.stiff.matvec(node.u) - node.b
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(node.b), node.t
+        snapshot = mesh.evolved(node.t)
+        space = FeSpace(snapshot)
+        assert np.array_equal(node.mesh.nodes, snapshot.nodes), node.t
+        assert np.array_equal(dense(node.mass), dense(assemble_mass(space))), node.t
+        assert np.array_equal(dense(node.stiff), dense(assemble_stiffness(space))), node.t
+        b = load_from_geometry(space.geometry(), snapshot.elements, space.num_dofs,
+                               forcing, t=node.t)
+        assert np.array_equal(node.b, b), node.t
 
 
 def test_shared_frames_are_built_once_per_fine_node(monkeypatch):
@@ -601,30 +604,38 @@ def test_shared_frames_are_built_once_per_fine_node(monkeypatch):
 
     def recording_cg(*args, **kwargs):
         x, report = original_cg(*args, **kwargs)
-        solves.append((kwargs.get("x0"), report.iterations))
+        solves.append((drawing_fine, kwargs.get("x0"), report.iterations))
         return x, report
 
     monkeypatch.setattr(SurfaceMesh, "evolved", counting_evolved)
     monkeypatch.setattr(timestepping, "load_from_geometry", counting_load)
     monkeypatch.setattr(timestepping, "cg_solve", recording_cg)
-    slot = FrameSlot()
-    fine = solve_heat(mesh, forcing, grid.halved(), frames=slot)
-    coarse = solve_heat(mesh, forcing, grid, frames=slot)
-    fine_solves = coarse_solves = 0
-    for k in range(2 * grid.n_steps + 1):
+    fine = solve_heat(mesh, forcing, grid.halved())
+    drawing_fine = False
+    taken = []
+
+    def even_nodes():
+        nonlocal drawing_fine
+        for k in range(2 * grid.n_steps + 1):
+            drawing_fine = True
+            node = next(fine)
+            drawing_fine = False
+            if k % 2 == 0:
+                taken.append(node.fh)
+                yield node
+            del node
+
+    coarse = solve_heat(mesh, forcing, grid, frames=even_nodes())
+    for k in range(grid.n_steps + 1):
         before = len(solves)
-        fine_node = next(fine)
-        fine_solves += len(solves) - before
-        if k % 2 == 0:
-            before = len(solves)
-            next(coarse)
-            drawn = solves[before:]
-            coarse_solves += len(drawn)
-            # the fh solve starts from the frame's fh, which already meets
-            # (or nearly meets) the coarse stream's tolerance
-            fh_solves = [its for x0, its in drawn
-                         if x0 is not None and np.array_equal(x0, fine_node.fh)]
-            assert len(fh_solves) == 1 and fh_solves[0] <= 1, (k, drawn)
+        next(coarse)
+        drawn = [(x0, its) for in_fine, x0, its in solves[before:] if not in_fine]
+        # the fh solve starts from the taken node's fh, which already meets
+        # (or nearly meets) the coarse stream's tolerance
+        fh_solves = [its for x0, its in drawn if x0 is taken[k]]
+        assert len(fh_solves) == 1 and fh_solves[0] <= 1, (k, drawn)
+    fine_solves = sum(in_fine for in_fine, _, _ in solves)
+    coarse_solves = len(solves) - fine_solves
     # one snapshot and one load per dt/2 node: 148 + 1, not 222 + 2
     assert len(evolved) == 2 * grid.n_steps
     assert loads == grid.halved().times().tolist()
