@@ -150,12 +150,12 @@ def _study_setup(args, check=None):
     config, extras = parse_config(args.config)
     if check is not None:
         check(config, extras)
-    return config, extras, _study_outdir(args, extras)
+    return config, extras, _outdir(args, extras["directory"])
 
 
-def _study_outdir(args, extras):
-    outdir = args.out or os.environ.get("ESFEM_OUTDIR") or extras["directory"]
-    return _make_outdir(outdir)
+def _outdir(args, default):
+    # --out, then ESFEM_OUTDIR, then the config's or the command's default
+    return _make_outdir(args.out or os.environ.get("ESFEM_OUTDIR") or default)
 
 
 def _greens_meshes(config, t_end, kernel_difference):
@@ -204,15 +204,24 @@ def _write_manifest(outdir, name, parameters, outputs):
     return write_table(os.path.join(outdir, f"{name}_manifest.json"), (), [[text]])
 
 
+# the flag that sets each config key the mesh command's ConfigError may name
+_MESH_FLAGS = {"surface.dimension": "--dimension", "surface.params": "--params",
+               "study.degree": "--degree", "study.levels": "--levels"}
+
+
 def cmd_mesh(args):
     # the flags pass the rules a study config passes, before any output
-    config = StudyConfig(surface_kind=args.surface, dimension=args.dimension,
-                         surface_params=args.params or (), horizon=args.horizon,
-                         degree=args.degree, levels=(args.levels,)).validate()
+    try:
+        config = StudyConfig(surface_kind=args.surface, dimension=args.dimension,
+                             surface_params=args.params or (), horizon=args.horizon,
+                             degree=args.degree, levels=(args.levels,)).validate()
+    except ConfigError as exc:
+        key, _, reason = str(exc).partition(" ")
+        raise ConfigError(f"{_MESH_FLAGS.get(key, key)} {reason}") from exc
     mesh = build_level_mesh(config.surface(), args.levels, args.degree)
     if args.time:
         mesh = mesh.evolved(args.time)
-    outdir = _make_outdir(args.out or "out")
+    outdir = _outdir(args, "out")
     base = f"{args.surface}_l{args.levels}_k{args.degree}"
     outputs = []
     if args.format in ("vtk", "both"):
@@ -222,6 +231,7 @@ def cmd_mesh(args):
         write_mesh_text(mesh, os.path.join(outdir, base + ".txt"))
         outputs.append(base + ".txt")
     parameters = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    parameters["dimension"] = config.dimension
     _write_manifest(outdir, base, parameters, outputs)
     print(f"wrote {len(outputs)} file(s) to {outdir} "
           f"({mesh.num_elements} cells, {mesh.num_nodes} nodes)")
@@ -269,8 +279,14 @@ def cmd_maxreg(args):
     return 0
 
 
+def _require_two_levels(config, extras):
+    if len(config.levels) < 2:
+        raise ConfigError(f"study.levels (the convergence order is fitted through "
+                          f"two levels or more, got {len(config.levels)})")
+
+
 def cmd_convergence(args):
-    config, extras, outdir = _study_setup(args)
+    config, extras, outdir = _study_setup(args, check=_require_two_levels)
     rows, order = convergence_study(config)
     write_table(os.path.join(outdir, "convergence.csv"), ("level", "h", "dt", "error"), rows)
     write_table(os.path.join(outdir, "convergence_summary.txt"), (),
@@ -285,7 +301,7 @@ def cmd_greens(args):
     config, extras = parse_config(args.config)
     t_end = 3.0 if extras["t_end"] is None else extras["t_end"]
     meshes = _greens_meshes(config, t_end, extras["kernel_difference"])
-    outdir = _study_outdir(args, extras)
+    outdir = _outdir(args, extras["directory"])
     outputs = []
     rates = []
     for level, (mesh, grid) in meshes.items():

@@ -186,160 +186,135 @@ _QUAD_BLOCK = 4096
 _EVAL_BLOCK = 32768
 
 
-class _CoarseAtPoints:
-    """Values of coarse coefficient vectors at the lifted quadrature points
-    of the fine elements, from tables filled one block of fine elements at
-    a time.
+class _LiftedDifference:
+    """The L^1 norm over the fine elements' quadrature, lifted onto the
+    exact surface, of the difference between a fine and a coarse
+    coefficient vector: called on the two vectors of one time node.
 
-    The coarse shape functions sum to one, so the value at a point is
+    The constructor walks the fine elements in blocks of ``_QUAD_BLOCK``
+    points, building each block's lifted geometry, keeping its weights and
+    inverse-lifting its points onto the coarse mesh into tables; no lifted
+    geometry of the whole fine mesh is built or cached.  The coarse shape
+    functions sum to one, so the coarse value at a point is
     c_0 + sum_{k>=1} (c_k - c_0) phi_k of the point's coarse coefficients
-    c_k, and the tables keep only the shape rows k = 1..nloc-1.  While
-    every fine element's points lie in one coarse element, as they do on
-    the nested meshes of both builders, the tables are the
-    (E_f, nloc - 1, Q) coarse shape values and the (E_f, nloc) coarse
-    nodes of each fine element.  The first block with a fine element
-    across coarse elements turns them into per-point tables,
-    (nloc - 1, E_f*Q) shape values and (nloc, E_f*Q) nodes; both give the
-    same products summed in the same order.  An evaluation covers a range
-    of at most ``block`` fine elements and writes into given (elements, Q)
-    and (elements,) arrays; its only scratch, the coarse coefficients
-    gathered for ``block`` fine elements, is allocated once.
+    c_k, and the tables keep only the shape rows k = 1..nloc-1.  They come
+    in one of two layouts:
+
+    - nested, while every fine element's points lie in one coarse element,
+      as on the nested meshes of both builders: (E_f, nloc - 1, Q) shape
+      values and the (E_f, nloc) coarse nodes of each fine element.  A
+      call writes each element's c_0 into the last column of the gathered
+      fine coefficients, and the fine map's last row, -1, subtracts it in
+      the fine matmul;
+    - per point, from the first block with a fine element across coarse
+      elements on: (nloc - 1, E_f*Q) shape values and (nloc, E_f*Q) coarse
+      nodes, with the rows already filled carried over.  The last fine
+      column stays zero and c_0 is added to the coarse values.
+
+    Both give the same products summed in the same order.  A call runs over
+    blocks of ``_EVAL_BLOCK`` points, evaluating the fine values, the
+    coarse values, their difference and its weighted sum per block, and
+    adds the blocks' sums; its scratch, sized to one block, is allocated
+    once.
     """
 
-    def __init__(self, mesh, n_fine, n_quad, block):
-        self.mesh, self.n_fine, self.n_quad, self.block = mesh, n_fine, n_quad, block
+    def __init__(self, coarse_mesh, fine_mesh, order):
+        self.coarse_mesh, self.fine_mesh = coarse_mesh, fine_mesh
+        self.n_fine = n_fine = fine_mesh.num_elements
+        self.n_quad = n_quad = len(reference_rule(fine_mesh.dimension, order).weights)
+        self.block = block = max(1, _EVAL_BLOCK // n_quad)
+        weights = np.empty((n_fine, n_quad))
         # Both builders order children after their parent: when E_c divides
         # E_f, fine element k lies in coarse element k // (E_f / E_c), which
         # the inverse lift tries first for each of k's points
-        n_coarse = mesh.num_elements
+        n_coarse = coarse_mesh.num_elements
         self.ratio = n_fine // n_coarse if n_fine % n_coarse == 0 else None
         self.nested = self.ratio is not None
-        nloc = mesh.elements.shape[1]
+        nloc = coarse_mesh.elements.shape[1]
         if self.nested:
             self.table = np.empty((n_fine, nloc - 1, n_quad))
-            self.gather = np.empty((n_fine, nloc), dtype=mesh.elements.dtype)
-            self.gathered = np.empty((block, nloc))
+            self.gather = np.empty((n_fine, nloc), dtype=coarse_mesh.elements.dtype)
+            self.coarse_gathered = np.empty((block, nloc))
         else:
             self._per_point(0)
+        step = max(1, _QUAD_BLOCK // n_quad)
+        for lo in range(0, n_fine, step):
+            geom = block_geometry(fine_mesh, LIFTED, order, lo, min(lo + step, n_fine))
+            weights[lo:lo + step], points, fine_sv = geom.weights, geom.points, geom.shape_values
+            # the block's Jacobians and metric go before its points are lifted,
+            # and its points before the next block's geometry is built
+            del geom
+            self._fill(lo, points)
+            del points
+        self.weights = weights.reshape(-1)
+        self.fine_map = np.vstack([fine_sv.T, np.full(n_quad, -1.0)])
+        self.fine_gathered = np.zeros((block, fine_mesh.elements.shape[1] + 1))
+        self.diff = np.empty((block, n_quad))
+        self.coarse_vals = np.empty_like(self.diff)
 
     def _per_point(self, filled):
         # per-point tables, with the rows of the first `filled` fine
         # elements carried over from the per-element tables
-        nloc, n_points = self.mesh.elements.shape[1], self.n_fine * self.n_quad
+        nloc, n_points = self.coarse_mesh.elements.shape[1], self.n_fine * self.n_quad
         table = np.empty((nloc - 1, n_points))
-        gather = np.empty((nloc, n_points), dtype=self.mesh.elements.dtype)
+        gather = np.empty((nloc, n_points), dtype=self.coarse_mesh.elements.dtype)
         if filled:
             done = filled * self.n_quad
             table[:, :done] = self.table[:filled].transpose(1, 0, 2).reshape(nloc - 1, done)
             gather[:, :done] = np.repeat(self.gather[:filled].T, self.n_quad, axis=1)
         self.table, self.gather = table, gather
-        self.gathered = np.empty((nloc, self.block * self.n_quad))
+        self.coarse_gathered = np.empty((nloc, self.block * self.n_quad))
         self.nested = False
 
-    def fill(self, lo, points):
-        """The tables of the fine elements from lo on, given their lifted
-        quadrature points (block, Q, d), which are inverse-lifted onto the
-        coarse mesh here."""
+    def _fill(self, lo, points):
+        # the tables of the fine elements from lo on, given their lifted
+        # quadrature points (block, Q, d)
         hi = lo + len(points)
         guess = None
         if self.ratio is not None:
             guess = np.repeat(np.arange(lo, hi) // self.ratio, self.n_quad)
         elems, refs = radial_inverse_lift(
-            self.mesh, points.reshape(-1, points.shape[-1]), guess=guess)
+            self.coarse_mesh, points.reshape(-1, points.shape[-1]), guess=guess)
         elems = elems.reshape(hi - lo, self.n_quad)
-        sv = self.mesh.reference.shape_values(refs)[:, 1:]
+        sv = self.coarse_mesh.reference.shape_values(refs)[:, 1:]
         if self.nested and not (elems == elems[:, :1]).all():
             self._per_point(lo)
         if self.nested:
             self.table[lo:hi] = sv.reshape(hi - lo, self.n_quad, -1).transpose(0, 2, 1)
-            self.gather[lo:hi] = self.mesh.elements[elems[:, 0]]
+            self.gather[lo:hi] = self.coarse_mesh.elements[elems[:, 0]]
         else:
             span = slice(lo * self.n_quad, hi * self.n_quad)
             self.table[:, span] = sv.T
-            self.gather[:, span] = self.mesh.elements[elems.reshape(-1)].T
+            self.gather[:, span] = self.coarse_mesh.elements[elems.reshape(-1)].T
 
-    def __call__(self, coeffs, lo, hi, out, first):
-        """The values at the points of fine elements lo:hi less one value
-        per fine element: writes those into out, shape (hi - lo, Q), and the
-        values left out into first, shape (hi - lo,).  On the nested layout
-        first holds each fine element's c_0, which the kernel difference
-        subtracts in its fine matmul; on the per-point layout, zeros."""
-        if self.nested:
-            gathered = self.gathered[:hi - lo]
-            np.take(coeffs, self.gather[lo:hi], out=gathered)
-            base, rest = gathered[:, 0], gathered[:, 1:]
-            np.subtract(rest, base[:, None], out=rest)
-            np.einsum("ek,ekq->eq", rest, self.table[lo:hi], out=out)
-            first[:] = base
-        else:
-            span = slice(lo * self.n_quad, hi * self.n_quad)
-            gathered = self.gathered[:, :(hi - lo) * self.n_quad]
-            np.take(coeffs, self.gather[:, span], out=gathered)
-            base, rest = gathered[0], gathered[1:]
-            np.subtract(rest, base, out=rest)
-            flat = out.reshape(-1)
-            np.einsum("kp,kp->p", self.table[:, span], rest, out=flat)
-            flat += base
-            first[:] = 0.0
-        return out
-
-
-def _lifted_fine_quadrature(coarse_mesh, fine_mesh, order):
-    """Weights (E_f*Q,) of the fine elements' quadrature lifted onto the
-    exact surface, the coarse kernel's values at its points
-    (``_CoarseAtPoints``) and the fine reference shape values (Q, nloc),
-    set up in one pass over blocks of fine elements.  No lifted geometry of
-    the whole fine mesh is built or cached."""
-    n_fine = fine_mesh.num_elements
-    n_quad = len(reference_rule(fine_mesh.dimension, order).weights)
-    weights = np.empty((n_fine, n_quad))
-    coarse_at_points = _CoarseAtPoints(coarse_mesh, n_fine, n_quad,
-                                       max(1, _EVAL_BLOCK // n_quad))
-    step = max(1, _QUAD_BLOCK // n_quad)
-    for lo in range(0, n_fine, step):
-        geom = block_geometry(fine_mesh, LIFTED, order, lo, min(lo + step, n_fine))
-        weights[lo:lo + step], points, fine_sv = geom.weights, geom.points, geom.shape_values
-        # the block's Jacobians and metric go before its points are lifted,
-        # and its points before the next block's geometry is built
-        del geom
-        coarse_at_points.fill(lo, points)
-        del points
-    return weights.reshape(-1), coarse_at_points, fine_sv
-
-
-def _node_difference(fine_mesh, weights, coarse_at_points, fine_sv):
-    """The L^1 norm over the lifted fine quadrature of the difference
-    between a fine and a coarse coefficient vector, as a function of the
-    two vectors.  A call runs over blocks of ``coarse_at_points.block``
-    fine elements, evaluating the fine values, the coarse values, their
-    difference and its weighted sum per block, and adds the blocks' sums;
-    its scratch, sized to one block, is allocated once.
-
-    The value per fine element that the coarse values leave out (c_0 on
-    the nested layout) is gathered after the element's fine coefficients,
-    and the fine map's last row, -1, subtracts it in the same matmul."""
-    n_fine, n_quad = fine_mesh.num_elements, len(fine_sv)
-    nloc = fine_mesh.elements.shape[1]
-    fine_map = np.vstack([fine_sv.T, np.full(n_quad, -1.0)])
-    block = coarse_at_points.block
-    fine_gathered = np.empty((block, nloc + 1))
-    diff = np.empty((block, n_quad))
-    coarse_vals = np.empty_like(diff)
-
-    def l1(fine_coeffs, coarse_coeffs):
+    def __call__(self, fine_coeffs, coarse_coeffs):
+        fine_elements, n_quad = self.fine_mesh.elements, self.n_quad
+        nloc = fine_elements.shape[1]
         total = 0.0
-        for lo in range(0, n_fine, block):
-            hi = min(lo + block, n_fine)
-            n = hi - lo
-            d, gathered = diff[:n], fine_gathered[:n]
-            np.take(fine_coeffs, fine_mesh.elements[lo:hi], out=gathered[:, :nloc])
-            coarse = coarse_at_points(coarse_coeffs, lo, hi, coarse_vals[:n], gathered[:, nloc])
-            np.matmul(gathered, fine_map, out=d)
+        for lo in range(0, self.n_fine, self.block):
+            hi = min(lo + self.block, self.n_fine)
+            n, span = hi - lo, slice(lo * n_quad, hi * n_quad)
+            d, fine, coarse = self.diff[:n], self.fine_gathered[:n], self.coarse_vals[:n]
+            np.take(fine_coeffs, fine_elements[lo:hi], out=fine[:, :nloc])
+            if self.nested:
+                gathered = self.coarse_gathered[:n]
+                np.take(coarse_coeffs, self.gather[lo:hi], out=gathered)
+                base, rest = gathered[:, 0], gathered[:, 1:]
+                np.subtract(rest, base[:, None], out=rest)
+                np.einsum("ek,ekq->eq", rest, self.table[lo:hi], out=coarse)
+                fine[:, nloc] = base
+            else:
+                gathered = self.coarse_gathered[:, :n * n_quad]
+                np.take(coarse_coeffs, self.gather[:, span], out=gathered)
+                base, rest = gathered[0], gathered[1:]
+                np.subtract(rest, base, out=rest)
+                flat = coarse.reshape(-1)
+                np.einsum("kp,kp->p", self.table[:, span], rest, out=flat)
+                flat += base
+            np.matmul(fine, self.fine_map, out=d)
             np.subtract(d, coarse, out=d)
-            total += weights[lo * n_quad:hi * n_quad] @ np.abs(d, out=d).reshape(-1)
+            total += self.weights[span] @ np.abs(d, out=d).reshape(-1)
         return float(total)
-
-    return l1
 
 
 # the most dofs kernel_difference_l1 takes on its fine mesh
@@ -371,13 +346,9 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11):
     through the inverse lift).
 
     The mesh and budget checks (``_check_kernel_pair``) raise at the call.
-    The lifted fine quadrature is set up block by block, and what the
-    function then holds is O(E_f*Q*(nloc - 1)) for E_f fine elements, Q
-    points and nloc coarse nodes per element: the lifted weights and the
-    table of coarse shape values at the points, less the first shape
-    function (``_CoarseAtPoints``), with their coarse nodes.  Every time
-    node is evaluated one block of fine elements at a time (``_EVAL_BLOCK``
-    points), into scratch sized to that block, not to the (E_f, Q) points.  The coarse and fine
+    What the function then holds is O(E_f*Q*(nloc - 1)) for E_f fine
+    elements, Q points and nloc coarse nodes per element: the lifted weights
+    and the coarse tables of ``_LiftedDifference``.  The coarse and fine
     Green's streams are drawn in lockstep, one time node of each at a time,
     so only the current node of either kernel is held.
     """
@@ -398,9 +369,9 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11):
                 discrete_green(fine_mesh, x_fine, time_grid, cg_tol=cg_tol))
                for time_grid in (grid, grid.halved())]
 
-    quad_order = default_quad_order(fine_mesh.degree, fine_mesh.dimension, LIFTED)
-    difference = _node_difference(
-        fine_mesh, *_lifted_fine_quadrature(coarse_mesh, fine_mesh, quad_order))
+    difference = _LiftedDifference(
+        coarse_mesh, fine_mesh,
+        default_quad_order(fine_mesh.degree, fine_mesh.dimension, LIFTED))
 
     def run(time_grid, coarse, fine):
         series = [difference(fine_node.udot, coarse_node.udot)

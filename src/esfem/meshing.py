@@ -110,10 +110,7 @@ class SurfaceMesh:
             raise FlowEvaluationFailure(
                 f"time {t} outside [0, {self.surface.horizon}]"
             )
-        try:
-            nodes = self.surface.position(t, self.ref_nodes)
-        except Exception as exc:  # pragma: no cover - defensive
-            raise FlowEvaluationFailure(str(exc)) from exc
+        nodes = self.surface.position(t, self.ref_nodes)
         return SurfaceMesh(
             self.surface, self.degree, nodes, self.elements,
             ref_nodes=self.ref_nodes, time=t, family_cache=self.family_cache,

@@ -49,7 +49,7 @@ CSV_COLUMNS = ("level", "h", "dt", "p", "q", "norm_dtu", "norm_lapu",
 @dataclass(frozen=True)
 class StudyConfig:
     surface_kind: str = "circle"
-    dimension: int = 1
+    dimension: int | None = None  # None: the kind's own, which __post_init__ sets
     surface_params: tuple = ()
     horizon: float = 1.0
     scheme: str = STATIONARY
@@ -62,6 +62,11 @@ class StudyConfig:
     richardson_rtol: float = 0.01
     cg_tol: float = 1e-12
     seed: int = 42
+
+    def __post_init__(self):
+        if self.dimension is None:
+            # the dimension make_surface gives the kind when none is asked for
+            object.__setattr__(self, "dimension", 1 if self.surface_kind == "circle" else 2)
 
     def validate(self):
         """Self, or ConfigError naming the config key of the first value
@@ -82,13 +87,16 @@ class StudyConfig:
                 raise ConfigError(f"{key} (must be positive and finite, got {value})")
         if self.mode < 1:
             raise ConfigError(f"study.mode (must be >= 1, got {self.mode})")
+        dim = self.dimension
+        if dim not in ELEMENT_DEGREES:
+            raise ConfigError(f"surface.dimension (no mesh builder for dimension {dim})")
         try:
             surface = self.surface()
         except ValueError as exc:
             raise ConfigError(f"surface.params ({exc})") from exc
-        dim = surface.dimension
-        if dim not in ELEMENT_DEGREES:
-            raise ConfigError(f"surface.dimension (no mesh builder for dimension {dim})")
+        if surface.dimension != dim:
+            raise ConfigError(f"surface.dimension (a {self.surface_kind} has dimension "
+                              f"{surface.dimension}, got {dim})")
         if self.degree not in ELEMENT_DEGREES[dim]:
             raise ConfigError(f"study.degree (must be one of {ELEMENT_DEGREES[dim]} "
                               f"on a {dim}-dimensional surface, got {self.degree})")
@@ -252,8 +260,8 @@ def maxreg_study(config):
 
 def convergence_study(config):
     """L^inf(0,T; L^2) errors against the exact eigenfunction-decay solution,
-    integrated with BDF2 at dt = factor * h^((k+1)/2) so the time error stays
-    below the spatial rate being measured.
+    integrated with BDF2 at dt = factor * h^((k+1)/2 + 1/2) so the time error
+    stays below the spatial rate being measured.
 
     Returns the rows (level, h, dt, error), one per level, and the observed
     order: the slope of log(error) against log(h)."""

@@ -22,7 +22,7 @@ TWO_PI = 2.0 * math.pi
 class Surface:
     """Base class for closed hypersurfaces of dimension ``m`` in R^(m+1).
 
-    Subclasses provide the closest-point projection, its Jacobian, normals
+    Subclasses provide the closest-point projection with its Jacobian, normals
     and (for evolving kinds) the flow map that moves the mesh nodes.  The
     default flow is the identity (stationary surface).
     """
@@ -45,14 +45,10 @@ class Surface:
         """Outward unit normal at points on (or near) the surface."""
         raise NotImplementedError
 
-    def projection_jacobian(self, t, x):
-        """Jacobian dq/dx of the closest-point projection, shape (..., d, d)."""
-        raise NotImplementedError
-
     def project_with_jacobian(self, t, x):
-        """``project`` and ``projection_jacobian`` at the same points, for
-        kinds that can share work between the two."""
-        return self.project(t, x), self.projection_jacobian(t, x)
+        """``project`` at the points and the Jacobian dq/dx of the
+        closest-point projection there, shape (..., d, d)."""
+        raise NotImplementedError
 
     # -- flow map --------------------------------------------------------------
 
@@ -72,18 +68,6 @@ def _radial_project(x, radius):
     return radius * x / r
 
 
-def _radial_jacobian(x, radius):
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x, axis=-1)
-    unit = x / r[..., None]
-    d = x.shape[-1]
-    # (radius/r)(I - unit unit^T), formed in one (..., d, d) array
-    jac = unit[..., :, None] * unit[..., None, :]
-    np.subtract(np.eye(d), jac, out=jac)
-    jac *= (radius / r)[..., None, None]
-    return jac
-
-
 class _RadialSurface(Surface):
     """Shared machinery for circles/spheres, possibly with radius varying in t."""
 
@@ -97,8 +81,18 @@ class _RadialSurface(Surface):
         x = np.asarray(x, dtype=float)
         return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
-    def projection_jacobian(self, t, x):
-        return _radial_jacobian(x, self.radius(t))
+    def project_with_jacobian(self, t, x):
+        x = np.asarray(x, dtype=float)
+        radius = self.radius(t)
+        projected = _radial_project(x, radius)
+        r = np.linalg.norm(x, axis=-1)
+        unit = x / r[..., None]
+        d = x.shape[-1]
+        # (radius/r)(I - unit unit^T), formed in one (..., d, d) array
+        jac = unit[..., :, None] * unit[..., None, :]
+        np.subtract(np.eye(d), jac, out=jac)
+        jac *= (radius / r)[..., None, None]
+        return projected, jac
 
     def geodesic_distance(self, t, x, y):
         x = np.asarray(x, dtype=float)
@@ -228,21 +222,11 @@ class EllipsoidFlow(Surface):
         x = np.asarray(x, dtype=float)
         return self._project_at(t, x, self._solve_multiplier(t, x))
 
-    def projection_jacobian(self, t, x):
-        x = np.asarray(x, dtype=float)
-        return self._jacobian_at(t, x, self._solve_multiplier(t, x))
-
     def project_with_jacobian(self, t, x):
         # one Newton solve for the multiplier serves both
         x = np.asarray(x, dtype=float)
         lam = self._solve_multiplier(t, x)
-        return self._project_at(t, x, lam), self._jacobian_at(t, x, lam)
-
-    def _project_at(self, t, x, lam):
-        a2 = self.axes(t) ** 2
-        return a2 * x / (a2 + lam[..., None])
-
-    def _jacobian_at(self, t, x, lam):
+        projected = self._project_at(t, x, lam)
         a2 = self.axes(t) ** 2
         denom = a2 + lam[..., None]
         # implicit differentiation of the multiplier equation
@@ -255,7 +239,11 @@ class EllipsoidFlow(Surface):
         idx = np.arange(d)
         jac[..., idx, idx] = diag
         jac -= (a2 * x / denom**2)[..., :, None] * dldx[..., None, :]
-        return jac
+        return projected, jac
+
+    def _project_at(self, t, x, lam):
+        a2 = self.axes(t) ** 2
+        return a2 * x / (a2 + lam[..., None])
 
 
 def make_surface(kind, dimension=None, params=(), horizon=1.0):

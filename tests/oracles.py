@@ -350,7 +350,7 @@ def prefactors(mesh):
     disc = element_geometry(mesh, DISCRETE, order)
     lift = element_geometry(mesh, LIFTED, order)
     ratio = disc.metric_factor / lift.metric_factor
-    dq = mesh.surface.projection_jacobian(mesh.time, disc.points.reshape(-1, d))
+    dq = mesh.surface.project_with_jacobian(mesh.time, disc.points.reshape(-1, d))[1]
     tmap = dq.reshape(disc.points.shape + (d,)) @ disc.jac
     bfield = ratio[..., None, None] * (tmap @ disc.inv_metric @ np.swapaxes(tmap, -1, -2))
     nu = mesh.surface.normal(mesh.time, lift.points.reshape(-1, d)).reshape(lift.points.shape)

@@ -225,6 +225,22 @@ def test_cli_config_hash_is_shared_by_study_manifests(tmp_path):
     assert manifest["outputs"] == ["maxreg.csv", "maxreg_summary.txt"]
 
 
+def test_cli_manifest_records_the_dimension_that_ran(tmp_path):
+    # a sphere config without surface.dimension runs on S^2 and says so
+    text = "[surface]\nkind = sphere\n[study]\nlevels = 0\nt_end = 0.05\n"
+    stated = text.replace("kind = sphere\n", "kind = sphere\ndimension = 2\n")
+    hashes = []
+    for name, config in (("implicit", text), ("stated", stated)):
+        cfg = write_config(tmp_path, text=config)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        manifest = _manifest(tmp_path / name, "solve")
+        assert manifest["parameters"]["dimension"] == 2
+        hashes.append(manifest["config_hash"])
+    assert hashes[0] == hashes[1]
+    assert ((tmp_path / "implicit" / "solve_level0.csv").read_bytes()
+            == (tmp_path / "stated" / "solve_level0.csv").read_bytes())
+
+
 def test_cli_greens_hash_tracks_its_extras(tmp_path):
     # c_star is read from the config outside StudyConfig; it shapes the
     # dyadic table, so it must change the manifest hash
@@ -414,6 +430,13 @@ def test_cli_solve_honours_t_end(tmp_path):
        "solver.cg_tol") for v in ("nan", "inf", "0", "-1")),
     *((command, "[surface]\nkind = circle\n[study]\nlevels =\n", "study.levels")
       for command in ("solve", "maxreg", "greens", "delta", "convergence", "inequalities")),
+    # the convergence order is a slope, which one level does not give
+    ("convergence", "[surface]\nkind = circle\n[study]\nlevels = 16\n", "study.levels"),
+    # circles are curves and spheres surfaces, whatever the config says
+    ("solve", "[surface]\nkind = sphere\ndimension = 1\n[study]\nlevels = 1\n",
+     "surface.dimension"),
+    ("solve", "[surface]\nkind = circle\ndimension = 2\n[study]\nlevels = 16\n",
+     "surface.dimension"),
 ])
 def test_cli_rejected_config_values_are_config_errors(tmp_path, capsys, command,
                                                       config, key):
@@ -426,23 +449,40 @@ def test_cli_rejected_config_values_are_config_errors(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flags,key", [
-    (["--surface", "sphere", "--dimension", "2", "--levels", "-1"], "study.levels"),
+@pytest.mark.parametrize("flags,flag", [
+    (["--surface", "sphere", "--dimension", "2", "--levels", "-1"], "--levels"),
     (["--surface", "sphere", "--dimension", "2", "--levels", "1", "--degree", "3"],
-     "study.degree"),
-    (["--surface", "circle", "--levels", "8", "--degree", "4"], "study.degree"),
+     "--degree"),
+    (["--surface", "circle", "--levels", "8", "--degree", "4"], "--degree"),
     (["--surface", "ellipsoid_flow", "--dimension", "2", "--levels", "1",
-      "--params", "0.1,0.2"], "surface.params"),
+      "--params", "0.1,0.2"], "--params"),
     (["--surface", "scaled_sphere_flow", "--dimension", "2", "--levels", "1",
-      "--params", "1.5"], "surface.params"),
+      "--params", "1.5"], "--params"),
+    (["--surface", "sphere", "--dimension", "1", "--levels", "1"], "--dimension"),
 ])
-def test_cli_mesh_rejects_bad_flags_as_config_errors(tmp_path, capsys, flags, key):
+def test_cli_mesh_rejects_bad_flags_as_config_errors(tmp_path, capsys, flags, flag):
+    # the mesh command reads no config file, so its errors name the flag
     out = tmp_path / "out"
     assert main(["mesh", *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"ConfigError: {key} (")
+    assert err.startswith(f"ConfigError: {flag} (")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_mesh_writes_to_esfem_outdir_without_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ESFEM_OUTDIR", str(tmp_path / "env"))
+    argv = ["mesh", "--surface", "ellipsoid_flow", "--levels", "0", "--format", "text"]
+    assert main(argv) == 0
+    assert main([*argv, "--out", str(tmp_path / "flag")]) == 0
+    assert not (tmp_path / "out").exists()
+    for outdir in ("env", "flag"):
+        text = (tmp_path / outdir / "ellipsoid_flow_l0_k1.txt").read_text()
+        # without --dimension the ellipsoid is the 2-dimensional surface
+        assert "dimension 2\n" in text
+        manifest = _manifest(tmp_path / outdir, "ellipsoid_flow_l0_k1")
+        assert manifest["parameters"]["dimension"] == 2
 
 
 def test_cli_maxreg_check_exits_3_on_a_non_uniform_pair(tmp_path, monkeypatch):

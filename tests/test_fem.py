@@ -132,7 +132,7 @@ def quadrature_oracle(mesh, tag, order):
     jac = np.einsum("qlm,eld->eqdm", sg, coords)
     if tag == LIFTED:
         flat = points.reshape(-1, points.shape[-1])
-        dq = mesh.surface.projection_jacobian(mesh.time, flat)
+        dq = mesh.surface.project_with_jacobian(mesh.time, flat)[1]
         jac = np.einsum("eqij,eqjm->eqim", dq.reshape(points.shape + dq.shape[-1:]), jac)
         points = mesh.surface.project(mesh.time, flat).reshape(points.shape)
     g = np.einsum("eqdi,eqdj->eqij", jac, jac)
@@ -235,7 +235,7 @@ def eager_geometry(mesh, tag, order):
     jac = np.swapaxes(coords, 1, 2)[:, None] @ sg
     if tag == LIFTED:
         flat = points.reshape(-1, points.shape[-1])
-        dq = mesh.surface.projection_jacobian(mesh.time, flat)
+        dq = mesh.surface.project_with_jacobian(mesh.time, flat)[1]
         jac = dq.reshape(points.shape + dq.shape[-1:]) @ jac
         points = mesh.surface.project(mesh.time, flat).reshape(points.shape)
     det, inv = eager_metric(jac, mesh.dimension)
@@ -619,7 +619,7 @@ def test_ritz_fixes_members(circle64):
         dvals = np.sum(sg[..., 0] * member.coeffs[mesh.elements[elems]], axis=1)
         jac = np.einsum("plm,pld->pdm", sg, coords)[..., 0]
         base = np.einsum("pl,pld->pd", mesh.reference.shape_values(refs), coords)
-        dq = mesh.surface.projection_jacobian(mesh.time, base)
+        dq = mesh.surface.project_with_jacobian(mesh.time, base)[1]
         lifted_tangent = np.einsum("pij,pj->pi", dq, jac)
         speed2 = np.sum(lifted_tangent * lifted_tangent, axis=-1)
         return dvals[:, None] * lifted_tangent / speed2[:, None]

@@ -113,9 +113,9 @@ def test_delta_consistency_identity_fixture():
         def project(self, t, x):
             return np.asarray(x, dtype=float)
 
-        def projection_jacobian(self, t, x):
+        def project_with_jacobian(self, t, x):
             x = np.asarray(x, dtype=float)
-            return np.broadcast_to(np.eye(2), x.shape + (2,)).copy()
+            return x, np.broadcast_to(np.eye(2), x.shape + (2,)).copy()
 
         def normal(self, t, x):
             x = np.asarray(x, dtype=float)
@@ -425,10 +425,10 @@ TABLE_PAIRS = {
 }
 
 
-def _blocked_tables(case, monkeypatch, eval_elements=None):
-    # the pair of TABLE_PAIRS and the tables of its lifted fine quadrature,
-    # set up in its blocks and evaluated eval_elements fine elements at a
-    # time (None: the module's block)
+def _blocked_difference(case, monkeypatch, eval_elements=None):
+    # the pair of TABLE_PAIRS and its kernel difference, set up in the
+    # pair's blocks and evaluated eval_elements fine elements at a time
+    # (None: the module's block)
     coarse, fine, block = TABLE_PAIRS[case]()
     fine.surface = coarse.surface
     if block is not None:
@@ -437,7 +437,7 @@ def _blocked_tables(case, monkeypatch, eval_elements=None):
     if eval_elements is not None:
         n_quad = len(reference_rule(fine.dimension, order).weights)
         monkeypatch.setattr(greens, "_EVAL_BLOCK", eval_elements * n_quad)
-    return coarse, fine, order, greens._lifted_fine_quadrature(coarse, fine, order)
+    return coarse, fine, order, greens._LiftedDifference(coarse, fine, order)
 
 
 @pytest.mark.parametrize("case", sorted(TABLE_PAIRS))
@@ -450,54 +450,47 @@ def test_blocked_tables_match_the_whole_mesh_tables(case, monkeypatch):
     # tables, which the inverse lift makes sensitive to the points, are
     # compared at the same points, bit for bit: the stored shape rows
     # k >= 1 and coarse nodes against those of the one lift
-    coarse, fine, order, (weights, coarse_at_points, fine_sv) = _blocked_tables(
-        case, monkeypatch, eval_elements=7)
+    coarse, fine, order, difference = _blocked_difference(case, monkeypatch, eval_elements=7)
     assert not any(tag == LIFTED for tag, _ in getattr(fine, "_geom_cache", {}))
     geom = FeSpace(fine, LIFTED).geometry()
     n_fine, n_quad = geom.weights.shape
     step = max(1, greens._QUAD_BLOCK // n_quad)
     assert step < n_fine  # more than one block
+    weights = difference.weights
     assert np.abs(weights - geom.weights.reshape(-1)).max() <= 1e-15 * geom.weights.max()
-    assert np.array_equal(fine_sv, geom.shape_values)
+    assert np.array_equal(difference.fine_map[:-1], geom.shape_values.T)
+    assert (difference.fine_map[-1] == -1.0).all()
     blocks = [block_geometry(fine, LIFTED, order, lo, min(lo + step, n_fine))
               for lo in range(0, n_fine, step)]
     points = np.concatenate([b.points for b in blocks])
     assert np.abs(points - geom.points).max() <= 1e-15 * np.abs(geom.points).max()
     assert np.array_equal(np.concatenate([b.weights for b in blocks]).reshape(-1), weights)
-    assert coarse_at_points.nested == case.startswith("sphere")
-    at_points = SimpleNamespace(points=points, weights=geom.weights)
+    assert difference.nested == case.startswith("sphere")
+    at_points = SimpleNamespace(points=points, weights=geom.weights,
+                                shape_values=geom.shape_values)
     elems, refs = lift_quadrature(coarse, at_points)
     rows = coarse.reference.shape_values(refs)[..., 1:]
-    if coarse_at_points.nested:
+    if difference.nested:
         assert (elems == elems[:, :1]).all()
-        assert np.array_equal(coarse_at_points.table,
+        assert np.array_equal(difference.table,
                               rows.reshape(n_fine, n_quad, -1).transpose(0, 2, 1))
-        assert np.array_equal(coarse_at_points.gather, coarse.elements[elems[:, 0]])
+        assert np.array_equal(difference.gather, coarse.elements[elems[:, 0]])
     else:
-        assert np.array_equal(coarse_at_points.table, rows.T)
-        assert np.array_equal(coarse_at_points.gather, coarse.elements[elems.reshape(-1)].T)
-    # the values c_0 + sum_{k>=1} (c_k - c_0) phi_k, with c_0 handed out
-    # per fine element on the nested layout, against the plain
-    # sum_k c_k phi_k, which rounds differently, evaluated a range of fine
-    # elements at a time, as kernel_difference_l1 does: the ranges cover
+        assert np.array_equal(difference.table, rows.T)
+        assert np.array_equal(difference.gather, coarse.elements[elems.reshape(-1)].T)
+    # with a zero fine vector the difference is the L^1 norm of the coarse
+    # values c_0 + sum_{k>=1} (c_k - c_0) phi_k, c_0 taken through the fine
+    # matmul on the nested layout, against the plain sum_k c_k phi_k, which
+    # rounds differently, at the same points; the evaluation blocks cover
     # the fine mesh in more than one piece
+    assert difference.block < n_fine
     expected_at = coarse_at_quadrature(coarse, at_points)
-    ranges = [(lo, min(lo + coarse_at_points.block, n_fine))
-              for lo in range(0, n_fine, coarse_at_points.block)]
-    assert len(ranges) > 1
-    out, first = np.empty(geom.weights.shape), np.empty(n_fine)
+    zero = np.zeros(fine.num_nodes)
     rng = np.random.default_rng(len(case))
     for _ in range(3):
         u = rng.standard_normal(coarse.num_nodes)
-        for lo, hi in ranges:
-            coarse_at_points(u, lo, hi, out[lo:hi], first[lo:hi])
-        if coarse_at_points.nested:
-            assert np.array_equal(first, u[coarse.elements[elems[:, 0], 0]])
-        else:
-            assert not first.any()
-        expected = expected_at(u)
-        got = (out + first[:, None]).reshape(-1)
-        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+        expected = whole_difference_l1(fine, at_points, expected_at, zero, u)
+        assert abs(difference(zero, u) - expected) <= 1e-14 * expected
 
 
 @pytest.mark.parametrize("eval_elements", [None, 7], ids=["module-block", "7-elements"])
@@ -508,8 +501,7 @@ def test_blocked_difference_matches_the_whole_mesh_difference(case, eval_element
     # fine elements, against one pass over the whole lifted fine geometry
     # with its points inverse-lifted in one call; the sum runs in another
     # order and the points may move by an ulp (see above)
-    coarse, fine, _, tables = _blocked_tables(case, monkeypatch, eval_elements)
-    difference = greens._node_difference(fine, *tables)
+    coarse, fine, _, difference = _blocked_difference(case, monkeypatch, eval_elements)
     geom = FeSpace(fine, LIFTED).geometry()
     coarse_at = coarse_at_quadrature(coarse, geom)
     rng = np.random.default_rng(len(case))

@@ -155,6 +155,17 @@ def test_evolve_outside_horizon_fails():
         mesh.evolved(2.0)
 
 
+def test_evolve_passes_on_errors_of_the_flow_map():
+    # an error of the flow map itself reaches the caller as it was raised
+    class BrokenFlow(ScaledSphereFlow):
+        def position(self, t, y):
+            raise TypeError("broken flow map")
+
+    mesh = build_sphere_mesh(BrokenFlow(dimension=2), 0, 1)
+    with pytest.raises(TypeError, match="broken flow map"):
+        mesh.evolved(0.5)
+
+
 def test_quasi_uniformity_uniform_circle():
     report = quasi_uniformity_report(build_circle_mesh(Circle(), 24, 1))
     assert abs(report["size_ratio"] - 1.0) <= 1e-12

@@ -46,6 +46,28 @@ def test_config_validation():
     assert StudyConfig().validate() is not None
 
 
+@pytest.mark.parametrize("kind,dimension", [
+    ("circle", 1), ("sphere", 2), ("scaled_sphere_flow", 2), ("ellipsoid_flow", 2)])
+def test_config_dimension_defaults_to_the_kind_s_own(kind, dimension):
+    config = StudyConfig(surface_kind=kind, levels=(16,)).validate()
+    assert config.dimension == dimension
+    assert config.surface().dimension == dimension
+    assert config == StudyConfig(surface_kind=kind, dimension=dimension, levels=(16,))
+    assert config_hash(config) == config_hash(
+        StudyConfig(surface_kind=kind, dimension=dimension, levels=(16,)))
+
+
+def test_config_rejects_a_dimension_the_kind_cannot_have():
+    for kind, dimension in (("circle", 2), ("sphere", 1), ("ellipsoid_flow", 3),
+                            ("scaled_sphere_flow", 0)):
+        with pytest.raises(ConfigError, match=r"^surface\.dimension \("):
+            StudyConfig(surface_kind=kind, dimension=dimension, levels=(16,)).validate()
+    # the flows take either dimension
+    for kind in ("scaled_sphere_flow", "ellipsoid_flow"):
+        config = StudyConfig(surface_kind=kind, dimension=1, levels=(16,)).validate()
+        assert config.surface().dimension == 1
+
+
 def test_config_hash_changes_iff_semantics_change():
     a = StudyConfig()
     b = StudyConfig()
