@@ -1,9 +1,10 @@
 """Command-line entry point: meshes, solves, and refinement studies driven by
 an INI-style config file with strict key checking.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration error,
-3 acceptance failure (``maxreg --check`` or ``inequalities --check``).  The
-output directory from the config can be overridden with ``--out`` or the
+Exit codes: 0 success, 1 runtime failure, 2 configuration error (every config
+fault, named by its key, or by its flag for ``esfem mesh``), 3 acceptance
+failure (``maxreg --check`` or ``inequalities --check``).  The output
+directory from the config can be overridden with ``--out`` or the
 ESFEM_OUTDIR environment variable.
 """
 
@@ -44,6 +45,7 @@ from .studies import (
     write_mesh_vtk,
     write_table,
 )
+from .surfaces import exact_heat_solution
 from .timestepping import FIELDS, TimeGrid, norm_series, solve_heat
 
 
@@ -64,7 +66,6 @@ _KEYS = {
     ("surface", "kind"): ("surface_kind", str),
     ("surface", "dimension"): ("dimension", int),
     ("surface", "params"): ("surface_params", _tuple_of(float)),
-    ("surface", "horizon"): ("horizon", float),
     ("study", "scheme"): ("scheme", str),
     ("study", "degree"): ("degree", int),
     ("study", "levels"): ("levels", _tuple_of(int)),
@@ -205,19 +206,22 @@ def _write_manifest(outdir, name, parameters, outputs):
 
 
 # the flag that sets each config key the mesh command's ConfigError may name
-_MESH_FLAGS = {"surface.dimension": "--dimension", "surface.params": "--params",
-               "study.degree": "--degree", "study.levels": "--levels"}
+_MESH_FLAGS = {"surface.kind": "--surface", "surface.dimension": "--dimension",
+               "surface.params": "--params", "study.degree": "--degree",
+               "study.levels": "--levels"}
 
 
 def cmd_mesh(args):
     # the flags pass the rules a study config passes, before any output
     try:
         config = StudyConfig(surface_kind=args.surface, dimension=args.dimension,
-                             surface_params=args.params or (), horizon=args.horizon,
+                             surface_params=args.params or (),
                              degree=args.degree, levels=(args.levels,)).validate()
     except ConfigError as exc:
         key, _, reason = str(exc).partition(" ")
         raise ConfigError(f"{_MESH_FLAGS.get(key, key)} {reason}") from exc
+    if not 0.0 <= args.time < math.inf:
+        raise ConfigError(f"--time (must be >= 0 and finite, got {args.time})")
     mesh = build_level_mesh(config.surface(), args.levels, args.degree)
     if args.time:
         mesh = mesh.evolved(args.time)
@@ -279,14 +283,19 @@ def cmd_maxreg(args):
     return 0
 
 
-def _require_two_levels(config, extras):
+def _check_convergence(config, extras):
     if len(config.levels) < 2:
         raise ConfigError(f"study.levels (the convergence order is fitted through "
                           f"two levels or more, got {len(config.levels)})")
+    try:
+        exact_heat_solution(config.surface(), config.mode)
+    except UnsupportedSurface as exc:
+        raise ConfigError(f"surface.kind (convergence needs an exact solution: {exc}, "
+                          f"got {config.surface_kind!r})") from exc
 
 
 def cmd_convergence(args):
-    config, extras, outdir = _study_setup(args, check=_require_two_levels)
+    config, extras, outdir = _study_setup(args, check=_check_convergence)
     rows, order = convergence_study(config)
     write_table(os.path.join(outdir, "convergence.csv"), ("level", "h", "dt", "error"), rows)
     write_table(os.path.join(outdir, "convergence_summary.txt"), (),
@@ -403,7 +412,6 @@ def main(argv=None):
     p_mesh.add_argument("--dimension", type=int, default=None)
     p_mesh.add_argument("--params", type=lambda s: tuple(float(v) for v in s.split(",")),
                         default=None)
-    p_mesh.add_argument("--horizon", type=float, default=1.0)
     p_mesh.add_argument("--levels", type=int, required=True,
                         help="element count (curves) or subdivision level (spheres)")
     p_mesh.add_argument("--degree", type=int, default=1)

@@ -25,10 +25,6 @@ class DegenerateMesh(EsfemError):
     """Mesh construction parameters would produce a degenerate mesh."""
 
 
-class FlowEvaluationFailure(EsfemError):
-    """Flow map could not be evaluated."""
-
-
 class PointNotOnMesh(EsfemError):
     """Point could not be located inside any mesh element."""
 

@@ -403,7 +403,7 @@ class DyadicDecomposition:
     radii: np.ndarray  # d_j = 2^-j for j = 0..j_star
 
 
-def build_dyadic(mesh, x0, c_star=16.0):
+def build_dyadic(mesh, x0, c_star):
     h = mesh.h
     if h >= 1.0 / (4.0 * c_star):
         raise HTooLarge(f"need h < 1/(4*C) = {1.0 / (4.0 * c_star):.4g}, got {h:.4g}")
@@ -434,7 +434,7 @@ def _trapezoid_weights(nodes, t_max):
         yield last, weight
 
 
-def dyadic_report(mesh, nodes, x0, c_star=16.0):
+def dyadic_report(mesh, nodes, x0, c_star):
     """Per-annulus L^2 norms of a stationary solve_heat stream on mesh (a
     discrete_green stream, say) and of its time derivative over the
     parabolic dyadic decomposition of (0,1) x Gamma.

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateMesh, FlowEvaluationFailure, UnsupportedSurface
+from .errors import DegenerateMesh, UnsupportedSurface
 from .reference import reference_element
 
 # surface dimension -> the element degrees its mesh builder supports, and
@@ -106,10 +106,6 @@ class SurfaceMesh:
 
     def evolved(self, t):
         """Snapshot at time t: node i goes to X(t, y_i); connectivity unchanged."""
-        if not 0.0 <= t <= self.surface.horizon + 1e-12:
-            raise FlowEvaluationFailure(
-                f"time {t} outside [0, {self.surface.horizon}]"
-            )
         nodes = self.surface.position(t, self.ref_nodes)
         return SurfaceMesh(
             self.surface, self.degree, nodes, self.elements,

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, IOFailure, RichardsonFailure, UnknownProfile
+from .errors import ConfigError, IOFailure, RichardsonFailure, UnknownProfile, UnsupportedSurface
 from .fem import (
     DISCRETE,
     LIFTED,
@@ -51,7 +51,6 @@ class StudyConfig:
     surface_kind: str = "circle"
     dimension: int | None = None  # None: the kind's own, which __post_init__ sets
     surface_params: tuple = ()
-    horizon: float = 1.0
     scheme: str = STATIONARY
     degree: int = 1
     levels: tuple = (32, 64, 128, 256)
@@ -65,7 +64,7 @@ class StudyConfig:
 
     def __post_init__(self):
         if self.dimension is None:
-            # the dimension make_surface gives the kind when none is asked for
+            # the kind's own: circles are curves, every other kind a surface
             object.__setattr__(self, "dimension", 1 if self.surface_kind == "circle" else 2)
 
     def validate(self):
@@ -87,11 +86,15 @@ class StudyConfig:
                 raise ConfigError(f"{key} (must be positive and finite, got {value})")
         if self.mode < 1:
             raise ConfigError(f"study.mode (must be >= 1, got {self.mode})")
+        if self.seed < 0:
+            raise ConfigError(f"study.seed (must be >= 0, got {self.seed})")
         dim = self.dimension
         if dim not in ELEMENT_DEGREES:
             raise ConfigError(f"surface.dimension (no mesh builder for dimension {dim})")
         try:
             surface = self.surface()
+        except UnsupportedSurface as exc:
+            raise ConfigError(f"surface.kind ({exc})") from exc
         except ValueError as exc:
             raise ConfigError(f"surface.params ({exc})") from exc
         if surface.dimension != dim:
@@ -110,8 +113,7 @@ class StudyConfig:
         return self
 
     def surface(self):
-        return make_surface(self.surface_kind, self.dimension,
-                            self.surface_params, self.horizon)
+        return make_surface(self.surface_kind, self.dimension, self.surface_params)
 
 
 def config_hash(parameters):
@@ -356,10 +358,11 @@ def inequality_suite(config):
         out["norm_equivalence_c"].append(c_equiv)
 
         # L^p stability of the L2 projection on rough-ish functions
+        projections = [(fn, l2_project(space, fn, mass=mass, tol=config.cg_tol))
+                       for fn in _PROJECTION_TEST_FUNCTIONS]
         for p in (1.0, 2.0, 4.0):
             worst = 0.0
-            for fn in _PROJECTION_TEST_FUNCTIONS:
-                proj = l2_project(space, fn, mass=mass, tol=config.cg_tol)
+            for fn, proj in projections:
                 worst = max(worst, norm_lq(proj, p) / norm_lq(fn, p, space=space))
             out["projection_stability"][p].append(worst)
 
@@ -368,11 +371,11 @@ def inequality_suite(config):
         out["inverse_constant"].append(k_inv)
 
         # interpolation |grad u|_q <= C (eps^-1 |u|_q + eps |lap_h u|_q)
+        laplacians = [discrete_laplacian(u, mass=mass, stiffness=stiff, tol=config.cg_tol)
+                      for u in funcs]
         for q in q_values:
             worst = 0.0
-            for u in funcs:
-                lap = discrete_laplacian(u, mass=mass, stiffness=stiff,
-                                         tol=config.cg_tol)
+            for u, lap in zip(funcs, laplacians):
                 gn = _gradient_norm_lq(u, q)
                 for eps in eps_values:
                     bound = norm_lq(u, q) / eps + eps * norm_lq(lap, q)

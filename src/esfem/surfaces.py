@@ -4,7 +4,8 @@ Every surface kind here has a closed-form outward normal and a closest-point
 projection that is either closed-form (circle, sphere) or obtained by a
 damped Newton iteration on the Lagrange condition (ellipsoid).  All point-wise
 operations accept arrays of points with shape ``(..., d)`` where
-``d = dimension + 1`` is the ambient dimension.
+``d = dimension + 1`` is the ambient dimension.  The flows are closed-form
+and defined for every time t; each study sets its own end time.
 """
 
 from __future__ import annotations
@@ -23,17 +24,16 @@ class Surface:
     """Base class for closed hypersurfaces of dimension ``m`` in R^(m+1).
 
     Subclasses provide the closest-point projection with its Jacobian, normals
-    and (for evolving kinds) the flow map that moves the mesh nodes.  The
-    default flow is the identity (stationary surface).
+    and (for evolving kinds) the flow map that moves the mesh nodes, defined
+    for every time t.  The default flow is the identity (stationary surface).
     """
 
     kind = "abstract"
     is_stationary = True
 
-    def __init__(self, dimension, horizon=1.0):
+    def __init__(self, dimension):
         self.dimension = int(dimension)
         self.ambient_dim = self.dimension + 1
-        self.horizon = float(horizon)
 
     # -- projection --------------------------------------------------------------
 
@@ -107,8 +107,8 @@ class _RadialSurface(Surface):
 class Circle(_RadialSurface):
     kind = "circle"
 
-    def __init__(self, radius=1.0, horizon=1.0):
-        super().__init__(dimension=1, horizon=horizon)
+    def __init__(self, radius=1.0):
+        super().__init__(dimension=1)
         self._radius = float(radius)
 
     def radius(self, t):
@@ -118,8 +118,8 @@ class Circle(_RadialSurface):
 class Sphere(_RadialSurface):
     kind = "sphere"
 
-    def __init__(self, radius=1.0, horizon=1.0):
-        super().__init__(dimension=2, horizon=horizon)
+    def __init__(self, radius=1.0):
+        super().__init__(dimension=2)
         self._radius = float(radius)
 
     def radius(self, t):
@@ -135,8 +135,8 @@ class ScaledSphereFlow(_RadialSurface):
     kind = "scaled_sphere_flow"
     is_stationary = False
 
-    def __init__(self, dimension=2, amplitude=0.25, horizon=1.0):
-        super().__init__(dimension=dimension, horizon=horizon)
+    def __init__(self, dimension=2, amplitude=0.25):
+        super().__init__(dimension=dimension)
         if not 0.0 <= amplitude < 1.0:
             raise ValueError("amplitude must lie in [0, 1)")
         self.amplitude = float(amplitude)
@@ -158,8 +158,8 @@ class EllipsoidFlow(Surface):
     kind = "ellipsoid_flow"
     is_stationary = False
 
-    def __init__(self, dimension=2, amplitudes=None, horizon=1.0):
-        super().__init__(dimension=dimension, horizon=horizon)
+    def __init__(self, dimension=2, amplitudes=None):
+        super().__init__(dimension=dimension)
         if amplitudes is None:
             amplitudes = (0.2, -0.12, 0.08)[: self.ambient_dim]
         amplitudes = tuple(float(a) for a in amplitudes)
@@ -246,7 +246,7 @@ class EllipsoidFlow(Surface):
         return a2 * x / (a2 + lam[..., None])
 
 
-def make_surface(kind, dimension=None, params=(), horizon=1.0):
+def make_surface(kind, dimension, params):
     """Build a surface from a config-style description.
 
     kind in {circle, sphere, scaled_sphere_flow, ellipsoid_flow};
@@ -254,17 +254,13 @@ def make_surface(kind, dimension=None, params=(), horizon=1.0):
     """
     params = tuple(float(p) for p in params)
     if kind == "circle":
-        return Circle(radius=params[0] if params else 1.0, horizon=horizon)
+        return Circle(radius=params[0] if params else 1.0)
     if kind == "sphere":
-        return Sphere(radius=params[0] if params else 1.0, horizon=horizon)
+        return Sphere(radius=params[0] if params else 1.0)
     if kind == "scaled_sphere_flow":
-        dim = 2 if dimension is None else int(dimension)
-        amp = params[0] if params else 0.25
-        return ScaledSphereFlow(dimension=dim, amplitude=amp, horizon=horizon)
+        return ScaledSphereFlow(dimension, amplitude=params[0] if params else 0.25)
     if kind == "ellipsoid_flow":
-        dim = 2 if dimension is None else int(dimension)
-        amps = params if params else None
-        return EllipsoidFlow(dimension=dim, amplitudes=amps, horizon=horizon)
+        return EllipsoidFlow(dimension, amplitudes=params or None)
     raise UnsupportedSurface(f"unknown surface kind {kind!r}")
 
 

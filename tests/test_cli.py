@@ -72,11 +72,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 2
     assert "ConfigError: surface.kind" in capsys.readouterr().err
 
-    # runtime failure (unknown surface kind) -> exit 1
+    # an unknown surface kind is a config fault too -> exit 2, naming the key
     path2 = tmp_path / "bad2.cfg"
     path2.write_text("[surface]\nkind = moebius\n")
     code = main(["maxreg", "--config", str(path2)])
-    assert code == 1
+    assert code == 2
+    assert "ConfigError: surface.kind (" in capsys.readouterr().err
 
 
 def test_cli_mesh_command(tmp_path):
@@ -386,6 +387,12 @@ def test_cli_solve_honours_t_end(tmp_path):
                "[study]\nlevels = 1\n", "surface.params"),
     ("maxreg", "[surface]\nkind = scaled_sphere_flow\ndimension = 3\n[study]\nlevels = 1\n",
      "surface.dimension"),
+    ("maxreg", "[surface]\nkind = moebius\n[study]\nlevels = 1\n", "surface.kind"),
+    # surfaces have no time horizon: each study sets its own end time
+    ("solve", "[surface]\nkind = ellipsoid_flow\nhorizon = 2\n[study]\nlevels = 1\n",
+     "surface.horizon"),
+    ("inequalities", "[surface]\nkind = circle\n[study]\nlevels = 16,32\nseed = -1\n",
+     "study.seed"),
     ("convergence", "[surface]\nkind = circle\n[study]\nlevels = 16,32\nmode = 0\n",
      "study.mode"),
     ("maxreg", "[surface]\nkind = circle\n[study]\nlevels = 16\nprofile = nope\n",
@@ -430,8 +437,12 @@ def test_cli_solve_honours_t_end(tmp_path):
        "solver.cg_tol") for v in ("nan", "inf", "0", "-1")),
     *((command, "[surface]\nkind = circle\n[study]\nlevels =\n", "study.levels")
       for command in ("solve", "maxreg", "greens", "delta", "convergence", "inequalities")),
-    # the convergence order is a slope, which one level does not give
+    # the convergence order is a slope, which one level does not give, and
+    # the errors are taken against an exact solution, which only the
+    # stationary circle and sphere have
     ("convergence", "[surface]\nkind = circle\n[study]\nlevels = 16\n", "study.levels"),
+    *(("convergence", f"[surface]\nkind = {kind}\ndimension = 2\n[study]\nlevels = 1,2\n",
+       "surface.kind") for kind in ("ellipsoid_flow", "scaled_sphere_flow")),
     # circles are curves and spheres surfaces, whatever the config says
     ("solve", "[surface]\nkind = sphere\ndimension = 1\n[study]\nlevels = 1\n",
      "surface.dimension"),
@@ -459,6 +470,9 @@ def test_cli_rejected_config_values_are_config_errors(tmp_path, capsys, command,
     (["--surface", "scaled_sphere_flow", "--dimension", "2", "--levels", "1",
       "--params", "1.5"], "--params"),
     (["--surface", "sphere", "--dimension", "1", "--levels", "1"], "--dimension"),
+    (["--surface", "moebius", "--levels", "1"], "--surface"),
+    *((["--surface", "ellipsoid_flow", "--levels", "1", "--time", t], "--time")
+      for t in ("nan", "inf", "-0.5")),
 ])
 def test_cli_mesh_rejects_bad_flags_as_config_errors(tmp_path, capsys, flags, flag):
     # the mesh command reads no config file, so its errors name the flag

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from esfem.errors import DegenerateMesh, FlowEvaluationFailure, IOFailure, UnsupportedSurface
+from esfem.errors import DegenerateMesh, IOFailure, UnsupportedSurface
 from esfem.fem import LIFTED, FeSpace
 from esfem.meshing import SurfaceMesh, build_circle_mesh, build_sphere_mesh
 from esfem.studies import write_mesh_text, write_mesh_vtk
-from esfem.surfaces import Circle, ScaledSphereFlow, Sphere, Surface
+from esfem.surfaces import Circle, EllipsoidFlow, ScaledSphereFlow, Sphere, Surface
 from oracles import (
     icosphere_by_faces,
     inverse_position,
@@ -148,11 +148,14 @@ def test_evolve_roundtrip_via_inverse_flow():
     assert np.abs(back - mesh.nodes).max() <= 1e-12
 
 
-def test_evolve_outside_horizon_fails():
-    surface = ScaledSphereFlow(dimension=2, horizon=1.0)
-    mesh = build_sphere_mesh(surface, 0, 1)
-    with pytest.raises(FlowEvaluationFailure):
-        mesh.evolved(2.0)
+def test_evolve_places_each_node_on_the_flow_map_past_t_1():
+    # a flow is defined for every t; a snapshot's nodes are the flow map's
+    # images of the reference nodes, whatever the time
+    surface = EllipsoidFlow(dimension=2)
+    mesh = build_sphere_mesh(surface, 1, 2)
+    moved = mesh.evolved(1.5)
+    assert moved.time == 1.5
+    assert np.array_equal(moved.nodes, surface.position(1.5, mesh.ref_nodes))
 
 
 def test_evolve_passes_on_errors_of_the_flow_map():

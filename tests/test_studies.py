@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esfem import studies, timestepping
+from esfem import fem, studies, timestepping
 from esfem.errors import ConfigError
 from esfem.fem import FeSpace, assemble_mass, assemble_stiffness, load_from_geometry
 from esfem.meshing import SurfaceMesh, build_circle_mesh
@@ -209,6 +209,22 @@ def test_inequality_suite_smoke():
     out = inequality_suite(cfg)
     assert out["all_stable"], out["stable"]
     assert len(out["h"]) == 2
+
+
+def test_inequality_suite_solves_each_projection_and_laplacian_once(monkeypatch):
+    # per level: one L2 projection per test function, shared by p = 1, 2, 4,
+    # one discrete Laplacian per random function, shared by q = 2, 4, and
+    # the Ritz projection: 5 + 20 + 1 CG solves
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cg_solve(*args, **kwargs)
+
+    cg_solve = fem.cg_solve
+    monkeypatch.setattr(fem, "cg_solve", counted)
+    inequality_suite(StudyConfig(levels=(16, 32)))
+    assert len(calls) == 2 * 26
 
 
 def test_emit_reports_empty_and_rows(tmp_path):

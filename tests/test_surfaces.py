@@ -73,8 +73,7 @@ def test_flow_map_identity_at_zero(surface):
 def test_velocity_matches_flow_derivative(surface):
     rng = np.random.default_rng(2)
     y = sample_points(surface, 0.0, 10, rng)
-    horizon = surface.horizon
-    step = 1e-4 * horizon
+    step = 1e-4
     for t in (0.1, 0.37, 0.8):
         x = surface.position(t, y)
         fd = (surface.position(t + step, y) - surface.position(t - step, y)) / (2 * step)
