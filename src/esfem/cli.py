@@ -61,6 +61,14 @@ def _pq(raw):
     return tuple(pairs)
 
 
+def _boolean(raw):
+    # configparser's boolean words; anything else is a bad value
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
 # (section, key) -> (StudyConfig field or extras key, cast of the raw value)
 _KEYS = {
     ("surface", "kind"): ("surface_kind", str),
@@ -76,8 +84,7 @@ _KEYS = {
     ("study", "richardson_rtol"): ("richardson_rtol", float),
     ("study", "seed"): ("seed", int),
     ("solver", "cg_tol"): ("cg_tol", float),
-    ("study", "kernel_difference"): ("kernel_difference",
-                                     lambda raw: raw.lower() in ("1", "true", "yes")),
+    ("study", "kernel_difference"): ("kernel_difference", _boolean),
     ("study", "c_star"): ("c_star", float),
     ("study", "t_end"): ("t_end", float),
     ("output", "directory"): ("directory", str),

@@ -8,6 +8,11 @@ family and quadrature rule, ``_ReferenceMaps`` tabulates the basis on the
 reference element once; every snapshot then maps its points and Jacobians
 with one matrix product each over all elements, and the stiffness matrix is
 one product of the weighted inverse metric with a reference table.
+
+A function on a space is its coefficient vector, of length
+``space.num_dofs`` in the nodal basis; its lift to the exact surface keeps
+the coefficients, so lifting is a change of space, not of vector.  The
+nodal interpolant of fn is ``fn(mesh.nodes)``.
 """
 
 from __future__ import annotations
@@ -226,6 +231,7 @@ def default_quad_order(degree, dim, tag):
 
 class FeSpace:
     """Isoparametric nodal space on a mesh snapshot, on Gamma_h or lifted.
+    A function on the space is its coefficient vector, one value per node.
 
     The space fixes the quadrature rule: every assembly, load, projection
     and norm on it integrates with ``quad_order`` (``default_quad_order``
@@ -259,32 +265,6 @@ class FeSpace:
             cols = np.broadcast_to(el[:, None, :], shape)
             cache["pattern"] = SparsityPattern(self.num_dofs, rows, cols)
         return cache["pattern"]
-
-    def function(self, coeffs):
-        return FeFunction(self, np.asarray(coeffs, dtype=float))
-
-
-class FeFunction:
-    """Coefficient vector bound to a space snapshot; nodal basis, immutable."""
-
-    def __init__(self, space, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (space.num_dofs,):
-            raise ValueError("coefficient length does not match the space")
-        self.space = space
-        self.coeffs = coeffs
-
-    def gradients_at_quadrature(self):
-        geom = self.space.geometry()
-        local = self.coeffs[self.space.mesh.elements]
-        return np.einsum("el,eqld->eqd", local, geom.tangent_grads), geom
-
-
-def lift_function(u, lifted_space):
-    """View a Gamma_h function as its lift on Gamma (same nodal coefficients)."""
-    if u.space.tag != DISCRETE:
-        raise ValueError("lift expects a function on the discrete surface")
-    return FeFunction(lifted_space, u.coeffs.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +323,13 @@ def load_from_geometry(geom, elements, n_dofs, fn, t=None):
 # ---------------------------------------------------------------------------
 
 
-def l2_project(space, fn, mass, tol=1e-12):
-    b = load_vector(space, fn)
-    coeffs, _ = cg_solve(mass, b, tol=tol)
-    return FeFunction(space, coeffs)
+def l2_project(space, fn, mass, tol):
+    return cg_solve(mass, load_vector(space, fn), tol=tol)[0]
 
 
-def interpolate(space, fn):
-    """The nodal interpolant: fn at the mesh nodes, which lie on Gamma."""
-    return FeFunction(space, fn(space.mesh.nodes))
-
-
-def discrete_laplacian(u, mass, stiffness, tol=1e-12):
+def discrete_laplacian(u, mass, stiffness, tol):
     """w with (w, chi) = -(grad u, grad chi) for all chi, i.e. M w = -A u."""
-    coeffs, _ = cg_solve(mass, -stiffness.matvec(u.coeffs), tol=tol)
-    return FeFunction(u.space, coeffs)
+    return cg_solve(mass, -stiffness.matvec(u), tol=tol)[0]
 
 
 def delta_load(space, x0):
@@ -371,11 +343,10 @@ def delta_load(space, x0):
 
 def discrete_delta(space, x0, tol=1e-12):
     """L2 projection of the point mass at x0: reproduces chi(x0) against chi."""
-    coeffs, _ = cg_solve(assemble_mass(space), delta_load(space, x0), tol=tol)
-    return FeFunction(space, coeffs)
+    return cg_solve(assemble_mass(space), delta_load(space, x0), tol=tol)[0]
 
 
-def ritz_project(space, fn, grad_fn, tol=1e-12):
+def ritz_project(space, fn, grad_fn, tol):
     """Projection with respect to the (grad, grad) + (., .) inner product.
 
     grad_fn supplies the ambient gradient of fn; only its tangential part
@@ -390,8 +361,7 @@ def ritz_project(space, fn, grad_fn, tol=1e-12):
     b = np.bincount(space.mesh.elements.ravel(), weights=local.ravel(),
                     minlength=space.num_dofs)
     system = assemble_stiffness(space).scaled_add(1.0, assemble_mass(space))
-    coeffs, _ = cg_solve(system, b, tol=tol)
-    return FeFunction(space, coeffs)
+    return cg_solve(system, b, tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -404,36 +374,51 @@ def check_exponent(q):
         raise InvalidExponent(f"norm exponent must be >= 1 or inf, got {q}")
 
 
-def norm_lq(u, q, space=None):
-    """L^q norm over the space's surface; q = inf takes the max over
-    quadrature points and nodes (documented approximation)."""
+def _checked(space, u):
+    u = np.asarray(u, dtype=float)
+    if u.shape != (space.num_dofs,):
+        raise DimensionMismatch(
+            f"coefficient vector has shape {u.shape}; the space has {space.num_dofs} dofs")
+    return u
+
+
+def norm_lq(space, u, q):
+    """L^q norm over the space's surface of u, a coefficient vector of the
+    space or a callable u(x); q = inf takes the max over quadrature points
+    (and nodes, for a vector: documented approximation)."""
     check_exponent(q)
-    if isinstance(u, FeFunction):
-        return element_norms_lq(u.coeffs, u.space.mesh.elements,
-                                u.space.geometry(), q)
-    if space is None:
-        raise ValueError("a space is required to integrate a callable")
     geom = space.geometry()
-    vals = _call_spatial(u, None, geom.points)
-    if q == math.inf:
-        return float(np.abs(vals).max())
-    return float(np.sum(geom.weights * np.abs(vals) ** q) ** (1.0 / q))
+    if callable(u):
+        vals = _call_spatial(u, None, geom.points)
+        if q == math.inf:
+            return float(np.abs(vals).max())
+        return float(np.sum(geom.weights * np.abs(vals) ** q) ** (1.0 / q))
+    return element_norms_lq(_checked(space, u), space.mesh.elements, geom, q)
 
 
-def norm_w1q(u, q):
+def tangent_gradients(space, coeffs):
+    """(E, Q', d) tangential gradients of a coefficient vector at the
+    space's quadrature points, and the geometry they were taken on."""
+    geom = space.geometry()
+    local = coeffs[space.mesh.elements]
+    return np.einsum("el,eqld->eqd", local, geom.tangent_grads), geom
+
+
+def norm_w1q(space, u, q):
     """(|u|_q^q + |grad u|_q^q)^(1/q); max of the two sups for q = inf."""
     check_exponent(q)
-    grads, geom = u.gradients_at_quadrature()
-    vals = element_values(u.coeffs, u.space.mesh.elements, geom)
+    u = _checked(space, u)
+    grads, geom = tangent_gradients(space, u)
+    vals = element_values(u, space.mesh.elements, geom)
     gmag = np.linalg.norm(grads, axis=-1)
     if q == math.inf:
-        return float(max(np.abs(vals).max(), gmag.max(), np.abs(u.coeffs).max()))
+        return float(max(np.abs(vals).max(), gmag.max(), np.abs(u).max()))
     total = np.sum(geom.weights * (np.abs(vals) ** q + gmag**q))
     return float(total ** (1.0 / q))
 
 
-def seminorm_h1(u):
-    grads, geom = u.gradients_at_quadrature()
+def seminorm_h1(space, u):
+    grads, geom = tangent_gradients(space, u)
     gmag2 = np.sum(grads * grads, axis=-1)
     return float(math.sqrt(np.sum(geom.weights * gmag2)))
 

@@ -61,9 +61,8 @@ def discrete_green(mesh, x0, grid, cg_tol=1e-12):
     stream of the evolution, which yields one TimeNode per node of the grid
     and runs each step only when its node is drawn."""
     space = FeSpace(mesh, DISCRETE)
-    delta = discrete_delta(space, x0, tol=cg_tol)
-    return solve_heat(mesh, None, grid, scheme=STATIONARY, u0=delta.coeffs,
-                      cg_tol=cg_tol)
+    return solve_heat(mesh, None, grid, scheme=STATIONARY,
+                      u0=discrete_delta(space, x0, tol=cg_tol), cg_tol=cg_tol)
 
 
 @dataclass
@@ -132,10 +131,9 @@ def delta_decay_fit(space, x0):
     decay_length is the fitted K in |delta| ~ h^-m exp(-dist/(K h)).
     """
     mesh = space.mesh
-    delta = discrete_delta(space, x0)
+    vals = np.abs(discrete_delta(space, x0))
     dist = mesh.surface.geodesic_distance(mesh.time, mesh.nodes, np.asarray(x0, float))
     h = mesh.h
-    vals = np.abs(delta.coeffs)
     peak = vals.max()
     sel = (dist > 3.0 * h) & (vals > 1e-13 * peak)
     if sel.sum() < 5:
@@ -167,11 +165,11 @@ def delta_consistency(discrete_space, lifted_space, x0):
     # the point source of either space pairs with phi_i(x0) on their one mesh
     bar = discrete_delta(discrete_space, x0, tol=1e-13)
     tilde = discrete_delta(lifted_space, x0, tol=1e-13)
-    diff = lifted_space.function(bar.coeffs - tilde.coeffs)
+    diff = bar - tilde
     out = {}
     for p in (1, 2):
-        dnorm = norm_lq(diff, p)
-        tnorm = norm_lq(tilde, p)
+        dnorm = norm_lq(lifted_space, diff, p)
+        tnorm = norm_lq(lifted_space, tilde, p)
         out[p] = {"difference_norm": dnorm, "reference_norm": tnorm,
                   "ratio": dnorm / tnorm}
     return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,12 +22,11 @@ from .fem import (
     assemble_stiffness,
     discrete_laplacian,
     element_values,
-    interpolate,
     l2_project,
-    lift_function,
     norm_lq,
     norm_w1q,
     ritz_project,
+    tangent_gradients,
 )
 from .meshing import ELEMENT_DEGREES, MIN_LEVEL, build_circle_mesh, build_sphere_mesh
 from .surfaces import exact_heat_solution, forcing_profile, make_surface, profile_seed
@@ -75,6 +74,9 @@ class StudyConfig:
         if any(not (1.0 < p < math.inf and 1.0 < q < math.inf)
                for p, q in self.pq_pairs):
             raise ConfigError("study.pq (all p, q must lie in (1, inf))")
+        for i, (p, q) in enumerate(self.pq_pairs):
+            if (p, q) in self.pq_pairs[:i]:
+                raise ConfigError(f"study.pq (the pair {p:g}:{q:g} is repeated)")
         if not self.levels:
             raise ConfigError("study.levels (must name at least one level)")
         if list(self.levels) != sorted(set(self.levels)):
@@ -117,8 +119,8 @@ class StudyConfig:
 
 
 def config_hash(parameters):
-    """Stable hash of a study's parameters: a StudyConfig, or the dict of
-    parameters that a manifest records."""
+    """Stable hash of the dict of parameters that a manifest records (for a
+    StudyConfig, its ``asdict``)."""
     # CPython's builtin SHA-256 gives hashlib's digest without hashlib, which
     # loads OpenSSL (_hashlib, about 3.5 MB of RSS) for one short payload
     try:
@@ -129,8 +131,6 @@ def config_hash(parameters):
         except ImportError:
             from hashlib import sha256
 
-    if isinstance(parameters, StudyConfig):
-        parameters = asdict(parameters)
     payload = json.dumps(parameters, sort_keys=True, default=list)
     return sha256(payload.encode()).hexdigest()[:16]
 
@@ -276,10 +276,9 @@ def convergence_study(config):
         space = FeSpace(mesh, DISCRETE)
         n = max(2, math.ceil(1.0 / (config.dt_factor * mesh.h ** ((config.degree + 1) / 2.0 + 0.5))))
         grid = TimeGrid(1.0, n)
-        u0 = interpolate(space, solution.initial)
         nodes = solve_heat(
             mesh, None, grid, scheme=STATIONARY, integrator="bdf2",
-            u0=u0.coeffs, cg_tol=config.cg_tol,
+            u0=solution.initial(mesh.nodes), cg_tol=config.cg_tol,
         )
         geom = space.geometry()
         exact_pts = surface.project(mesh.time, geom.points.reshape(-1, geom.points.shape[-1]))
@@ -297,11 +296,6 @@ def convergence_study(config):
 # ---------------------------------------------------------------------------
 # inequality suite (fitted-constant stability checks)
 # ---------------------------------------------------------------------------
-
-
-def _random_fe_functions(space, count, rng):
-    return [space.function(rng.standard_normal(space.num_dofs))
-            for _ in range(count)]
 
 
 _PROJECTION_TEST_FUNCTIONS = (
@@ -344,7 +338,7 @@ def inequality_suite(config):
         h = mesh.h
         out["h"].append(h)
 
-        funcs = _random_fe_functions(space, RANDOM_FUNCTIONS, rng)
+        funcs = [rng.standard_normal(space.num_dofs) for _ in range(RANDOM_FUNCTIONS)]
 
         # norm equivalence between the discrete and lifted surfaces; the
         # lifted space reuses the discrete quadrature order so the two norms
@@ -353,7 +347,7 @@ def inequality_suite(config):
         c_equiv = 0.0
         for u in funcs:
             for p in (1.0, 2.0, 4.0, math.inf):
-                r = norm_lq(lift_function(u, lifted_same_rule), p) / norm_lq(u, p)
+                r = norm_lq(lifted_same_rule, u, p) / norm_lq(space, u, p)
                 c_equiv = max(c_equiv, abs(r - 1.0) / h ** (config.degree + 1))
         out["norm_equivalence_c"].append(c_equiv)
 
@@ -363,11 +357,11 @@ def inequality_suite(config):
         for p in (1.0, 2.0, 4.0):
             worst = 0.0
             for fn, proj in projections:
-                worst = max(worst, norm_lq(proj, p) / norm_lq(fn, p, space=space))
+                worst = max(worst, norm_lq(space, proj, p) / norm_lq(space, fn, p))
             out["projection_stability"][p].append(worst)
 
         # inverse inequality |chi|_W12 <= K h^-1 |chi|_L2
-        k_inv = max(norm_w1q(u, 2.0) * h / norm_lq(u, 2.0) for u in funcs)
+        k_inv = max(norm_w1q(space, u, 2.0) * h / norm_lq(space, u, 2.0) for u in funcs)
         out["inverse_constant"].append(k_inv)
 
         # interpolation |grad u|_q <= C (eps^-1 |u|_q + eps |lap_h u|_q)
@@ -376,9 +370,9 @@ def inequality_suite(config):
         for q in q_values:
             worst = 0.0
             for u, lap in zip(funcs, laplacians):
-                gn = _gradient_norm_lq(u, q)
+                gn = _gradient_norm_lq(space, u, q)
                 for eps in eps_values:
-                    bound = norm_lq(u, q) / eps + eps * norm_lq(lap, q)
+                    bound = norm_lq(space, u, q) / eps + eps * norm_lq(space, lap, q)
                     worst = max(worst, gn / bound)
             out["interpolation_c"][q].append(worst)
 
@@ -387,7 +381,7 @@ def inequality_suite(config):
         ritz = ritz_project(lifted, _last_coordinate, _last_coordinate_gradient,
                             tol=config.cg_tol)
         for q in q_values:
-            num = norm_w1q(ritz, q)
+            num = norm_w1q(lifted, ritz, q)
             den = _callable_w1q_norm(lifted, _last_coordinate, _last_coordinate_gradient, q)
             out["ritz_stability"][q].append(num / den)
 
@@ -416,8 +410,8 @@ def _growth_ok(series):
     return max(series) <= 1.10 * series[0]
 
 
-def _gradient_norm_lq(u, q):
-    grads, geom = u.gradients_at_quadrature()
+def _gradient_norm_lq(space, u, q):
+    grads, geom = tangent_gradients(space, u)
     gmag = np.linalg.norm(grads, axis=-1)
     return float(np.sum(geom.weights * gmag**q) ** (1.0 / q))
 

@@ -104,12 +104,19 @@ class _RadialSurface(Surface):
         return r * np.arccos(c)
 
 
+def _checked_radius(radius):
+    radius = float(radius)
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    return radius
+
+
 class Circle(_RadialSurface):
     kind = "circle"
 
     def __init__(self, radius=1.0):
         super().__init__(dimension=1)
-        self._radius = float(radius)
+        self._radius = _checked_radius(radius)
 
     def radius(self, t):
         return self._radius
@@ -120,7 +127,7 @@ class Sphere(_RadialSurface):
 
     def __init__(self, radius=1.0):
         super().__init__(dimension=2)
-        self._radius = float(radius)
+        self._radius = _checked_radius(radius)
 
     def radius(self, t):
         return self._radius
@@ -165,8 +172,8 @@ class EllipsoidFlow(Surface):
         amplitudes = tuple(float(a) for a in amplitudes)
         if len(amplitudes) != self.ambient_dim:
             raise ValueError("need one amplitude per ambient coordinate")
-        if max(abs(a) for a in amplitudes) >= 1.0:
-            raise ValueError("amplitudes must have modulus < 1")
+        if not all(abs(a) < 1.0 for a in amplitudes):
+            raise ValueError(f"amplitudes must have modulus < 1, got {amplitudes}")
         self.amplitudes = amplitudes
 
     def axes(self, t):
@@ -253,6 +260,8 @@ def make_surface(kind, dimension, params):
     params carries radii/axis data where applicable.
     """
     params = tuple(float(p) for p in params)
+    if kind in ("circle", "sphere", "scaled_sphere_flow") and len(params) > 1:
+        raise ValueError(f"a {kind} takes at most one parameter, got {len(params)}")
     if kind == "circle":
         return Circle(radius=params[0] if params else 1.0)
     if kind == "sphere":

@@ -64,6 +64,18 @@ def test_parse_config_takes_the_ellipsoid_without_the_kernel_difference(tmp_path
     assert extras["kernel_difference"] is False
 
 
+@pytest.mark.parametrize("raw,value", [
+    *((raw, True) for raw in ("1", "yes", "true", "on", "On", "TRUE")),
+    *((raw, False) for raw in ("0", "no", "false", "off", "Off")),
+])
+def test_parse_config_reads_configparser_s_boolean_words(tmp_path, raw, value):
+    path = tmp_path / "sphere.cfg"
+    path.write_text("[surface]\nkind = sphere\ndimension = 2\n"
+                    f"[study]\nlevels = 1,3\nkernel_difference = {raw}\n")
+    _, extras = parse_config(str(path))
+    assert extras["kernel_difference"] is value
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # missing required key -> exit 2 with a categorized line
     path = tmp_path / "bad.cfg"
@@ -448,6 +460,25 @@ def test_cli_solve_honours_t_end(tmp_path):
      "surface.dimension"),
     ("solve", "[surface]\nkind = circle\ndimension = 2\n[study]\nlevels = 16\n",
      "surface.dimension"),
+    # the kernel difference is on or off in configparser's boolean words
+    *(("greens", "[surface]\nkind = sphere\ndimension = 2\n[study]\nlevels = 1,3\n"
+                 f"kernel_difference = {v}\n", "study.kernel_difference")
+      for v in ("ture", "2", "y")),
+    # radii are positive and finite, amplitudes below 1 in modulus, and a
+    # kind takes no more parameters than it reads
+    *(("maxreg", f"[surface]\nkind = circle\nparams = {v}\n[study]\nlevels = 16,32\n",
+       "surface.params") for v in ("0", "-1", "nan", "inf", "1,2")),
+    *(("solve", f"[surface]\nkind = sphere\nparams = {v}\n[study]\nlevels = 1\n",
+       "surface.params") for v in ("0", "-1", "nan", "1,2")),
+    *(("solve", f"[surface]\nkind = ellipsoid_flow\nparams = {v}\n[study]\nlevels = 1\n",
+       "surface.params") for v in ("nan,0,0", "0.1,nan,0")),
+    ("solve", "[surface]\nkind = scaled_sphere_flow\nparams = 0.1,0.2\n[study]\n"
+              "levels = 1\n", "surface.params"),
+    # a repeated (p, q) pair would list each row twice
+    ("maxreg", "[surface]\nkind = circle\n[study]\nlevels = 16,32\npq = 2:2,2:2\n",
+     "study.pq"),
+    ("maxreg", "[surface]\nkind = circle\n[study]\nlevels = 16,32\npq = 2:2,3:4,2.0:2\n",
+     "study.pq"),
 ])
 def test_cli_rejected_config_values_are_config_errors(tmp_path, capsys, command,
                                                       config, key):

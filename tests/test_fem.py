@@ -23,9 +23,7 @@ from esfem.fem import (
     discrete_laplacian,
     element_geometry,
     element_point,
-    interpolate,
     l2_project,
-    lift_function,
     load_from_geometry,
     locate_point,
     norm_lq,
@@ -328,39 +326,39 @@ def test_dilated_matrices_scale_with_radius(dim):
 def test_l2_project_fixes_members(circle64):
     space = FeSpace(circle64)
     rng = np.random.default_rng(0)
-    member = space.function(rng.standard_normal(space.num_dofs))
+    member = rng.standard_normal(space.num_dofs)
 
     def as_callable(x):
         elems, refs = radial_inverse_lift(circle64, x)
         sv = circle64.reference.shape_values(refs)
-        return np.sum(sv * member.coeffs[circle64.elements[elems]], axis=1)
+        return np.sum(sv * member[circle64.elements[elems]], axis=1)
 
-    proj = l2_project(space, as_callable, assemble_mass(space))
-    assert np.abs(proj.coeffs - member.coeffs).max() <= 1e-11
+    proj = l2_project(space, as_callable, assemble_mass(space), 1e-12)
+    assert np.abs(proj - member).max() <= 1e-11
 
 
 def test_l2_project_constant(circle64):
     space = FeSpace(circle64)
-    proj = l2_project(space, lambda x: np.ones(x.shape[:-1]), assemble_mass(space))
-    assert np.abs(proj.coeffs - 1.0).max() <= 1e-12
+    proj = l2_project(space, lambda x: np.ones(x.shape[:-1]), assemble_mass(space), 1e-12)
+    assert np.abs(proj - 1.0).max() <= 1e-12
 
 
 def test_l2_project_contracts(circle64):
     space = FeSpace(circle64)
     fn = lambda x: x[..., 0]
-    proj = l2_project(space, fn, assemble_mass(space))
-    assert norm_lq(proj, 2) <= norm_lq(fn, 2, space=space) * (1 + 1e-10)
+    proj = l2_project(space, fn, assemble_mass(space), 1e-12)
+    assert norm_lq(space, proj, 2) <= norm_lq(space, fn, 2) * (1 + 1e-10)
 
 
 def test_l2_project_galerkin_orthogonality(circle64):
     space = FeSpace(circle64)
     fn = lambda x: np.exp(x[..., 0])
-    proj = l2_project(space, fn, assemble_mass(space))
+    proj = l2_project(space, fn, assemble_mass(space), 1e-12)
     geom = element_geometry(space.mesh, space.tag, 20)
     fvals = fn(geom.points)
-    pvals = proj.coeffs[circle64.elements] @ geom.shape_values.T
+    pvals = proj[circle64.elements] @ geom.shape_values.T
     rng = np.random.default_rng(1)
-    scale = norm_lq(proj, 2)
+    scale = norm_lq(space, proj, 2)
     for _ in range(5):
         chi = rng.standard_normal(space.num_dofs)
         cvals = chi[circle64.elements] @ geom.shape_values.T
@@ -375,10 +373,11 @@ def test_interpolate_fixes_members_and_converges():
         mesh = build_circle_mesh(surface, n, 1)
         space = FeSpace(mesh)
         rng = np.random.default_rng(2)
-        member = space.function(rng.standard_normal(space.num_dofs))
-        again = interpolate(space, lambda x, m=member, mesh=mesh: _eval_fe(m, mesh, x))
-        assert np.abs(again.coeffs - member.coeffs).max() <= 1e-13
-        ih = interpolate(space, sin_theta)
+        member = rng.standard_normal(space.num_dofs)
+        # the nodal interpolant of fn is fn at the nodes
+        again = _eval_fe(member, mesh, mesh.nodes)
+        assert np.abs(again - member).max() <= 1e-13
+        ih = sin_theta(mesh.nodes)
         err = _callable_error_l2(space, ih, sin_theta)
         errors.append(err)
         hs.append(mesh.h)
@@ -389,12 +388,12 @@ def test_interpolate_fixes_members_and_converges():
 def _eval_fe(member, mesh, x):
     elems, refs = radial_inverse_lift(mesh, x)
     sv = mesh.reference.shape_values(refs)
-    return np.sum(sv * member.coeffs[mesh.elements[elems]], axis=1)
+    return np.sum(sv * member[mesh.elements[elems]], axis=1)
 
 
 def _callable_error_l2(space, u, fn, order=16):
     geom = element_geometry(space.mesh, space.tag, order)
-    uv = u.coeffs[space.mesh.elements] @ geom.shape_values.T
+    uv = u[space.mesh.elements] @ geom.shape_values.T
     fv = fn(geom.points)
     return math.sqrt(float(np.sum(geom.weights * (uv - fv) ** 2)))
 
@@ -406,12 +405,12 @@ def test_interpolation_estimate_constant_stable():
     for n in (16, 32, 64):
         mesh = build_circle_mesh(surface, n, 1)
         space = FeSpace(mesh)
-        ih = interpolate(space, sin_theta)
+        ih = sin_theta(mesh.nodes)
         err0 = _callable_error_l2(space, ih, sin_theta)
         # H1 seminorm of the error via elevated quadrature
         geom = element_geometry(space.mesh, space.tag, 16)
         gv = np.einsum(
-            "el,eqld->eqd", ih.coeffs[mesh.elements], geom.tangent_grads
+            "el,eqld->eqd", ih[mesh.elements], geom.tangent_grads
         )
         exact_grad = grad_sin_theta(geom.points)
         nu = geom.points / np.linalg.norm(geom.points, axis=-1, keepdims=True)
@@ -427,22 +426,22 @@ def test_interpolation_estimate_constant_stable():
 
 def test_discrete_laplacian_of_constant(circle64):
     space = FeSpace(circle64)
-    lap = discrete_laplacian(space.function(np.ones(space.num_dofs)),
-                             assemble_mass(space), assemble_stiffness(space))
-    assert np.abs(lap.coeffs).max() <= 1e-11
+    lap = discrete_laplacian(np.ones(space.num_dofs), assemble_mass(space),
+                             assemble_stiffness(space), 1e-12)
+    assert np.abs(lap).max() <= 1e-11
 
 
 def test_discrete_laplacian_weak_identity(circle64):
     space = FeSpace(circle64)
     rng = np.random.default_rng(3)
-    u = space.function(rng.standard_normal(space.num_dofs))
+    u = rng.standard_normal(space.num_dofs)
     mass = assemble_mass(space)
     stiff = assemble_stiffness(space)
-    lap = discrete_laplacian(u, mass, stiff)
+    lap = discrete_laplacian(u, mass, stiff, 1e-12)
     for _ in range(5):
         chi = rng.standard_normal(space.num_dofs)
-        lhs = float(lap.coeffs @ mass.matvec(chi))
-        rhs = -float(u.coeffs @ stiff.matvec(chi))
+        lhs = float(lap @ mass.matvec(chi))
+        rhs = -float(u @ stiff.matvec(chi))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
@@ -460,10 +459,9 @@ def test_discrete_laplacian_eigenfunction(builder, mode_fn, expected_factor):
     for level in levels:
         mesh = builder(level)
         space = FeSpace(mesh)
-        u = interpolate(space, mode_fn)
-        lap = discrete_laplacian(u, assemble_mass(space), assemble_stiffness(space))
-        resid = space.function(lap.coeffs + expected_factor * u.coeffs)
-        errors.append(norm_lq(resid, 2))
+        u = mode_fn(mesh.nodes)
+        lap = discrete_laplacian(u, assemble_mass(space), assemble_stiffness(space), 1e-12)
+        errors.append(norm_lq(space, lap + expected_factor * u, 2))
         hs.append(mesh.h)
     order = np.polyfit(np.log(hs), np.log(errors), 1)[0]
     assert order >= 1.0
@@ -476,7 +474,7 @@ def test_discrete_delta_reproduces_constants(circle64):
     x0 = element_point(circle64, 3, np.array([0.37]))
     delta = discrete_delta(space, x0)
     mass = assemble_mass(space)
-    assert abs(delta.coeffs @ mass.matvec(np.ones(space.num_dofs)) - 1.0) <= 1e-11
+    assert abs(delta @ mass.matvec(np.ones(space.num_dofs)) - 1.0) <= 1e-11
 
 
 def test_discrete_delta_reproduces_point_values(circle64):
@@ -488,7 +486,7 @@ def test_discrete_delta_reproduces_point_values(circle64):
     rng = np.random.default_rng(4)
     for _ in range(5):
         chi = rng.standard_normal(space.num_dofs)
-        pairing = float(delta.coeffs @ mass.matvec(chi))
+        pairing = float(delta @ mass.matvec(chi))
         point_value = float(e @ chi)
         assert abs(pairing - point_value) <= 1e-10 * max(1.0, abs(point_value))
 
@@ -499,7 +497,7 @@ def test_discrete_delta_peak_scales_like_inverse_h():
         mesh = build_circle_mesh(Circle(), n, 1)
         space = FeSpace(mesh)
         delta = discrete_delta(space, mesh.nodes[0])
-        scale_constants.append(np.abs(delta.coeffs).max() * mesh.h)
+        scale_constants.append(np.abs(delta).max() * mesh.h)
     lo, hi = sorted(scale_constants)
     assert hi / lo <= 1.25
 
@@ -511,7 +509,7 @@ def test_discrete_delta_exponential_decay():
     x0 = mesh.nodes[0]
     delta = discrete_delta(space, x0)
     dist = mesh.surface.geodesic_distance(0.0, mesh.nodes, x0)
-    vals = np.abs(delta.coeffs)
+    vals = np.abs(delta)
     sel = (dist > 3 * mesh.h) & (vals > 1e-13 * vals.max())
     logs = np.log(vals[sel])
     slope, intercept = np.polyfit(dist[sel] / mesh.h, logs, 1)
@@ -604,7 +602,7 @@ def test_locate_point_rejects_points_off_the_sphere_mesh(sphere2, scale):
 def test_ritz_fixes_members(circle64):
     space = FeSpace(circle64, LIFTED)
     rng = np.random.default_rng(5)
-    member = space.function(rng.standard_normal(space.num_dofs))
+    member = rng.standard_normal(space.num_dofs)
     mesh = circle64
 
     def fn(x):
@@ -616,7 +614,7 @@ def test_ritz_fixes_members(circle64):
         elems, refs = radial_inverse_lift(mesh, x)
         sg = mesh.reference.shape_gradients(refs)
         coords = mesh.nodes[mesh.elements[elems]]
-        dvals = np.sum(sg[..., 0] * member.coeffs[mesh.elements[elems]], axis=1)
+        dvals = np.sum(sg[..., 0] * member[mesh.elements[elems]], axis=1)
         jac = np.einsum("plm,pld->pdm", sg, coords)[..., 0]
         base = np.einsum("pl,pld->pd", mesh.reference.shape_values(refs), coords)
         dq = mesh.surface.project_with_jacobian(mesh.time, base)[1]
@@ -624,8 +622,8 @@ def test_ritz_fixes_members(circle64):
         speed2 = np.sum(lifted_tangent * lifted_tangent, axis=-1)
         return dvals[:, None] * lifted_tangent / speed2[:, None]
 
-    proj = ritz_project(space, fn, gradfn)
-    assert np.abs(proj.coeffs - member.coeffs).max() <= 1e-9
+    proj = ritz_project(space, fn, gradfn, 1e-12)
+    assert np.abs(proj - member).max() <= 1e-9
 
 
 def test_ritz_h1_rate_and_w14_stability():
@@ -633,15 +631,13 @@ def test_ritz_h1_rate_and_w14_stability():
     for n in (16, 32, 64, 128):
         mesh = build_circle_mesh(Circle(), n, 1)
         space = FeSpace(mesh, LIFTED)
-        proj = ritz_project(space, sin_theta, grad_sin_theta)
-        ih = interpolate(space, sin_theta)
+        proj = ritz_project(space, sin_theta, grad_sin_theta, 1e-12)
         # H1 error via the triangle inequality against the interpolant plus
         # the interpolant's own error, both by elevated quadrature
-        diff = space.function(proj.coeffs - ih.coeffs)
-        err = norm_w1q(diff, 2) + mesh.h * 1.0
+        err = norm_w1q(space, proj - sin_theta(mesh.nodes), 2) + mesh.h * 1.0
         errors.append(err)
         hs.append(mesh.h)
-        num = norm_w1q(proj, 4)
+        num = norm_w1q(space, proj, 4)
         den = _callable_w14(space, sin_theta, grad_sin_theta)
         ratios.append(num / den)
     order = np.polyfit(np.log(hs), np.log(errors), 1)[0]
@@ -669,7 +665,7 @@ def test_type_error_inside_a_callable_reaches_the_caller(circle64):
         load_from_geometry(FeSpace(circle64).geometry(), circle64.elements,
                            circle64.num_nodes, forcing, 0.0)
     with pytest.raises(TypeError, match="bug inside the forcing"):
-        ritz_project(FeSpace(circle64, LIFTED), sin_theta, lambda x: forcing(0.0, x))
+        ritz_project(FeSpace(circle64, LIFTED), sin_theta, lambda x: forcing(0.0, x), 1e-12)
 
 
 # --- radial inverse lift -----------------------------------------------------
@@ -905,21 +901,31 @@ def test_prefactor_at_chord_midpoint_closed_form():
 
 def test_norm_constant_on_lifted_circle(circle64):
     space = FeSpace(circle64, LIFTED)
-    one = space.function(np.ones(space.num_dofs))
-    assert abs(norm_lq(one, 2) - math.sqrt(2 * math.pi)) <= 1e-12
-    assert norm_lq(one, math.inf) == 1.0
+    one = np.ones(space.num_dofs)
+    assert abs(norm_lq(space, one, 2) - math.sqrt(2 * math.pi)) <= 1e-12
+    assert norm_lq(space, one, math.inf) == 1.0
 
 
 def test_norm_sin_theta_analytic(circle64):
     space = FeSpace(circle64, LIFTED)
-    value = norm_lq(sin_theta, 2, space=space)
+    value = norm_lq(space, sin_theta, 2)
     assert abs(value - math.sqrt(math.pi)) <= 1e-10
 
 
 def test_norm_invalid_exponent(circle64):
     space = FeSpace(circle64)
     with pytest.raises(InvalidExponent):
-        norm_lq(space.function(np.ones(space.num_dofs)), 0.5)
+        norm_lq(space, np.ones(space.num_dofs), 0.5)
+
+
+@pytest.mark.parametrize("norm", [norm_lq, norm_w1q])
+def test_norms_reject_a_vector_of_the_wrong_length(circle64, norm):
+    space = FeSpace(circle64)
+    for n in (space.num_dofs - 1, space.num_dofs + 1):
+        with pytest.raises(DimensionMismatch, match=f"{space.num_dofs} dofs"):
+            norm(space, np.ones(n), 2.0)
+    with pytest.raises(DimensionMismatch):
+        norm(space, np.ones((space.num_dofs, 1)), 2.0)
 
 
 def test_two_path_integration_agreement():
@@ -943,20 +949,10 @@ def test_two_path_integration_agreement():
 
 # --- lifts -------------------------------------------------------------------
 
-def test_lift_preserves_nodal_values(circle64):
-    space = FeSpace(circle64)
-    rng = np.random.default_rng(8)
-    u = space.function(rng.standard_normal(space.num_dofs))
-    lifted = lift_function(u, FeSpace(circle64, LIFTED))
-    assert lifted.space.tag == LIFTED
-    assert np.array_equal(lifted.coeffs, u.coeffs)
-
-
 def test_lift_constant_is_constant(circle64):
-    space = FeSpace(circle64)
-    one = space.function(np.ones(space.num_dofs))
-    lifted = lift_function(one, FeSpace(circle64, LIFTED))
-    assert abs(norm_lq(lifted, math.inf) - 1.0) <= 1e-14
+    # the lift keeps the coefficients: the constant vector is 1 on Gamma too
+    one = np.ones(circle64.num_nodes)
+    assert abs(norm_lq(FeSpace(circle64, LIFTED), one, math.inf) - 1.0) <= 1e-14
 
 
 def test_inverse_lift_of_coordinate_on_square():

@@ -54,7 +54,7 @@ def test_kernel_initial_slice_is_delta(circle_kernel):
     space = FeSpace(mesh)
     delta = discrete_delta(space, mesh.nodes[0])
     assert nodes[0].t == 0.0
-    assert np.abs(nodes[0].u - delta.coeffs).max() <= 1e-13
+    assert np.abs(nodes[0].u - delta).max() <= 1e-13
 
 
 def test_kernel_total_mass_conserved(circle_kernel):

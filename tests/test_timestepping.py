@@ -11,7 +11,6 @@ from esfem.fem import (
     assemble_mass,
     assemble_stiffness,
     element_values,
-    interpolate,
     load_from_geometry,
     values_norm_lq,
 )
@@ -131,7 +130,7 @@ def test_energy_dissipation_homogeneous():
     mesh = build_circle_mesh(Circle(), 32, 1)
     space = FeSpace(mesh)
     mass = assemble_mass(space)
-    u0 = interpolate(space, lambda x: np.sign(x[..., 0])).coeffs
+    u0 = np.sign(mesh.nodes[..., 0])
     nodes = solve_heat(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 80),
                        scheme=STATIONARY, u0=u0)
     energies = [float(node.u @ mass.matvec(node.u)) for node in nodes]
@@ -148,7 +147,7 @@ def test_eigen_decay_convergence_order():
         grid = TimeGrid(1.0, max(4, int(8 / mesh.h)))
         *_, last = solve_heat(
             mesh, None, grid, scheme="stationary", integrator="bdf2",
-            u0=interpolate(space, solution.initial).coeffs,
+            u0=solution.initial(mesh.nodes),
         )
         assert last.t == 1.0
         geom = space.geometry()
