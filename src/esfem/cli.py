@@ -20,8 +20,8 @@ from dataclasses import asdict
 
 from . import __version__
 from .errors import (BudgetExceeded, ConfigError, EsfemError, HTooLarge, IOFailure,
-                     MeshMismatch, UnsupportedSurface)
-from .fem import DISCRETE, LIFTED, FeSpace
+                     MeshMismatch, RichardsonFailure, UnsupportedSurface)
+from .fem import FeSpace, discrete_delta
 from .greens import (
     MIN_FIT_SAMPLES,
     _check_kernel_pair,
@@ -276,10 +276,16 @@ def cmd_solve(args):
 
 def cmd_maxreg(args):
     config, extras, outdir = _study_setup(args)
-    report = maxreg_study(config)
+    try:
+        report, failure = maxreg_study(config), None
+    except RichardsonFailure as exc:
+        # the table of every row stays on disk as the failed check's evidence
+        report, failure = exc.report, exc
     outputs = emit_reports(report, outdir)
     _write_manifest(outdir, "maxreg", asdict(config),
                     [os.path.basename(p) for p in outputs])
+    if failure is not None:
+        raise failure
     failures = [key for key, v in report.uniformity.items() if not v["uniform"]]
     print(f"maxreg study: {len(report.rows)} rows, "
           f"{len(report.uniformity) - len(failures)}/{len(report.uniformity)} "
@@ -373,12 +379,10 @@ def cmd_delta(args):
     rows = []
     for level in config.levels:
         mesh = build_level_mesh(surface, level, config.degree)
-        space = FeSpace(mesh, DISCRETE)
-        lifted = FeSpace(mesh, LIFTED)
         x0 = mesh.nodes[0]
-        # the fit solves its own point source, at a looser tolerance
-        fit = delta_decay_fit(space, x0)
-        cons = delta_consistency(space, lifted, x0)
+        delta = discrete_delta(FeSpace(mesh), x0, config.cg_tol)
+        fit = delta_decay_fit(mesh, x0, delta)
+        cons = delta_consistency(mesh, x0, delta, config.cg_tol)
         rows.append([level, mesh.h, fit["slope"], fit["r_squared"],
                      fit["decay_length"], cons[1]["ratio"], cons[2]["ratio"]])
     path = write_table(
@@ -430,9 +434,9 @@ def main(argv=None):
     for name, func, help_text in (
         ("solve", cmd_solve, "time-step one scheme and dump norm trajectories"),
         ("maxreg", cmd_maxreg,
-         "bounded-ratio refinement study; the default levels (32,64,128,256) "
-         "are circle element counts, and sphere and ellipsoid configs need "
-         "levels >= 3 to pass the dt-halving check at the default "
+         "bounded-ratio refinement study; the default levels are 32,64,128,256 "
+         "elements on a curve and subdivision levels 3,4 on a surface, where "
+         "levels below 3 fail the dt-halving check at the default "
          "richardson_rtol = 0.01"),
         ("convergence", cmd_convergence, "error convergence study"),
         ("greens", cmd_greens, "kernel decay and dyadic reports"),

@@ -58,7 +58,12 @@ class BudgetExceeded(EsfemError):
 
 
 class RichardsonFailure(EsfemError):
-    """Halving the time step changed a reported norm by more than allowed."""
+    """Halving the time step changed a reported norm by more than allowed;
+    report is the study's report, with every row."""
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
 
 
 class ConfigError(EsfemError):

@@ -341,8 +341,9 @@ def delta_load(space, x0):
     return e
 
 
-def discrete_delta(space, x0, tol=1e-12):
-    """L2 projection of the point mass at x0: reproduces chi(x0) against chi."""
+def discrete_delta(space, x0, tol):
+    """L2 projection of the point mass at x0: reproduces chi(x0) against chi,
+    solved for to tol."""
     return cg_solve(assemble_mass(space), delta_load(space, x0), tol=tol)[0]
 
 

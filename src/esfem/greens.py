@@ -16,7 +16,6 @@ from .errors import (
     MeshMismatch,
 )
 from .fem import (
-    DISCRETE,
     LIFTED,
     FeSpace,
     block_geometry,
@@ -53,16 +52,16 @@ def default_source_points(mesh):
     return points
 
 
-def discrete_green(mesh, x0, grid, cg_tol=1e-12):
+def discrete_green(mesh, x0, grid, cg_tol):
     """Homogeneous evolution of the discrete point source at x0 on the frozen
     snapshot; the total discrete mass (kernel, 1) stays at 1 exactly.
 
-    The point source is solved for at the call; returns the solve_heat
-    stream of the evolution, which yields one TimeNode per node of the grid
-    and runs each step only when its node is drawn."""
-    space = FeSpace(mesh, DISCRETE)
+    The point source is solved for at the call, to cg_tol as every step is;
+    returns the solve_heat stream of the evolution, which yields one
+    TimeNode per node of the grid and runs each step only when its node is
+    drawn."""
     return solve_heat(mesh, None, grid, scheme=STATIONARY,
-                      u0=discrete_delta(space, x0, tol=cg_tol), cg_tol=cg_tol)
+                      u0=discrete_delta(FeSpace(mesh), x0, cg_tol), cg_tol=cg_tol)
 
 
 @dataclass
@@ -94,13 +93,13 @@ def _log_linear_fit(times, values):
 MIN_FIT_SAMPLES = 5  # time nodes the decay fit of green_decay_study needs
 
 
-def green_decay_study(mesh, grid, cg_tol=1e-12):
+def green_decay_study(mesh, grid, cg_tol):
     """Fit the long-time exponential decay of the kernel's time derivative.
 
     Tracks max over the default sources of the L^1 norm of d/dt kernel at
     each time node of the fit window t >= 1, the only nodes whose norms are
     taken, and returns the log-linear fit (rate > 0 means decay
-    exp(-rate*t)).
+    exp(-rate*t)).  Each source's kernel is solved for to cg_tol.
     """
     times = grid.times()
     times = times[times >= 1.0]
@@ -123,15 +122,15 @@ def green_decay_study(mesh, grid, cg_tol=1e-12):
     )
 
 
-def delta_decay_fit(space, x0):
-    """Regression of log|delta coefficients| against distance/h over the
-    nodes outside the exclusion ball of radius 3h whose coefficient is above
-    1e-13 of the peak; returns (slope, r2, decay_length).
+def delta_decay_fit(mesh, x0, delta):
+    """Regression of log|delta| against distance/h over the nodes outside
+    the exclusion ball of radius 3h whose coefficient is above 1e-13 of the
+    peak, for delta the discrete point source at x0 (discrete_delta on the
+    discrete space of mesh): nothing is solved here.
 
     decay_length is the fitted K in |delta| ~ h^-m exp(-dist/(K h)).
     """
-    mesh = space.mesh
-    vals = np.abs(discrete_delta(space, x0))
+    vals = np.abs(delta)
     dist = mesh.surface.geodesic_distance(mesh.time, mesh.nodes, np.asarray(x0, float))
     h = mesh.h
     peak = vals.max()
@@ -149,27 +148,21 @@ def delta_decay_fit(space, x0):
     }
 
 
-def delta_consistency(discrete_space, lifted_space, x0):
-    """Distance between the lifted discrete point source and the point source
-    of the lifted space, relative to the latter's norm, in L^1 and L^2: a
-    dict that maps p = 1 and p = 2 to the difference norm, the reference
-    norm and their ratio.  Each point source is solved for once.
-
-    Both spaces must live on the same mesh snapshot; the source of the lifted
-    space sits at the projection of x0.
+def delta_consistency(mesh, x0, delta, cg_tol):
+    """Distance between the lifted discrete point source delta at x0
+    (discrete_delta on the discrete space of mesh) and the point source of
+    the lifted space of mesh, relative to the latter's norm, in L^1 and L^2:
+    a dict that maps p = 1 and p = 2 to the difference norm, the reference
+    norm and their ratio.  Only the lifted source is solved for, once and
+    to cg_tol; it sits at the projection of x0.
     """
-    if discrete_space.mesh is not lifted_space.mesh:
-        raise MeshMismatch("spaces must share one mesh snapshot")
-    if discrete_space.tag != DISCRETE or lifted_space.tag != LIFTED:
-        raise MeshMismatch("expected (discrete, lifted) spaces")
-    # the point source of either space pairs with phi_i(x0) on their one mesh
-    bar = discrete_delta(discrete_space, x0, tol=1e-13)
-    tilde = discrete_delta(lifted_space, x0, tol=1e-13)
-    diff = bar - tilde
+    lifted = FeSpace(mesh, LIFTED)
+    tilde = discrete_delta(lifted, x0, cg_tol)
+    diff = delta - tilde
     out = {}
     for p in (1, 2):
-        dnorm = norm_lq(lifted_space, diff, p)
-        tnorm = norm_lq(lifted_space, tilde, p)
+        dnorm = norm_lq(lifted, diff, p)
+        tnorm = norm_lq(lifted, tilde, p)
         out[p] = {"difference_norm": dnorm, "reference_norm": tnorm,
                   "ratio": dnorm / tnorm}
     return out
@@ -334,9 +327,10 @@ def _check_kernel_pair(coarse_mesh, fine_mesh):
         )
 
 
-def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11):
+def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol):
     """Truncated L^1 space-time norm of the difference of kernel time
-    derivatives, with the fine mesh standing in for the exact kernel.
+    derivatives, with the fine mesh standing in for the exact kernel; both
+    kernels are solved for to cg_tol.
 
     Both kernels are lifted onto the exact surface and compared there; the
     value is recomputed with a halved time step to attach a Richardson error
@@ -393,28 +387,6 @@ def kernel_difference_l1(coarse_mesh, fine_mesh, x0, grid, cg_tol=1e-11):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DyadicDecomposition:
-    center: np.ndarray
-    c_star: float
-    j_star: int
-    radii: np.ndarray  # d_j = 2^-j for j = 0..j_star
-
-
-def build_dyadic(mesh, x0, c_star):
-    h = mesh.h
-    if h >= 1.0 / (4.0 * c_star):
-        raise HTooLarge(f"need h < 1/(4*C) = {1.0 / (4.0 * c_star):.4g}, got {h:.4g}")
-    j_star = int(round(math.log2(1.0 / (c_star * h))))
-    j_star = max(j_star, 2)
-    return DyadicDecomposition(
-        center=np.asarray(x0, dtype=float),
-        c_star=float(c_star),
-        j_star=j_star,
-        radii=2.0 ** (-np.arange(j_star + 1)),
-    )
-
-
 def _trapezoid_weights(nodes, t_max):
     """Each node up to t_max with its composite trapezoid weight in time,
     half the step before it plus half the step after it.  A node is passed
@@ -435,37 +407,42 @@ def _trapezoid_weights(nodes, t_max):
 def dyadic_report(mesh, nodes, x0, c_star):
     """Per-annulus L^2 norms of a stationary solve_heat stream on mesh (a
     discrete_green stream, say) and of its time derivative over the
-    parabolic dyadic decomposition of (0,1) x Gamma.
+    parabolic dyadic decomposition of (0,1) x Gamma around x0.  It solves
+    nothing itself: the stream's solves ran at the stream's tolerance.
 
-    The decomposition and the distances to x0 are computed before the first
-    node is drawn, so HTooLarge, and UnsupportedSurface on a kind without a
-    geodesic distance, raise before any step runs.  Nodes are then drawn one at a time up to
+    The decomposition has the sets Q_j of radius d_j = 2^-j for j = 0..j_star,
+    j_star = max(2, round(log2(1/(c_star h)))), and the innermost set of
+    radius d_j_star; it needs h < 1/(4 c_star).  The decomposition and the
+    distances to x0 are computed before the first node is drawn, so
+    HTooLarge, and UnsupportedSurface on a kind without a geodesic distance,
+    raise before any step runs.  Nodes are then drawn one at a time up to
     t = 1 and reduced as they come; no solution series is kept.
 
     Classification uses rho = max(geodesic distance to x0, sqrt(t)); each
     space-time quadrature sample lands in exactly one set, so the reported
     measures add up to |(0,1) x Gamma_h| by construction.
     """
-    decomp = build_dyadic(mesh, x0, c_star)
-    space = FeSpace(mesh, DISCRETE)
-    geom = space.geometry()
+    h = mesh.h
+    if h >= 1.0 / (4.0 * c_star):
+        raise HTooLarge(f"need h < 1/(4*C) = {1.0 / (4.0 * c_star):.4g}, got {h:.4g}")
+    j_star = max(int(round(math.log2(1.0 / (c_star * h)))), 2)
+    radii = 2.0 ** (-np.arange(j_star + 1))
+    geom = FeSpace(mesh).geometry()
     pts = geom.points.reshape(-1, geom.points.shape[-1])
-    dist = mesh.surface.geodesic_distance(mesh.time, pts, decomp.center)
+    dist = mesh.surface.geodesic_distance(mesh.time, pts, np.asarray(x0, dtype=float))
     w_space = geom.weights.reshape(-1)
 
-    d_star = decomp.radii[-1]
-    n_bins = decomp.j_star + 2  # Q_0 .. Q_{j_star}, innermost at index j_star+1
-    meas = np.zeros(n_bins)
-    u_sq = np.zeros(n_bins)
-    du_sq = np.zeros(n_bins)
+    d_star = radii[-1]
+    n_bins = j_star + 2  # Q_0 .. Q_{j_star}, innermost at index j_star+1
+    meas, u_sq, du_sq = np.zeros((3, n_bins))
     for node, weight in _trapezoid_weights(nodes, 1.0 + 1e-12):
         if node.mesh is not mesh:
             raise MeshMismatch("the nodes must live on the report's mesh")
         rho = np.maximum(dist, math.sqrt(node.t))
         bins = np.where(
             rho <= d_star,
-            decomp.j_star + 1,
-            np.clip(np.ceil(-np.log2(np.maximum(rho, 1e-300))), 0, decomp.j_star).astype(int),
+            j_star + 1,
+            np.clip(np.ceil(-np.log2(np.maximum(rho, 1e-300))), 0, j_star),
         ).astype(int)
         uv = element_values(node.u, mesh.elements, geom).reshape(-1)
         duv = element_values(node.udot, mesh.elements, geom).reshape(-1)
@@ -474,25 +451,13 @@ def dyadic_report(mesh, nodes, x0, c_star):
         u_sq += np.bincount(bins, weights=wtotal * uv * uv, minlength=n_bins)
         du_sq += np.bincount(bins, weights=wtotal * duv * duv, minlength=n_bins)
 
-    rows = []
-    for j in range(decomp.j_star + 1):
-        rows.append({
-            "set": f"Q{j}",
-            "radius": float(decomp.radii[j]),
-            "measure": float(meas[j]),
-            "field_l2": float(math.sqrt(u_sq[j])),
-            "dtfield_l2": float(math.sqrt(du_sq[j])),
-        })
-    rows.append({
-        "set": "innermost",
-        "radius": float(d_star),
-        "measure": float(meas[-1]),
-        "field_l2": float(math.sqrt(u_sq[-1])),
-        "dtfield_l2": float(math.sqrt(du_sq[-1])),
-    })
+    names = [f"Q{j}" for j in range(j_star + 1)] + ["innermost"]
+    rows = [{"set": name, "radius": float(radius), "measure": float(m),
+             "field_l2": math.sqrt(u), "dtfield_l2": math.sqrt(du)}
+            for name, radius, m, u, du in zip(names, [*radii, d_star], meas, u_sq, du_sq)]
     return {
-        "j_star": decomp.j_star,
-        "c_star": decomp.c_star,
+        "j_star": j_star,
+        "c_star": float(c_star),
         "rows": rows,
         "total_measure": float(meas.sum()),
     }

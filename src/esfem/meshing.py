@@ -15,10 +15,12 @@ import numpy as np
 from .errors import DegenerateMesh, UnsupportedSurface
 from .reference import reference_element
 
-# surface dimension -> the element degrees its mesh builder supports, and
-# the smallest level it accepts (curves: elements, spheres: subdivisions)
+# surface dimension -> the element degrees its mesh builder supports, the
+# smallest level it accepts (curves: elements, spheres: subdivisions), and
+# the default study levels (on a surface, the coarsest passing dt-halving at 1%)
 ELEMENT_DEGREES = {1: (1, 2, 3), 2: (1, 2)}
 MIN_LEVEL = {1: 4, 2: 0}
+DEFAULT_LEVELS = {1: (32, 64, 128, 256), 2: (3, 4)}
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 

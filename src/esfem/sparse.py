@@ -155,7 +155,7 @@ class SparseMatrix:
 CG_ITERATIONS_PER_DOF = 10
 
 
-def cg_solve(mat, b, tol=1e-12, x0=None, atol=0.0):
+def cg_solve(mat, b, tol, x0=None, atol=0.0):
     """Jacobi (diagonal) preconditioned conjugate gradients for SPD systems.
 
     Success means the true residual satisfies |b - Ax| <= max(tol*|b|,

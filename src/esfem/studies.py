@@ -28,7 +28,7 @@ from .fem import (
     ritz_project,
     tangent_gradients,
 )
-from .meshing import ELEMENT_DEGREES, MIN_LEVEL, build_circle_mesh, build_sphere_mesh
+from .meshing import DEFAULT_LEVELS, ELEMENT_DEGREES, MIN_LEVEL, build_circle_mesh, build_sphere_mesh
 from .surfaces import exact_heat_solution, forcing_profile, make_surface, profile_seed
 from .timestepping import (
     SCHEME_A,
@@ -52,7 +52,7 @@ class StudyConfig:
     surface_params: tuple = ()
     scheme: str = STATIONARY
     degree: int = 1
-    levels: tuple = (32, 64, 128, 256)
+    levels: tuple | None = None  # None: the dimension's DEFAULT_LEVELS
     pq_pairs: tuple = ((2.0, 2.0),)
     profile: str = "osc-seed42"
     mode: int = 1
@@ -65,10 +65,15 @@ class StudyConfig:
         if self.dimension is None:
             # the kind's own: circles are curves, every other kind a surface
             object.__setattr__(self, "dimension", 1 if self.surface_kind == "circle" else 2)
+        if self.levels is None:
+            object.__setattr__(self, "levels", DEFAULT_LEVELS.get(self.dimension, ()))
 
     def validate(self):
         """Self, or ConfigError naming the config key of the first value
         the studies or the mesh builders would reject."""
+        dim = self.dimension  # first, as the default levels depend on it
+        if dim not in ELEMENT_DEGREES:
+            raise ConfigError(f"surface.dimension (no mesh builder for dimension {dim})")
         if self.scheme not in (SCHEME_A, SCHEME_B, STATIONARY):
             raise ConfigError(f"study.scheme (must be A, B or stationary, got {self.scheme!r})")
         if any(not (1.0 < p < math.inf and 1.0 < q < math.inf)
@@ -90,9 +95,6 @@ class StudyConfig:
             raise ConfigError(f"study.mode (must be >= 1, got {self.mode})")
         if self.seed < 0:
             raise ConfigError(f"study.seed (must be >= 0, got {self.seed})")
-        dim = self.dimension
-        if dim not in ELEMENT_DEGREES:
-            raise ConfigError(f"surface.dimension (no mesh builder for dimension {dim})")
         try:
             surface = self.surface()
         except UnsupportedSurface as exc:
@@ -210,7 +212,8 @@ def maxreg_study(config):
     the L^p(0,1; L^q) norms, with a dt-halving certificate per row.
 
     h-uniformity is declared per (p, q) when max/min of R over the levels is
-    at most 1.25 and the last refinement step grows R by at most 10%.
+    at most 1.25 and the last refinement step grows R by at most 10%.  A
+    failed certificate raises RichardsonFailure, which carries the report.
     """
     config.validate()
     surface = config.surface()
@@ -247,8 +250,8 @@ def maxreg_study(config):
                               for level, name, deviation in failures[(p, q)])
             raise RichardsonFailure(
                 f"dt-halving changed norms by more than richardson_rtol = "
-                f"{config.richardson_rtol:g} (relative) at (p,q)=({p},{q}): {where}"
-            )
+                f"{config.richardson_rtol:g} (relative) at (p,q)=({p},{q}): {where}",
+                report)
         if ratios:
             spread = max(ratios) / min(ratios)
             last_growth = ratios[-1] / ratios[-2] - 1.0 if len(ratios) > 1 else 0.0
@@ -512,12 +515,15 @@ def write_mesh_vtk(mesh, path):
 
 
 def emit_reports(report, outdir):
-    """Write the maxreg CSV table and its pass/fail summary; returns their
-    paths."""
+    """Write the maxreg CSV table and, when every row passed its dt-halving
+    check, as the summary's verdicts assume, its pass/fail summary; returns
+    their paths."""
     csv_path = write_table(
         os.path.join(outdir, "maxreg.csv"), CSV_COLUMNS,
         ([getattr(r, c) for c in CSV_COLUMNS] for r in report.rows),
     )
+    if not all(r.richardson_ok for r in report.rows):
+        return [csv_path]
     summary = []
     for (p, q), verdict in sorted(report.uniformity.items()):
         summary.append([

@@ -185,16 +185,8 @@ def spacetime_norm(times, norms, fieldname, p, q):
     return float(np.trapezoid(series**p, times) ** (1.0 / p))
 
 
-def solve_heat(
-    mesh0,
-    forcing,
-    grid,
-    scheme=SCHEME_A,
-    integrator="be",
-    u0=None,
-    cg_tol=1e-12,
-    frames=None,
-):
+def solve_heat(mesh0, forcing, grid, scheme, integrator="be", u0=None, *, cg_tol,
+               frames=None):
     """Integrate one of the semi-discrete schemes over the given time grid.
 
     forcing is f(t, x) evaluated at ambient points of Gamma_h(t) (callers pass
@@ -245,8 +237,6 @@ def solve_heat(
     moving = scheme != STATIONARY and not mesh0.surface.is_stationary
     u = np.zeros(mesh0.num_nodes) if u0 is None else np.asarray(u0, dtype=float).copy()
     return _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, frames)
-
-
 
 
 def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, frames):

@@ -5,8 +5,9 @@ icosphere built face by face, a jittered circle family, a reader for the
 text mesh format, exact reference-element integrals, a dense view of sparse
 matrices, an eigenvalue and a mass oracle, the geometric prefactors of the
 lift, and the whole-mesh tables and values of the kernel difference, and a
-maxreg study cell solved by two streams that share nothing.  None of this is
-needed to run a study.
+maxreg study cell solved by two streams that share nothing, and the maxreg
+norms of the semi-discrete solution exact in time.  None of this is needed to
+run a study.
 """
 
 import math
@@ -19,8 +20,10 @@ from esfem.fem import (
     LIFTED,
     FeSpace,
     assemble_mass,
+    assemble_stiffness,
     default_quad_order,
     element_geometry,
+    load_from_geometry,
     radial_inverse_lift,
 )
 from esfem import meshing
@@ -428,3 +431,66 @@ def unshared_cell(config, surface, level):
     coarse = norm_series(solve_heat(mesh, forcing, grid, **common), pairs)
     fine = norm_series(solve_heat(mesh, forcing, grid.halved(), **common), pairs)
     return mesh, grid, coarse, fine
+
+
+# --- the maxreg norms of the semi-discrete solution, exact in time -----------
+
+def _time_rule():
+    """10-point Gauss on 60 geometric panels over [1e-9, 0.02], which resolve
+    exp(-lambda_max t) near t = 0, then on 199 uniform panels up to t = 1."""
+    edges = np.concatenate([np.geomspace(1e-9, 0.02, 61), np.linspace(0.02, 1.0, 200)[1:]])
+    x, w = np.polynomial.legendre.leggauss(10)
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+def exact_maxreg_norms(mesh, profile):
+    """The L^2(0,1; L^2) norms of udot, lap and fh of the semi-discrete
+    solution of M u' + A u = b(t), u(0) = 0, on the frozen mesh under an
+    osc-seed forcing, with no time discretization: a dict by field name.
+
+    The forcing is sum_m tau_m(t) s_m(x) for tau = (1, cos 2 pi t, sin 2 pi t,
+    cos 4 pi t, sin 4 pi t), so b(t) = L tau(t), and L comes from the loads at
+    t = 0, 1/5, ..., 4/5.  With A phi_k = lambda_k M phi_k and Phi^T M Phi =
+    I (a dense Cholesky factor of M and eigh), the modal vector of fh is
+    beta tau for beta = Phi^T L, that of u is c with c' = -Lambda c + beta
+    tau, integrated in closed form, and lap = -Lambda c and udot = fh + lap;
+    the L^2 space norm of a field is the Euclidean norm of its modal vector.
+    The time integral is taken by _time_rule, which leaves out [0, 1e-9].
+    """
+    space = FeSpace(mesh, DISCRETE)
+    geom = space.geometry()
+    forcing = forcing_profile(profile, mesh.surface)
+    omega = np.array([0.0, TWO_PI, TWO_PI, 2.0 * TWO_PI, 2.0 * TWO_PI])
+
+    def tau(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.ones_like(t), np.cos(omega[1] * t), np.sin(omega[2] * t),
+                         np.cos(omega[3] * t), np.sin(omega[4] * t)])
+
+    samples = np.arange(5) / 5.0
+    loads = np.array([load_from_geometry(geom, mesh.elements, mesh.num_nodes,
+                                         forcing, t=t) for t in samples])
+    load_modes = np.linalg.solve(tau(samples).T, loads).T  # L, (N, 5)
+    chol = np.linalg.cholesky(dense(assemble_mass(space)))
+    c_inv = np.linalg.inv(chol)
+    lam, vecs = np.linalg.eigh(c_inv @ dense(assemble_stiffness(space)) @ c_inv.T)
+    lam = np.maximum(lam, 0.0)[:, None]  # the constants' eigenvalue is 0 up to rounding
+    beta = vecs.T @ (c_inv @ load_modes)  # Phi^T L with Phi = C^-T V
+
+    times, weights = _time_rule()
+    decay = np.exp(-lam * times)
+    lam_safe = np.where(lam > 0.0, lam, 1.0)
+    c = beta[:, :1] * np.where(lam > 0.0, -np.expm1(-lam * times) / lam_safe, times)
+    for m in range(1, 5):
+        w = omega[m]
+        cos, sin = np.cos(w * times), np.sin(w * times)
+        if m % 2:  # cos(w s): int_0^t exp(-lam (t - s)) cos(w s) ds
+            integral = (lam * cos + w * sin - lam * decay) / (lam ** 2 + w ** 2)
+        else:  # sin(w s)
+            integral = (lam * sin - w * cos + w * decay) / (lam ** 2 + w ** 2)
+        c += beta[:, m:m + 1] * integral
+    fh = beta @ tau(times)
+    lap = -lam * c
+    return {name: math.sqrt(float(weights @ np.sum(field ** 2, axis=0)))
+            for name, field in (("udot", fh + lap), ("lap", lap), ("fh", fh))}

@@ -1,5 +1,7 @@
+import inspect
 import json
 import re
+import sys
 
 import pytest
 
@@ -190,8 +192,8 @@ def test_cli_solve_on_zero_forcing_evaluates_no_load_and_solves_no_fh(tmp_path, 
 
 def test_cli_delta_solves_each_point_source_once(tmp_path, monkeypatch):
     # per level one mass assembly, CG solve and point location for each of
-    # the decay fit's source (solved at 1e-12) and the consistency pair
-    # (solved at 1e-13), whose one solve serves both p = 1 and p = 2
+    # the discrete point source, which serves both the decay fit and the
+    # consistency, and the lifted one, which serves both p = 1 and p = 2
     from esfem import fem
 
     counts = dict.fromkeys(("assemble_mass", "cg_solve", "locate_point"), 0)
@@ -204,7 +206,33 @@ def test_cli_delta_solves_each_point_source_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, out=str(tmp_path / "delta"))
     assert main(["delta", "--config", cfg]) == 0
     levels = 2  # 16,24
-    assert counts == dict.fromkeys(counts, 3 * levels)
+    assert counts == dict.fromkeys(counts, 2 * levels)
+
+
+def test_cli_every_solve_runs_at_the_config_s_cg_tol(tmp_path, monkeypatch):
+    # each esfem module's own binding of cg_solve is wrapped, so that no
+    # caller goes round the record; the kernel difference solves at
+    # max(cg_tol, 1e-11), which is cg_tol here
+    from esfem import sparse
+
+    original, tols = sparse.cg_solve, []
+    signature = inspect.signature(original)
+
+    def recording(*args, **kwargs):
+        tols.append(signature.bind(*args, **kwargs).arguments["tol"])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "esfem" and getattr(module, "cg_solve", None) is original:
+            monkeypatch.setattr(module, "cg_solve", recording)
+    text = GOOD_CONFIG + "[solver]\ncg_tol = 1e-9\n"
+    greens = text.replace("levels = 16,24", "levels = 8,32\nkernel_difference = true")
+    for command in ("solve", "maxreg", "convergence", "greens", "delta", "inequalities"):
+        tols.clear()
+        cfg = write_config(tmp_path, text=greens if command == "greens" else text,
+                           out=str(tmp_path / command))
+        assert main([command, "--config", cfg]) == 0
+        assert tols and set(tols) == {1e-9}, (command, sorted(set(tols)))
 
 
 def _manifest(outdir, name):
@@ -343,6 +371,14 @@ def test_cli_richardson_failure_names_level_field_and_deviation(tmp_path, capsys
     failed = re.findall(r"level (\d+) (udot|lap|fh) by ([0-9.e+-]+)", err)
     assert [(level, name) for level, name, _ in failed] == [("16", "udot"), ("16", "lap")]
     assert all(0.01 < float(deviation) < 0.03 for _, _, deviation in failed)
+    # the failed check leaves the table of every row and a manifest naming
+    # it, but no summary, whose verdicts assume every row passed
+    out = tmp_path / "out"
+    rows = (out / "maxreg.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("16,")
+    assert rows[1].endswith(",false")
+    assert _manifest(out, "maxreg")["outputs"] == ["maxreg.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["maxreg.csv", "maxreg_manifest.json"]
 
 
 def test_cli_solve_takes_a_t_end_below_the_greens_fit_window(tmp_path):

@@ -472,7 +472,7 @@ def test_discrete_laplacian_eigenfunction(builder, mode_fn, expected_factor):
 def test_discrete_delta_reproduces_constants(circle64):
     space = FeSpace(circle64)
     x0 = element_point(circle64, 3, np.array([0.37]))
-    delta = discrete_delta(space, x0)
+    delta = discrete_delta(space, x0, tol=1e-12)
     mass = assemble_mass(space)
     assert abs(delta @ mass.matvec(np.ones(space.num_dofs)) - 1.0) <= 1e-11
 
@@ -480,7 +480,7 @@ def test_discrete_delta_reproduces_constants(circle64):
 def test_discrete_delta_reproduces_point_values(circle64):
     space = FeSpace(circle64)
     x0 = element_point(circle64, 10, np.array([0.21]))
-    delta = discrete_delta(space, x0)
+    delta = discrete_delta(space, x0, tol=1e-12)
     mass = assemble_mass(space)
     e = delta_load(space, x0)
     rng = np.random.default_rng(4)
@@ -496,7 +496,7 @@ def test_discrete_delta_peak_scales_like_inverse_h():
     for n in (32, 64):
         mesh = build_circle_mesh(Circle(), n, 1)
         space = FeSpace(mesh)
-        delta = discrete_delta(space, mesh.nodes[0])
+        delta = discrete_delta(space, mesh.nodes[0], tol=1e-12)
         scale_constants.append(np.abs(delta).max() * mesh.h)
     lo, hi = sorted(scale_constants)
     assert hi / lo <= 1.25
@@ -507,7 +507,7 @@ def test_discrete_delta_exponential_decay():
     mesh = build_circle_mesh(Circle(), 64, 1)
     space = FeSpace(mesh)
     x0 = mesh.nodes[0]
-    delta = discrete_delta(space, x0)
+    delta = discrete_delta(space, x0, tol=1e-12)
     dist = mesh.surface.geodesic_distance(0.0, mesh.nodes, x0)
     vals = np.abs(delta)
     sel = (dist > 3 * mesh.h) & (vals > 1e-13 * vals.max())

@@ -148,7 +148,7 @@ def test_scaled_add_across_patterns_raises():
 def test_cg_identity_converges_immediately():
     eye = identity(9)
     b = np.linspace(1, 2, 9)
-    x, report = cg_solve(eye, b)
+    x, report = cg_solve(eye, b, tol=1e-12)
     assert np.allclose(x, b, atol=1e-14)
     assert report.iterations <= 1
 
@@ -307,7 +307,7 @@ def test_cg_result_does_not_alias_its_start():
     mat = tridiagonal_laplacian_plus_identity(30)
     b = np.ones(30)
     x0 = np.zeros(30)
-    x, _ = cg_solve(mat, b, x0=x0)
+    x, _ = cg_solve(mat, b, x0=x0, tol=1e-12)
     assert not np.shares_memory(x, x0) and np.all(x0 == 0.0)
 
 
@@ -350,19 +350,19 @@ def test_cg_in_place_matches_allocating_loop_bitwise():
 def test_cg_rejects_nonfinite_rhs(bad):
     # an infinite entry once came back as zeros with a report of success
     with pytest.raises(NonFiniteValue, match=r"right-hand side b: 1 non-finite .* index 0"):
-        cg_solve(identity(3), np.array([bad, 0.0, 0.0]))
+        cg_solve(identity(3), np.array([bad, 0.0, 0.0]), tol=1e-12)
 
 
 def test_cg_rejects_rhs_whose_norm_overflows():
     with np.errstate(over="ignore"), pytest.raises(
             NonFiniteValue, match="entries are finite but its norm overflows"):
-        cg_solve(identity(2), np.array([1e200, 1e200]))
+        cg_solve(identity(2), np.array([1e200, 1e200]), tol=1e-12)
 
 
 def test_cg_rejects_nonfinite_start_vector():
     mat = tridiagonal_laplacian_plus_identity(4)
     with pytest.raises(NonFiniteValue, match=r"start vector x0: 2 non-finite .* index 1"):
-        cg_solve(mat, np.ones(4), x0=np.array([0.0, np.nan, np.inf, 0.0]))
+        cg_solve(mat, np.ones(4), x0=np.array([0.0, np.nan, np.inf, 0.0]), tol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0],
@@ -370,13 +370,13 @@ def test_cg_rejects_nonfinite_start_vector():
 def test_cg_rejects_a_diagonal_that_is_not_finite_and_positive(bad):
     mat = coo_matrix(3, [0, 1, 2], [0, 1, 2], [1.0, bad, 2.0])
     with pytest.raises(NonFiniteValue, match=r"diagonal entry 1 is .*not SPD"):
-        cg_solve(mat, np.ones(3))
+        cg_solve(mat, np.ones(3), tol=1e-12)
     # checked before the shortcut for a zero right-hand side too
     with pytest.raises(NonFiniteValue, match="diagonal entry 1"):
-        cg_solve(mat, np.zeros(3))
+        cg_solve(mat, np.zeros(3), tol=1e-12)
     # a rejected diagonal is not cached: every call raises the same way
     with pytest.raises(NonFiniteValue, match=r"diagonal entry 1 is .*not SPD"):
-        cg_solve(mat, np.ones(3))
+        cg_solve(mat, np.ones(3), tol=1e-12)
 
 
 def test_jacobi_diagonal_is_inverted_once_per_matrix():
@@ -385,8 +385,8 @@ def test_jacobi_diagonal_is_inverted_once_per_matrix():
     gather = mat.diagonal
     mat.diagonal = lambda: diagonals.append(1) or gather()
     b = np.linspace(1.0, 2.0, 20)
-    first, _ = cg_solve(mat, b)
-    second, _ = cg_solve(mat, b, x0=np.zeros(20))
+    first, _ = cg_solve(mat, b, tol=1e-12)
+    second, _ = cg_solve(mat, b, x0=np.zeros(20), tol=1e-12)
     assert len(diagonals) == 1
     assert np.array_equal(mat.inverse_diagonal(), 1.0 / gather())
     assert np.array_equal(first, second)

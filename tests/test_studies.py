@@ -19,6 +19,7 @@ from esfem.studies import (
     StudyConfig,
     StudyReport,
     StudyRow,
+    build_level_mesh,
     config_hash,
     convergence_study,
     emit_reports,
@@ -26,8 +27,8 @@ from esfem.studies import (
     maxreg_study,
 )
 from esfem.surfaces import forcing_profile
-from esfem.timestepping import TimeGrid
-from oracles import dense, unshared_cell
+from esfem.timestepping import STATIONARY, TimeGrid, norm_series, solve_heat, spacetime_norm
+from oracles import dense, exact_maxreg_norms, unshared_cell
 
 TINY = StudyConfig(levels=(16, 24), pq_pairs=((2.0, 2.0),), profile="osc-seed42",
                    richardson_rtol=0.05)
@@ -57,11 +58,23 @@ def test_config_dimension_defaults_to_the_kind_s_own(kind, dimension):
         dataclasses.asdict(StudyConfig(surface_kind=kind, dimension=dimension, levels=(16,))))
 
 
+@pytest.mark.parametrize("kind,levels", [
+    ("circle", (32, 64, 128, 256)), ("sphere", (3, 4)), ("ellipsoid_flow", (3, 4))])
+def test_config_levels_default_to_the_dimension_s_own(kind, levels):
+    # curve levels count elements and surface levels subdivisions, so a
+    # sphere config without study.levels must not subdivide 32 times
+    assert StudyConfig(surface_kind=kind).validate().levels == levels
+    assert StudyConfig(surface_kind=kind, levels=(5,)).levels == (5,)
+
+
 def test_config_rejects_a_dimension_the_kind_cannot_have():
     for kind, dimension in (("circle", 2), ("sphere", 1), ("ellipsoid_flow", 3),
                             ("scaled_sphere_flow", 0)):
         with pytest.raises(ConfigError, match=r"^surface\.dimension \("):
             StudyConfig(surface_kind=kind, dimension=dimension, levels=(16,)).validate()
+    # a dimension without a mesh builder has no default levels either
+    with pytest.raises(ConfigError, match=r"^surface\.dimension \(no mesh builder"):
+        StudyConfig(surface_kind="ellipsoid_flow", dimension=3).validate()
     # the flows take either dimension
     for kind in ("scaled_sphere_flow", "ellipsoid_flow"):
         config = StudyConfig(surface_kind=kind, dimension=1, levels=(16,)).validate()
@@ -361,3 +374,63 @@ def test_shared_frames_build_each_snapshot_with_no_other_alive(monkeypatch):
     config = dataclasses.replace(ELLIPSOID_A, levels=(2,))
     _, grid, _, _ = studies._solve_level(config, config.surface(), 2)
     assert alive == [0] * (2 * grid.n_steps)
+
+
+MAXREG_FIELDS = ("udot", "lap", "fh")
+
+
+def _maxreg_ratio(norms):
+    return (norms["udot"] + norms["lap"]) / norms["fh"]
+
+
+def _time_norms(series):
+    return {name: spacetime_norm(*series, name, 2.0, 2.0) for name in MAXREG_FIELDS}
+
+
+@pytest.fixture(scope="module")
+def exact_cells():
+    # (kind, level) -> the P1 mesh of a default osc-seed42 config and the
+    # exact-in-time norms on it, each taken once per module (0.4 s at sphere L3)
+    cells = {}
+
+    def cell(kind, level):
+        if (kind, level) not in cells:
+            mesh = build_level_mesh(StudyConfig(surface_kind=kind).surface(), level, 1)
+            cells[kind, level] = mesh, exact_maxreg_norms(mesh, "osc-seed42")
+        return cells[kind, level]
+
+    return cell
+
+
+@pytest.mark.parametrize("kind,level", [("sphere", 1), ("sphere", 2), ("circle", 32)])
+def test_exact_maxreg_ratio_is_the_limit_of_bdf2(exact_cells, kind, level):
+    # the oracle's self-test: BDF2's ratio at 640 steps lies within 1e-5 of
+    # it (measured -2.0e-6 to -2.2e-6), and 1280 steps cut that error as a
+    # second-order method does (by 4.1x)
+    mesh, exact = exact_cells(kind, level)
+    forcing = forcing_profile("osc-seed42", mesh.surface)
+    errors = []
+    for steps in (640, 1280):
+        nodes = solve_heat(mesh, forcing, TimeGrid(1.0, steps), STATIONARY, "bdf2",
+                           cg_tol=1e-12)
+        series = norm_series(nodes, [(name, 2.0) for name in MAXREG_FIELDS])
+        errors.append(abs(_maxreg_ratio(_time_norms(series)) / _maxreg_ratio(exact) - 1.0))
+    assert errors[0] <= 1e-5
+    assert 3.5 <= errors[0] / errors[1] <= 4.5, errors
+
+
+@pytest.mark.parametrize("kind,level", [("sphere", 2), ("sphere", 3), ("circle", 32),
+                                        ("circle", 64)])
+def test_dt_halving_certificate_is_the_time_error_of_the_maxreg_cell(exact_cells, kind, level):
+    # what richardson_ok certifies: on a maxreg cell's backward-Euler
+    # streams, the dt -> dt/2 change of the udot and lap norms is within 20%
+    # of their true time error at dt/2 (measured 0.84-0.99 of it; sphere L1,
+    # at 0.59, is left out).  The fh norm's trapezoid rule is exact on its
+    # trigonometric modes, so it has no time error to track
+    mesh, exact = exact_cells(kind, level)
+    config = StudyConfig(surface_kind=kind)
+    _, _, coarse, fine = studies._solve_level(config, mesh.surface, level)
+    at_dt, at_half = _time_norms(coarse), _time_norms(fine)
+    for name in ("udot", "lap"):
+        change = abs(at_dt[name] - at_half[name])
+        assert change == pytest.approx(abs(at_half[name] - exact[name]), rel=0.2), name

@@ -42,7 +42,7 @@ from oracles import dense, weighted_total_mass
 def test_zero_data_stays_zero():
     mesh = build_circle_mesh(Circle(), 16, 1)
     nodes = solve_heat(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 20),
-                       scheme=SCHEME_A)
+                       scheme=SCHEME_A, cg_tol=1e-12)
     assert all(np.abs(node.u).max() == 0.0 for node in nodes)
 
 
@@ -52,7 +52,7 @@ def test_constants_are_invariant_under_scheme_a_on_flows():
     grid = TimeGrid(1.0, 40)
     nodes = solve_heat(
         mesh, forcing_profile("zero", surface), grid, scheme=SCHEME_A,
-        u0=np.ones(mesh.num_nodes),
+        u0=np.ones(mesh.num_nodes), cg_tol=1e-12,
     )
     assert max(np.abs(node.u - 1.0).max() for node in nodes) <= 1e-12
 
@@ -62,7 +62,7 @@ def test_scheme_identity_per_step():
     surface = mesh.surface
     forcing = forcing_profile("bump", surface)
     grid = TimeGrid(0.5, 64)
-    nodes = list(solve_heat(mesh, forcing, grid, scheme=SCHEME_A))
+    nodes = list(solve_heat(mesh, forcing, grid, scheme=SCHEME_A, cg_tol=1e-12))
     space = FeSpace(mesh)
     mass = assemble_mass(space)
     stiff = assemble_stiffness(space)
@@ -81,7 +81,7 @@ def test_scheme_b_conserves_weighted_mass():
     rng = np.random.default_rng(0)
     u0 = 1.0 + 0.2 * rng.standard_normal(mesh.num_nodes)
     nodes = list(solve_heat(mesh, forcing_profile("zero", surface), grid,
-                            scheme=SCHEME_B, u0=u0))
+                            scheme=SCHEME_B, u0=u0, cg_tol=1e-12))
     initial = weighted_total_mass(mesh, u0)
     for i in (1, 50, 100, 200):
         snapshot = mesh.evolved(nodes[i].t)
@@ -93,8 +93,8 @@ def test_schemes_coincide_on_stationary_surface():
     mesh = build_circle_mesh(Circle(), 20, 1)
     forcing = forcing_profile("osc-seed42", mesh.surface)
     grid = TimeGrid(0.5, 50)
-    ta = solve_heat(mesh, forcing, grid, scheme=SCHEME_A)
-    tb = solve_heat(mesh, forcing, grid, scheme=SCHEME_B)
+    ta = solve_heat(mesh, forcing, grid, scheme=SCHEME_A, cg_tol=1e-12)
+    tb = solve_heat(mesh, forcing, grid, scheme=SCHEME_B, cg_tol=1e-12)
     for a, b in zip(ta, tb, strict=True):
         assert np.abs(a.u - b.u).max() <= 1e-12
 
@@ -107,7 +107,7 @@ def test_scheme_b_dilution_solution():
     grid = TimeGrid(1.0, 100)
     nodes = list(solve_heat(
         mesh, forcing_profile("zero", surface), grid, scheme=SCHEME_B,
-        u0=np.ones(mesh.num_nodes),
+        u0=np.ones(mesh.num_nodes), cg_tol=1e-12,
     ))
     for i in (10, 50, 100):
         expected = 1.0 / surface.radius(nodes[i].t) ** 2
@@ -118,7 +118,8 @@ def test_scheme_b_mass_nondecreasing_for_positive_forcing():
     surface = ScaledSphereFlow(dimension=2)
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(1.0, 50)
-    nodes = list(solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=SCHEME_B))
+    nodes = list(solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=SCHEME_B,
+                            cg_tol=1e-12))
     values = [
         weighted_total_mass(mesh.evolved(nodes[i].t), nodes[i].u)
         for i in range(0, 51, 10)
@@ -132,7 +133,7 @@ def test_energy_dissipation_homogeneous():
     mass = assemble_mass(space)
     u0 = np.sign(mesh.nodes[..., 0])
     nodes = solve_heat(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 80),
-                       scheme=STATIONARY, u0=u0)
+                       scheme=STATIONARY, u0=u0, cg_tol=1e-12)
     energies = [float(node.u @ mass.matvec(node.u)) for node in nodes]
     assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))
 
@@ -147,7 +148,7 @@ def test_eigen_decay_convergence_order():
         grid = TimeGrid(1.0, max(4, int(8 / mesh.h)))
         *_, last = solve_heat(
             mesh, None, grid, scheme="stationary", integrator="bdf2",
-            u0=solution.initial(mesh.nodes),
+            u0=solution.initial(mesh.nodes), cg_tol=1e-12,
         )
         assert last.t == 1.0
         geom = space.geometry()
@@ -164,7 +165,7 @@ def test_stationary_energy_identity_bounds():
     mesh = build_circle_mesh(Circle(), 48, 1)
     forcing = forcing_profile("osc-seed42", mesh.surface)
     grid = TimeGrid.from_mesh(mesh, 1.0, 0.5)
-    times, norms = norm_series(solve_heat(mesh, forcing, grid, scheme=STATIONARY),
+    times, norms = norm_series(solve_heat(mesh, forcing, grid, scheme=STATIONARY, cg_tol=1e-12),
                                [("lap", 2.0), ("udot", 2.0), ("fh", 2.0)])
     lap = spacetime_norm(times, norms, "lap", 2.0, 2.0)
     dtu = spacetime_norm(times, norms, "udot", 2.0, 2.0)
@@ -178,7 +179,8 @@ def test_spacetime_norm_contracts():
     grid = TimeGrid(2.0, 40)
     pairs = [("fh", 2.0), ("fh", 3.0)]
     ones = norm_series(
-        solve_heat(mesh, lambda t, x: np.ones(x.shape[:-1]), grid, scheme=STATIONARY),
+        solve_heat(mesh, lambda t, x: np.ones(x.shape[:-1]), grid, scheme=STATIONARY,
+                   cg_tol=1e-12),
         pairs)
     # f_h == 1 for all t: norm is a * T^(1/p) with a = |1|_Lq
     space_norm = ones[1][("fh", 2.0)][0]
@@ -186,7 +188,8 @@ def test_spacetime_norm_contracts():
         expected = space_norm * 2.0 ** (1.0 / p)
         assert abs(spacetime_norm(*ones, "fh", p, 2.0) - expected) <= 1e-12
     zero = norm_series(
-        solve_heat(mesh, forcing_profile("zero", mesh.surface), grid, scheme=STATIONARY),
+        solve_heat(mesh, forcing_profile("zero", mesh.surface), grid, scheme=STATIONARY,
+                   cg_tol=1e-12),
         pairs)
     assert spacetime_norm(*zero, "fh", 2.0, 2.0) == 0.0
     with pytest.raises(InvalidExponent):
@@ -203,7 +206,7 @@ def test_spacetime_norm_against_dense_quadrature_oracle():
     mesh = build_circle_mesh(Circle(), 24, 1)
     forcing = forcing_profile("bump", mesh.surface)
     grid = TimeGrid(1.0, 100)
-    nodes = list(solve_heat(mesh, forcing, grid, scheme=STATIONARY))
+    nodes = list(solve_heat(mesh, forcing, grid, scheme=STATIONARY, cg_tol=1e-12))
     value = spacetime_norm(*norm_series(nodes, [("fh", 2.0)]), "fh", 2.0, 2.0)
 
     gx, gw = np.polynomial.legendre.leggauss(40)
@@ -229,8 +232,8 @@ def test_linearity_of_ratio():
     doubled = lambda t, x: 2.0 * base(t, x)
     grid = TimeGrid.from_mesh(mesh, 1.0, 0.5)
     pairs = [("udot", 2.0), ("lap", 2.0), ("fh", 2.0)]
-    t1 = norm_series(solve_heat(mesh, base, grid, scheme=STATIONARY), pairs)
-    t2 = norm_series(solve_heat(mesh, doubled, grid, scheme=STATIONARY), pairs)
+    t1 = norm_series(solve_heat(mesh, base, grid, scheme=STATIONARY, cg_tol=1e-12), pairs)
+    t2 = norm_series(solve_heat(mesh, doubled, grid, scheme=STATIONARY, cg_tol=1e-12), pairs)
 
     def ratio(series):
         return (
@@ -252,7 +255,7 @@ def test_bdf2_rejected_for_conservative_scheme():
     mesh = build_circle_mesh(Circle(), 16, 1)
     with pytest.raises(ValueError):
         solve_heat(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 4),
-                   scheme="B", integrator="bdf2")
+                   scheme="B", integrator="bdf2", cg_tol=1e-12)
 
 
 def _norm_oracle(nodes, mesh0, field, q, moving):
@@ -277,7 +280,7 @@ def test_norm_series_records_exactly_the_requested_norms():
     forcing = forcing_profile("bump", mesh.surface)
     grid = TimeGrid(0.5, 10)
     pairs = [("udot", 1.0), ("fh", 2.0), ("fh", 3.0), ("fh", 2)]
-    nodes = list(solve_heat(mesh, forcing, grid, scheme=STATIONARY))
+    nodes = list(solve_heat(mesh, forcing, grid, scheme=STATIONARY, cg_tol=1e-12))
     times, norms = norm_series(nodes, pairs)
     assert times.tolist() == grid.times().tolist()
     assert list(norms) == [("udot", 1.0), ("fh", 2.0), ("fh", 3.0)]
@@ -299,7 +302,8 @@ def test_moving_mesh_norms_are_taken_on_the_evolved_snapshot(scheme):
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(1.0, 8)
     pairs = [("u", 2.0), ("udot", 1.5), ("lap", 2.0), ("fh", 3.0)]
-    nodes = list(solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=scheme))
+    nodes = list(solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=scheme,
+                            cg_tol=1e-12))
     _, norms = norm_series(nodes, pairs)
     for field, q in pairs:
         oracle = _norm_oracle(nodes, mesh, field, q, moving=True)
@@ -326,7 +330,8 @@ def test_norm_series_keeps_no_snapshot_while_the_next_is_built(monkeypatch):
         return snapshot
 
     monkeypatch.setattr(SurfaceMesh, "evolved", watched)
-    norm_series(solve_heat(mesh, forcing_profile("bump", surface), grid), [("u", 2.0)])
+    norm_series(solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=SCHEME_A,
+                           cg_tol=1e-12), [("u", 2.0)])
     assert alive == [0] * grid.n_steps
 
 
@@ -336,7 +341,7 @@ def test_solve_heat_steps_only_as_nodes_are_drawn(monkeypatch, scheme):
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(0.5, 6)
     iterations = _count_cg(monkeypatch)
-    nodes = solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=scheme)
+    nodes = solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=scheme, cg_tol=1e-12)
     assert iterations == []
     # the initial state solves for fh and lap, each step for u and fh
     first = next(nodes)
@@ -376,12 +381,12 @@ def test_stationary_operator_is_built_once(monkeypatch):
     forcing = forcing_profile("osc-seed42", mesh.surface)
     grid = TimeGrid(0.5, 12)
     calls = _count_scaled_add(monkeypatch)
-    list(solve_heat(mesh, forcing, grid, scheme=STATIONARY))
+    list(solve_heat(mesh, forcing, grid, scheme=STATIONARY, cg_tol=1e-12))
     assert calls == [grid.dt]
 
     # BDF2: one backward Euler start-up system, then one BDF2 system
     calls.clear()
-    list(solve_heat(mesh, forcing, grid, scheme=STATIONARY, integrator="bdf2"))
+    list(solve_heat(mesh, forcing, grid, scheme=STATIONARY, integrator="bdf2", cg_tol=1e-12))
     assert calls == [grid.dt, 2.0 * grid.dt / 3.0]
 
 
@@ -390,7 +395,7 @@ def test_moving_operator_is_built_every_step(monkeypatch):
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(1.0, 6)
     calls = _count_scaled_add(monkeypatch)
-    list(solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=SCHEME_A))
+    list(solve_heat(mesh, forcing_profile("bump", surface), grid, scheme=SCHEME_A, cg_tol=1e-12))
     assert calls == [grid.dt] * grid.n_steps
 
 
@@ -442,7 +447,7 @@ def test_extrapolated_start_vectors_save_cg_iterations(monkeypatch):
     assert grid.n_steps == 74
     iterations = _count_cg(monkeypatch)
     for _ in solve_heat(mesh, forcing_profile("osc-seed42", mesh.surface), grid,
-                        scheme=STATIONARY):
+                        scheme=STATIONARY, cg_tol=1e-12):
         pass
     assert len(iterations) == 2 + 2 * grid.n_steps
     assert sum(iterations) <= 2100
@@ -455,14 +460,14 @@ def test_homogeneous_solve_without_load_vectors(monkeypatch, scheme):
     grid = TimeGrid(0.5, 12)
     u0 = 1.0 + 0.2 * np.random.default_rng(3).standard_normal(mesh.num_nodes)
     zero = list(solve_heat(mesh, forcing_profile("zero", surface), grid, scheme=scheme,
-                           u0=u0))
+                           u0=u0, cg_tol=1e-12))
 
     def no_load(*args, **kwargs):
         raise AssertionError("a homogeneous solve evaluated a load vector")
 
     monkeypatch.setattr(timestepping, "load_from_geometry", no_load)
     iterations = _count_cg(monkeypatch)
-    none = list(solve_heat(mesh, None, grid, scheme=scheme, u0=u0))
+    none = list(solve_heat(mesh, None, grid, scheme=scheme, u0=u0, cg_tol=1e-12))
     # no mass solve for fh: the initial lap solve, then one system solve per
     # step, and one lap solve per step in scheme B
     per_step = 2 if scheme == SCHEME_B else 1
@@ -517,9 +522,9 @@ def test_streams_on_nested_grids_share_their_frames(scheme, profile):
     forcing = None if profile is None else forcing_profile(profile, surface)
     grid = TimeGrid(0.5, 6)
     u0 = np.cos(3.0 * mesh.nodes[:, 0])
-    alone = [list(solve_heat(mesh, forcing, g, scheme=scheme, u0=u0))
+    alone = [list(solve_heat(mesh, forcing, g, scheme=scheme, u0=u0, cg_tol=1e-12))
              for g in (grid.halved(), grid)]
-    fine, coarse = _shared_streams(mesh, forcing, grid, scheme=scheme, u0=u0)
+    fine, coarse = _shared_streams(mesh, forcing, grid, scheme=scheme, u0=u0, cg_tol=1e-12)
     # the dt/2 stream builds every frame as on its own; the dt stream takes
     # the snapshot, geometry, M, A and b of each of its nodes from it
     _assert_nodes_close(fine, alone[0], FIELDS)
@@ -544,18 +549,20 @@ def test_frames_must_be_nodes_of_mesh0_at_the_stream_times():
     def even(nodes):
         return (node for k, node in enumerate(nodes) if k % 2 == 0)
 
-    for frames, kwargs in [
-        (even(solve_heat(other_mesh, forcing, grid.halved())), {}),  # another mesh
-        (solve_heat(mesh, forcing, grid.halved()), {}),  # odd nodes too
-        (even(solve_heat(mesh, forcing, grid.halved(), scheme=STATIONARY)), {}),
-        (even(solve_heat(mesh, forcing, grid.halved())), {"scheme": STATIONARY}),
-        (itertools.islice(even(solve_heat(mesh, forcing, grid.halved())), 3), {}),
+    def stream(mesh, grid, scheme, frames=None):
+        return solve_heat(mesh, forcing, grid, scheme, cg_tol=1e-12, frames=frames)
+
+    for frames, scheme in [
+        (even(stream(other_mesh, grid.halved(), SCHEME_A)), SCHEME_A),  # another mesh
+        (stream(mesh, grid.halved(), SCHEME_A), SCHEME_A),  # odd nodes too
+        (even(stream(mesh, grid.halved(), STATIONARY)), SCHEME_A),
+        (even(stream(mesh, grid.halved(), SCHEME_A)), STATIONARY),
+        (itertools.islice(even(stream(mesh, grid.halved(), SCHEME_A)), 3), SCHEME_A),
     ]:
         with pytest.raises(ValueError, match="frames must yield a node at t"):
-            list(solve_heat(mesh, forcing, grid, frames=frames, **kwargs))
+            list(stream(mesh, grid, scheme, frames))
     # scheme B moves the mesh as A does, so its frames are the same
-    nodes = solve_heat(mesh, forcing, grid, scheme=SCHEME_B,
-                       frames=even(solve_heat(mesh, forcing, grid.halved())))
+    nodes = stream(mesh, grid, SCHEME_B, even(stream(mesh, grid.halved(), SCHEME_A)))
     assert len(list(nodes)) == grid.n_steps + 1
 
 
@@ -567,7 +574,7 @@ def test_shared_scheme_identity_holds_on_the_nodes_own_operators():
     mesh = build_sphere_mesh(surface, 1, 1)
     forcing = forcing_profile("osc-seed7", surface)
     grid = TimeGrid(0.5, 5)
-    fine, coarse = _shared_streams(mesh, forcing, grid)
+    fine, coarse = _shared_streams(mesh, forcing, grid, scheme=SCHEME_A, cg_tol=1e-12)
     for node in fine + coarse:
         resid = node.mass.matvec(node.udot) + node.stiff.matvec(node.u) - node.b
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(node.b), node.t
@@ -609,7 +616,7 @@ def test_shared_frames_are_built_once_per_fine_node(monkeypatch):
     monkeypatch.setattr(SurfaceMesh, "evolved", counting_evolved)
     monkeypatch.setattr(timestepping, "load_from_geometry", counting_load)
     monkeypatch.setattr(timestepping, "cg_solve", recording_cg)
-    fine = solve_heat(mesh, forcing, grid.halved())
+    fine = solve_heat(mesh, forcing, grid.halved(), scheme=SCHEME_A, cg_tol=1e-12)
     drawing_fine = False
     taken = []
 
@@ -624,7 +631,7 @@ def test_shared_frames_are_built_once_per_fine_node(monkeypatch):
                 yield node
             del node
 
-    coarse = solve_heat(mesh, forcing, grid, frames=even_nodes())
+    coarse = solve_heat(mesh, forcing, grid, frames=even_nodes(), scheme=SCHEME_A, cg_tol=1e-12)
     for k in range(grid.n_steps + 1):
         before = len(solves)
         next(coarse)
