@@ -359,8 +359,7 @@ def cmd_greens(args):
     if extras["kernel_difference"]:
         (coarse, _), (fine, _) = meshes[config.levels[0]], meshes[config.levels[-1]]
         grid = TimeGrid.from_mesh(fine, t_end=1.0, factor=config.dt_factor)
-        result = kernel_difference_l1(coarse, fine, coarse.nodes[0], grid,
-                                      cg_tol=max(config.cg_tol, 1e-11))
+        result = kernel_difference_l1(coarse, fine, coarse.nodes[0], grid, cg_tol=config.cg_tol)
         write_table(os.path.join(outdir, "greens_kernel_difference.txt"), (),
                     sorted(result.items()), sep=" ")
         outputs.append("greens_kernel_difference.txt")

@@ -28,6 +28,7 @@ from .fem import (
     ritz_project,
     tangent_gradients,
 )
+from .greens import _log_linear_fit
 from .meshing import DEFAULT_LEVELS, ELEMENT_DEGREES, MIN_LEVEL, build_circle_mesh, build_sphere_mesh
 from .surfaces import exact_heat_solution, forcing_profile, make_surface, profile_seed
 from .timestepping import (
@@ -292,8 +293,7 @@ def convergence_study(config):
             err = max(err, math.sqrt(float(np.sum(geom.weights * (uh - ue) ** 2))))
         rows.append((level, mesh.h, grid.dt, err))
     _, hs, _, errors = zip(*rows)
-    order = np.polyfit(np.log(hs), np.log(errors), 1)[0]
-    return rows, float(order)
+    return rows, float(_log_linear_fit(np.log(hs), errors)[0])
 
 
 # ---------------------------------------------------------------------------

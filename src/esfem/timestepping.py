@@ -71,19 +71,22 @@ _WEIGHTS = [extrapolation_weights(order) for order in range(EXTRAPOLATION_ORDER 
 class _Extrapolation:
     """The last EXTRAPOLATION_ORDER + 1 values of one field on the uniform
     time grid, and their polynomial extrapolation one step ahead (of lower
-    degree while fewer values are known)."""
+    degree while fewer values are known, and None before the first)."""
 
-    def __init__(self, first):
-        self._past = np.zeros((EXTRAPOLATION_ORDER + 1, first.size))  # newest first
+    def __init__(self):
+        self._past = None  # newest first, allocated by the first push
         self._known = 0
-        self.push(first)
 
     def push(self, values):
+        if self._past is None:
+            self._past = np.zeros((EXTRAPOLATION_ORDER + 1, values.size))
         self._past[1:] = self._past[:-1]
         self._past[0] = values
         self._known = min(self._known + 1, len(self._past))
 
     def extrapolate(self):
+        if not self._known:
+            return None
         return _WEIGHTS[self._known - 1] @ self._past[: self._known]
 
 
@@ -214,19 +217,22 @@ def solve_heat(mesh0, forcing, grid, scheme, integrator="be", u0=None, *, cg_tol
     or on a snapshot not of mesh0 at the time this stream needs (t on a
     moving mesh, mesh0.time on a frozen one), raises ValueError.
 
-    Every CG solve after the first of its field (u, fh, and lap in scheme B)
-    starts from the polynomial in t through that field's last
-    EXTRAPOLATION_ORDER + 1 nodal vectors, evaluated at the new time node (of
-    lower degree while fewer vectors are known); with frames, fh solves
-    start from the drawn node's fh.  Nodal vectors are transported with
-    the mesh, so this holds on moving meshes too.
+    Each field (u, fh, and lap in scheme B) keeps a history of its nodal
+    vectors that starts empty; u's first entry is u0, the others' their
+    first solve.  Every CG solve of a field whose history is not empty
+    starts from the polynomial in t through its last EXTRAPOLATION_ORDER + 1
+    entries, evaluated at the new time node (of lower degree while fewer
+    are known); with frames, fh solves start from the drawn node's fh.
+    Nodal vectors are transported with the mesh, so this holds on moving
+    meshes too.
 
     Per accepted step the non-conservative scheme satisfies
-    M(t) udot + A(t) u = b(t) exactly up to solver tolerance, with
-    udot the backward difference quotient of the nodal vector.  With f = 0
-    the conservative scheme B preserves the weighted total mass 1^T M(t) u
-    exactly up to solver tolerance.  The stationary scheme integrates on the
-    frozen snapshot the mesh was built or evolved to.
+    M(t) udot + A(t) u = b(t) exactly up to solver tolerance, with udot the
+    backward difference of the nodal vectors: (u1 - u0) / dt for Euler,
+    and (3 u1 - 4 u0 + um1) / (2 dt) for BDF2 after its Euler first step.
+    With f = 0 the conservative scheme B preserves the weighted total mass
+    1^T M(t) u exactly up to solver tolerance.  The stationary scheme
+    integrates on the frozen snapshot the mesh was built or evolved to.
     """
     if scheme not in (SCHEME_A, SCHEME_B, STATIONARY):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -244,8 +250,8 @@ def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, frames):
     dt = grid.dt
     n_dofs = mesh0.num_nodes
     zero = np.zeros(n_dofs)  # b and fh when forcing is None
-    u_past = _Extrapolation(u)
-    fh_past = lap_past = None
+    u_past, fh_past, lap_past = _Extrapolation(), _Extrapolation(), _Extrapolation()
+    u_past.push(u)
     u_prev = None  # for bdf2
     mass_u = None  # M u at the last node, for scheme B
     frozen = None  # the snapshot, geometry, M and A that a frozen mesh keeps
@@ -256,8 +262,7 @@ def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, frames):
         # the node at times[i]; on a moving mesh nothing of its frame
         # outlives the TimeNode returned, so a caller that drops the node
         # frees the snapshot before the next one is built
-        nonlocal u, u_prev, fh_past, lap_past, mass_u, frozen, force_scale
-        fh_start = None
+        nonlocal u, u_prev, mass_u, frozen, force_scale
         if frames is not None:
             node = next(frames, None)
             snapshot_time = t if moving and i else mesh0.time
@@ -282,8 +287,7 @@ def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, frames):
                 b = zero
             else:
                 b = load_from_geometry(geom, mesh.elements, n_dofs, forcing, t=t)
-            if fh_past is not None:
-                fh_start = fh_past.extrapolate()
+            fh_start = fh_past.extrapolate()
 
         if forcing is None:
             fh = zero
@@ -294,50 +298,39 @@ def _steps(mesh0, forcing, grid, scheme, integrator, u, cg_tol, moving, frames):
             fh, _ = cg_solve(mass, b, tol=cg_tol, x0=fh_start,
                              atol=cg_tol * force_scale if i else 0.0)
             if frames is None:
-                if fh_past is None:
-                    fh_past = _Extrapolation(fh)
-                else:
-                    fh_past.push(fh)
+                fh_past.push(fh)
 
         if i == 0:
             lap, _ = cg_solve(mass, -stiff.matvec(u), tol=cg_tol)
             udot = fh + lap
-            if scheme == SCHEME_B:
-                lap_past = _Extrapolation(lap)
         else:
-            bdf2_step = integrator == "bdf2" and u_prev is not None
-            scale = 2.0 * dt / 3.0 if bdf2_step else dt
+            # one backward difference udot = (u_new - hist) / scale: Euler,
+            # or bdf2's (3 u1 - 4 u0 + um1) / (2 dt) after its Euler start
+            if u_prev is None:
+                hist, scale = u, dt
+            else:
+                hist, scale = (4.0 * u - u_prev) / 3.0, 2.0 * dt / 3.0
             if moving:
                 system = mass.scaled_add(scale, stiff)
             else:
                 if scale not in systems:
                     systems[scale] = mass.scaled_add(scale, stiff)
                 system = systems[scale]
-
-            if bdf2_step:
-                # (3 u1 - 4 u0 + um1) / (2 dt) against M(t1)
-                rhs = mass.matvec((4.0 * u - u_prev) / 3.0) + (2.0 * dt / 3.0) * b
-                u_new, _ = cg_solve(system, rhs, tol=cg_tol, x0=u_past.extrapolate())
-                udot = (3.0 * u_new - 4.0 * u + u_prev) / (2.0 * dt)
-            else:
-                if scheme == SCHEME_B:
-                    rhs = mass_u + dt * b
-                else:
-                    rhs = mass.matvec(u) + dt * b
-                u_new, _ = cg_solve(system, rhs, tol=cg_tol, x0=u_past.extrapolate())
-                udot = (u_new - u) / dt
+            rhs = (mass_u if scheme == SCHEME_B else mass.matvec(hist)) + scale * b
+            u_new, _ = cg_solve(system, rhs, tol=cg_tol, x0=u_past.extrapolate())
+            udot = (u_new - hist) / scale
             u_past.push(u_new)
 
             if scheme == SCHEME_B:
                 lap, _ = cg_solve(mass, -stiff.matvec(u_new), tol=cg_tol,
                                   x0=lap_past.extrapolate())
-                lap_past.push(lap)
             else:
                 # scheme identity: M udot = b - A u_new, hence lap = udot - fh
                 lap = udot - fh
             u_prev = u if integrator == "bdf2" else None
             u = u_new
         if scheme == SCHEME_B:
+            lap_past.push(lap)
             # the next step's M(t_prev) u_prev, formed now so that no step
             # keeps the last node's M
             mass_u = mass.matvec(u)

@@ -211,8 +211,8 @@ def test_cli_delta_solves_each_point_source_once(tmp_path, monkeypatch):
 
 def test_cli_every_solve_runs_at_the_config_s_cg_tol(tmp_path, monkeypatch):
     # each esfem module's own binding of cg_solve is wrapped, so that no
-    # caller goes round the record; the kernel difference solves at
-    # max(cg_tol, 1e-11), which is cg_tol here
+    # caller goes round the record; greens runs the kernel difference, once
+    # more at a tolerance below 1e-11
     from esfem import sparse
 
     original, tols = sparse.cg_solve, []
@@ -225,14 +225,16 @@ def test_cli_every_solve_runs_at_the_config_s_cg_tol(tmp_path, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "esfem" and getattr(module, "cg_solve", None) is original:
             monkeypatch.setattr(module, "cg_solve", recording)
-    text = GOOD_CONFIG + "[solver]\ncg_tol = 1e-9\n"
-    greens = text.replace("levels = 16,24", "levels = 8,32\nkernel_difference = true")
-    for command in ("solve", "maxreg", "convergence", "greens", "delta", "inequalities"):
+    runs = [(command, 1e-9) for command in ("solve", "maxreg", "convergence", "greens",
+                                            "delta", "inequalities")] + [("greens", 1e-12)]
+    for command, tol in runs:
         tols.clear()
-        cfg = write_config(tmp_path, text=greens if command == "greens" else text,
-                           out=str(tmp_path / command))
+        text = GOOD_CONFIG + f"[solver]\ncg_tol = {tol!r}\n"
+        if command == "greens":
+            text = text.replace("levels = 16,24", "levels = 8,32\nkernel_difference = true")
+        cfg = write_config(tmp_path, text=text, out=str(tmp_path / f"{command}-{tol!r}"))
         assert main([command, "--config", cfg]) == 0
-        assert tols and set(tols) == {1e-9}, (command, sorted(set(tols)))
+        assert tols and set(tols) == {tol}, (command, tol, sorted(set(tols)))
 
 
 def _manifest(outdir, name):

@@ -57,17 +57,25 @@ def test_constants_are_invariant_under_scheme_a_on_flows():
     assert max(np.abs(node.u - 1.0).max() for node in nodes) <= 1e-12
 
 
-def test_scheme_identity_per_step():
+@pytest.mark.parametrize("integrator", ["be", "bdf2"])
+def test_scheme_identity_per_step(integrator):
     mesh = build_circle_mesh(Circle(), 24, 1)
     surface = mesh.surface
     forcing = forcing_profile("bump", surface)
     grid = TimeGrid(0.5, 64)
-    nodes = list(solve_heat(mesh, forcing, grid, scheme=SCHEME_A, cg_tol=1e-12))
+    nodes = list(solve_heat(mesh, forcing, grid, scheme=SCHEME_A, integrator=integrator,
+                            cg_tol=1e-12))
     space = FeSpace(mesh)
     mass = assemble_mass(space)
     stiff = assemble_stiffness(space)
     for i in (7, 31, 64):
         node = nodes[i]
+        # udot is the integrator's backward difference of the nodal vectors
+        if integrator == "be":
+            udot = (node.u - nodes[i - 1].u) / grid.dt
+        else:
+            udot = (3.0 * node.u - 4.0 * nodes[i - 1].u + nodes[i - 2].u) / (2.0 * grid.dt)
+        assert np.abs(node.udot - udot).max() <= 1e-12 * np.abs(udot).max()
         b = load_from_geometry(space.geometry(), mesh.elements, space.num_dofs, forcing,
                                node.t)
         resid = mass.matvec(node.udot) + stiff.matvec(node.u) - b
@@ -419,7 +427,9 @@ def test_extrapolation_weights_reproduce_polynomials(order):
 def test_extrapolated_start_vectors_follow_a_short_history():
     # before EXTRAPOLATION_ORDER + 1 values are known the degree drops: a
     # field that is linear in t is extrapolated exactly from two values on
-    past = timestepping._Extrapolation(np.array([1.0, 0.0]))
+    past = timestepping._Extrapolation()
+    assert past.extrapolate() is None
+    past.push(np.array([1.0, 0.0]))
     assert past.extrapolate().tolist() == [1.0, 0.0]
     for k in range(1, 2 * EXTRAPOLATION_ORDER):
         past.push(np.array([1.0 + k, -2.0 * k]))
@@ -453,21 +463,27 @@ def test_extrapolated_start_vectors_save_cg_iterations(monkeypatch):
     assert sum(iterations) <= 2100
 
 
-@pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B, STATIONARY])
-def test_homogeneous_solve_without_load_vectors(monkeypatch, scheme):
+@pytest.mark.parametrize("scheme, integrator", [
+    pytest.param(SCHEME_A, "be", id="A"),
+    pytest.param(SCHEME_B, "be", id="B"),
+    pytest.param(STATIONARY, "be", id="stationary"),
+    pytest.param(SCHEME_A, "bdf2", id="A-bdf2"),
+    pytest.param(STATIONARY, "bdf2", id="stationary-bdf2"),
+])
+def test_homogeneous_solve_without_load_vectors(monkeypatch, scheme, integrator):
     surface = ScaledSphereFlow(dimension=2)
     mesh = build_sphere_mesh(surface, 1, 1)
     grid = TimeGrid(0.5, 12)
     u0 = 1.0 + 0.2 * np.random.default_rng(3).standard_normal(mesh.num_nodes)
-    zero = list(solve_heat(mesh, forcing_profile("zero", surface), grid, scheme=scheme,
-                           u0=u0, cg_tol=1e-12))
+    kwargs = dict(scheme=scheme, integrator=integrator, u0=u0, cg_tol=1e-12)
+    zero = list(solve_heat(mesh, forcing_profile("zero", surface), grid, **kwargs))
 
     def no_load(*args, **kwargs):
         raise AssertionError("a homogeneous solve evaluated a load vector")
 
     monkeypatch.setattr(timestepping, "load_from_geometry", no_load)
     iterations = _count_cg(monkeypatch)
-    none = list(solve_heat(mesh, None, grid, scheme=scheme, u0=u0, cg_tol=1e-12))
+    none = list(solve_heat(mesh, None, grid, **kwargs))
     # no mass solve for fh: the initial lap solve, then one system solve per
     # step, and one lap solve per step in scheme B
     per_step = 2 if scheme == SCHEME_B else 1
