@@ -397,13 +397,14 @@ def cmd_delta(args):
 
 def cmd_inequalities(args):
     config, extras, outdir = _study_setup(args)
-    result = inequality_suite(config)
+    constants, stable = inequality_suite(config)
     write_table(os.path.join(outdir, "inequalities.txt"), (),
-                (["PASS" if ok else "FAIL", name]
-                 for name, ok in sorted(result["stable"].items())), sep=" ")
+                (["PASS" if ok else "FAIL", name, *constants[name]]
+                 for name, ok in sorted(stable.items())), sep=" ")
     _write_manifest(outdir, "inequalities", asdict(config), ["inequalities.txt"])
-    print(f"inequality suite: all_stable={result['all_stable']}")
-    return 0 if result["all_stable"] or not args.check else 3
+    all_stable = all(stable.values())
+    print(f"inequality suite: all_stable={all_stable}")
+    return 0 if all_stable or not args.check else 3
 
 
 def main(argv=None):

@@ -166,7 +166,6 @@ class StudyRow:
 
 @dataclass
 class StudyReport:
-    config: StudyConfig
     rows: list = field(default_factory=list)
     uniformity: dict = field(default_factory=dict)
 
@@ -219,7 +218,7 @@ def maxreg_study(config):
     config.validate()
     surface = config.surface()
 
-    report = StudyReport(config=config)
+    report = StudyReport()
     failures = {pq: [] for pq in config.pq_pairs}  # (level, field, deviation)
     for level in config.levels:
         mesh, grid, coarse, fine = _solve_level(config, surface, level)
@@ -282,14 +281,14 @@ def convergence_study(config):
         grid = TimeGrid(1.0, n)
         nodes = solve_heat(
             mesh, None, grid, scheme=STATIONARY, integrator="bdf2",
-            u0=solution.initial(mesh.nodes), cg_tol=config.cg_tol,
+            u0=solution(0.0, mesh.nodes), cg_tol=config.cg_tol,
         )
         geom = space.geometry()
         exact_pts = surface.project(mesh.time, geom.points.reshape(-1, geom.points.shape[-1]))
         err = 0.0
         for node in nodes:
             uh = element_values(node.u, mesh.elements, geom)
-            ue = solution.value(node.t, exact_pts).reshape(uh.shape)
+            ue = solution(node.t, exact_pts).reshape(uh.shape)
             err = max(err, math.sqrt(float(np.sum(geom.weights * (uh - ue) ** 2))))
         rows.append((level, mesh.h, grid.dt, err))
     _, hs, _, errors = zip(*rows)
@@ -317,21 +316,24 @@ def inequality_suite(config):
     """Per-level fitted constants for: lifted/discrete norm equivalence,
     L^p stability of the L^2 projection, the inverse inequality, the
     gradient-Laplacian interpolation inequality, and Ritz-projection
-    W^{1,q} stability.  Stability means max/min <= 1.10 across levels."""
+    W^{1,q} stability.
+
+    Returns (constants, stable): constants maps each check's name to its
+    constants, one per level of config.levels, and stable maps the same
+    names to the check's verdict.  A constant fitted at the coarsest level
+    may not grow by more than 10% under refinement (shrinking is fine: the
+    bound only gets easier), except the equivalence constant, which may
+    grow tenfold, since it is a maximum over random draws rather than a
+    deterministic constant."""
     eps_values, q_values = (0.1, 0.3, 1.0), (2.0, 4.0)
     config.validate()
     surface = config.surface()
-    levels = config.levels
-    out = {
-        "levels": list(levels),
-        "h": [],
-        "norm_equivalence_c": [],
-        "projection_stability": {p: [] for p in (1.0, 2.0, 4.0)},
-        "inverse_constant": [],
-        "interpolation_c": {q: [] for q in q_values},
-        "ritz_stability": {q: [] for q in q_values},
-    }
-    for idx, level in enumerate(levels):
+    constants = {}
+
+    def record(name, value):
+        constants.setdefault(name, []).append(value)
+
+    for idx, level in enumerate(config.levels):
         rng = np.random.default_rng(config.seed + 1000 * idx)
         mesh = build_level_mesh(surface, level, config.degree)
         space = FeSpace(mesh, DISCRETE)
@@ -339,7 +341,6 @@ def inequality_suite(config):
         mass = assemble_mass(space)
         stiff = assemble_stiffness(space)
         h = mesh.h
-        out["h"].append(h)
 
         funcs = [rng.standard_normal(space.num_dofs) for _ in range(RANDOM_FUNCTIONS)]
 
@@ -352,7 +353,7 @@ def inequality_suite(config):
             for p in (1.0, 2.0, 4.0, math.inf):
                 r = norm_lq(lifted_same_rule, u, p) / norm_lq(space, u, p)
                 c_equiv = max(c_equiv, abs(r - 1.0) / h ** (config.degree + 1))
-        out["norm_equivalence_c"].append(c_equiv)
+        record("norm_equivalence_c", c_equiv)
 
         # L^p stability of the L2 projection on rough-ish functions
         projections = [(fn, l2_project(space, fn, mass=mass, tol=config.cg_tol))
@@ -361,11 +362,11 @@ def inequality_suite(config):
             worst = 0.0
             for fn, proj in projections:
                 worst = max(worst, norm_lq(space, proj, p) / norm_lq(space, fn, p))
-            out["projection_stability"][p].append(worst)
+            record(f"projection_p{p:g}", worst)
 
         # inverse inequality |chi|_W12 <= K h^-1 |chi|_L2
-        k_inv = max(norm_w1q(space, u, 2.0) * h / norm_lq(space, u, 2.0) for u in funcs)
-        out["inverse_constant"].append(k_inv)
+        record("inverse_constant",
+               max(norm_w1q(space, u, 2.0) * h / norm_lq(space, u, 2.0) for u in funcs))
 
         # interpolation |grad u|_q <= C (eps^-1 |u|_q + eps |lap_h u|_q)
         laplacians = [discrete_laplacian(u, mass=mass, stiffness=stiff, tol=config.cg_tol)
@@ -374,10 +375,10 @@ def inequality_suite(config):
             worst = 0.0
             for u, lap in zip(funcs, laplacians):
                 gn = _gradient_norm_lq(space, u, q)
+                nu, nlap = norm_lq(space, u, q), norm_lq(space, lap, q)
                 for eps in eps_values:
-                    bound = norm_lq(space, u, q) / eps + eps * norm_lq(space, lap, q)
-                    worst = max(worst, gn / bound)
-            out["interpolation_c"][q].append(worst)
+                    worst = max(worst, gn / (nu / eps + eps * nlap))
+            record(f"interpolation_q{q:g}", worst)
 
         # Ritz projection stability in W^{1,q} for w = x_d, the last
         # coordinate (sin(theta) times the radius on a circle)
@@ -386,31 +387,11 @@ def inequality_suite(config):
         for q in q_values:
             num = norm_w1q(lifted, ritz, q)
             den = _callable_w1q_norm(lifted, _last_coordinate, _last_coordinate_gradient, q)
-            out["ritz_stability"][q].append(num / den)
+            record(f"ritz_q{q:g}", num / den)
 
-    out["stable"] = {}
-    # the equivalence constant is fitted once (coarsest level); finer levels
-    # must stay inside the band with a factor-10 slack, since it is a maximum
-    # over random draws rather than a deterministic constant
-    c_fit = out["norm_equivalence_c"][0]
-    out["stable"]["norm_equivalence_c"] = all(
-        c <= 10.0 * c_fit for c in out["norm_equivalence_c"]
-    )
-    out["stable"]["inverse_constant"] = _growth_ok(out["inverse_constant"])
-    for p, series in out["projection_stability"].items():
-        out["stable"][f"projection_p{p:g}"] = _growth_ok(series)
-    for q, series in out["interpolation_c"].items():
-        out["stable"][f"interpolation_q{q:g}"] = _growth_ok(series)
-    for q, series in out["ritz_stability"].items():
-        out["stable"][f"ritz_q{q:g}"] = _growth_ok(series)
-    out["all_stable"] = all(out["stable"].values())
-    return out
-
-
-def _growth_ok(series):
-    """Constants fitted at the coarsest level may not grow by more than 10%
-    under refinement; shrinking is fine (the bound only gets easier)."""
-    return max(series) <= 1.10 * series[0]
+    stable = {name: max(series) <= (10.0 if name == "norm_equivalence_c" else 1.10) * series[0]
+              for name, series in constants.items()}
+    return constants, stable
 
 
 def _gradient_norm_lq(space, u, q):

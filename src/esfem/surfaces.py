@@ -11,7 +11,6 @@ and defined for every time t; each study sets its own end time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,17 +277,11 @@ def make_surface(kind, dimension, params):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeatSolution:
-    """Separable decaying solution u(t,x) = exp(-rate*t) * profile(x) of the
-    heat equation with f = 0, which solve_heat takes as forcing None."""
-
-    value: object
-    initial: object
-
-
 def exact_heat_solution(surface, mode):
-    """Eigenfunction-decay solutions used as convergence oracles.
+    """Eigenfunction-decay solutions used as convergence oracles: the
+    separable solution u(t, x) = exp(-rate*t) * profile(x) of the heat
+    equation with f = 0 (which solve_heat takes as forcing None), as the
+    function u(t, x).
 
     Circle of radius r: u = exp(-(n/r)^2 t) sin(n*theta).
     Sphere of radius r: u = exp(-l(l+1)/r^2 t) P_l(x3/r) (zonal harmonic).
@@ -319,10 +312,10 @@ def exact_heat_solution(surface, mode):
             "exact heat solutions exist only on the stationary circle and sphere"
         )
 
-    def value(t, x):
+    def solution(t, x):
         return math.exp(-rate * t) * profile(x)
 
-    return HeatSolution(value=value, initial=profile)
+    return solution
 
 
 # ---------------------------------------------------------------------------

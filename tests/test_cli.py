@@ -3,12 +3,14 @@ import json
 import re
 import sys
 
+import numpy as np
 import pytest
 
 import esfem.cli
 from esfem.cli import main, parse_config
 from esfem.errors import ConfigError
 from esfem.studies import StudyReport
+from esfem.surfaces import make_surface
 
 GOOD_CONFIG = """
 [surface]
@@ -161,6 +163,25 @@ def test_cli_convergence_and_delta(tmp_path):
     report = (tmp_path / "delta" / "delta_report.csv").read_text().splitlines()
     assert report[0].startswith("level,h,slope")
     assert len(report) == 3
+
+
+def test_cli_solve_on_the_sqwave_profile(tmp_path):
+    # the square wave tanh(6 sin 2 pi t) vanishes at t = 0, 1/2 and 1 and is
+    # above 0.98 in modulus at the other nodes (dt = 1/14), where |f_h|
+    # is near the L2 norm of 1 + sin(3 x_0) / 2, about 2.66
+    text = GOOD_CONFIG.replace("levels = 16,24", "levels = 16").replace(
+        "profile = osc-seed42", "profile = sqwave")
+    cfg = write_config(tmp_path, text=text, out=str(tmp_path / "out"))
+    assert main(["solve", "--config", cfg]) == 0
+    lines = (tmp_path / "out" / "solve_level16.csv").read_text().splitlines()
+    assert lines[0] == "t,norm_u,norm_dtu,norm_lapu,norm_f"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert len(rows) == 15
+    for t, *_, norm_f in rows:
+        if t in (0.0, 0.5, 1.0):
+            assert norm_f <= 1e-12, t
+        else:
+            assert 2.5 <= norm_f <= 2.7, t
 
 
 def test_cli_solve_on_zero_forcing_evaluates_no_load_and_solves_no_fh(tmp_path, monkeypatch):
@@ -517,6 +538,9 @@ def test_cli_solve_honours_t_end(tmp_path):
      "study.pq"),
     ("maxreg", "[surface]\nkind = circle\n[study]\nlevels = 16,32\npq = 2:2,3:4,2.0:2\n",
      "study.pq"),
+    # a section the schema does not know is named, not ignored
+    ("solve", "[surface]\nkind = circle\n[colour]\nhue = 1\n[study]\nlevels = 16\n",
+     "colour"),
 ])
 def test_cli_rejected_config_values_are_config_errors(tmp_path, capsys, command,
                                                       config, key):
@@ -526,6 +550,14 @@ def test_cli_rejected_config_values_are_config_errors(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith(f"ConfigError: {key} (")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "missing.cfg"
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ConfigError: cannot read config file {str(path)!r}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -553,6 +585,56 @@ def test_cli_mesh_rejects_bad_flags_as_config_errors(tmp_path, capsys, flags, fl
     assert not out.exists()
 
 
+def test_cli_mesh_at_a_time_writes_the_evolved_snapshot(tmp_path):
+    out = tmp_path / "out"
+    argv = ["mesh", "--surface", "ellipsoid_flow", "--levels", "1", "--time", "0.25",
+            "--format", "text", "--out", str(out)]
+    assert main(argv) == 0
+    lines = (out / "ellipsoid_flow_l1_k1.txt").read_text().splitlines()
+    assert "time 0.25" in lines
+    start = lines.index("nodes 42")
+    nodes = np.array([[float(v) for v in ln.split()] for ln in lines[start + 1:start + 43]])
+    assert lines[start + 43] == "refnodes 42"
+    ref = np.array([[float(v) for v in ln.split()] for ln in lines[start + 44:start + 86]])
+    # node i is X(0.25, y_i), and X moves it away from y_i
+    surface = make_surface("ellipsoid_flow", 2, ())
+    assert np.array_equal(nodes, surface.position(0.25, ref))
+    assert not np.allclose(nodes, ref)
+
+
+MANIFEST_RUNS = {
+    "solve": GOOD_CONFIG.replace("levels = 16,24", "levels = 16"),
+    # circle 16,24 fails the default 1% dt-halving check, 32,48 passes it
+    "maxreg": "[surface]\nkind = circle\n[study]\nlevels = 32,48\n",
+    "convergence": GOOD_CONFIG.replace("levels = 16,24", "levels = 16,32"),
+    # c_star = 1: the dyadic table is written at level 3 and skipped at level 1
+    "greens": "[surface]\nkind = sphere\n[study]\nlevels = 1,3\nkernel_difference = true\n"
+              "c_star = 1\n",
+    "delta": GOOD_CONFIG,
+    "inequalities": GOOD_CONFIG,
+    "mesh": None,
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_cli_manifest_lists_exactly_the_files_written(tmp_path, command):
+    out = tmp_path / "out"
+    if command == "mesh":
+        argv = ["mesh", "--surface", "sphere", "--levels", "1", "--format", "both"]
+    else:
+        cfg = write_config(tmp_path, text=MANIFEST_RUNS[command], out=str(tmp_path / "unused"))
+        argv = [command, "--config", cfg]
+    assert main([*argv, "--out", str(out)]) == 0
+    written = {path.name for path in out.iterdir()}
+    manifests = [name for name in written if name.endswith("_manifest.json")]
+    assert len(manifests) == 1, manifests
+    outputs = json.loads((out / manifests[0]).read_text())["outputs"]
+    assert written == {*outputs, manifests[0]}
+    if command == "greens":
+        assert "greens_dyadic_level3.csv" in written
+        assert "greens_dyadic_level1.csv" not in written
+
+
 def test_cli_mesh_writes_to_esfem_outdir_without_out(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("ESFEM_OUTDIR", str(tmp_path / "env"))
@@ -571,7 +653,7 @@ def test_cli_mesh_writes_to_esfem_outdir_without_out(tmp_path, monkeypatch):
 def test_cli_maxreg_check_exits_3_on_a_non_uniform_pair(tmp_path, monkeypatch):
     def non_uniform(config):
         verdict = {"spread": 2.0, "last_growth": 0.5, "uniform": False}
-        return StudyReport(config=config, uniformity={(2.0, 2.0): verdict})
+        return StudyReport(uniformity={(2.0, 2.0): verdict})
 
     monkeypatch.setattr(esfem.cli, "maxreg_study", non_uniform)
     cfg = write_config(tmp_path, out=str(tmp_path / "out"))
@@ -580,12 +662,12 @@ def test_cli_maxreg_check_exits_3_on_a_non_uniform_pair(tmp_path, monkeypatch):
 
 
 def test_cli_inequalities_check_exits_3_when_unstable(tmp_path, monkeypatch):
-    monkeypatch.setattr(esfem.cli, "inequality_suite", lambda config: {
-        "stable": {"inverse_constant": False}, "all_stable": False})
+    monkeypatch.setattr(esfem.cli, "inequality_suite", lambda config: (
+        {"inverse_constant": [1.0, 2.0]}, {"inverse_constant": False}))
     cfg = write_config(tmp_path, out=str(tmp_path / "out"))
     assert main(["inequalities", "--config", cfg]) == 0
     assert main(["inequalities", "--config", cfg, "--check"]) == 3
-    assert (tmp_path / "out" / "inequalities.txt").read_text() == "FAIL inverse_constant\n"
+    assert (tmp_path / "out" / "inequalities.txt").read_text() == "FAIL inverse_constant 1 2\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "convergence", "greens", "delta"])

@@ -11,6 +11,7 @@ from esfem.errors import (
     NonConvergence,
     PointNotOnMesh,
     SingularElement,
+    UnsupportedSurface,
 )
 from esfem.fem import (
     DISCRETE,
@@ -832,6 +833,13 @@ def test_radial_inverse_lift_rejects_points_without_a_ray(sphere2, bad):
         radial_inverse_lift(sphere2, pts)
 
 
+def test_radial_inverse_lift_rejects_a_non_radial_kind():
+    # rays through the origin need a radially projecting surface
+    mesh = build_sphere_mesh(EllipsoidFlow(dimension=2), 1, 1)
+    with pytest.raises(UnsupportedSurface, match="radial"):
+        radial_inverse_lift(mesh, mesh.nodes[:2])
+
+
 def test_radial_inverse_lift_reports_stalled_newton(monkeypatch):
     # a zero tolerance is never met, so Newton runs into its iteration cap
     mesh = build_sphere_mesh(Sphere(), 1, 2)
@@ -904,6 +912,11 @@ def test_norm_constant_on_lifted_circle(circle64):
     one = np.ones(space.num_dofs)
     assert abs(norm_lq(space, one, 2) - math.sqrt(2 * math.pi)) <= 1e-12
     assert norm_lq(space, one, math.inf) == 1.0
+    # the same at q = inf for a callable, and the max of the two sups for
+    # W^{1,inf}: the gradient of a constant is zero
+    assert norm_lq(space, lambda x: np.ones(x.shape[:-1]), math.inf) == 1.0
+    assert 0.999 <= norm_lq(space, sin_theta, math.inf) <= 1.0
+    assert norm_w1q(space, one, math.inf) == 1.0
 
 
 def test_norm_sin_theta_analytic(circle64):

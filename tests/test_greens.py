@@ -251,6 +251,21 @@ def test_kernel_difference_requires_finer_reference():
         kernel_difference_l1(coarse, fine, coarse.nodes[0], TimeGrid(0.5, 8), cg_tol=1e-11)
 
 
+def test_kernel_difference_requires_one_surface_object():
+    # two equal circles are still two surfaces: the lift needs the one
+    coarse = build_circle_mesh(Circle(), 8, 1)
+    fine = build_circle_mesh(Circle(), 64, 1)
+    with pytest.raises(MeshMismatch, match="one surface"):
+        kernel_difference_l1(coarse, fine, coarse.nodes[0], TimeGrid(0.5, 8), cg_tol=1e-11)
+
+
+def test_green_decay_study_needs_enough_samples_in_its_window():
+    # t_end = 1.2 at dt = 0.2 leaves the nodes 1.0 and 1.2 in [1, t_end]
+    mesh = build_circle_mesh(Circle(), 16, 1)
+    with pytest.raises(InsufficientSamples, match="fit window"):
+        green_decay_study(mesh, TimeGrid(1.2, 6), cg_tol=1e-12)
+
+
 def test_kernel_difference_caps_the_fine_dofs(monkeypatch):
     coarse = build_circle_mesh(Circle(), 8, 1)
     fine = build_circle_mesh(coarse.surface, 64, 1)
@@ -303,6 +318,14 @@ def test_dyadic_rejects_coarse_mesh():
     with pytest.raises(HTooLarge):
         dyadic_report(mesh, nodes, mesh.nodes[0], c_star=16.0)
     assert next(nodes).t == 0.0
+
+
+def test_dyadic_report_rejects_nodes_of_another_mesh():
+    # an equal mesh built twice is two meshes: the distances belong to one
+    mesh, other = (build_circle_mesh(Circle(), 32, 1) for _ in range(2))
+    nodes = discrete_green(other, other.nodes[0], TimeGrid(1.0, 4), cg_tol=1e-12)
+    with pytest.raises(MeshMismatch, match="report's mesh"):
+        dyadic_report(mesh, nodes, mesh.nodes[0], c_star=1.0)
 
 
 def _peak_bytes(run):

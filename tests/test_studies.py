@@ -219,9 +219,12 @@ def test_convergence_study_circle_k1():
 
 def test_inequality_suite_smoke():
     cfg = StudyConfig(levels=(16, 32))
-    out = inequality_suite(cfg)
-    assert out["all_stable"], out["stable"]
-    assert len(out["h"]) == 2
+    constants, stable = inequality_suite(cfg)
+    assert all(stable.values()), stable
+    assert sorted(constants) == sorted(stable) == [
+        "interpolation_q2", "interpolation_q4", "inverse_constant", "norm_equivalence_c",
+        "projection_p1", "projection_p2", "projection_p4", "ritz_q2", "ritz_q4"]
+    assert all(len(series) == 2 for series in constants.values())
 
 
 def test_inequality_suite_solves_each_projection_and_laplacian_once(monkeypatch):
@@ -241,8 +244,7 @@ def test_inequality_suite_solves_each_projection_and_laplacian_once(monkeypatch)
 
 
 def test_emit_reports_empty_and_rows(tmp_path):
-    cfg = StudyConfig()
-    empty = StudyReport(config=cfg)
+    empty = StudyReport()
     emit_reports(empty, tmp_path / "empty")
     lines = (tmp_path / "empty" / "maxreg.csv").read_text().splitlines()
     assert lines == ["level,h,dt,p,q,norm_dtu,norm_lapu,norm_f,ratio,richardson_ok"]
@@ -253,7 +255,7 @@ def test_emit_reports_empty_and_rows(tmp_path):
                  richardson_ok=True)
         for i in range(3)
     ]
-    rep = StudyReport(config=cfg, rows=rows)
+    rep = StudyReport(rows=rows)
     emit_reports(rep, tmp_path / "three")
     lines = (tmp_path / "three" / "maxreg.csv").read_text().splitlines()
     assert len(lines) == 4

@@ -122,19 +122,19 @@ def test_project_with_jacobian_is_project_and_its_derivative(surface):
 def test_heat_solution_circle_examples():
     sol = exact_heat_solution(Circle(), 1)
     pt = np.array([math.cos(math.pi / 2), math.sin(math.pi / 2)])
-    assert abs(sol.value(0.0, pt) - 1.0) < 1e-14
+    assert abs(sol(0.0, pt) - 1.0) < 1e-14
 
     sol2 = exact_heat_solution(Circle(), 2)
     theta = 0.77
     pt = np.array([math.cos(theta), math.sin(theta)])
-    assert abs(sol2.value(0.25, pt) - math.exp(-1.0) * math.sin(2 * theta)) < 1e-14
+    assert abs(sol2(0.25, pt) - math.exp(-1.0) * math.sin(2 * theta)) < 1e-14
 
 
 def test_heat_solution_sphere_example():
     sol = exact_heat_solution(Sphere(), 1)
     pt = np.array([0.1, 0.3, math.sqrt(1 - 0.1)])
     z = pt[2]
-    assert abs(sol.value(0.5, pt) - math.exp(-1.0) * z) < 1e-14
+    assert abs(sol(0.5, pt) - math.exp(-1.0) * z) < 1e-14
 
 
 def test_heat_solution_rejects_flows():
@@ -160,7 +160,7 @@ def test_heat_solution_residual_symbolic_circle():
             av = rng.uniform(0, 2 * math.pi)
             pt = np.array([math.cos(av), math.sin(av)])
             expected = float(u.subs({t: tv, theta: av}))
-            assert abs(sol.value(tv, pt) - expected) <= 1e-12
+            assert abs(sol(tv, pt) - expected) <= 1e-12
 
 
 def test_heat_solution_residual_symbolic_sphere():
@@ -182,7 +182,7 @@ def test_heat_solution_residual_symbolic_sphere():
                 [math.sin(pv) * math.cos(av), math.sin(pv) * math.sin(av), math.cos(pv)]
             )
             expected = float(u.subs({t: tv, phi: pv}))
-            assert abs(sol.value(tv, pt) - expected) <= 1e-12
+            assert abs(sol(tv, pt) - expected) <= 1e-12
 
 
 # --- forcing profiles -----------------------------------------------------
@@ -195,6 +195,18 @@ def test_bump_profile_peaks_at_one():
         for t in (0.0, 0.3, 0.9):
             center = _bump_center(surface, t)
             assert abs(f(t, center[None, :])[0] - 1.0) < 1e-14
+
+
+def test_sqwave_profile_is_its_formula():
+    # a smoothed square wave in time times a smooth factor of x_0
+    rng = np.random.default_rng(3)
+    for surface in ALL_SURFACES:
+        f = forcing_profile("sqwave", surface)
+        pts = sample_points(surface, 0.0, 7, rng)
+        for t in (0.0, 0.1, 0.37, 0.75):
+            wave = math.tanh(6.0 * math.sin(2.0 * math.pi * t))
+            want = [wave * (1.0 + 0.5 * math.sin(3.0 * x[0])) for x in pts]
+            assert np.allclose(f(t, pts), want, rtol=1e-14, atol=1e-15), (surface, t)
 
 
 def test_zero_profile():

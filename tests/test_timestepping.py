@@ -156,13 +156,13 @@ def test_eigen_decay_convergence_order():
         grid = TimeGrid(1.0, max(4, int(8 / mesh.h)))
         *_, last = solve_heat(
             mesh, None, grid, scheme="stationary", integrator="bdf2",
-            u0=solution.initial(mesh.nodes), cg_tol=1e-12,
+            u0=solution(0.0, mesh.nodes), cg_tol=1e-12,
         )
         assert last.t == 1.0
         geom = space.geometry()
         pts = surface.project(0.0, geom.points.reshape(-1, 2))
         uh = last.u[mesh.elements] @ geom.shape_values.T
-        ue = solution.value(1.0, pts).reshape(uh.shape)
+        ue = solution(1.0, pts).reshape(uh.shape)
         errors.append(math.sqrt(float(np.sum(geom.weights * (uh - ue) ** 2))))
         hs.append(mesh.h)
     order = np.polyfit(np.log(hs), np.log(errors), 1)[0]
@@ -259,11 +259,25 @@ def test_timegrid_policy_constructor():
     assert grid.halved().n_steps == 2 * grid.n_steps
 
 
-def test_bdf2_rejected_for_conservative_scheme():
+@pytest.mark.parametrize("scheme, integrator, match", [
+    ("C", "be", "unknown scheme 'C'"),
+    (SCHEME_A, "rk4", "unknown integrator 'rk4'"),
+    (SCHEME_B, "bdf2", "only wired for the non-conservative forms"),
+])
+def test_solve_heat_rejects_bad_arguments_at_the_call(scheme, integrator, match):
+    # the call raises: no stream is returned, so no node is drawn and no
+    # load is evaluated
     mesh = build_circle_mesh(Circle(), 16, 1)
-    with pytest.raises(ValueError):
-        solve_heat(mesh, forcing_profile("zero", mesh.surface), TimeGrid(1.0, 4),
-                   scheme="B", integrator="bdf2", cg_tol=1e-12)
+    loads = []
+
+    def forcing(t, x):
+        loads.append(t)
+        return np.zeros(x.shape[:-1])
+
+    with pytest.raises(ValueError, match=match):
+        solve_heat(mesh, forcing, TimeGrid(1.0, 4), scheme=scheme, integrator=integrator,
+                   cg_tol=1e-12)
+    assert loads == []
 
 
 def _norm_oracle(nodes, mesh0, field, q, moving):
